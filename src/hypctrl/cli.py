@@ -14,9 +14,9 @@ Configuration is one JSON file with the keys
     grid    {"cells": int, "cfl": float (optional, default 0.9)}
 
 Parsing is strict: unknown keys anywhere are rejected.  Exit codes: 0 on
-success, 2 on malformed or invalid configuration, 3 when a rank condition
-makes the request infinite/unanswerable, 4 when a synthesis horizon does not
-exceed the minimal control time.  Every error path prints one line starting
+success, 2 on malformed or invalid configuration or flag values, 3 when a
+rank condition makes the request infinite/unanswerable, 4 when a synthesis
+horizon does not exceed the minimal control time.  Every error path prints one line starting
 with ``ERROR:``.  Floats are printed with 17 significant digits so repeated
 runs are bit-identical.
 """
@@ -35,7 +35,7 @@ from .canon import canonical_form
 from .model import (ControlDomain, CouplingSpec, SourceTerm, SpeedProfile,
                     SystemSpec, validate)
 from .obsv import detect_threshold, necessity_sweep, sigma_min_sweep
-from .pde import ControlField, Grid, StateField, solve_forward
+from .pde import ControlField, Grid, StateField, _forward
 from .synth import BelowThresholdError, assemble_internal_control
 from .times import minimal_control_time, refine_control_region
 
@@ -291,21 +291,29 @@ def _cmd_omegahat(cfg: RunConfig, args, out) -> int:
     return EXIT_OK
 
 
+def _require_horizon(T: float, positive: bool):
+    if not (np.isfinite(T) and (T > 0.0 if positive else T >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(f"--T: must be finite and {sign}, got {T}")
+
+
 def _cmd_simulate(cfg: RunConfig, args, out) -> int:
+    _require_horizon(args.T, positive=False)
     grid = cfg.grid
     spec = cfg.spec
     y0 = _state_from_arg(args.y0, grid, spec.n)
     u = _read_control_csv(args.u, grid, spec.n) if args.u else None
-    res = solve_forward(spec, y0, u, args.T, cfg.cfl)
+    final = _forward(spec, y0, u, args.T, cfg.cfl, keep="final").final
     if args.out:
         with open(args.out, "w") as stream:
-            _write_state_csv(stream, res.final)
+            _write_state_csv(stream, final)
     else:
-        _write_state_csv(out, res.final)
+        _write_state_csv(out, final)
     return EXIT_OK
 
 
 def _cmd_synthesize(cfg: RunConfig, args, out) -> int:
+    _require_horizon(args.T, positive=True)
     grid = cfg.grid
     spec = cfg.spec
     y0 = _state_from_arg(args.y0, grid, spec.n)
@@ -345,6 +353,14 @@ def _cmd_synthesize(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_gramian(cfg: RunConfig, args, out) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"--steps: must be at least 1, got {args.steps}")
+    if not (np.isfinite(args.tmin) and np.isfinite(args.tmax)
+            and 0.0 < args.tmin <= args.tmax):
+        raise ConfigError(f"--tmin/--tmax: need finite 0 < tmin <= tmax, "
+                          f"got {args.tmin} and {args.tmax}")
+    if args.steps > 1 and args.tmin == args.tmax:
+        raise ConfigError("--tmin/--tmax: several steps need tmin < tmax")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid)
     out.write("T,sigma_min\n")

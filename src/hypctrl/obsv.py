@@ -32,7 +32,8 @@ import numpy as np
 
 from .canon import canonical_form
 from .model import ControlDomain, Interval, SpeedProfile, SystemSpec
-from .pde import Grid, StateField, _adjoint_marcher, cfl_dt
+from .pde import (Grid, StateField, _adjoint_marcher, _march, _slopes_at,
+                  adjoint_reflection, cfl_dt)
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
@@ -53,13 +54,30 @@ class GramianSweepResult:
         return np.array([s for _, s in self.points])
 
 
-def _flat_mask(omega: ControlDomain, grid: Grid, n: int) -> np.ndarray:
-    cell_mask = omega.contains_points(grid.centers)
-    return np.tile(cell_mask, n)
+def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
+                     dt: float, stops: set[int], on_window):
+    """March every basis final datum of the adjoint at once, summing
+    dt * dx * |z|^2 over the cells of omega before each step; after k steps,
+    for each k in ``stops``, hand the symmetrized sum (the Gramian of the
+    window [T - k dt, T]) to ``on_window(k, gram)``."""
+    n, nx = spec.n, grid.n_cells
+    nstate = n * nx
+    if nstate > GRAMIAN_STATE_LIMIT:
+        raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
+                         f"({GRAMIAN_STATE_LIMIT})")
+    mask = np.tile(omega.contains_points(grid.centers), n)
+    w = dt * grid.dx
+    gram = np.zeros((nstate, nstate))
 
+    def accumulate(s, z):
+        nonlocal gram
+        zm = z.reshape(nstate, nstate)[mask]
+        gram += w * (zm.T @ zm)
+        if s + 1 in stops:
+            on_window(s + 1, 0.5 * (gram + gram.T))
 
-def _basis_batch(n: int, nx: int) -> np.ndarray:
-    return np.eye(n * nx).reshape(n, nx, n * nx)
+    basis = np.eye(nstate).reshape(n, nx, nstate)
+    _march(_adjoint_marcher(spec, grid, dt), basis, max(stops), visit=accumulate)
 
 
 def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
@@ -73,25 +91,13 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     upwind damping wipes out grid-scale data before they reach omega, which
     drives sigma_min to zero at every horizon and hides the threshold.
     """
-    nstate = spec.n * grid.n_cells
-    if nstate > GRAMIAN_STATE_LIMIT:
-        raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
-                         f"({GRAMIAN_STATE_LIMIT})")
     if T <= 0.0:
         raise ValueError("horizon must be positive")
     dt = cfl_dt(spec, grid, cfl, T)
-    n_steps = int(round(T / dt))
-    marcher = _adjoint_marcher(spec, grid, dt)
-    mask = _flat_mask(omega, grid, spec.n)
-    w = dt * grid.dx
-
-    z = _basis_batch(spec.n, grid.n_cells)
-    gram = np.zeros((nstate, nstate))
-    for s in range(n_steps):
-        zm = z.reshape(nstate, nstate)[mask]
-        gram += w * (zm.T @ zm)
-        z = marcher.step(z, s)
-    return 0.5 * (gram + gram.T)
+    grams = []
+    _gramian_windows(spec, omega, grid, dt, {int(round(T / dt))},
+                     lambda k, gram: grams.append(gram))
+    return grams[0]
 
 
 def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
@@ -104,32 +110,17 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     the snapped values are reported alongside).
     """
     t_list = [float(t) for t in t_list]
-    if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])) or t_list[0] <= 0.0:
-        raise ValueError("horizons must be positive and strictly increasing")
-    nstate = spec.n * grid.n_cells
-    if nstate > GRAMIAN_STATE_LIMIT:
-        raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
-                         f"({GRAMIAN_STATE_LIMIT})")
+    if not t_list or t_list[0] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
+        raise ValueError("horizons must be a nonempty, positive, strictly increasing list")
 
-    t_max = t_list[-1]
-    dt = cfl_dt(spec, grid, cfl, t_max)
+    dt = cfl_dt(spec, grid, cfl, t_list[-1])
     targets = [max(1, int(round(t / dt))) for t in t_list]
-    marcher = _adjoint_marcher(spec, grid, dt)
-    mask = _flat_mask(omega, grid, spec.n)
-    w = dt * grid.dx
-
-    z = _basis_batch(spec.n, grid.n_cells)
-    gram = np.zeros((nstate, nstate))
     sigmas: dict[int, float] = {}
-    need = sorted(set(targets))
-    for s in range(need[-1]):
-        zm = z.reshape(nstate, nstate)[mask]
-        gram += w * (zm.T @ zm)
-        if s + 1 in need:
-            sym = 0.5 * (gram + gram.T)
-            sigmas[s + 1] = float(np.linalg.eigvalsh(sym)[0] / grid.dx)
-        z = marcher.step(z, s)
 
+    def smallest_eigenvalue(k, gram):
+        sigmas[k] = float(np.linalg.eigvalsh(gram)[0] / grid.dx)
+
+    _gramian_windows(spec, omega, grid, dt, set(targets), smallest_eigenvalue)
     points = tuple((t, sigmas[k]) for t, k in zip(t_list, targets))
     snapped = tuple(k * dt for k in targets)
     return GramianSweepResult(points, omega, grid, dt, snapped)
@@ -187,10 +178,7 @@ def kernel_vector(q0, speeds: SpeedProfile) -> np.ndarray | None:
     """Unit vector annihilated by the transposed x=0 reflection of the
     adjoint system, or None when that reflection has full rank."""
     q0 = np.atleast_2d(np.asarray(q0, dtype=float))
-    m = speeds.m
-    lam0 = np.array([speeds.value(k, 0.0) for k in range(speeds.n)])
-    r0 = -np.diag(lam0[m:]) @ q0 @ np.diag(1.0 / lam0[:m])
-    return _null_vector(r0.T)
+    return _null_vector(adjoint_reflection(speeds, q0, 0.0).T)
 
 
 @dataclass(frozen=True)
@@ -249,8 +237,7 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     m, p, n = spec.m, spec.p, spec.n
     if canonical_form(spec.couplings.q0).rank >= p:
         raise ValueError("Q0 has full row rank: no kernel datum exists")
-    slopes = np.stack([np.asarray(spec.speeds.slope(k, grid.centers))
-                       for k in range(n)])
+    slopes = _slopes_at(spec, grid)
     msrc = spec.source.at_points(grid.centers)
     diag = msrc[:, np.arange(n), np.arange(n)].T
     off = msrc.copy()
@@ -267,16 +254,16 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
 
     dt = cfl_dt(spec, grid, cfl, T)
     n_steps = int(round(T / dt))
-    marcher = _adjoint_marcher(spec, grid, dt)
     dx = grid.dx
-
-    z = z1.values[:, :, None]
     denom = 0.0
     z_minus_max = 0.0
-    for s in range(n_steps):
+
+    def observe(s, z):
+        nonlocal denom, z_minus_max
         denom += dt * dx * float(np.sum(z ** 2))
         z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:m]))))
-        z = marcher.step(z, s)
+
+    z, _ = _march(_adjoint_marcher(spec, grid, dt), z1.values, n_steps, visit=observe)
     z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:m]))))
 
     num = dx * float(np.sum(z1.values ** 2))

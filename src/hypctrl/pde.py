@@ -7,7 +7,7 @@ explicitly per step.  Inflow ghost values come either from the boundary
 couplings applied to the upwind-side cell value of the outgoing components
 (first-order consistent trace) or from prescribed control series.
 
-Four solvers share one marching kernel:
+Four solvers are thin wrappers around one stepping loop, ``_march``:
 
 * ``solve_forward``            -- the controlled system on (0, 1);
 * ``solve_backward``           -- the time-reversed uncontrolled system
@@ -19,6 +19,10 @@ Four solvers share one marching kernel:
                                   R0 = -Lambda_+(0) Q0 Lambda_-(0)^-1 and
                                   R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1.
 
+It also drives the Gramian sweeps and the blow-up witness in ``obsv``, and
+keeps the current state only or the whole trajectory too (in forward-time
+order, even marching backward; refused above ``TRAJECTORY_BYTES_LIMIT``).
+
 With constant speeds of equal magnitude and unit Courant number the scheme
 transports exactly, reflections included; ``characteristics_oracle`` provides
 the matching exact solution for constant speeds and zero source by tracing
@@ -28,14 +32,15 @@ characteristics backwards through the boundary couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .model import ControlDomain, Interval, PositionTag, SystemSpec
+from .model import Interval, PositionTag, SpeedProfile, SystemSpec
 
 NAN_CHECK_EVERY = 64
+TRAJECTORY_BYTES_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,6 @@ class StateField:
         if not np.isfinite(v).all():
             raise ValueError("state values must be finite")
         object.__setattr__(self, "values", v)
-
-    def norm_l2(self) -> float:
-        return math.sqrt(self.grid.dx * float(np.sum(self.values ** 2)))
 
 
 def sample_state(fn, grid: Grid, n: int, time: float = 0.0) -> StateField:
@@ -136,13 +138,6 @@ class ControlField:
     def n_steps(self) -> int:
         return self.values.shape[0]
 
-    @staticmethod
-    def zeros(n: int, grid: Grid, dt: float, n_steps: int,
-              omega: ControlDomain | None = None) -> "ControlField":
-        mask = (omega.contains_points(grid.centers) if omega is not None
-                else np.ones(grid.n_cells, dtype=bool))
-        return ControlField(np.zeros((n_steps, n, grid.n_cells)), grid, dt, mask)
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -156,9 +151,14 @@ class TraceRecord:
 @dataclass(frozen=True)
 class EvolutionResult:
     final: StateField
-    trajectory: np.ndarray
+    trajectory: np.ndarray | None
     times: np.ndarray
     traces: TraceRecord | None = None
+
+
+def _check_horizon(T: float):
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {T}")
 
 
 def cfl_dt(spec: SystemSpec, grid: Grid, cfl_factor: float, horizon: float) -> float:
@@ -166,8 +166,7 @@ def cfl_dt(spec: SystemSpec, grid: Grid, cfl_factor: float, horizon: float) -> f
     horizon is an integer number of steps."""
     if not 0.0 < cfl_factor <= 1.0:
         raise ValueError("cfl factor must lie in (0, 1]")
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     dt0 = cfl_factor * grid.dx / spec.speeds.max_abs_speed()
     if horizon == 0.0:
         return dt0
@@ -191,16 +190,23 @@ class _Marcher:
     States are (n, N, B) batches.  Boundary conditions are callables mapping
     (step index j, outgoing trace (n_out, B)) to inflow ghost values
     (n_in, B): at the left end the inflow components are those with positive
-    sigma, at the right end those with negative sigma.
+    sigma, at the right end those with negative sigma.  Each sign family
+    must be one contiguous block (true of validated speeds and their
+    negations), so a step slices instead of gathering and copying.
     """
 
     def __init__(self, sigma: np.ndarray, dt: float, dx: float,
                  bc_lo, bc_hi, source: np.ndarray | None = None):
         n, nx = sigma.shape
-        self.pos = np.nonzero(sigma[:, 0] > 0)[0]
-        self.neg = np.nonzero(sigma[:, 0] < 0)[0]
-        if self.pos.size + self.neg.size != n:
+        pos = sigma[:, 0] > 0
+        if not np.all(pos | (sigma[:, 0] < 0)):
             raise ValueError("speeds must be nonvanishing")
+        split = int(np.argmin(pos == pos[0])) or n
+        if np.any(pos[split:] == pos[0]):
+            raise ValueError("speeds must be grouped by sign: all negative "
+                             "components before all positive ones, or the reverse")
+        first, rest = slice(0, split), slice(split, n)
+        self.pos, self.neg = (first, rest) if pos[0] else (rest, first)
         cour = sigma * (dt / dx)
         if np.max(np.abs(cour)) > 1.0 + 1e-12:
             raise ValueError(f"CFL violated: max Courant number {np.max(np.abs(cour)):.3f}")
@@ -209,30 +215,34 @@ class _Marcher:
         self.bc_lo = bc_lo
         self.bc_hi = bc_hi
         self.dt = dt
-        # source enters as  w += dt * S w  with S sampled per cell
-        self.source = None if source is None or not np.any(source) else source
-
-    def outflow_lo(self, w: np.ndarray) -> np.ndarray:
-        return w[self.neg, 0, :]
-
-    def outflow_hi(self, w: np.ndarray) -> np.ndarray:
-        return w[self.pos, -1, :]
+        # source enters as  w += dt * S w  with S sampled per cell, kept as
+        # S[i, j, x] so the cell axis runs alongside the state's
+        self.source = (None if source is None or not np.any(source)
+                       else np.transpose(source, (1, 2, 0)).copy())
 
     def step(self, w: np.ndarray, j: int, forcing: np.ndarray | None = None) -> np.ndarray:
-        ghost_lo = self.bc_lo(j, self.outflow_lo(w))
-        ghost_hi = self.bc_hi(j, self.outflow_hi(w))
-        out = w.copy()
+        ghost_lo = self.bc_lo(j, w[self.neg, 0, :])
+        ghost_hi = self.bc_hi(j, w[self.pos, -1, :])
+        out = np.empty_like(w)
 
-        wp = w[self.pos]
-        upwind = np.concatenate([ghost_lo[:, None, :], wp[:, :-1, :]], axis=1)
-        out[self.pos] = wp - self.cp * (wp - upwind)
+        # positive family:  w - c (w - upwind), the upwind cell on the left
+        wp, op = w[self.pos], out[self.pos]
+        np.subtract(wp[:, 1:], wp[:, :-1], out=op[:, 1:])
+        np.subtract(wp[:, 0], ghost_lo, out=op[:, 0])
+        op *= self.cp
+        np.subtract(wp, op, out=op)
 
-        wn = w[self.neg]
-        downwind = np.concatenate([wn[:, 1:, :], ghost_hi[:, None, :]], axis=1)
-        out[self.neg] = wn - self.cn * (downwind - wn)
+        # negative family:  w - c (downwind - w), the upwind cell on the right
+        wn, on = w[self.neg], out[self.neg]
+        np.subtract(wn[:, 1:], wn[:, :-1], out=on[:, :-1])
+        np.subtract(ghost_hi, wn[:, -1], out=on[:, -1])
+        on *= self.cn
+        np.subtract(wn, on, out=on)
 
         if self.source is not None:
-            out += self.dt * np.einsum("xij,jxb->ixb", self.source, w)
+            gain = np.einsum("ijx,jxb->ixb", self.source, w)
+            gain *= self.dt
+            out += gain
         if forcing is not None:
             out += self.dt * forcing
         return out
@@ -254,37 +264,51 @@ def _dirichlet_bc(series: np.ndarray):
     return bc
 
 
-def _check_finite(w: np.ndarray, j: int):
-    if not np.isfinite(w).all():
-        raise RuntimeError(f"solution lost finiteness at step {j}")
-
-
-def _run(marcher: _Marcher, w0: np.ndarray, n_steps: int, forcing=None) -> np.ndarray:
-    """March n_steps and return the whole trajectory (n_steps+1, n, N)."""
-    traj = np.empty((n_steps + 1,) + w0.shape[:2])
+def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
+           forcing: np.ndarray | None = None, visit=None, reverse: bool = False):
+    """March an (n, N) state or (n, N, B) batch; return (final batch,
+    trajectory).  ``forcing[j]`` (n, N) enters step j and ``visit(j, w)``
+    sees the state before step j.  ``keep="trajectory"`` also stores column
+    0 of every state as (n_steps+1, n, N), last state first if ``reverse``;
+    ``keep="final"`` stores nothing and returns None for it.
+    """
     w = w0[:, :, None] if w0.ndim == 2 else w0
-    traj[0] = w[:, :, 0]
+    traj = None
+    if keep == "trajectory":
+        size = (n_steps + 1) * w.shape[0] * w.shape[1] * 8
+        if size > TRAJECTORY_BYTES_LIMIT:
+            raise ValueError(f"trajectory of {n_steps + 1} states needs {size} bytes, "
+                             f"above the limit of {TRAJECTORY_BYTES_LIMIT}")
+        traj = np.empty((n_steps + 1,) + w.shape[:2])
+        traj[n_steps if reverse else 0] = w[:, :, 0]
     for j in range(n_steps):
-        f = forcing(j) if forcing is not None else None
-        w = marcher.step(w, j, f if f is None else f[:, :, None])
-        if j % NAN_CHECK_EVERY == 0:
-            _check_finite(w, j)
-        traj[j + 1] = w[:, :, 0]
-    _check_finite(traj[-1], n_steps)
-    return traj
+        if visit is not None:
+            visit(j, w)
+        w = marcher.step(w, j, None if forcing is None else forcing[j][:, :, None])
+        if (j % NAN_CHECK_EVERY == 0 or j + 1 == n_steps) and not np.isfinite(w).all():
+            raise RuntimeError(f"solution lost finiteness at step {j + 1}")
+        if traj is not None:
+            traj[n_steps - 1 - j if reverse else j + 1] = w[:, :, 0]
+    return w, traj
+
+
+def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
+            final_time: float, keep: str = "trajectory", forcing=None,
+            reverse: bool = False) -> EvolutionResult:
+    w, traj = _march(marcher, state.values, n_steps, keep, forcing, reverse=reverse)
+    final = StateField(w[:, :, 0].copy(), state.grid, final_time)
+    return EvolutionResult(final, traj, np.arange(n_steps + 1) * dt)
 
 
 def _resolve_steps(spec, grid, T, cfl, control: ControlField | None):
+    _check_horizon(T)
     if control is not None:
         if control.grid != grid:
             raise ValueError("control grid does not match the state grid")
-        n_steps = control.n_steps
-        dt = control.dt
+        dt, n_steps = control.dt, control.n_steps
         if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
             raise ValueError("control series does not cover the horizon")
         return dt, n_steps
-    if T == 0.0:
-        return 0.0, 0
     dt = cfl_dt(spec, grid, cfl, T)
     return dt, int(round(T / dt))
 
@@ -297,29 +321,24 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
     from Q1 applied to the y_+ trace.  The control, when given, fixes the
     time step (its own dt) and is applied explicitly per step.
     """
+    res = _forward(spec, y0, u, T, cfl, keep="trajectory")
+    out_lo, out_hi = res.trajectory[:, :spec.m, 0], res.trajectory[:, spec.m:, -1]
+    left = np.hstack([out_lo, out_lo @ np.asarray(spec.couplings.q0).T])
+    right = np.hstack([out_hi @ np.asarray(spec.couplings.q1).T, out_hi])
+    return replace(res, traces=TraceRecord(res.times, left, right))
+
+
+def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
+             T: float, cfl: float, keep: str) -> EvolutionResult:
+    """``solve_forward`` without traces, storing the trajectory or not."""
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, u)
-    sigma = _speeds_at(spec, grid)
-    source = spec.source.at_points(grid.centers)
-    m = spec.m
-    marcher = _Marcher(sigma, dt, grid.dx,
+    marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx,
                        bc_lo=_coupling_bc(spec.couplings.q0),
                        bc_hi=_coupling_bc(spec.couplings.q1),
-                       source=source)
-    forcing = None if u is None else (lambda j: u.values[j])
-    traj = _run(marcher, y0.values, n_steps, forcing)
-    times = np.arange(n_steps + 1) * dt
-
-    left = np.empty((n_steps + 1, spec.n))
-    right = np.empty((n_steps + 1, spec.n))
-    left[:, :m] = traj[:, :m, 0]
-    left[:, m:] = traj[:, :m, 0] @ np.asarray(spec.couplings.q0).T
-    right[:, m:] = traj[:, m:, -1]
-    right[:, :m] = traj[:, m:, -1] @ np.asarray(spec.couplings.q1).T
-    traces = TraceRecord(times, left, right)
-
-    final = StateField(traj[-1].copy(), grid, T)
-    return EvolutionResult(final, traj, times, traces)
+                       source=spec.source.at_points(grid.centers))
+    return _evolve(marcher, y0, n_steps, dt, T, keep,
+                   forcing=None if u is None else u.values)
 
 
 def solve_backward(spec: SystemSpec, y1: StateField, T: float,
@@ -338,16 +357,11 @@ def solve_backward(spec: SystemSpec, y1: StateField, T: float,
         q1inv = np.linalg.inv(spec.couplings.q1)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular coupling matrix: {exc}") from exc
-    sigma = -_speeds_at(spec, grid)
-    source = -spec.source.at_points(grid.centers)
-    marcher = _Marcher(sigma, dt, grid.dx,
+    marcher = _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
                        bc_lo=_coupling_bc(q0inv),
                        bc_hi=_coupling_bc(q1inv),
-                       source=source)
-    traj = _run(marcher, y1.values, n_steps)[::-1].copy()
-    times = np.arange(n_steps + 1) * dt
-    final = StateField(traj[0].copy(), grid, 0.0)
-    return EvolutionResult(final, traj, times)
+                       source=-spec.source.at_points(grid.centers))
+    return _evolve(marcher, y1, n_steps, dt, 0.0, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -377,7 +391,6 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
     tag = interval.tag
-    m = spec.m
 
     def need(series, length, name):
         if series is None:
@@ -390,33 +403,29 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
 
     if tag is PositionTag.TOUCHES_LEFT:
         bc_lo = _coupling_bc(spec.couplings.q0)
-        bc_hi = _dirichlet_bc(need(controls.right, m, "right-end"))
+        bc_hi = _dirichlet_bc(need(controls.right, spec.m, "right-end"))
     elif tag is PositionTag.TOUCHES_RIGHT:
         bc_lo = _dirichlet_bc(need(controls.left, spec.p, "left-end"))
         bc_hi = _coupling_bc(spec.couplings.q1)
     elif tag is PositionTag.INTERIOR:
         bc_lo = _dirichlet_bc(need(controls.left, spec.p, "left-end"))
-        bc_hi = _dirichlet_bc(need(controls.right, m, "right-end"))
+        bc_hi = _dirichlet_bc(need(controls.right, spec.m, "right-end"))
     else:
         raise ValueError("use solve_forward for the full domain")
 
-    sigma = _speeds_at(spec, grid)
-    source = spec.source.at_points(grid.centers)
-    marcher = _Marcher(sigma, dt, grid.dx, bc_lo, bc_hi, source)
-    traj = _run(marcher, y0.values, n_steps)
-    times = np.arange(n_steps + 1) * dt
-    return EvolutionResult(StateField(traj[-1].copy(), grid, T), traj, times)
+    marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
+                       spec.source.at_points(grid.centers))
+    return _evolve(marcher, y0, n_steps, dt, T)
 
 
-def adjoint_reflections(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Reflection matrices of the adjoint system:
-    R0 = -Lambda_+(0) Q0 Lambda_-(0)^-1 and R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1."""
-    m = spec.m
-    lam0 = np.array([spec.speeds.value(k, 0.0) for k in range(spec.n)])
-    lam1 = np.array([spec.speeds.value(k, 1.0) for k in range(spec.n)])
-    r0 = -np.diag(lam0[m:]) @ spec.couplings.q0 @ np.diag(1.0 / lam0[:m])
-    r1 = -np.diag(lam1[:m]) @ spec.couplings.q1 @ np.diag(1.0 / lam1[m:])
-    return r0, r1
+def adjoint_reflection(speeds: SpeedProfile, q, end: float) -> np.ndarray:
+    """Reflection matrix of the adjoint system at one end:
+    R0 = -Lambda_+(0) Q0 Lambda_-(0)^-1 for end 0 and
+    R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1 for end 1."""
+    m = speeds.m
+    lam = np.array([speeds.value(k, end) for k in range(speeds.n)])
+    inflow, outflow = (lam[m:], lam[:m]) if end == 0.0 else (lam[:m], lam[m:])
+    return -np.diag(inflow) @ q @ np.diag(1.0 / outflow)
 
 
 def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float,
@@ -429,7 +438,8 @@ def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float,
     src = np.transpose(msrc, (0, 2, 1)).copy()
     idx = np.arange(spec.n)
     src[:, idx, idx] += slopes.T
-    r0, r1 = adjoint_reflections(spec)
+    r0 = adjoint_reflection(spec.speeds, spec.couplings.q0, 0.0)
+    r1 = adjoint_reflection(spec.speeds, spec.couplings.q1, 1.0)
     return _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
                     bc_lo=_coupling_bc(r0.T), bc_hi=_coupling_bc(r1.T),
                     source=src)
@@ -449,9 +459,7 @@ def solve_adjoint(spec: SystemSpec, z1: StateField, T: float, cfl: float = 0.9,
     grid = z1.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
     marcher = _adjoint_marcher(spec, grid, dt, override_source)
-    traj = _run(marcher, z1.values, n_steps)[::-1].copy()
-    times = np.arange(n_steps + 1) * dt
-    return EvolutionResult(StateField(traj[0].copy(), grid, 0.0), traj, times)
+    return _evolve(marcher, z1, n_steps, dt, 0.0, reverse=True)
 
 
 def characteristics_oracle(spec: SystemSpec, y0, T: float, query_x,

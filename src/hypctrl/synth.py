@@ -31,8 +31,8 @@ import numpy as np
 
 from .model import ControlDomain, Interval, SystemSpec
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, cfl_dt, sample_state, solve_backward,
-                  solve_boundary_forward, solve_forward, _speeds_at)
+                  StateField, _forward, _speeds_at, cfl_dt, sample_state,
+                  solve_backward, solve_boundary_forward, solve_forward)
 from .times import boundary_control_time, minimal_control_time
 
 HUM_REGULARIZATION = 1e-8
@@ -184,9 +184,9 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
     u_vals, _, dt, _ = _glue_full_domain(spec, y0f, y1f, T, grid, cfl)
     mask = spec.omega.contains_points(grid.centers)
     control = ControlField(u_vals, grid, dt, mask)
-    res = solve_forward(spec, y0f, control, T, cfl)
-    err = _l2(res.final.values - y1f.values, grid.dx)
-    return SynthesisReport(control, err, res.final)
+    final = _forward(spec, y0f, control, T, cfl, keep="final").final
+    err = _l2(final.values - y1f.values, grid.dx)
+    return SynthesisReport(control, err, final)
 
 
 def _solve_normal_equations(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -406,7 +406,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     mask = spec.omega.contains_points(grid.centers)
     control = ControlField(u_vals, grid, dt, mask)
 
-    res = solve_forward(spec, y0f, control, T, cfl)
-    err = _l2(res.final.values - y1f.values, grid.dx)
-    return SynthesisReport(control, err, res.final, tuple(residuals),
+    final = _forward(spec, y0f, control, T, cfl, keep="final").final
+    err = _l2(final.values - y1f.values, grid.dx)
+    return SynthesisReport(control, err, final, tuple(residuals),
                            refined_region, cutoff.omega1)

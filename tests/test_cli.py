@@ -200,6 +200,50 @@ class TestSubcommands:
         assert np.max(np.abs(replay - direct)) <= 1e-12
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize("flags", [
+        ["simulate", "--T", "inf", "--y0", "sinpi"],
+        ["simulate", "--T", "nan", "--y0", "sinpi"],
+        ["simulate", "--T", "-1", "--y0", "sinpi"],
+        ["synthesize", "--T", "nan", "--y0", "sinpi", "--y1", "zero"],
+        ["synthesize", "--T", "inf", "--y0", "sinpi", "--y1", "zero"],
+        ["synthesize", "--T", "0", "--y0", "sinpi", "--y1", "zero"],
+        ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "0"],
+        ["gramian", "--tmin", "0.5", "--tmax", "0.3", "--steps", "3"],
+        ["gramian", "--tmin", "0", "--tmax", "0.3", "--steps", "3"],
+        ["gramian", "--tmin", "nan", "--tmax", "0.3", "--steps", "3"],
+        ["gramian", "--tmin", "0.3", "--tmax", "inf", "--steps", "3"],
+        ["gramian", "--tmin", "0.3", "--tmax", "0.3", "--steps", "3"],
+    ])
+    def test_bad_flag_exits_2_with_one_error_line(self, config_path, tmp_path,
+                                                  capsys, flags):
+        argv = flags[:1] + ["--config", config_path] + flags[1:]
+        if flags[0] == "synthesize":
+            argv += ["--out", str(tmp_path / "synth")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_single_horizon_gramian(self, config_path):
+        code, text = capture(["gramian", "--config", config_path,
+                              "--tmin", "0.6", "--tmax", "0.6", "--steps", "1"])
+        assert code == 0
+        assert text.splitlines()[1].startswith("0.59999999999999998,")
+
+    def test_simulate_csv_is_the_forward_final_state(self, config_path, tmp_path):
+        from hypctrl.cli import _state_from_arg, _write_state_csv
+        from hypctrl.pde import solve_forward
+        out_csv = tmp_path / "state.csv"
+        assert main(["simulate", "--config", config_path, "--T", "0.37",
+                     "--y0", "bump", "--out", str(out_csv)]) == 0
+        cfg = parse_config(config_path)
+        y0 = _state_from_arg("bump", cfg.grid, cfg.spec.n)
+        expected = io.StringIO()
+        _write_state_csv(expected, solve_forward(cfg.spec, y0, None, 0.37, cfg.cfl).final)
+        assert out_csv.read_text() == expected.getvalue()
+
+
 class TestDeterminism:
     def test_repeated_runs_bit_identical(self, config_path):
         outputs = set()

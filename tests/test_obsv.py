@@ -55,6 +55,16 @@ class TestGramian:
 
 
 class TestSigmaMinSweep:
+    def test_empty_horizon_list_rejected(self, spec_2x2):
+        with pytest.raises(ValueError, match="nonempty"):
+            sigma_min_sweep(spec_2x2, [], spec_2x2.omega, Grid(0.0, 1.0, 32))
+
+    def test_last_window_is_the_gramian(self, spec_2x2):
+        grid = Grid(0.0, 1.0, 32)
+        sweep = sigma_min_sweep(spec_2x2, [0.3, 0.7], spec_2x2.omega, grid)
+        g = observability_gramian(spec_2x2, 0.7, spec_2x2.omega, grid)
+        assert sweep.points[-1][1] == np.linalg.eigvalsh(g)[0] / grid.dx
+
     def test_threshold_contrast_and_monotonicity(self, spec_2x2):
         grid = Grid(0.0, 1.0, 100)
         sweep = sigma_min_sweep(spec_2x2, [0.3, 0.4, 0.5, 0.6, 0.7],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hypctrl.pde as pde
 from hypctrl.model import Interval, SourceTerm
 from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
                          cfl_dt, characteristics_oracle, sample_state,
@@ -35,6 +36,18 @@ class TestCflDt:
     def test_bad_factor(self, spec_2x2):
         with pytest.raises(ValueError):
             cfl_dt(spec_2x2, Grid(0.0, 1.0, 100), 1.5, 1.0)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])
+    def test_horizon_must_be_finite_and_nonnegative(self, spec_2x2, horizon):
+        grid = Grid(0.0, 1.0, 64)
+        with pytest.raises(ValueError, match="finite"):
+            cfl_dt(spec_2x2, grid, 0.9, horizon)
+        y0 = StateField(np.zeros((2, 64)), grid)
+        with pytest.raises(ValueError, match="finite"):
+            solve_forward(spec_2x2, y0, None, horizon)
+        u = ControlField(np.zeros((5, 2, 64)), grid, 0.01, np.ones(64, dtype=bool))
+        with pytest.raises(ValueError, match="finite"):
+            solve_forward(spec_2x2, y0, u, horizon)
 
 
 class TestSolveForward:
@@ -281,3 +294,122 @@ class TestFieldTypes:
     def test_state_field_shape_checked(self):
         with pytest.raises(ValueError):
             StateField(np.zeros((2, 3)), Grid(0.0, 1.0, 64))
+
+
+class _ReferenceMarcher:
+    """The upwind step as it was before the slice rewrite: fancy-index
+    gathers, ghost cells by concatenation and a per-cell source einsum.
+    Dirichlet ghosts (one column) are broadcast over the batch, which the
+    concatenation needs."""
+
+    def __init__(self, sigma, dt, dx, bc_lo, bc_hi, source):
+        self.pos = np.nonzero(sigma[:, 0] > 0)[0]
+        self.neg = np.nonzero(sigma[:, 0] < 0)[0]
+        cour = sigma * (dt / dx)
+        self.cp = cour[self.pos][:, :, None]
+        self.cn = cour[self.neg][:, :, None]
+        self.bc_lo, self.bc_hi = bc_lo, bc_hi
+        self.dt, self.source = dt, source
+
+    def step(self, w, j, forcing=None):
+        batch = w.shape[2]
+        ghost_lo = np.broadcast_to(self.bc_lo(j, w[self.neg, 0, :]),
+                                   (self.pos.size, batch))
+        ghost_hi = np.broadcast_to(self.bc_hi(j, w[self.pos, -1, :]),
+                                   (self.neg.size, batch))
+        out = w.copy()
+
+        wp = w[self.pos]
+        upwind = np.concatenate([ghost_lo[:, None, :], wp[:, :-1, :]], axis=1)
+        out[self.pos] = wp - self.cp * (wp - upwind)
+
+        wn = w[self.neg]
+        downwind = np.concatenate([wn[:, 1:, :], ghost_hi[:, None, :]], axis=1)
+        out[self.neg] = wn - self.cn * (downwind - wn)
+
+        out += self.dt * np.einsum("xij,jxb->ixb", self.source, w)
+        if forcing is not None:
+            out += self.dt * forcing
+        return out
+
+
+class TestMarchingKernel:
+    @pytest.mark.parametrize("n_neg,n_pos", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("negative_first", [True, False])
+    @pytest.mark.parametrize("bc", ["coupling", "dirichlet"])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_step_bit_identical_to_reference(self, n_neg, n_pos, negative_first,
+                                             bc, batch):
+        rng = np.random.default_rng(11)
+        n, nx, n_steps = n_neg + n_pos, 40, 6
+        x = (np.arange(nx) + 0.5) / nx
+        neg = -np.stack([0.5 + 0.1 * k + 0.3 * x for k in range(n_neg)])
+        pos = np.stack([0.7 + 0.2 * k - 0.2 * x for k in range(n_pos)])
+        sigma = np.vstack([neg, pos] if negative_first else [-pos, -neg])
+        n_lo = int(np.sum(sigma[:, 0] > 0))   # inflow components at x=0
+        n_hi = n - n_lo
+        dx = 1.0 / nx
+        dt = 0.95 * dx / np.max(np.abs(sigma))
+        if bc == "coupling":
+            bc_lo = pde._coupling_bc(rng.standard_normal((n_lo, n_hi)))
+            bc_hi = pde._coupling_bc(rng.standard_normal((n_hi, n_lo)))
+        else:
+            bc_lo = pde._dirichlet_bc(rng.standard_normal((n_steps, n_lo)))
+            bc_hi = pde._dirichlet_bc(rng.standard_normal((n_steps, n_hi)))
+        source = rng.standard_normal((nx, n, n))
+        new = pde._Marcher(sigma, dt, dx, bc_lo, bc_hi, source)
+        ref = _ReferenceMarcher(sigma, dt, dx, bc_lo, bc_hi, source)
+        for j in range(n_steps):
+            w = rng.standard_normal((n, nx, batch))
+            forcing = rng.standard_normal((n, nx, 1)) if j % 2 else None
+            assert np.array_equal(new.step(w, j, forcing), ref.step(w, j, forcing))
+
+    def test_march_checks_finiteness_of_batches(self):
+        class LosesFiniteness:
+            def step(self, w, j, forcing=None):
+                return w + np.inf if j == 1 else w
+
+        # steps between the periodic checks are caught by the final one
+        with pytest.raises(RuntimeError, match="finiteness at step 5"):
+            pde._march(LosesFiniteness(), np.ones((2, 8, 3)), 5)
+
+    def test_ungrouped_signs_rejected(self):
+        spec = make_spec([-1.0, 1.0, -2.0], [[1.0, 0.0]], [[1.0], [0.0]],
+                         [(0.2, 0.6)])
+        y0 = StateField(np.zeros((3, 64)), Grid(0.0, 1.0, 64))
+        with pytest.raises(ValueError, match="grouped by sign"):
+            solve_forward(spec, y0, None, 0.1)
+
+    def test_backward_trajectories_in_forward_time(self, spec_2x2):
+        grid = Grid(0.0, 1.0, 64)
+        datum = sample_state(smooth_pair, grid, 2)
+        for res in (solve_backward(spec_2x2, datum, 0.3),
+                    solve_adjoint(spec_2x2, datum, 0.3)):
+            assert res.trajectory.flags.c_contiguous
+            assert res.trajectory.shape == (res.times.size, 2, 64)
+            assert np.array_equal(res.trajectory[-1], datum.values)
+            assert np.array_equal(res.trajectory[0], res.final.values)
+
+    def test_final_only_storage(self, spec_2x2):
+        grid = Grid(0.0, 1.0, 64)
+        y0 = sample_state(smooth_pair, grid, 2)
+        full = solve_forward(spec_2x2, y0, None, 0.3)
+        lean = pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final")
+        assert lean.trajectory is None
+        assert np.array_equal(lean.final.values, full.final.values)
+        assert np.array_equal(lean.times, full.times)
+
+    def test_trajectory_guard(self, spec_2x2, monkeypatch):
+        grid = Grid(0.0, 1.0, 64)
+        y0 = sample_state(smooth_pair, grid, 2)
+        n_steps = round(0.3 / cfl_dt(spec_2x2, grid, 0.9, 0.3))
+        size = (n_steps + 1) * 2 * 64 * 8
+        monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size)
+        assert solve_forward(spec_2x2, y0, None, 0.3).trajectory.nbytes == size
+        monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size - 1)
+        with pytest.raises(ValueError, match=f"needs {size} bytes"):
+            solve_forward(spec_2x2, y0, None, 0.3)
+        with pytest.raises(ValueError, match="bytes"):
+            solve_adjoint(spec_2x2, y0, 0.3)
+        # final-state storage is not limited
+        assert pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final").trajectory is None
