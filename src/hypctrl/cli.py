@@ -37,7 +37,7 @@ from .model import (ControlDomain, CouplingSpec, SourceTerm, SpeedProfile,
 from .obsv import detect_threshold, necessity_sweep, sigma_min_sweep
 from .pde import ControlField, Grid, StateField, _forward
 from .synth import BelowThresholdError, assemble_internal_control
-from .times import minimal_control_time, refine_control_region
+from .times import minimal_control_time, refine_control_region, travel_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,6 +66,13 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
     missing = [k for k in required if k not in obj]
     if missing:
         _fail(where, f"missing keys {missing}")
+
+
+def _integer(value, where: str) -> int:
+    # JSON floats and booleans are not counts, even when int() accepts them
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(where, f"expected an integer, got {json.dumps(value)}")
+    return value
 
 
 def _speed_profile(entries, n: int) -> SpeedProfile:
@@ -142,7 +149,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
     _require_keys(data, "config", ("n", "m", "speeds", "M", "Q0", "Q1", "omega", "grid"))
-    n, m = int(data["n"]), int(data["m"])
+    n, m = _integer(data["n"], "n"), _integer(data["m"], "m")
     speeds = _speed_profile(data["speeds"], n)
     source = _source_term(data["M"], n)
     try:
@@ -160,7 +167,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config: {exc}") from exc
 
     _require_keys(data["grid"], "grid", ("cells",), ("cfl",))
-    cells = int(data["grid"]["cells"])
+    cells = _integer(data["grid"]["cells"], "grid.cells")
     cfl = float(data["grid"].get("cfl", 0.9))
     if not np.isfinite(cfl) or not 0.0 < cfl <= 1.0:
         _fail("grid.cfl", "must lie in (0, 1]")
@@ -277,7 +284,16 @@ def _cmd_canon(cfg: RunConfig | None, args, out) -> int:
     return EXIT_OK
 
 
+def _require_finite(flag: str, value: float, positive: bool = True):
+    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{flag}: must be finite and {sign}, got {value}")
+
+
 def _cmd_omegahat(cfg: RunConfig, args, out) -> int:
+    _require_finite("--eps", args.eps)
+    if not cfg.spec.omega.complement_components():
+        raise ConfigError("omega: its closure already covers [0, 1], nothing to refine")
     try:
         refined = refine_control_region(cfg.spec, args.eps)
     except ValueError as exc:
@@ -291,14 +307,8 @@ def _cmd_omegahat(cfg: RunConfig, args, out) -> int:
     return EXIT_OK
 
 
-def _require_horizon(T: float, positive: bool):
-    if not (np.isfinite(T) and (T > 0.0 if positive else T >= 0.0)):
-        sign = "positive" if positive else "nonnegative"
-        raise ConfigError(f"--T: must be finite and {sign}, got {T}")
-
-
 def _cmd_simulate(cfg: RunConfig, args, out) -> int:
-    _require_horizon(args.T, positive=False)
+    _require_finite("--T", args.T, positive=False)
     grid = cfg.grid
     spec = cfg.spec
     y0 = _state_from_arg(args.y0, grid, spec.n)
@@ -313,7 +323,7 @@ def _cmd_simulate(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_synthesize(cfg: RunConfig, args, out) -> int:
-    _require_horizon(args.T, positive=True)
+    _require_finite("--T", args.T)
     grid = cfg.grid
     spec = cfg.spec
     y0 = _state_from_arg(args.y0, grid, spec.n)
@@ -373,9 +383,18 @@ def _cmd_gramian(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_necessity(cfg: RunConfig, args, out) -> int:
-    nus = [int(v) for v in args.nu_list.split(",")]
     try:
-        sweep = necessity_sweep(cfg.spec, nus, args.T, cfg.grid)
+        nus = [int(v) for v in args.nu_list.split(",")]
+    except ValueError:
+        nus = []
+    if not nus or min(nus) < 1:
+        raise ConfigError(f"--nu-list: expected comma-separated integers >= 1, "
+                          f"got '{args.nu_list}'")
+    T = args.T if args.T is not None else max(
+        travel_time(cfg.spec, 0, (0.0, 1.0)), travel_time(cfg.spec, cfg.spec.n - 1, (0.0, 1.0)))
+    _require_finite("--T", T)
+    try:
+        sweep = necessity_sweep(cfg.spec, nus, T, cfg.grid)
     except ValueError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_RANK
@@ -436,30 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"mintime": _cmd_mintime, "canon": _cmd_canon, "omegahat": _cmd_omegahat,
+            "simulate": _cmd_simulate, "synthesize": _cmd_synthesize,
+            "gramian": _cmd_gramian, "necessity": _cmd_necessity}
+
+
 def run(args, out=None) -> int:
     """Dispatch a parsed command line; returns the exit code."""
     out = out if out is not None else sys.stdout
     cfg = parse_config(args.config) if args.config else None
-
-    if args.command == "mintime":
-        return _cmd_mintime(cfg, args, out)
-    if args.command == "canon":
-        return _cmd_canon(cfg, args, out)
-    if args.command == "omegahat":
-        return _cmd_omegahat(cfg, args, out)
-    if args.command == "simulate":
-        return _cmd_simulate(cfg, args, out)
-    if args.command == "synthesize":
-        return _cmd_synthesize(cfg, args, out)
-    if args.command == "gramian":
-        return _cmd_gramian(cfg, args, out)
-    if args.command == "necessity":
-        if args.T is None:
-            from .times import travel_time
-            args.T = max(travel_time(cfg.spec, 0, (0.0, 1.0)),
-                         travel_time(cfg.spec, cfg.spec.n - 1, (0.0, 1.0)))
-        return _cmd_necessity(cfg, args, out)
-    raise ConfigError(f"unknown command {args.command}")
+    return COMMANDS[args.command](cfg, args, out)
 
 
 def main(argv=None) -> int:

@@ -19,9 +19,9 @@ Four solvers are thin wrappers around one stepping loop, ``_march``:
                                   R0 = -Lambda_+(0) Q0 Lambda_-(0)^-1 and
                                   R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1.
 
-It also drives the Gramian sweeps and the blow-up witness in ``obsv``, and
-keeps the current state only or the whole trajectory too (in forward-time
-order, even marching backward; refused above ``TRAJECTORY_BYTES_LIMIT``).
+It also drives the sweeps and witness of ``obsv`` and the batched HUM march
+of ``synth``, and keeps the current state only or the whole trajectory too
+(forward-time order, even backward; refused above ``TRAJECTORY_BYTES_LIMIT``).
 
 With constant speeds of equal magnitude and unit Courant number the scheme
 transports exactly, reflections included; ``characteristics_oracle`` provides
@@ -257,10 +257,13 @@ def _coupling_bc(matrix: np.ndarray):
 
 
 def _dirichlet_bc(series: np.ndarray):
+    """Ghost values from an (n_steps, n_in) or (n_steps, n_in, B) series."""
     ser = np.asarray(series, dtype=float)
+    if ser.ndim == 2:
+        ser = ser[:, :, None]
 
     def bc(j, outflow):
-        return ser[j][:, None] if j < ser.shape[0] else ser[-1][:, None]
+        return ser[j]
     return bc
 
 
@@ -378,6 +381,34 @@ class BoundaryControls:
     right: np.ndarray | None = None
 
 
+def _subinterval_bcs(spec: SystemSpec, tag: PositionTag,
+                     controls: BoundaryControls, n_steps: int,
+                     batch: int | None = None):
+    """(bc_lo, bc_hi) on a complement component of the refined region: the
+    couplings at the ends of (0, 1), the Dirichlet series of ``controls`` at
+    the control ends, shaped (n_steps, p) on the left and (n_steps, m) on
+    the right, plus a trailing axis of ``batch`` columns when given."""
+    if tag is PositionTag.FULL:
+        raise ValueError("use solve_forward for the full domain")
+    tail = () if batch is None else (batch,)
+
+    def dirichlet(series, length, name):
+        if series is None:
+            raise ValueError(f"missing {name} control series")
+        ser = np.asarray(series, dtype=float)
+        want = (n_steps, length) + tail
+        if ser.shape != want:
+            raise ValueError(f"{name} control series must have shape "
+                             f"{want}, got {ser.shape}")
+        return _dirichlet_bc(ser)
+
+    bc_lo = (_coupling_bc(spec.couplings.q0) if tag is PositionTag.TOUCHES_LEFT
+             else dirichlet(controls.left, spec.p, "left-end"))
+    bc_hi = (_coupling_bc(spec.couplings.q1) if tag is PositionTag.TOUCHES_RIGHT
+             else dirichlet(controls.right, spec.m, "right-end"))
+    return bc_lo, bc_hi
+
+
 def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
                            controls: BoundaryControls, T: float,
                            cfl: float = 0.9) -> EvolutionResult:
@@ -390,29 +421,7 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
     """
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
-    tag = interval.tag
-
-    def need(series, length, name):
-        if series is None:
-            raise ValueError(f"missing {name} control series")
-        ser = np.asarray(series, dtype=float)
-        if ser.shape != (n_steps, length):
-            raise ValueError(f"{name} control series must have shape "
-                             f"{(n_steps, length)}, got {ser.shape}")
-        return ser
-
-    if tag is PositionTag.TOUCHES_LEFT:
-        bc_lo = _coupling_bc(spec.couplings.q0)
-        bc_hi = _dirichlet_bc(need(controls.right, spec.m, "right-end"))
-    elif tag is PositionTag.TOUCHES_RIGHT:
-        bc_lo = _dirichlet_bc(need(controls.left, spec.p, "left-end"))
-        bc_hi = _coupling_bc(spec.couplings.q1)
-    elif tag is PositionTag.INTERIOR:
-        bc_lo = _dirichlet_bc(need(controls.left, spec.p, "left-end"))
-        bc_hi = _dirichlet_bc(need(controls.right, spec.m, "right-end"))
-    else:
-        raise ValueError("use solve_forward for the full domain")
-
+    bc_lo, bc_hi = _subinterval_bcs(spec, interval.tag, controls, n_steps)
     marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
                        spec.source.at_points(grid.centers))
     return _evolve(marcher, y0, n_steps, dt, T)

@@ -10,10 +10,10 @@ C^1 time cut-off eta (eta(0)=1, eta(T)=0):
 For a general control region the refined subregion (a finite union of
 intervals compactly inside omega) splits (0, 1) into complement components;
 each component carries its own boundary-controlled solution reaching y1
-(computed here by regularized least squares on the discrete input-to-state
-map), and a C^1 space cut-off xi (0 on the refined region, 1 outside an
-intermediate enlargement omega_1) glues the component solutions y_out to the
-full-domain solution y_in:
+(HUM: regularized least squares on the discrete input-to-state map, solved
+on the state side after one batched march), and a C^1 space cut-off xi (0
+on the refined region, 1 outside an intermediate enlargement omega_1) glues
+the component solutions y_out to the full-domain solution y_in:
 
     y = xi y_out + (1 - xi) y_in,
     u = xi'(x) Lambda(x) (y_out - y_in) + (1 - xi) u_in.
@@ -31,8 +31,9 @@ import numpy as np
 
 from .model import ControlDomain, Interval, SystemSpec
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _forward, _speeds_at, cfl_dt, sample_state,
-                  solve_backward, solve_boundary_forward, solve_forward)
+                  StateField, _forward, _march, _Marcher, _speeds_at,
+                  _subinterval_bcs, cfl_dt, sample_state, solve_backward,
+                  solve_boundary_forward, solve_forward)
 from .times import boundary_control_time, minimal_control_time
 
 HUM_REGULARIZATION = 1e-8
@@ -157,13 +158,12 @@ def _glue_full_domain(spec, y0f, y1f, T, grid, cfl):
     fwd = solve_forward(spec, y0f, None, T, cfl)
     bwd = solve_backward(spec, y1f, T, cfl)
     dt = fwd.times[1] - fwd.times[0]
-    n_steps = fwd.times.size - 1
     cut = TimeCutoff(T)
     eta = cut.value(fwd.times)[:, None, None]
     eta_dot = cut.derivative(fwd.times)[:, None, None]
     u_vals = eta_dot[:-1] * (fwd.trajectory[:-1] - bwd.trajectory[:-1])
     y_in = eta * fwd.trajectory + (1.0 - eta) * bwd.trajectory
-    return u_vals, y_in, dt, n_steps
+    return u_vals, y_in, dt, fwd.times
 
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -195,14 +195,21 @@ def _solve_normal_equations(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The regularized matrix carries a near-continuum of eigenvalues spanning
     eight decades down to the regularization floor, so Krylov iterations
     stagnate long after the least-squares objective has saturated; a dense
-    Cholesky factorization gets the exact minimizer at these sizes.
+    Cholesky factorization gets the exact minimizer at these sizes.  Its
+    triangular solves are row substitutions: numpy's general solver would
+    LU-factor each triangular factor again.
     """
     try:
         chol = np.linalg.cholesky(normal)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"normal equations lost positive definiteness: {exc}") from exc
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, y)
+    y = np.empty_like(rhs)
+    for i in range(rhs.size):
+        y[i] = (rhs[i] - chol[i, :i] @ y[:i]) / chol[i, i]
+    x = np.empty_like(rhs)
+    for i in range(rhs.size - 1, -1, -1):
+        x[i] = (y[i] - chol[i + 1:, i] @ x[i + 1:]) / chol[i, i]
+    return x
 
 
 @dataclass(frozen=True)
@@ -216,32 +223,6 @@ class HumResult:
     times: np.ndarray
 
 
-def _control_channels(spec: SystemSpec, tag: PositionTag) -> list[tuple[str, int]]:
-    m, p = spec.m, spec.p
-    left = [("left", j) for j in range(p)]
-    right = [("right", i) for i in range(m)]
-    if tag is PositionTag.TOUCHES_LEFT:
-        return right
-    if tag is PositionTag.TOUCHES_RIGHT:
-        return left
-    return left + right
-
-
-def _series_from_vector(channels, vec, n_steps, m, p) -> BoundaryControls:
-    u = vec.reshape(len(channels), n_steps)
-    left = np.zeros((n_steps, p))
-    right = np.zeros((n_steps, m))
-    has_left = has_right = False
-    for row, (end, comp) in enumerate(channels):
-        if end == "left":
-            left[:, comp] = u[row]
-            has_left = True
-        else:
-            right[:, comp] = u[row]
-            has_right = True
-    return BoundaryControls(left if has_left else None, right if has_right else None)
-
-
 def hum_boundary_control(spec: SystemSpec, interval: Interval,
                          y0_vals: np.ndarray, y1_vals: np.ndarray,
                          grid: Grid, T: float, cfl: float = 0.9,
@@ -252,7 +233,11 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     series U, where A is the input-to-final-state map of the subinterval
     solver with zero initial data and b the free evolution of y0.  Because
     the step operator does not depend on time, the columns of A are time
-    shifts of one impulse response per control channel.
+    shifts of one impulse response per control channel, and one batched
+    march carries all of them beside the free evolution.  The normal system
+    is solved on the state side, of size n N_i instead of channels n_steps:
+    U = A^T x with (dx A A^T + regularization dt I) x = dx (y1 - b), which
+    is the same minimizer by the push-through identity.
 
     Exact steering needs a horizon above the component's boundary-control
     time (with some margin); below it the residual stays bounded away from
@@ -260,62 +245,66 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     diagnostic, so short horizons run normally and simply report a large
     residual.
     """
-    tag = interval.tag
     dt = cfl_dt(spec, grid, cfl, T)
     n_steps = int(round(T / dt))
-    channels = _control_channels(spec, tag)
-    m, p = spec.m, spec.p
+    # control channels: the inflow components at each control end, left first
+    n_left = 0 if interval.tag is PositionTag.TOUCHES_LEFT else spec.p
+    n_ch = n_left + (0 if interval.tag is PositionTag.TOUCHES_RIGHT else spec.m)
     nstate = spec.n * grid.n_cells
 
-    zero0 = StateField(np.zeros((spec.n, grid.n_cells)), grid)
+    # batch column c < n_ch: zero data and a unit ghost on channel c during
+    # step 0; column n_ch: y0 under zero boundary data
+    units = np.zeros((n_steps, n_ch, n_ch + 1))
+    units[0, :, :n_ch] = np.eye(n_ch)
+    bc_lo, bc_hi = _subinterval_bcs(spec, interval.tag,
+                                    BoundaryControls(units[:, :n_left], units[:, n_left:]),
+                                    n_steps, batch=n_ch + 1)
+    marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
+                       spec.source.at_points(grid.centers))
+    w0 = np.zeros((spec.n, grid.n_cells, n_ch + 1))
+    w0[:, :, n_ch] = y0_vals
 
-    def run(controls, y0):
-        return solve_boundary_forward(spec, interval, y0, controls, T, cfl)
+    # a_t[c, k] is the column of A for the control of channel c during step
+    # k: it surfaces at T as the impulse response n_steps - k steps old
+    a_t = np.empty((n_ch, n_steps, nstate))
 
-    def unit_series(end, comp):
-        left = np.zeros((n_steps, p)) if tag is not PositionTag.TOUCHES_LEFT else None
-        right = np.zeros((n_steps, m)) if tag is not PositionTag.TOUCHES_RIGHT else None
-        (left if end == "left" else right)[0, comp] = 1.0
-        return BoundaryControls(left, right)
+    def visit(j, w):
+        if j:
+            a_t[:, n_steps - j] = w[:, :, :n_ch].reshape(nstate, n_ch).T
 
-    a_mat = np.empty((nstate, len(channels) * n_steps))
-    for row, (end, comp) in enumerate(channels):
-        impulse = run(unit_series(end, comp), zero0)
-        # impulse.trajectory[s+1] is the state s steps after the unit ghost,
-        # so the control applied during step j surfaces at T as entry
-        # trajectory[n_steps - j].
-        cols = impulse.trajectory[n_steps - np.arange(n_steps)]
-        a_mat[:, row * n_steps:(row + 1) * n_steps] = \
-            cols.reshape(n_steps, nstate).T
-
-    free = run(BoundaryControls(np.zeros((n_steps, p)), np.zeros((n_steps, m))),
-               StateField(y0_vals, grid))
-    target = (np.asarray(y1_vals, dtype=float) - free.final.values).reshape(nstate)
+    w, _ = _march(marcher, w0, n_steps, visit=visit)
+    a_t[:, 0] = w[:, :, :n_ch].reshape(nstate, n_ch).T
+    a_t = a_t.reshape(n_ch * n_steps, nstate)
+    target = (np.asarray(y1_vals, dtype=float) - w[:, :, n_ch]).reshape(nstate)
 
     dx = grid.dx
-    normal = dx * (a_mat.T @ a_mat)
-    normal[np.diag_indices_from(normal)] += regularization * dt
-    rhs = dx * (a_mat.T @ target)
-    vec = _solve_normal_equations(normal, rhs)
+    gram = dx * (a_t.T @ a_t)
+    gram[np.diag_indices_from(gram)] += regularization * dt
+    vec = a_t @ _solve_normal_equations(gram, dx * target)
 
-    controls = _series_from_vector(channels, vec, n_steps, m, p)
-    controlled = run(controls, StateField(y0_vals, grid))
+    u = vec.reshape(n_ch, n_steps).T
+    controls = BoundaryControls(u[:, :n_left] if n_left else None,
+                                u[:, n_left:] if n_ch > n_left else None)
+    controlled = solve_boundary_forward(spec, interval, StateField(y0_vals, grid),
+                                        controls, T, cfl)
     residual = _l2(controlled.final.values - np.asarray(y1_vals, dtype=float), dx)
     return HumResult(controls, residual, controlled.final,
                      controlled.trajectory, controlled.times)
 
 
-def _interp_component(traj: np.ndarray, times: np.ndarray, grid_i: Grid,
-                      t: float, xq: np.ndarray) -> np.ndarray:
-    """Bilinear sample of a component trajectory at one global time and the
-    global cell centers inside the component (clamped at the edges)."""
-    dt_i = times[1] - times[0] if times.size > 1 else 1.0
-    s = min(max(t / dt_i, 0.0), times.size - 1.0)
-    s0 = int(s)
-    w = s - s0
-    state = traj[s0] if w == 0.0 else (1.0 - w) * traj[s0] + w * traj[s0 + 1]
-    return np.stack([np.interp(xq, grid_i.centers, state[k])
-                     for k in range(state.shape[0])])
+def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
+              times: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a component trajectory (levels, n, len(xp)) at
+    global times and points, clamped at the edges of both grids."""
+    last = traj.shape[0] - 1
+    s = np.clip(times / (traj_times[1] - traj_times[0]), 0.0, float(last))
+    s0 = s.astype(np.intp)
+    w = (s - s0)[:, None, None]
+    state = (1.0 - w) * traj[s0] + w * traj[np.minimum(s0 + 1, last)]
+    j = np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
+    theta = np.clip((xq - xp[j]) / (xp[j + 1] - xp[j]), 0.0, 1.0)
+    lo, hi = state[:, :, j], state[:, :, j + 1]
+    return lo + theta * (hi - lo)
 
 
 def _shrunk_core(spec: SystemSpec, bound: float) -> ControlDomain:
@@ -379,8 +368,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)
-    u_in, y_in, dt, n_steps = _glue_full_domain(spec, y0f, y1f, T, grid, cfl)
-    times = np.arange(n_steps + 1) * dt
+    u_in, y_in, dt, times = _glue_full_domain(spec, y0f, y1f, T, grid, cfl)
 
     components = refined_region.complement_components()
     y_out = np.zeros_like(y_in)
@@ -393,10 +381,8 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
         hum = hum_boundary_control(spec, comp, y0_i, y1_i, grid_i, T, cfl)
         residuals.append(hum.residual)
         inside = (grid.centers > comp.lo) & (grid.centers < comp.hi)
-        xq = grid.centers[inside]
-        for j, t in enumerate(times):
-            y_out[j][:, inside] = _interp_component(hum.trajectory, hum.times,
-                                                    grid_i, t, xq)
+        y_out[:, :, inside] = _resample(hum.trajectory, hum.times, grid_i.centers,
+                                        times, grid.centers[inside])
 
     xi = cutoff.value(grid.centers)
     xi_dot = cutoff.derivative(grid.centers)

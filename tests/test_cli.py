@@ -214,6 +214,18 @@ class TestFlagValidation:
         ["gramian", "--tmin", "nan", "--tmax", "0.3", "--steps", "3"],
         ["gramian", "--tmin", "0.3", "--tmax", "inf", "--steps", "3"],
         ["gramian", "--tmin", "0.3", "--tmax", "0.3", "--steps", "3"],
+        ["necessity", "--nu-list", ""],
+        ["necessity", "--nu-list", "1,x"],
+        ["necessity", "--nu-list", "0"],
+        ["necessity", "--nu-list", "1,,2"],
+        ["necessity", "--nu-list", "2,-1"],
+        ["necessity", "--nu-list", "1.5"],
+        ["necessity", "--nu-list", "1", "--T", "nan"],
+        ["necessity", "--nu-list", "1", "--T", "-1"],
+        ["omegahat", "--eps", "-1"],
+        ["omegahat", "--eps", "0"],
+        ["omegahat", "--eps", "nan"],
+        ["omegahat", "--eps", "inf"],
     ])
     def test_bad_flag_exits_2_with_one_error_line(self, config_path, tmp_path,
                                                   capsys, flags):
@@ -221,6 +233,33 @@ class TestFlagValidation:
         if flags[0] == "synthesize":
             argv += ["--out", str(tmp_path / "synth")]
         assert main(argv) == 2
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("overrides,command", [
+        ({"n": 2.7}, ["mintime"]),
+        ({"n": 2.0}, ["mintime"]),
+        ({"m": 1.0}, ["mintime"]),
+        ({"m": True}, ["mintime"]),
+        ({"n": "2"}, ["mintime"]),
+        ({"grid": {"cells": 64.9}}, ["mintime"]),
+        ({"grid": {"cells": 64.0, "cfl": 0.9}}, ["simulate", "--T", "0.1", "--y0", "zero"]),
+        ({"omega": [[0.0, 1.0]]}, ["omegahat", "--eps", "0.1"]),
+        ({"omega": [[0.0, 0.5], [0.5, 1.0]]}, ["omegahat", "--eps", "0.1"]),
+    ], ids=["n-float", "n-integral-float", "m-float", "m-bool", "n-string",
+            "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers"])
+    def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                    overrides, command):
+        path = config_variant(tmp_path, "bad.json", **overrides)
+        assert main(command[:1] + ["--config", path] + command[1:]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_omegahat_rank_deficiency_still_exits_3(self, tmp_path, capsys):
+        path = config_variant(tmp_path, "deficient.json", Q0=[[0.0]])
+        assert main(["omegahat", "--config", path, "--eps", "0.1"]) == 3
+        self._assert_one_error_line(capsys)
+
+    @staticmethod
+    def _assert_one_error_line(capsys):
         err = capsys.readouterr().err
         assert err.startswith("ERROR:") and err.count("\n") == 1
         assert "Traceback" not in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypctrl.model import ControlDomain, Interval
+from hypctrl.model import ControlDomain, Interval, PositionTag
 from hypctrl.pde import Grid, sample_state, solve_forward, state_function
 from hypctrl.synth import (BelowThresholdError, SpaceCutoff, TimeCutoff,
                            assemble_internal_control, hum_boundary_control,
@@ -136,6 +136,179 @@ class TestHumBoundaryControl:
                                      hum.controls, 0.6)
         err = np.sqrt(grid.dx * np.sum((res.final.values - y1) ** 2))
         assert err == pytest.approx(hum.residual, rel=1e-10, abs=1e-14)
+
+
+def _hum_spec(n):
+    # a nonzero source and, for n = 4, non-diagonal couplings, so the
+    # source contraction and the coupling ghosts both see the whole batch
+    from hypctrl.model import SourceTerm, SpeedProfile
+    src = SourceTerm.constant(0.3 * np.sin(np.arange(n * n)).reshape(n, n))
+    if n == 2:
+        prof = SpeedProfile.piecewise_linear([0.0, 0.5, 1.0],
+                                             [[-1.5, -1.0, -1.2], [0.8, 1.3, 1.0]])
+        return make_spec(prof, [[0.8]], [[1.3]], [(0.3, 0.8)], source=src)
+    return make_spec([-2.0, -1.0, 1.0, 3.0], [[0.9, 0.3], [-0.2, 1.1]],
+                     [[1.2, -0.4], [0.1, 0.8]], [(0.3, 0.8)], source=src)
+
+
+HUM_CASES = [(Interval(0.0, 0.3), 0.9), (Interval(0.8, 1.0), 0.9),
+             (Interval(0.3, 0.5), 0.5)]
+
+
+def _hum_case(iv, n, n_cells=24):
+    grid = Grid(iv.lo, iv.hi, n_cells)
+    xs = grid.centers
+    y0 = np.stack([np.sin((k + 2) * xs) for k in range(n)])
+    y1 = np.stack([np.cos((k + 1) * xs) for k in range(n)])
+    return grid, y0, y1
+
+
+def _channels(spec, tag):
+    left = [] if tag is PositionTag.TOUCHES_LEFT else [("left", j) for j in range(spec.p)]
+    right = [] if tag is PositionTag.TOUCHES_RIGHT else [("right", i) for i in range(spec.m)]
+    return left + right
+
+
+def _unit_controls(spec, tag, channels, n_steps, row):
+    from hypctrl.pde import BoundaryControls
+    left = None if tag is PositionTag.TOUCHES_LEFT else np.zeros((n_steps, spec.p))
+    right = None if tag is PositionTag.TOUCHES_RIGHT else np.zeros((n_steps, spec.m))
+    if row is not None:
+        end, comp = channels[row]
+        (left if end == "left" else right)[0, comp] = 1.0
+    return BoundaryControls(left, right)
+
+
+class TestHumStateSide:
+    """The batched march and the state-side solve against per-channel
+    single marches and the parameter-side normal equations."""
+
+    @pytest.mark.parametrize("iv,T", HUM_CASES)
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_batched_columns_equal_single_marches(self, monkeypatch, iv, T, n):
+        import hypctrl.synth as synth
+        from hypctrl.pde import StateField, solve_boundary_forward
+        spec = _hum_spec(n)
+        grid, y0, y1 = _hum_case(iv, n)
+        seen = []
+        real_march = synth._march
+
+        def spy(marcher, w0, n_steps, visit=None, **kw):
+            states = []
+
+            def record(j, w):
+                states.append(w.copy())
+                visit(j, w)
+            w, traj = real_march(marcher, w0, n_steps, visit=record, **kw)
+            seen.append(states + [w])
+            return w, traj
+
+        monkeypatch.setattr(synth, "_march", spy)
+        hum_boundary_control(spec, iv, y0, y1, grid, T)
+        batch = np.stack(seen[0])       # (n_steps+1, n, N, channels+1)
+        n_steps = batch.shape[0] - 1
+        channels = _channels(spec, iv.tag)
+        assert batch.shape[-1] == len(channels) + 1
+        for row in list(range(len(channels))) + [None]:
+            start = np.zeros_like(y0) if row is not None else y0
+            single = solve_boundary_forward(
+                spec, iv, StateField(start, grid),
+                _unit_controls(spec, iv.tag, channels, n_steps, row), T)
+            col = batch[..., row if row is not None else len(channels)]
+            if n == 2 or iv.tag is PositionTag.INTERIOR:
+                assert np.array_equal(col, single.trajectory)
+            else:
+                # a coupling with several terms per ghost goes through
+                # matmul, whose kernel for one column and for a batch sum
+                # in different orders
+                scale = np.max(np.abs(single.trajectory))
+                assert np.max(np.abs(col - single.trajectory)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("iv,T", HUM_CASES)
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_state_side_matches_parameter_side(self, iv, T, n):
+        # reference: A assembled from per-channel impulse trajectories and
+        # the (channels n_steps)-sized normal equations of the parameter side
+        from hypctrl.pde import StateField, cfl_dt, solve_boundary_forward
+        from hypctrl.synth import HUM_REGULARIZATION
+        spec = _hum_spec(n)
+        grid, y0, y1 = _hum_case(iv, n)
+        dt = cfl_dt(spec, grid, 0.9, T)
+        n_steps = round(T / dt)
+        channels = _channels(spec, iv.tag)
+        nstate = spec.n * grid.n_cells
+        cols = []
+        for row in range(len(channels)):
+            traj = solve_boundary_forward(
+                spec, iv, StateField(np.zeros_like(y0), grid),
+                _unit_controls(spec, iv.tag, channels, n_steps, row), T).trajectory
+            cols.append(traj[n_steps - np.arange(n_steps)].reshape(n_steps, nstate).T)
+        a_mat = np.hstack(cols)
+        free = solve_boundary_forward(spec, iv, StateField(y0, grid),
+                                      _unit_controls(spec, iv.tag, channels, n_steps, None), T)
+        target = (y1 - free.final.values).reshape(nstate)
+        normal = grid.dx * (a_mat.T @ a_mat) + HUM_REGULARIZATION * dt * np.eye(a_mat.shape[1])
+        ref = np.linalg.solve(normal, grid.dx * (a_mat.T @ target)).reshape(len(channels), n_steps)
+
+        hum = hum_boundary_control(spec, iv, y0, y1, grid, T)
+        got = np.stack([(hum.controls.left if end == "left" else hum.controls.right)[:, comp]
+                        for end, comp in channels])
+        assert np.allclose(got, ref, rtol=1e-6, atol=1e-6 * np.max(np.abs(ref)))
+
+    def test_two_marches_per_component(self, monkeypatch):
+        import hypctrl.pde as pde
+        import hypctrl.synth as synth
+        calls = []
+        real_march = pde._march
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real_march(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "_march", counting)
+        monkeypatch.setattr(synth, "_march", counting)
+        spec = _hum_spec(4)
+        for iv, T in HUM_CASES:
+            grid, y0, y1 = _hum_case(iv, 4)
+            calls.clear()
+            hum_boundary_control(spec, iv, y0, y1, grid, T)
+            assert len(calls) == 2
+            n_ch = len(_channels(spec, iv.tag))
+            assert calls[0] == (4, grid.n_cells, n_ch + 1)
+
+
+class TestResample:
+    @staticmethod
+    def _loop_reference(traj, traj_times, grid_i, times, xq):
+        # the per-time-level np.interp loop the array resample replaced
+        out = np.empty((times.size, traj.shape[1], xq.size))
+        dt_i = traj_times[1] - traj_times[0]
+        for j, t in enumerate(times):
+            s = min(max(t / dt_i, 0.0), traj_times.size - 1.0)
+            s0 = int(s)
+            w = s - s0
+            state = traj[s0] if w == 0.0 else (1.0 - w) * traj[s0] + w * traj[s0 + 1]
+            out[j] = np.stack([np.interp(xq, grid_i.centers, state[k])
+                               for k in range(state.shape[0])])
+        return out
+
+    @pytest.mark.parametrize("lo,hi,n_i,dt_i,levels", [
+        (0.0, 0.31, 40, 0.0071, 90), (0.62, 1.0, 37, 0.0093, 70),
+        (0.3, 0.55, 33, 0.0050, 121)])
+    def test_matches_per_step_interp(self, lo, hi, n_i, dt_i, levels):
+        from hypctrl.synth import _resample
+        rng = np.random.default_rng(7)
+        grid_i = Grid(lo, hi, n_i)
+        traj = rng.standard_normal((levels, 3, n_i))
+        traj_times = np.arange(levels) * dt_i
+        grid = Grid(0.0, 1.0, 128)
+        xq = grid.centers[(grid.centers > lo) & (grid.centers < hi)]
+        # global times run past the component's last level, so the time
+        # clamp is exercised as well as the space clamp at both edges
+        times = np.arange(int(levels * 1.1)) * dt_i * 0.97
+        got = _resample(traj, traj_times, grid_i.centers, times, xq)
+        ref = self._loop_reference(traj, traj_times, grid_i, times, xq)
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 class TestAssembleInternalControl:
