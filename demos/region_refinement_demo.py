@@ -2,8 +2,10 @@
 
 Any open control region contains a finite union of intervals, compactly
 inside it, whose complement components cost at most epsilon more control
-time.  The construction partitions (0, 1) into cheap cells and keeps small
-intervals of the region around the first and last contact point in each.
+time.  The construction partitions (0, 1) into cheap cells, keeps a small
+interval of the region near the first and the last contact point in each,
+and halves the margin around those points until every gap in between costs
+at most the target (the same halving rule the control synthesis uses).
 """
 
 from hypctrl import (ControlDomain, CouplingSpec, SourceTerm, SpeedProfile,

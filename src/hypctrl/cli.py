@@ -75,41 +75,42 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    # booleans are not numbers here either, even when float() accepts them
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(where, f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _speed_profile(entries, n: int) -> SpeedProfile:
     if not isinstance(entries, list) or len(entries) != n:
         _fail("speeds", f"expected a list of {n} entries")
-    kinds = []
+    constants = {}
     for i, e in enumerate(entries):
-        _require_keys(e, f"speeds[{i}]",
-                      ("type",), ("value", "x", "v"))
-        kinds.append(e["type"])
-    if all(k == "constant" for k in kinds):
-        vals = []
-        for i, e in enumerate(entries):
+        _require_keys(e, f"speeds[{i}]", ("type",), ("value", "x", "v"))
+        if e["type"] == "constant":
             if "value" not in e:
                 _fail(f"speeds[{i}]", "constant entry needs 'value'")
-            vals.append(float(e["value"]))
-        return SpeedProfile.constant(vals)
+            constants[i] = _number(e["value"], f"speeds[{i}].value")
+        elif e["type"] != "piecewise_linear":
+            _fail(f"speeds[{i}]", f"unknown speed type '{e['type']}'")
+        elif not (isinstance(e.get("x"), list) and isinstance(e.get("v"), list)):
+            _fail(f"speeds[{i}]", "piecewise entry needs 'x' and 'v' lists")
+        elif len(e["x"]) != len(e["v"]):
+            _fail(f"speeds[{i}]", "'x' and 'v' must have equal length")
+    if len(constants) == n:
+        return SpeedProfile.constant([constants[i] for i in range(n)])
     # at least one piecewise entry: merge all breakpoints and resample
     breakpoints = {0.0, 1.0}
-    for i, (k, e) in enumerate(zip(kinds, entries)):
-        if k == "piecewise_linear":
-            if "x" not in e or "v" not in e:
-                _fail(f"speeds[{i}]", "piecewise entry needs 'x' and 'v'")
-            if len(e["x"]) != len(e["v"]):
-                _fail(f"speeds[{i}]", "'x' and 'v' must have equal length")
+    for e in entries:
+        if e["type"] == "piecewise_linear":
             breakpoints.update(float(x) for x in e["x"])
-        elif k != "constant":
-            _fail(f"speeds[{i}]", f"unknown speed type '{k}'")
     xs = np.array(sorted(breakpoints))
     if xs[0] != 0.0 or xs[-1] != 1.0:
         _fail("speeds", "piecewise breakpoints must stay inside [0, 1]")
-    rows = []
-    for e, k in zip(entries, kinds):
-        if k == "constant":
-            rows.append(np.full(xs.size, float(e["value"])))
-        else:
-            rows.append(np.interp(xs, np.asarray(e["x"], float), np.asarray(e["v"], float)))
+    rows = [np.full(xs.size, constants[i]) if i in constants
+            else np.interp(xs, np.asarray(e["x"], float), np.asarray(e["v"], float))
+            for i, e in enumerate(entries)]
     return SpeedProfile.piecewise_linear(xs, np.stack(rows))
 
 
@@ -150,9 +151,9 @@ def parse_config(path) -> RunConfig:
 
     _require_keys(data, "config", ("n", "m", "speeds", "M", "Q0", "Q1", "omega", "grid"))
     n, m = _integer(data["n"], "n"), _integer(data["m"], "m")
-    speeds = _speed_profile(data["speeds"], n)
-    source = _source_term(data["M"], n)
     try:
+        speeds = _speed_profile(data["speeds"], n)
+        source = _source_term(data["M"], n)
         q0 = np.asarray(data["Q0"], dtype=float)
         q1 = np.asarray(data["Q1"], dtype=float)
         couplings = CouplingSpec(q0, q1)
@@ -161,14 +162,13 @@ def parse_config(path) -> RunConfig:
                 and all(isinstance(p, list) and len(p) == 2 for p in omega_list)):
             _fail("omega", "expected a nonempty list of [a, b] pairs")
         omega = ControlDomain(tuple((float(a), float(b)) for a, b in omega_list))
+        _require_keys(data["grid"], "grid", ("cells",), ("cfl",))
+        cells = _integer(data["grid"]["cells"], "grid.cells")
+        cfl = _number(data["grid"].get("cfl", 0.9), "grid.cfl")
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
-
-    _require_keys(data["grid"], "grid", ("cells",), ("cfl",))
-    cells = _integer(data["grid"]["cells"], "grid.cells")
-    cfl = float(data["grid"].get("cfl", 0.9))
     if not np.isfinite(cfl) or not 0.0 < cfl <= 1.0:
         _fail("grid.cfl", "must lie in (0, 1]")
 
@@ -184,6 +184,14 @@ def parse_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"grid.cells: {exc}") from exc
     return RunConfig(spec, cells, cfl)
+
+
+def _load_csv(path) -> np.ndarray:
+    """The numeric rows of a CSV file below its header line."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _state_from_arg(arg: str, grid: Grid, n: int) -> StateField:
@@ -202,7 +210,7 @@ def _state_from_arg(arg: str, grid: Grid, n: int) -> StateField:
     if not path.exists():
         raise ConfigError(f"state '{arg}' is neither a preset (zero|sinpi|bump) "
                           "nor an existing CSV file")
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = _load_csv(path)
     if rows.shape[1] != n + 1:
         raise ConfigError(f"{arg}: expected columns x,y1..y{n}")
     vals = np.stack([np.interp(grid.centers, rows[:, 0], rows[:, 1 + k])
@@ -229,7 +237,7 @@ def _write_control_csv(path, control: ControlField):
 
 
 def _read_control_csv(path, grid: Grid, n: int) -> ControlField:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = _load_csv(path)
     if rows.shape[1] != n + 2:
         raise ConfigError(f"{path}: expected columns t,x,u1..u{n}")
     ts = np.unique(rows[:, 0])
@@ -269,8 +277,11 @@ def _cmd_canon(cfg: RunConfig | None, args, out) -> int:
     if args.matrix:
         try:
             mat = np.asarray(json.loads(args.matrix), dtype=float)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"--matrix: {exc}") from exc
+        if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
+            raise ConfigError(f"--matrix: expected a nonempty 2-D array of finite "
+                              f"numbers, got {args.matrix}")
     elif cfg is not None:
         mat = cfg.spec.couplings.q0 if args.which == "Q0" else cfg.spec.couplings.q1
     else:

@@ -76,9 +76,6 @@ class Interval:
             return PositionTag.TOUCHES_RIGHT
         return PositionTag.INTERIOR
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class SpeedProfile:

@@ -142,43 +142,22 @@ def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | No
     return max(below) if below else None
 
 
-def _null_vector(a: np.ndarray) -> np.ndarray | None:
-    """Unit-norm kernel vector of a by Gaussian elimination, or None."""
-    a = np.atleast_2d(np.asarray(a, dtype=float)).copy()
-    rows, cols = a.shape
-    scale = np.max(np.abs(a))
-    tol = 1e-12 * scale if scale > 0 else 0.0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[piv, c]) <= tol:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] /= a[r, c]
-        for rr in range(rows):
-            if rr != r and a[rr, c] != 0.0:
-                a[rr] -= a[rr, c] * a[r]
-        pivot_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivot_cols]
-    if not free:
-        return None
-    c_free = free[0]
-    x = np.zeros(cols)
-    x[c_free] = 1.0
-    for rr, c in enumerate(pivot_cols):
-        x[c] = -a[rr, c_free]
-    return x / np.linalg.norm(x)
-
-
 def kernel_vector(q0, speeds: SpeedProfile) -> np.ndarray | None:
     """Unit vector annihilated by the transposed x=0 reflection of the
-    adjoint system, or None when that reflection has full rank."""
+    adjoint system, or None when that reflection has full rank.
+
+    With L R U = canonical, column c of U spans a kernel direction of R
+    whenever c holds no pivot; the first such column is taken.  The rank is
+    decided by ``canonical_form`` with ``canon.PIVOT_RTOL``, the tolerance
+    of the Q0 rank check in ``necessity_witness``.
+    """
     q0 = np.atleast_2d(np.asarray(q0, dtype=float))
-    return _null_vector(adjoint_reflection(speeds, q0, 0.0).T)
+    dec = canonical_form(adjoint_reflection(speeds, q0, 0.0).T)
+    free = sorted(set(range(dec.upper.shape[1])) - {c for _, c in dec.pivots})
+    if not free:
+        return None
+    x = dec.upper[:, free[0]].astype(float)
+    return x / np.linalg.norm(x)
 
 
 @dataclass(frozen=True)

@@ -437,10 +437,8 @@ def adjoint_reflection(speeds: SpeedProfile, q, end: float) -> np.ndarray:
     return -np.diag(inflow) @ q @ np.diag(1.0 / outflow)
 
 
-def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float,
-                     override_source=None) -> _Marcher:
-    mats = (override_source if override_source is not None else spec.source)
-    msrc = mats.at_points(grid.centers)
+def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float) -> _Marcher:
+    msrc = spec.source.at_points(grid.centers)
     slopes = _slopes_at(spec, grid)
     # under s = T - t the adjoint equation becomes
     #   dw/ds - Lambda dw/dx = (Lambda' + M^T) w
@@ -454,20 +452,20 @@ def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float,
                     source=src)
 
 
-def solve_adjoint(spec: SystemSpec, z1: StateField, T: float, cfl: float = 0.9,
-                  override_source=None) -> EvolutionResult:
+def solve_adjoint(spec: SystemSpec, z1: StateField, T: float,
+                  cfl: float = 0.9) -> EvolutionResult:
     """March the adjoint system backward from z(T) = z1.
 
     The adjoint of the controlled system is
         dz/dt + Lambda dz/dx = -(Lambda' + M^T) z
     with boundary reflections z_-(t,0) = R0^T z_+(t,0) and
     z_+(t,1) = R1^T z_-(t,1); when M = -Lambda' the right-hand side
-    vanishes.  ``override_source`` substitutes another SourceTerm for M.
-    The trajectory is indexed by forward time (trajectory[-1] equals z1).
+    vanishes.  The trajectory is indexed by forward time (trajectory[-1]
+    equals z1).
     """
     grid = z1.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
-    marcher = _adjoint_marcher(spec, grid, dt, override_source)
+    marcher = _adjoint_marcher(spec, grid, dt)
     return _evolve(marcher, z1, n_steps, dt, 0.0, reverse=True)
 
 

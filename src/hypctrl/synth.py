@@ -34,7 +34,7 @@ from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _forward, _march, _Marcher, _speeds_at,
                   _subinterval_bcs, cfl_dt, sample_state, solve_backward,
                   solve_boundary_forward, solve_forward)
-from .times import boundary_control_time, minimal_control_time
+from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
 
@@ -314,21 +314,17 @@ def _shrunk_core(spec: SystemSpec, bound: float) -> ControlDomain:
     Each merged piece (a, b) of omega shrinks to (a+gamma, b-gamma); the
     complement components grow by gamma per touching side, so their times
     exceed those of omega's own components by at most a multiple of gamma.
-    The margin starts at a quarter of the narrowest piece and halves until
-    the directly evaluated bound holds.  Wide margins matter numerically:
-    they become the cut-off transition zones, and sub-cell zones make the
-    glued control unresolvable on the grid.
+    The margin starts at a quarter of the narrowest piece and
+    ``shrink_region`` halves it until the directly evaluated bound holds.
+    Wide margins matter numerically: they become the cut-off transition
+    zones, and sub-cell zones make the glued control unresolvable on the
+    grid.
     """
     pieces = spec.omega.merged_closure()
-    gamma = min(0.25 * (b - a) for a, b in pieces)
-    for _ in range(60):
-        region = ControlDomain(tuple((a + gamma, b - gamma) for a, b in pieces))
-        worst = max(boundary_control_time(spec, iv).value
-                    for iv in region.complement_components())
-        if worst <= bound:
-            return region
-        gamma *= 0.5
-    raise RuntimeError("bisection for the shrink margin exhausted 60 halvings")
+    region, _ = shrink_region(
+        spec, bound, min(0.25 * (b - a) for a, b in pieces),
+        lambda gamma: ControlDomain(tuple((a + gamma, b - gamma) for a, b in pieces)))
+    return region
 
 
 def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,

@@ -16,13 +16,15 @@ connected components of the complement of the control region (0 when the
 closure of omega covers [0, 1], infinite when the couplings are not
 invertible).  ``refine_control_region`` constructively shrinks omega to a
 finite union of intervals compactly inside it whose complement components
-lose at most epsilon of control time.
+lose at most epsilon of control time; ``shrink_region`` is the one halving
+rule that decides whether such a region is cheap enough, shared with the
+control synthesis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,17 +242,24 @@ def linear_bound_constant(spec: SystemSpec) -> float:
     return 2.0 / spec.speeds.min_abs_speed()
 
 
-@dataclass(frozen=True)
-class ClusterWindows:
-    """Per-cell bookkeeping of the refinement: the first/last points of the
-    control region inside partition cell `cell`, and the two subintervals
-    hugging them."""
+def shrink_region(spec: SystemSpec, bound: float, margin: float,
+                  region_at) -> tuple[ControlDomain, float]:
+    """The first of ``region_at(margin)``, ``region_at(margin / 2)``, ... (at
+    most 60 halvings) whose complement components all cost at most ``bound``
+    of boundary-control time, with that worst cost by direct evaluation.
 
-    cell: int
-    enter: float
-    leave: float
-    j_plus: tuple[float, float]
-    j_minus: tuple[float, float]
+    ``region_at`` maps a margin to a control region whose gaps shrink with
+    the margin, so that halving drives the worst cost down to that of
+    omega's own complement.
+    """
+    for _ in range(60):
+        region = region_at(margin)
+        worst = max(boundary_control_time(spec, iv).value
+                    for iv in region.complement_components())
+        if worst <= bound:
+            return region, worst
+        margin *= 0.5
+    raise RuntimeError("bisection for the shrink margin exhausted 60 halvings")
 
 
 @dataclass(frozen=True)
@@ -261,22 +270,10 @@ class RefinedRegion:
     region: ControlDomain
     achieved_bound: float
     target_bound: float
-    partition: np.ndarray
-    delta: float
-    clusters: tuple[ClusterWindows, ...] = field(default=())
 
 
-def _pick_piece(omega: ControlDomain, lo: float, hi: float, side: str) -> tuple[float, float]:
-    """An open interval compactly inside omega intersected with (lo, hi),
-    taken nearest the anchored side and shrunk by 25% per side."""
-    pieces = []
-    for a, b in omega.intervals:
-        c, d = max(a, lo), min(b, hi)
-        if c < d:
-            pieces.append((c, d))
-    if not pieces:
-        raise RuntimeError(f"control region does not meet ({lo}, {hi})")
-    c, d = pieces[0] if side == "left" else pieces[-1]
+def _middle_half(c: float, d: float) -> tuple[float, float]:
+    """(c, d) shrunk by 25% of its width on each side."""
     w = d - c
     return (c + 0.25 * w, d - 0.25 * w)
 
@@ -287,11 +284,11 @@ def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
     ``minimal_control_time(spec) + epsilon``.
 
     The construction partitions [0, 1] into cells cheap enough that each
-    costs at most tau' = tau_max + epsilon/2, finds the first and last point
-    of omega in every cell meeting it, enlarges the in-between gaps by a
-    margin ``delta`` found by bisection so the enlarged gaps still cost at
-    most tau' + epsilon/2, and keeps one small interval of omega on each side
-    of every gap.  The resulting bound is verified by direct evaluation.
+    costs at most tau_max + epsilon/2, finds the first and last point of
+    omega in every cell meeting it, and keeps one small interval of omega
+    within a margin ``delta`` of each: two pieces per cell, so a single-piece
+    omega still yields two intervals.  ``shrink_region`` halves ``delta``
+    until the gaps of the resulting region cost at most tau_max + epsilon.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -302,77 +299,28 @@ def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
         raise ValueError("the closure of omega already covers [0, 1]")
 
     tau = base.value
-    tau_prime = tau + 0.5 * epsilon
-    limit = min(tau_prime + 0.5 * epsilon, tau + epsilon)
     omega = spec.omega
-
-    cbound = linear_bound_constant(spec)
-    ncells = max(1, math.ceil(cbound / tau_prime))
+    ncells = max(1, math.ceil(linear_bound_constant(spec) / (tau + 0.5 * epsilon)))
     partition = np.linspace(0.0, 1.0, ncells + 1)
 
-    clusters: list[tuple[int, float, float]] = []
-    for k in range(ncells):
-        lo, hi = partition[k], partition[k + 1]
-        enter, leave = np.inf, -np.inf
-        for a, b in omega.intervals:
-            c, d = max(a, lo), min(b, hi)
-            if c < d:
-                enter = min(enter, c)
-                leave = max(leave, d)
-        if enter < leave:
-            clusters.append((k, enter, leave))
-    if not clusters:
-        raise RuntimeError("control region meets no partition cell")
+    # the first and the last piece of omega inside each cell it meets
+    ends = []
+    for lo, hi in zip(partition[:-1], partition[1:]):
+        inside = [(max(a, lo), min(b, hi)) for a, b in omega.intervals
+                  if max(a, lo) < min(b, hi)]
+        if inside:
+            ends.append((inside[0], inside[-1]))
+    # each margin stays within half its cell's share of omega
+    delta = min(0.5 * (leave - enter) for (enter, _), (_, leave) in ends)
 
-    first_enter = clusters[0][1]
-    last_leave = clusters[-1][2]
+    def region_at(margin: float) -> ControlDomain:
+        pieces = []
+        for (enter, first_end), (last_start, leave) in ends:
+            pieces.append(_middle_half(enter, min(first_end, enter + margin)))
+            pieces.append(_middle_half(max(last_start, leave - margin), leave))
+        return ControlDomain(tuple(sorted(set(pieces))))
 
-    caps = [0.5 * (leave - enter) for _, enter, leave in clusters]
-    if first_enter > 0.0:
-        caps.append(0.5 * (1.0 - first_enter))
-    if last_leave < 1.0:
-        caps.append(0.5 * last_leave)
-    for (_, _, leave), (_, enter, _) in zip(clusters, clusters[1:]):
-        caps.append(0.5 * leave)
-        caps.append(0.5 * (1.0 - enter))
-    delta = min(caps)
-
-    def bounds_hold(d: float) -> bool:
-        if first_enter > 0.0:
-            if boundary_time_left(spec, Interval(0.0, first_enter + d)).value > limit:
-                return False
-        if last_leave < 1.0:
-            if boundary_time_right(spec, Interval(last_leave - d, 1.0)).value > limit:
-                return False
-        for (_, _, leave), (_, enter, _) in zip(clusters, clusters[1:]):
-            if leave < enter:
-                if boundary_time_interior(spec, Interval(leave - d, enter + d)).value > limit:
-                    return False
-        return True
-
-    for _ in range(60):
-        if bounds_hold(delta):
-            break
-        delta *= 0.5
-    else:
-        raise RuntimeError("bisection for the enlargement margin exhausted 60 halvings")
-
-    windows: list[ClusterWindows] = []
-    pieces: list[tuple[float, float]] = []
-    for cell, enter, leave in clusters:
-        j_plus = _pick_piece(omega, enter, enter + delta, side="left")
-        j_minus = _pick_piece(omega, leave - delta, leave, side="right")
-        windows.append(ClusterWindows(cell, enter, leave, j_plus, j_minus))
-        pieces.extend([j_plus, j_minus])
-
-    region = ControlDomain(tuple(sorted(set(pieces))))
-
+    region, achieved = shrink_region(spec, tau + epsilon, delta, region_at)
     if not omega.compactly_contains(region):
         raise RuntimeError("refined region is not compactly contained in omega")
-    achieved = max(boundary_control_time(spec, iv).value
-                   for iv in region.complement_components())
-    if achieved > tau + epsilon:
-        raise RuntimeError(
-            f"refined region misses the target bound: {achieved} > {tau + epsilon}")
-
-    return RefinedRegion(region, achieved, tau + epsilon, partition, delta, tuple(windows))
+    return RefinedRegion(region, achieved, tau + epsilon)

@@ -226,6 +226,13 @@ class TestFlagValidation:
         ["omegahat", "--eps", "0"],
         ["omegahat", "--eps", "nan"],
         ["omegahat", "--eps", "inf"],
+        ["canon", "--matrix", "[]"],
+        ["canon", "--matrix", "[[]]"],
+        ["canon", "--matrix", "[1, 2]"],
+        ["canon", "--matrix", "[[NaN]]"],
+        ["canon", "--matrix", "[[Infinity, 1]]"],
+        ["canon", "--matrix", '{"a": 1}'],
+        ["simulate", "--T", "0.1", "--y0", "zero", "--u", "no_such_control.csv"],
     ])
     def test_bad_flag_exits_2_with_one_error_line(self, config_path, tmp_path,
                                                   capsys, flags):
@@ -245,12 +252,41 @@ class TestFlagValidation:
         ({"grid": {"cells": 64.0, "cfl": 0.9}}, ["simulate", "--T", "0.1", "--y0", "zero"]),
         ({"omega": [[0.0, 1.0]]}, ["omegahat", "--eps", "0.1"]),
         ({"omega": [[0.0, 0.5], [0.5, 1.0]]}, ["omegahat", "--eps", "0.1"]),
+        ({"grid": {"cells": 64, "cfl": "abc"}}, ["mintime"]),
+        ({"grid": {"cells": 64, "cfl": True}}, ["mintime"]),
+        ({"speeds": [{"type": "constant", "value": "x"},
+                     {"type": "constant", "value": 1.0}]}, ["mintime"]),
+        ({"speeds": [{"type": "constant", "value": None},
+                     {"type": "constant", "value": 1.0}]}, ["mintime"]),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": 3, "v": [1.0, 2.0]}]}, ["mintime"]),
+        ({"speeds": [{"type": "constant"},
+                     {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1.0, 2.0]}]},
+         ["mintime"]),
+        ({"M": {"type": "piecewise_constant", "x": [0.0, 0.5, 1.0],
+                "matrices": [[[0.0, 0.0], [0.0, 0.0]]] * 3}}, ["mintime"]),
     ], ids=["n-float", "n-integral-float", "m-float", "m-bool", "n-string",
-            "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers"])
+            "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers",
+            "cfl-string", "cfl-bool", "speed-string", "speed-null", "piecewise-x-number",
+            "mixed-constant-no-value", "source-matrix-count"])
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                     overrides, command):
         path = config_variant(tmp_path, "bad.json", **overrides)
         assert main(command[:1] + ["--config", path] + command[1:]) == 2
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--y0", "x,y1,y2\n0.5,abc,0\n"),
+        ("--u", "t,x,u1,u2\n0,0.5,1,zz\n"),
+    ], ids=["state-cell", "control-cell"])
+    def test_bad_csv_exits_2_with_one_error_line(self, config_path, tmp_path,
+                                                 capsys, flag, text):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        argv = ["simulate", "--config", config_path, "--T", "0.1"]
+        if flag == "--u":
+            argv += ["--y0", "zero"]
+        assert main(argv + [flag, str(csv)]) == 2
         self._assert_one_error_line(capsys)
 
     def test_omegahat_rank_deficiency_still_exits_3(self, tmp_path, capsys):

@@ -115,6 +115,23 @@ class TestKernelVector:
         r0 = -np.diag(lam0[2:]) @ q0 @ np.diag(1.0 / lam0[:2])
         assert np.max(np.abs(r0.T @ eta)) <= 1e-12
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_rank_deficient_couplings(self, p):
+        rng = np.random.default_rng(20 + p)
+        for _ in range(50):
+            m = int(rng.integers(1, 4))
+            rank = int(rng.integers(0, min(p, m) + 1))
+            q0 = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, m))
+            lam = np.concatenate([-rng.uniform(0.5, 3.0, m), rng.uniform(0.5, 3.0, p)])
+            eta = kernel_vector(q0, SpeedProfile.constant(lam))
+            if rank == p:
+                assert eta is None
+                continue
+            assert eta is not None
+            assert abs(np.linalg.norm(eta) - 1.0) <= 1e-14
+            r0 = -np.diag(lam[m:]) @ q0 @ np.diag(1.0 / lam[:m])
+            assert np.max(np.abs(r0.T @ eta)) <= 1e-10 * max(1.0, np.max(np.abs(r0)))
+
 
 class TestNecessity:
     def test_ratio_matches_closed_form(self, spec_rank_deficient):

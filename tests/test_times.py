@@ -9,7 +9,7 @@ from hypctrl.times import (boundary_control_time, boundary_time_interior,
                            boundary_time_left, boundary_time_right,
                            characteristic_position, characteristic_time,
                            linear_bound_constant, minimal_control_time,
-                           refine_control_region, travel_time)
+                           refine_control_region, shrink_region, travel_time)
 from conftest import make_spec
 
 
@@ -311,6 +311,14 @@ class TestRefineControlRegion:
         worst = max(boundary_control_time(spec, iv).value
                     for iv in refined.region.complement_components())
         assert worst <= tau + 0.05
+        assert refined.achieved_bound == worst
+
+    def test_shrink_region_below_tau_raises(self, spec_2x2):
+        # every margin leaves omega's own complement, which costs tau = 0.5
+        pieces = spec_2x2.omega.merged_closure()
+        with pytest.raises(RuntimeError, match="60 halvings"):
+            shrink_region(spec_2x2, 0.49, 0.1, lambda g: ControlDomain(
+                tuple((a + g, b - g) for a, b in pieces)))
 
     def test_random_regions_meet_posted_bound(self):
         rng = np.random.default_rng(10)
