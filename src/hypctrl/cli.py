@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,11 +188,21 @@ def parse_config(path) -> RunConfig:
 
 
 def _load_csv(path) -> np.ndarray:
-    """The numeric rows of a CSV file below its header line."""
+    """The numeric rows of a CSV file below its header line: at least one,
+    every cell finite."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file without data rows; the check below
+            # reports it as the one error line instead
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"{path}: no data rows below the header line")
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"{path}: every cell must be a finite number")
+    return rows
 
 
 def _state_from_arg(arg: str, grid: Grid, n: int) -> StateField:
@@ -245,6 +256,9 @@ def _read_control_csv(path, grid: Grid, n: int) -> ControlField:
     if xs.size != grid.n_cells or np.max(np.abs(xs - grid.centers)) > 1e-9:
         raise ConfigError(f"{path}: control grid does not match the configured grid")
     n_steps = ts.size
+    if rows.shape[0] != n_steps * grid.n_cells:
+        raise ConfigError(f"{path}: expected {n_steps} x {grid.n_cells} rows "
+                          f"(times x cells), got {rows.shape[0]}")
     dt = ts[1] - ts[0] if n_steps > 1 else float(rows[-1, 0])
     vals = rows[:, 2:].reshape(n_steps, grid.n_cells, n).transpose(0, 2, 1)
     return ControlField(vals, grid, dt, np.ones(grid.n_cells, dtype=bool))

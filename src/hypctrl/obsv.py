@@ -7,7 +7,11 @@ The discrete observability Gramian is the quadratic form
 over adjoint solutions with final datum z1.  Its smallest eigenvalue with
 respect to the dx-weighted norm is positive exactly when the discrete
 observability inequality holds, so sweeping it over horizons locates the
-controllability threshold numerically.
+controllability threshold numerically.  The windows [T - k dt, T] are
+nested, so one backward Stein recurrence G_{k+1} = w P + A^T G_k A on the
+column-sparse one-step adjoint operator A serves every horizon of a sweep:
+O(K * nstate^2) per step, K the most nonzeros in a column of A, plus one
+``eigvalsh`` per horizon.
 
 The certification is crisp when every component marches at Courant number 1
 (speeds of equal magnitude): the discrete evolution is then exact and
@@ -32,8 +36,8 @@ import numpy as np
 
 from .canon import canonical_form
 from .model import ControlDomain, Interval, SpeedProfile, SystemSpec
-from .pde import (Grid, StateField, _adjoint_marcher, _march, _slopes_at,
-                  adjoint_reflection, cfl_dt)
+from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
+                  _slopes_at, adjoint_reflection, cfl_dt)
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
@@ -56,33 +60,79 @@ class GramianSweepResult:
 
 def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
                      dt: float, stops: set[int], on_window):
-    """March every basis final datum of the adjoint at once, summing
-    dt * dx * |z|^2 over the cells of omega before each step; after k steps,
-    for each k in ``stops``, hand the symmetrized sum (the Gramian of the
-    window [T - k dt, T]) to ``on_window(k, gram)``."""
+    """Hand the Gramian of each window [T - k dt, T], k in ``stops``, to
+    ``on_window(k, gram)``, symmetrized.
+
+    The windows are nested and obey the backward Stein recurrence
+
+        G_1 = w P,    G_{k+1} = w P + A^T G_k A,
+
+    with w = dt * dx, P the 0/1 diagonal of the cells of omega and A the
+    one-step adjoint operator, built once by one ``_march`` step of the
+    identity batch.  Each column of A holds at most K nonzeros (the upwind
+    stencil, the reflections at the ends, the source), so A is kept
+    column-sparse and A^T G A costs K row gathers and K column gathers: a
+    step is O(K * nstate^2) on three nstate^2 buffers.
+    """
     n, nx = spec.n, grid.n_cells
     nstate = n * nx
     if nstate > GRAMIAN_STATE_LIMIT:
         raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
                          f"({GRAMIAN_STATE_LIMIT})")
-    mask = np.tile(omega.contains_points(grid.centers), n)
+    step, _ = _march(_adjoint_marcher(spec, grid, dt),
+                     np.eye(nstate).reshape(n, nx, nstate), 1)
+    rows, vals = _column_sparse(step.reshape(nstate, nstate))
+    del step  # dense A is not kept beside the three buffers below
+
+    diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), n)) * (nstate + 1)
     w = dt * grid.dx
     gram = np.zeros((nstate, nstate))
+    gram.flat[diag] = w
+    nxt = np.empty_like(gram)
+    part = np.empty_like(gram)
+    last = max(stops)
+    for k in range(1, last + 1):
+        if (k % NAN_CHECK_EVERY == 0 or k in stops) and not np.isfinite(gram).all():
+            raise RuntimeError(f"Gramian lost finiteness at step {k}")
+        if k in stops:
+            on_window(k, 0.5 * (gram + gram.T))
+        if k == last:
+            break
+        _gather(gram, rows, vals, 0, nxt, part)     # A^T G
+        _gather(nxt, rows, vals, 1, gram, part)     # (A^T G) A
+        gram.flat[diag] += w
 
-    def accumulate(s, z):
-        nonlocal gram
-        zm = z.reshape(nstate, nstate)[mask]
-        gram += w * (zm.T @ zm)
-        if s + 1 in stops:
-            on_window(s + 1, 0.5 * (gram + gram.T))
 
-    basis = np.eye(nstate).reshape(n, nx, nstate)
-    _march(_adjoint_marcher(spec, grid, dt), basis, max(stops), visit=accumulate)
+def _column_sparse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and values of the nonzeros of each column of ``a`` as
+    (K, ncols) arrays, K the most nonzeros in a column; shorter columns are
+    padded with rows where they hold zeros, so the padding adds nothing."""
+    nonzero = a != 0.0
+    k = int(nonzero.sum(axis=0).max())
+    rows = np.argsort(~nonzero, axis=0, kind="stable")[:k]
+    return rows, np.take_along_axis(a, rows, axis=0)
+
+
+def _gather(x: np.ndarray, rows: np.ndarray, vals: np.ndarray, axis: int,
+            out: np.ndarray, part: np.ndarray):
+    """out = A^T x (axis 0) or x A (axis 1) for the column-sparse A of
+    ``_column_sparse``: row (column) i of out sums vals[q, i] times row
+    (column) rows[q, i] of x over q."""
+    scale = [v[:, None] if axis == 0 else v[None, :] for v in vals]
+    # the indices are in range; with out= the default mode="raise" costs
+    # two to three times as much as mode="clip"
+    np.take(x, rows[0], axis=axis, out=out, mode="clip")
+    out *= scale[0]
+    for q in range(1, rows.shape[0]):
+        np.take(x, rows[q], axis=axis, out=part, mode="clip")
+        part *= scale[q]
+        out += part
 
 
 def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
                           grid: Grid, cfl: float = 1.0) -> np.ndarray:
-    """Assemble the Gramian by propagating every basis final datum at once.
+    """Assemble the Gramian of the window [0, T] by the recurrence of
+    ``_gramian_windows``.
 
     The form sums dt * dx * |z|^2 over the cells of omega and the time steps
     of [0, T), anchored at the final time; the result is symmetrized.
@@ -104,8 +154,8 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
                     cfl: float = 1.0) -> GramianSweepResult:
     """Smallest Gramian eigenvalue (dx-weighted) for each horizon in t_list.
 
-    One adjoint propagation serves all horizons: the Gramian windows are
-    nested, so partial sums are snapshotted whenever the accumulated window
+    One recurrence serves all horizons: the Gramian windows are nested, so
+    the running Gramian is handed to one ``eigvalsh`` whenever its window
     reaches a requested horizon (each horizon snaps to the shared step grid;
     the snapped values are reported alongside).
     """

@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypctrl.cli import (ConfigError, build_parser, main, parse_config, run)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXAMPLE1 = {
     "n": 2,
@@ -34,6 +40,14 @@ def config_variant(tmp_path, name, **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def control_csv(n_steps, dt, drop=0):
+    """A zero control CSV on the grid of EXAMPLE1, less its last ``drop`` rows."""
+    cells = EXAMPLE1["grid"]["cells"]
+    lines = [f"{j * dt!r},{(i + 0.5) / cells!r},0,0"
+             for j in range(n_steps) for i in range(cells)]
+    return "t,x,u1,u2\n" + "".join(line + "\n" for line in lines[:len(lines) - drop])
 
 
 def capture(argv):
@@ -275,10 +289,16 @@ class TestFlagValidation:
         assert main(command[:1] + ["--config", path] + command[1:]) == 2
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag,text", [
         ("--y0", "x,y1,y2\n0.5,abc,0\n"),
         ("--u", "t,x,u1,u2\n0,0.5,1,zz\n"),
-    ], ids=["state-cell", "control-cell"])
+        ("--y0", "x,y1,y2\n0.5,nan,2\n"),
+        ("--y0", "x,y1,y2\n0.25,1,2\n0.75,-inf,0\n"),
+        ("--y0", "x,y1,y2\n"),
+        ("--u", control_csv(2, 0.05, drop=1)),
+    ], ids=["state-cell", "control-cell", "state-nan", "state-inf", "state-header-only",
+            "control-missing-row"])
     def test_bad_csv_exits_2_with_one_error_line(self, config_path, tmp_path,
                                                  capsys, flag, text):
         csv = tmp_path / "bad.csv"
@@ -288,6 +308,21 @@ class TestFlagValidation:
             argv += ["--y0", "zero"]
         assert main(argv + [flag, str(csv)]) == 2
         self._assert_one_error_line(capsys)
+
+    def test_header_only_csv_prints_one_stderr_line(self, config_path, tmp_path):
+        # pytest records warnings instead of printing them, so the stderr of
+        # a real process is checked: numpy's no-data warning must not show
+        csv = tmp_path / "empty.csv"
+        csv.write_text("x,y1,y2\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from hypctrl.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "simulate", "--config", config_path,
+             "--T", "0.1", "--y0", str(csv)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ERROR:") and proc.stderr.count("\n") == 1
 
     def test_omegahat_rank_deficiency_still_exits_3(self, tmp_path, capsys):
         path = config_variant(tmp_path, "deficient.json", Q0=[[0.0]])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hypctrl.model import SpeedProfile
-from hypctrl.obsv import (detect_threshold, kernel_vector, necessity_sweep,
-                          necessity_witness, observability_gramian,
-                          sigma_min_sweep)
-from hypctrl.pde import Grid, StateField, cfl_dt, solve_adjoint
+from hypctrl.model import SourceTerm, SpeedProfile
+from hypctrl.obsv import (_gramian_windows, detect_threshold, kernel_vector,
+                          necessity_sweep, necessity_witness,
+                          observability_gramian, sigma_min_sweep)
+from hypctrl.pde import (Grid, StateField, _adjoint_marcher, _march, cfl_dt,
+                         solve_adjoint)
 from conftest import make_spec
 
 
@@ -52,6 +53,88 @@ class TestGramian:
     def test_memory_guard(self, spec_2x2):
         with pytest.raises(ValueError, match="guard"):
             observability_gramian(spec_2x2, 0.5, spec_2x2.omega, Grid(0.0, 1.0, 4000))
+
+
+def forward_gramians(spec, grid, dt, stops):
+    """Reference: march every basis final datum of the adjoint at once and
+    add dt * dx * zm^T zm over the cells of omega before each step."""
+    n, nx = spec.n, grid.n_cells
+    nstate = n * nx
+    mask = np.tile(spec.omega.contains_points(grid.centers), n)
+    gram = np.zeros((nstate, nstate))
+    out = {}
+
+    def accumulate(s, z):
+        nonlocal gram
+        zm = z.reshape(nstate, nstate)[mask]
+        gram += dt * grid.dx * (zm.T @ zm)
+        if s + 1 in stops:
+            out[s + 1] = 0.5 * (gram + gram.T)
+
+    basis = np.eye(nstate).reshape(n, nx, nstate)
+    _march(_adjoint_marcher(spec, grid, dt), basis, max(stops), visit=accumulate)
+    return out
+
+
+def recurrence_gramians(spec, grid, dt, stops):
+    out = {}
+    _gramian_windows(spec, spec.omega, grid, dt, stops,
+                     lambda k, gram: out.setdefault(k, gram))
+    return out
+
+
+class TestStein:
+    """The backward recurrence against the forward accumulator."""
+
+    @staticmethod
+    def _both(spec, n_cells, cfl, t_list):
+        grid = Grid(0.0, 1.0, n_cells)
+        dt = cfl_dt(spec, grid, cfl, t_list[-1])
+        stops = {int(round(t / dt)) for t in t_list}
+        ref = forward_gramians(spec, grid, dt, stops)
+        new = recurrence_gramians(spec, grid, dt, stops)
+        assert sorted(new) == sorted(stops)
+        return ref, new
+
+    @pytest.mark.parametrize("n_cells,t_list", [
+        (32, [0.25, 0.5, 0.75]),
+        (100, [0.3, 0.4, 0.5, 0.6, 0.7]),
+    ])
+    def test_courant_one_bit_identical(self, spec_2x2, n_cells, t_list):
+        # dt == dx: the one-step operator moves data by exactly one cell, so
+        # both sums add the same exact terms
+        grid = Grid(0.0, 1.0, n_cells)
+        assert cfl_dt(spec_2x2, grid, 1.0, t_list[-1]) == grid.dx
+        ref, new = self._both(spec_2x2, n_cells, 1.0, t_list)
+        for k in ref:
+            assert np.array_equal(new[k], ref[k])
+
+    @pytest.mark.parametrize("spec,cfl", [
+        (make_spec([-1.0, 1.0], [[0.7]], [[-1.3]], [(0.25, 0.75)]), 0.9),
+        (make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)],
+                   source=SourceTerm.constant([[0.3, -0.5], [0.2, 0.1]])), 1.0),
+        (make_spec(SpeedProfile.piecewise_linear(
+            [0.0, 0.5, 1.0], [[-1.0, -1.5, -1.2], [1.0, 2.0, 1.5]]),
+            [[1.0]], [[0.8]], [(0.2, 0.7)],
+            source=SourceTerm.constant([[0.3, -0.5], [0.2, 0.1]])), 1.0),
+        (make_spec([-2.0, -1.0, 1.0, 3.0], [[1.0, 0.5], [-0.3, 0.8]],
+                   [[0.2, 1.0], [0.9, -0.4]], [(0.3, 0.8)]), 1.0),
+    ], ids=["courant-0.9-couplings", "constant-source", "piecewise-source",
+            "n4-couplings"])
+    def test_agrees_with_forward_accumulation(self, spec, cfl):
+        ref, new = self._both(spec, 30, cfl, [0.3, 0.6, 1.0])
+        for k in ref:
+            scale = np.max(np.abs(ref[k]))
+            assert scale > 0.0
+            assert np.max(np.abs(new[k] - ref[k])) <= 1e-13 * scale
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_raises_instead_of_a_sigma(self):
+        # dt * 1e100 per step: A is finite, its powers are not
+        spec = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)],
+                         source=SourceTerm.constant([[1e100, 0.0], [0.0, 1e100]]))
+        with pytest.raises(RuntimeError, match="finiteness"):
+            sigma_min_sweep(spec, [0.3, 0.5], spec.omega, Grid(0.0, 1.0, 32))
 
 
 class TestSigmaMinSweep:
