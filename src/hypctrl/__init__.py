@@ -2,9 +2,9 @@
 for 1D linear hyperbolic balance laws with internal controls."""
 
 from .canon import CanonicalDecomposition, canonical_form, reversed_coupling
-from .model import (ControlDomain, CouplingSpec, Interval, PositionTag,
-                    SourceTerm, SpeedProfile, SystemSpec, ValidationReport,
-                    validate)
+from .model import (BelowThresholdError, ConfigError, ControlDomain,
+                    CouplingSpec, Interval, PositionTag, RankError, SourceTerm,
+                    SpeedProfile, SystemSpec, ValidationReport, validate)
 from .obsv import (GramianSweepResult, NecessitySweep, NecessityWitness,
                    detect_threshold, kernel_vector, necessity_sweep,
                    necessity_witness, observability_gramian, sigma_min_sweep)
@@ -12,9 +12,9 @@ from .pde import (BoundaryControls, ControlField, EvolutionResult, Grid,
                   StateField, TraceRecord, cfl_dt, characteristics_oracle,
                   sample_state, solve_adjoint, solve_backward,
                   solve_boundary_forward, solve_forward, state_function)
-from .synth import (BelowThresholdError, HumResult, SpaceCutoff,
-                    SynthesisReport, TimeCutoff, assemble_internal_control,
-                    hum_boundary_control, synthesize_full_domain)
+from .synth import (HumResult, SpaceCutoff, SynthesisReport, TimeCutoff,
+                    assemble_internal_control, hum_boundary_control,
+                    synthesize_full_domain)
 from .times import (BoundaryTimeResult, MinimalTimeResult, RefinedRegion,
                     TimeTerm, boundary_control_time, boundary_time_interior,
                     boundary_time_left, boundary_time_right,
@@ -26,10 +26,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BelowThresholdError", "BoundaryControls", "BoundaryTimeResult",
-    "CanonicalDecomposition", "ControlDomain", "ControlField", "CouplingSpec",
-    "EvolutionResult", "GramianSweepResult", "Grid", "HumResult", "Interval",
-    "MinimalTimeResult", "NecessitySweep", "NecessityWitness", "PositionTag",
-    "RefinedRegion", "SourceTerm", "SpaceCutoff", "SpeedProfile", "StateField",
+    "CanonicalDecomposition", "ConfigError", "ControlDomain", "ControlField",
+    "CouplingSpec", "EvolutionResult", "GramianSweepResult", "Grid",
+    "HumResult", "Interval", "MinimalTimeResult", "NecessitySweep",
+    "NecessityWitness", "PositionTag", "RankError", "RefinedRegion",
+    "SourceTerm", "SpaceCutoff", "SpeedProfile", "StateField",
     "SynthesisReport", "SystemSpec", "TimeCutoff", "TimeTerm", "TraceRecord",
     "ValidationReport", "assemble_internal_control", "boundary_control_time",
     "boundary_time_interior", "boundary_time_left", "boundary_time_right",

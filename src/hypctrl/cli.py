@@ -14,11 +14,16 @@ Configuration is one JSON file with the keys
     grid    {"cells": int, "cfl": float (optional, default 0.9)}
 
 Parsing is strict: unknown keys anywhere are rejected.  Exit codes: 0 on
-success, 2 on malformed or invalid configuration or flag values, 3 when a
-rank condition makes the request infinite/unanswerable, 4 when a synthesis
-horizon does not exceed the minimal control time.  Every error path prints one line starting
-with ``ERROR:``.  Floats are printed with 17 significant digits so repeated
-runs are bit-identical.
+success; 1 on a numerical failure (a solution or Gramian that lost
+finiteness, the Gramian size guard) or an output that cannot be written;
+2 on malformed or invalid configuration, flag values or input files, and on
+a request the configuration cannot pose (``omegahat`` when the closure of
+omega covers [0, 1], ``necessity`` when the source is not minus the speed
+slope); 3 when a rank condition makes the request infinite or unanswerable;
+4 when the horizon is below the time the command needs.  Errors are raised
+where they are decided; ``run`` alone turns one into a single line starting
+with ``ERROR:`` and its exit code.  Floats are printed with 17 significant
+digits so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,21 +38,16 @@ from pathlib import Path
 import numpy as np
 
 from .canon import canonical_form
-from .model import (ControlDomain, CouplingSpec, SourceTerm, SpeedProfile,
-                    SystemSpec, validate)
-from .obsv import detect_threshold, necessity_sweep, sigma_min_sweep
+from .model import (BelowThresholdError, ConfigError, ControlDomain, CouplingSpec,
+                    RankError, SourceTerm, SpeedProfile, SystemSpec, validate)
+from .obsv import detect_threshold, necessity_horizon, necessity_sweep, sigma_min_sweep
 from .pde import ControlField, Grid, StateField, _forward
-from .synth import BelowThresholdError, assemble_internal_control
-from .times import minimal_control_time, refine_control_region, travel_time
+from .synth import assemble_internal_control
+from .times import minimal_control_time, refine_control_region
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_RANK = 3
-EXIT_HORIZON = 4
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid configuration (maps to exit code 2)."""
+# the first type an error is an instance of gives its exit code
+EXIT_CODES = {ConfigError: 2, RankError: 3, BelowThresholdError: 4,
+              ValueError: 1, RuntimeError: 1, OSError: 1}
 
 
 def _fmt(x: float) -> str:
@@ -270,12 +270,33 @@ def _print_matrix(stream, name: str, mat: np.ndarray):
         stream.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def _cmd_mintime(cfg: RunConfig, args, out) -> int:
+def _matrix_flag(text: str) -> np.ndarray:
+    try:
+        mat = np.asarray(json.loads(text), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"--matrix: {exc}") from exc
+    if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
+        raise ConfigError(f"--matrix: expected a nonempty 2-D array of finite "
+                          f"numbers, got {text}")
+    return mat
+
+
+def _nu_list_flag(text: str) -> list[int]:
+    try:
+        nus = [int(v) for v in text.split(",")]
+    except ValueError:
+        nus = []
+    if not nus or min(nus) < 1:
+        raise ConfigError(f"--nu-list: expected comma-separated integers >= 1, "
+                          f"got '{text}'")
+    return nus
+
+
+def _cmd_mintime(cfg: RunConfig, args, out):
     result = minimal_control_time(cfg.spec)
     if not result.finite:
         out.write("T_inf = inf\n")
-        print(f"ERROR: {result.reason}", file=sys.stderr)
-        return EXIT_RANK
+        raise RankError(result.reason)
     out.write(f"T_inf = {_fmt(result.value)}\n")
     lines = ["lo,hi,case,value\n"]
     lines += [f"{_fmt(iv.lo)},{_fmt(iv.hi)},{r.case},{_fmt(r.value)}\n"
@@ -284,18 +305,11 @@ def _cmd_mintime(cfg: RunConfig, args, out) -> int:
         Path(args.out).write_text("".join(lines))
     else:
         out.writelines(lines)
-    return EXIT_OK
 
 
-def _cmd_canon(cfg: RunConfig | None, args, out) -> int:
+def _cmd_canon(cfg: RunConfig | None, args, out):
     if args.matrix:
-        try:
-            mat = np.asarray(json.loads(args.matrix), dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"--matrix: {exc}") from exc
-        if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
-            raise ConfigError(f"--matrix: expected a nonempty 2-D array of finite "
-                              f"numbers, got {args.matrix}")
+        mat = _matrix_flag(args.matrix)
     elif cfg is not None:
         mat = cfg.spec.couplings.q0 if args.which == "Q0" else cfg.spec.couplings.q1
     else:
@@ -306,7 +320,6 @@ def _cmd_canon(cfg: RunConfig | None, args, out) -> int:
     out.write(f"rank: {dec.rank}\n")
     _print_matrix(out, "L", dec.lower)
     _print_matrix(out, "U", dec.upper)
-    return EXIT_OK
 
 
 def _require_finite(flag: str, value: float, positive: bool = True):
@@ -315,24 +328,17 @@ def _require_finite(flag: str, value: float, positive: bool = True):
         raise ConfigError(f"{flag}: must be finite and {sign}, got {value}")
 
 
-def _cmd_omegahat(cfg: RunConfig, args, out) -> int:
+def _cmd_omegahat(cfg: RunConfig, args, out):
     _require_finite("--eps", args.eps)
-    if not cfg.spec.omega.complement_components():
-        raise ConfigError("omega: its closure already covers [0, 1], nothing to refine")
-    try:
-        refined = refine_control_region(cfg.spec, args.eps)
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_RANK
+    refined = refine_control_region(cfg.spec, args.eps)
     out.write(f"achieved_bound = {_fmt(refined.achieved_bound)}\n")
     out.write(f"target_bound = {_fmt(refined.target_bound)}\n")
     out.write("lo,hi\n")
     for a, b in refined.region.intervals:
         out.write(f"{_fmt(a)},{_fmt(b)}\n")
-    return EXIT_OK
 
 
-def _cmd_simulate(cfg: RunConfig, args, out) -> int:
+def _cmd_simulate(cfg: RunConfig, args, out):
     _require_finite("--T", args.T, positive=False)
     grid = cfg.grid
     spec = cfg.spec
@@ -344,10 +350,9 @@ def _cmd_simulate(cfg: RunConfig, args, out) -> int:
             _write_state_csv(stream, final)
     else:
         _write_state_csv(out, final)
-    return EXIT_OK
 
 
-def _cmd_synthesize(cfg: RunConfig, args, out) -> int:
+def _cmd_synthesize(cfg: RunConfig, args, out):
     _require_finite("--T", args.T)
     grid = cfg.grid
     spec = cfg.spec
@@ -360,16 +365,7 @@ def _cmd_synthesize(cfg: RunConfig, args, out) -> int:
                              for k in range(spec.n)])
         return f
 
-    try:
-        report = assemble_internal_control(spec, fn(y0), fn(y1), args.T, grid,
-                                           cfl=cfg.cfl)
-    except BelowThresholdError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_RANK
-
+    report = assemble_internal_control(spec, fn(y0), fn(y1), args.T, grid, cfl=cfg.cfl)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_control_csv(outdir / "control.csv", report.control)
@@ -384,10 +380,9 @@ def _cmd_synthesize(cfg: RunConfig, args, out) -> int:
             _fmt(r) for r in report.hum_residuals))
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     out.write(f"achieved_error = {_fmt(report.achieved_error)}\n")
-    return EXIT_OK
 
 
-def _cmd_gramian(cfg: RunConfig, args, out) -> int:
+def _cmd_gramian(cfg: RunConfig, args, out):
     if args.steps < 1:
         raise ConfigError(f"--steps: must be at least 1, got {args.steps}")
     if not (np.isfinite(args.tmin) and np.isfinite(args.tmax)
@@ -404,30 +399,17 @@ def _cmd_gramian(cfg: RunConfig, args, out) -> int:
     thr = detect_threshold(sweep)
     if thr is not None:
         out.write(f"detected_threshold = {_fmt(thr)}\n")
-    return EXIT_OK
 
 
-def _cmd_necessity(cfg: RunConfig, args, out) -> int:
-    try:
-        nus = [int(v) for v in args.nu_list.split(",")]
-    except ValueError:
-        nus = []
-    if not nus or min(nus) < 1:
-        raise ConfigError(f"--nu-list: expected comma-separated integers >= 1, "
-                          f"got '{args.nu_list}'")
-    T = args.T if args.T is not None else max(
-        travel_time(cfg.spec, 0, (0.0, 1.0)), travel_time(cfg.spec, cfg.spec.n - 1, (0.0, 1.0)))
+def _cmd_necessity(cfg: RunConfig, args, out):
+    nus = _nu_list_flag(args.nu_list)
+    T = args.T if args.T is not None else necessity_horizon(cfg.spec)
     _require_finite("--T", T)
-    try:
-        sweep = necessity_sweep(cfg.spec, nus, T, cfg.grid)
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_RANK
+    sweep = necessity_sweep(cfg.spec, nus, T, cfg.grid)
     out.write("nu,ratio\n")
     for nu, ratio in sweep.points:
         out.write(f"{nu},{_fmt(ratio)}\n")
     out.write(f"blowup_factor = {_fmt(sweep.blowup_factor)}\n")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,26 +468,23 @@ COMMANDS = {"mintime": _cmd_mintime, "canon": _cmd_canon, "omegahat": _cmd_omega
 
 
 def run(args, out=None) -> int:
-    """Dispatch a parsed command line; returns the exit code."""
+    """Dispatch a parsed command line and return its exit code.  The one place
+    where an error becomes one ``ERROR:`` line on stderr and a code from
+    ``EXIT_CODES``."""
     out = out if out is not None else sys.stdout
-    cfg = parse_config(args.config) if args.config else None
-    return COMMANDS[args.command](cfg, args, out)
+    try:
+        # overflow is reported by the finiteness checks, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cfg = parse_config(args.config) if args.config else None
+            COMMANDS[args.command](cfg, args, out)
+    except tuple(EXIT_CODES) as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return run(args)
-    except ConfigError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BelowThresholdError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

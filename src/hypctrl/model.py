@@ -17,9 +17,9 @@ components with positive speed.  The control u acts only on the open set
 omega, a finite union of open intervals.
 
 This module holds the immutable data types, the standing-hypothesis checks,
-and the interval algebra on the control region (complement components drive
-everything downstream).  All types are plain-value objects; operations are
-pure functions.
+the interval algebra on the control region (complement components drive
+everything downstream), and the errors a caller can act on.  All types are
+plain-value objects; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -32,6 +32,20 @@ import numpy as np
 # Speeds equal at one breakpoint must be equal at all of them; this is the
 # tolerance of that structural comparison (profiles are exact user data).
 EQUAL_SPEED_TOL = 1e-12
+
+
+class ConfigError(ValueError):
+    """Malformed or invalid configuration, flag value or input file, or a
+    request the configured data cannot pose (exit code 2)."""
+
+
+class RankError(ValueError):
+    """A boundary coupling fails the rank condition the request needs, so
+    its answer is infinite or does not exist (exit code 3)."""
+
+
+class BelowThresholdError(ValueError):
+    """Requested horizon is below the time the request needs (exit code 4)."""
 
 
 def _readonly(a) -> np.ndarray:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import canonical_form
-from .model import ControlDomain, Interval, SpeedProfile, SystemSpec
+from .model import (BelowThresholdError, ConfigError, ControlDomain, Interval,
+                    RankError, SpeedProfile, SystemSpec)
 from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
                   _slopes_at, adjoint_reflection, cfl_dt)
 from .times import characteristic_position, characteristic_time, travel_time
@@ -252,31 +253,38 @@ def _witness_final_datum(spec: SystemSpec, nu: int, grid: Grid,
     return StateField(values, grid, 0.0), tuple(support_hi)
 
 
+def necessity_horizon(spec: SystemSpec) -> float:
+    """The longer of the two full crossing times, of the first and of the
+    last component: the shortest horizon ``necessity_witness`` accepts."""
+    full = Interval(0.0, 1.0)
+    return max(travel_time(spec, 0, full), travel_time(spec, spec.n - 1, full))
+
+
 def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
                       cfl: float = 1.0) -> NecessityWitness:
     """Build the nu-th blow-up datum, march the adjoint, and measure the
     ratio |z1|^2 / (sum_t dt |z(t)|^2) over the full domain.
 
-    Requires a rank-deficient Q0, a source equal to minus the speed slope
-    (so the adjoint is pure transport), nu >= 1, and a horizon at least the
-    largest one-way crossing time.
+    Requires a rank-deficient Q0 (else ``RankError``), a source equal to minus
+    the speed slope, so the adjoint is pure transport (else ``ConfigError``),
+    nu >= 1, and a horizon of at least ``necessity_horizon(spec)`` (else
+    ``BelowThresholdError``).
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
     m, p, n = spec.m, spec.p, spec.n
     if canonical_form(spec.couplings.q0).rank >= p:
-        raise ValueError("Q0 has full row rank: no kernel datum exists")
+        raise RankError("Q0 has full row rank: no kernel datum exists")
     slopes = _slopes_at(spec, grid)
     msrc = spec.source.at_points(grid.centers)
     diag = msrc[:, np.arange(n), np.arange(n)].T
     off = msrc.copy()
     off[:, np.arange(n), np.arange(n)] = 0.0
     if np.max(np.abs(diag + slopes)) > 1e-12 or np.any(off):
-        raise ValueError("source must equal minus the speed slope (diagonal)")
-    t_slow = travel_time(spec, 0, Interval(0.0, 1.0))
-    t_fast = travel_time(spec, n - 1, Interval(0.0, 1.0))
-    if T < max(t_slow, t_fast) - 1e-12:
-        raise ValueError(f"horizon {T} below the required {max(t_slow, t_fast)}")
+        raise ConfigError("source must equal minus the speed slope (diagonal)")
+    t_need = necessity_horizon(spec)
+    if T < t_need - 1e-12:
+        raise BelowThresholdError(f"horizon {T} below the required {t_need}")
 
     eta = kernel_vector(spec.couplings.q0, spec.speeds)
     z1, support_hi = _witness_final_datum(spec, nu, grid, eta)

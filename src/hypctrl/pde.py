@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Interval, PositionTag, SpeedProfile, SystemSpec
+from .model import Interval, PositionTag, RankError, SpeedProfile, SystemSpec
 
 NAN_CHECK_EVERY = 64
 TRAJECTORY_BYTES_LIMIT = 1 << 30
@@ -359,7 +359,7 @@ def solve_backward(spec: SystemSpec, y1: StateField, T: float,
         q0inv = np.linalg.inv(spec.couplings.q0)
         q1inv = np.linalg.inv(spec.couplings.q1)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular coupling matrix: {exc}") from exc
+        raise RankError(f"singular coupling matrix: {exc}") from exc
     marcher = _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
                        bc_lo=_coupling_bc(q0inv),
                        bc_hi=_coupling_bc(q1inv),

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlDomain, Interval, SystemSpec
+from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
+                    SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _forward, _march, _Marcher, _speeds_at,
                   _subinterval_bcs, cfl_dt, sample_state, solve_backward,
@@ -37,16 +38,6 @@ from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
-
-
-class BelowThresholdError(ValueError):
-    """Requested horizon does not exceed the minimal control time."""
-
-    def __init__(self, horizon: float, threshold: float):
-        super().__init__(f"horizon {horizon:g} is not above the minimal control "
-                         f"time {threshold:g} (plus the two-step margin)")
-        self.horizon = horizon
-        self.threshold = threshold
 
 
 @dataclass(frozen=True)
@@ -345,14 +336,15 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     """
     base = minimal_control_time(spec)
     if not base.finite:
-        raise ValueError("coupling matrices must be invertible")
+        raise RankError(base.reason)
     if base.covers_all:
         return synthesize_full_domain(spec, y0_fn, y1_fn, T, grid, cfl)
 
     tau_max = base.value
     dt_global = cfl_dt(spec, grid, cfl, T) if T > 0 else 0.0
     if not T > tau_max + 2.0 * dt_global:
-        raise BelowThresholdError(T, tau_max)
+        raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
+                                  f"time {tau_max:g} (plus the two-step margin)")
 
     # leave a horizon margin for the component steering, spend the rest
     margin = max(4.0 * dt_global, 0.05 * (T - tau_max))

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import canonical_form, reversed_coupling
-from .model import ControlDomain, Interval, PositionTag, SystemSpec
+from .model import (ConfigError, ControlDomain, Interval, PositionTag, RankError,
+                    SystemSpec)
 
 # Below this slope magnitude a linear speed segment integrates as constant.
 CONSTANT_SLOPE_TOL = 1e-14
@@ -292,11 +293,11 @@ def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if not spec.omega.complement_components():
+        raise ConfigError("omega: its closure already covers [0, 1], nothing to refine")
     base = minimal_control_time(spec)
     if not base.finite:
-        raise ValueError("coupling matrices must be invertible")
-    if base.covers_all:
-        raise ValueError("the closure of omega already covers [0, 1]")
+        raise RankError(base.reason)
 
     tau = base.value
     omega = spec.omega

@@ -42,6 +42,11 @@ def config_variant(tmp_path, name, **overrides):
     return str(path)
 
 
+# overflows within a few steps: 1e100 squared is not finite
+BIG_SOURCE = {"M": [[1e100, 0.0], [0.0, 1e100]], "grid": {"cells": 32, "cfl": 0.9}}
+GRAMIAN = ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "3"]
+
+
 def control_csv(n_steps, dt, drop=0):
     """A zero control CSV on the grid of EXAMPLE1, less its last ``drop`` rows."""
     cells = EXAMPLE1["grid"]["cells"]
@@ -256,37 +261,44 @@ class TestFlagValidation:
         assert main(argv) == 2
         self._assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("overrides,command", [
-        ({"n": 2.7}, ["mintime"]),
-        ({"n": 2.0}, ["mintime"]),
-        ({"m": 1.0}, ["mintime"]),
-        ({"m": True}, ["mintime"]),
-        ({"n": "2"}, ["mintime"]),
-        ({"grid": {"cells": 64.9}}, ["mintime"]),
-        ({"grid": {"cells": 64.0, "cfl": 0.9}}, ["simulate", "--T", "0.1", "--y0", "zero"]),
-        ({"omega": [[0.0, 1.0]]}, ["omegahat", "--eps", "0.1"]),
-        ({"omega": [[0.0, 0.5], [0.5, 1.0]]}, ["omegahat", "--eps", "0.1"]),
-        ({"grid": {"cells": 64, "cfl": "abc"}}, ["mintime"]),
-        ({"grid": {"cells": 64, "cfl": True}}, ["mintime"]),
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides,command,code", [
+        ({"n": 2.7}, ["mintime"], 2),
+        ({"n": 2.0}, ["mintime"], 2),
+        ({"m": 1.0}, ["mintime"], 2),
+        ({"m": True}, ["mintime"], 2),
+        ({"n": "2"}, ["mintime"], 2),
+        ({"grid": {"cells": 64.9}}, ["mintime"], 2),
+        ({"grid": {"cells": 64.0, "cfl": 0.9}}, ["simulate", "--T", "0.1", "--y0", "zero"], 2),
+        ({"omega": [[0.0, 1.0]]}, ["omegahat", "--eps", "0.1"], 2),
+        ({"omega": [[0.0, 0.5], [0.5, 1.0]]}, ["omegahat", "--eps", "0.1"], 2),
+        ({"grid": {"cells": 64, "cfl": "abc"}}, ["mintime"], 2),
+        ({"grid": {"cells": 64, "cfl": True}}, ["mintime"], 2),
         ({"speeds": [{"type": "constant", "value": "x"},
-                     {"type": "constant", "value": 1.0}]}, ["mintime"]),
+                     {"type": "constant", "value": 1.0}]}, ["mintime"], 2),
         ({"speeds": [{"type": "constant", "value": None},
-                     {"type": "constant", "value": 1.0}]}, ["mintime"]),
+                     {"type": "constant", "value": 1.0}]}, ["mintime"], 2),
         ({"speeds": [{"type": "constant", "value": -1.0},
-                     {"type": "piecewise_linear", "x": 3, "v": [1.0, 2.0]}]}, ["mintime"]),
+                     {"type": "piecewise_linear", "x": 3, "v": [1.0, 2.0]}]}, ["mintime"], 2),
         ({"speeds": [{"type": "constant"},
                      {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1.0, 2.0]}]},
-         ["mintime"]),
+         ["mintime"], 2),
         ({"M": {"type": "piecewise_constant", "x": [0.0, 0.5, 1.0],
-                "matrices": [[[0.0, 0.0], [0.0, 0.0]]] * 3}}, ["mintime"]),
+                "matrices": [[[0.0, 0.0], [0.0, 0.0]]] * 3}}, ["mintime"], 2),
+        ({"Q0": [[0.0]]}, ["necessity", "--nu-list", "1,2", "--T", "0.5"], 4),
+        ({"Q0": [[0.0]], "M": [[0.5, 0.0], [0.0, 0.0]]}, ["necessity", "--nu-list", "1,2"], 2),
+        ({"grid": {"cells": 2100}}, GRAMIAN, 1),
+        (BIG_SOURCE, GRAMIAN, 1),
+        (BIG_SOURCE, ["simulate", "--T", "1", "--y0", "sinpi"], 1),
     ], ids=["n-float", "n-integral-float", "m-float", "m-bool", "n-string",
             "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers",
             "cfl-string", "cfl-bool", "speed-string", "speed-null", "piecewise-x-number",
-            "mixed-constant-no-value", "source-matrix-count"])
+            "mixed-constant-no-value", "source-matrix-count", "necessity-short-horizon",
+            "necessity-source", "gramian-guard", "gramian-overflow", "simulate-overflow"])
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys,
-                                                    overrides, command):
+                                                    overrides, command, code):
         path = config_variant(tmp_path, "bad.json", **overrides)
-        assert main(command[:1] + ["--config", path] + command[1:]) == 2
+        assert main(command[:1] + ["--config", path] + command[1:]) == code
         self._assert_one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error")
@@ -309,20 +321,38 @@ class TestFlagValidation:
         assert main(argv + [flag, str(csv)]) == 2
         self._assert_one_error_line(capsys)
 
-    def test_header_only_csv_prints_one_stderr_line(self, config_path, tmp_path):
+    @pytest.mark.parametrize("overrides,command,code", [
+        ({}, ["simulate", "--T", "0.1", "--y0", "empty.csv"], 2),
+        (BIG_SOURCE, GRAMIAN, 1),
+        (BIG_SOURCE, ["simulate", "--T", "1", "--y0", "sinpi"], 1),
+    ], ids=["header-only-csv", "gramian-overflow", "simulate-overflow"])
+    def test_process_prints_one_stderr_line(self, tmp_path, overrides, command, code):
         # pytest records warnings instead of printing them, so the stderr of
-        # a real process is checked: numpy's no-data warning must not show
-        csv = tmp_path / "empty.csv"
-        csv.write_text("x,y1,y2\n")
+        # a real process is checked: neither numpy's no-data warning nor its
+        # floating-point warnings may show
+        (tmp_path / "empty.csv").write_text("x,y1,y2\n")
+        path = config_variant(tmp_path, "cfg.json", **overrides)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from hypctrl.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "simulate", "--config", config_path,
-             "--T", "0.1", "--y0", str(csv)],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2
+             "sys.exit(main(sys.argv[1:]))", command[0], "--config", path, *command[1:]],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
         assert proc.stderr.startswith("ERROR:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides,command,code,stdout", [
+        ({"Q0": [[0.0]]}, ["mintime"], 3, "T_inf = inf\n"),
+        ({"Q0": [[0.0]]}, ["omegahat", "--eps", "0.1"], 3, ""),
+        ({"omega": [[0.75, 0.25]]}, ["mintime"], 2, ""),
+    ], ids=["mintime-rank", "omegahat-rank", "config"])
+    def test_run_maps_errors_to_codes(self, tmp_path, capsys, overrides, command,
+                                      code, stdout):
+        # callers that bypass main, such as the benchmark, rely on run itself
+        # returning the code and printing the one error line
+        path = config_variant(tmp_path, "cfg.json", **overrides)
+        assert capture(command[:1] + ["--config", path] + command[1:]) == (code, stdout)
+        self._assert_one_error_line(capsys)
 
     def test_omegahat_rank_deficiency_still_exits_3(self, tmp_path, capsys):
         path = config_variant(tmp_path, "deficient.json", Q0=[[0.0]])
