@@ -8,17 +8,15 @@ over adjoint solutions with final datum z1.  Its smallest eigenvalue with
 respect to the dx-weighted norm is positive exactly when the discrete
 observability inequality holds, so sweeping it over horizons locates the
 controllability threshold numerically.  The windows [T - k dt, T] are
-nested, so one backward Stein recurrence G_{k+1} = w P + A^T G_k A on the
-column-sparse one-step adjoint operator A serves every horizon of a sweep:
-O(K * nstate^2) per step, K the most nonzeros in a column of A, plus one
-``eigvalsh`` per horizon.
+nested, so one backward Stein recurrence (``_gramian_windows``) serves every
+horizon of a sweep, plus one ``eigvalsh`` per horizon.
 
-The certification is crisp when every component marches at Courant number 1
-(speeds of equal magnitude): the discrete evolution is then exact and
-sigma_min vanishes identically below the threshold.  With unequal speed
-magnitudes the slower components are damped, every grid-scale datum decays
-before reaching omega, and the sweep degenerates to a diagnostic
-(``detect_threshold`` reports the missing contrast as None).
+The certification is crisp only at Courant number exactly 1 for every
+component: the discrete evolution is then exact and sigma_min vanishes
+identically below the threshold.  Unequal speed magnitudes put slower
+components below 1, and so does ``cfl_dt`` unless the largest horizon is a
+whole number of dx / max|lambda| steps; the sweep then degrades to a
+diagnostic (``detect_threshold`` reports the missing contrast as None).
 
 When a coupling matrix is rank deficient no observability constant can
 exist.  ``necessity_witness`` builds the explicit family certifying this:
@@ -42,6 +40,7 @@ from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
+WITNESS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,8 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     ``_gramian_windows``.
 
     The form sums dt * dx * |z|^2 over the cells of omega and the time steps
-    of [0, T), anchored at the final time; the result is symmetrized.
-
-    The default Courant factor is 1 (not the solvers' 0.9): below 1 the
-    upwind damping wipes out grid-scale data before they reach omega, which
-    drives sigma_min to zero at every horizon and hides the threshold.
+    of [0, T), anchored at the final time; the result is symmetrized.  The
+    default Courant factor is 1, not the solvers' 0.9 (see the module note).
     """
     if T <= 0.0:
         raise ValueError("horizon must be positive")
@@ -183,8 +179,7 @@ def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | No
     Discretization smears the controllability jump; a relative criterion is
     robust across grids.  None when even the first horizon is observable, or
     when the sweep carries no contrast at all (sigma_min at the largest
-    horizon at roundoff level, which happens when some component marches
-    below Courant number 1 and damping swallows the grid-scale data).
+    horizon at roundoff level: damping below Courant 1 swallowed the data).
     """
     ref = sweep.points[-1][1]
     if ref <= 1e-12:
@@ -228,29 +223,18 @@ def _witness_final_datum(spec: SystemSpec, nu: int, grid: Grid,
     m, p, n = spec.m, spec.p, spec.n
     t_fast = travel_time(spec, n - 1, Interval(0.0, 1.0))
     active = [j for j in range(p) if eta[j] != 0.0]
-
-    def g_squared(tvals: np.ndarray) -> np.ndarray:
-        # invert the profile relation: with f(s) = ((Tn - s)/Tn)^nu the
-        # datum must satisfy  g(t)^2 * sum_j eta_j^2 lambda_{m+j}(x_j(t)) = -f'(t)
-        minus_fprime = (nu / t_fast) * ((t_fast - tvals) / t_fast) ** (nu - 1)
-        denom = np.zeros_like(tvals)
-        for j in active:
-            pos = np.array([characteristic_position(spec, m + j, t) for t in tvals])
-            denom += eta[j] ** 2 * np.asarray(spec.speeds.value(m + j, pos))
-        return minus_fprime / denom
-
+    support_hi = tuple(characteristic_position(spec, m + j, t_fast) for j in range(p))
     values = np.zeros((n, grid.n_cells))
-    support_hi = []
-    for j in range(p):
-        x_max = characteristic_position(spec, m + j, t_fast)
-        support_hi.append(x_max)
-        if eta[j] == 0.0:
-            continue
-        inside = grid.centers < x_max
-        tvals = np.array([characteristic_time(spec, m + j, x)
-                          for x in grid.centers[inside]])
-        values[m + j, inside] = np.sqrt(g_squared(tvals)) * eta[j]
-    return StateField(values, grid, 0.0), tuple(support_hi)
+    for j in active:
+        inside = grid.centers < support_hi[j]
+        t = characteristic_time(spec, m + j, grid.centers[inside])
+        # invert the profile relation: with f(s) = ((Tn - s)/Tn)^nu the
+        # datum must satisfy  g(t)^2 * sum_i eta_i^2 lambda_{m+i}(x_i(t)) = -f'(t)
+        minus_fprime = (nu / t_fast) * ((t_fast - t) / t_fast) ** (nu - 1)
+        denom = sum(eta[i] ** 2 * spec.speeds.value(m + i, characteristic_position(spec, m + i, t))
+                    for i in active)
+        values[m + j, inside] = np.sqrt(minus_fprime / denom) * eta[j]
+    return StateField(values, grid, 0.0), support_hi
 
 
 def necessity_horizon(spec: SystemSpec) -> float:
@@ -275,12 +259,10 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     m, p, n = spec.m, spec.p, spec.n
     if canonical_form(spec.couplings.q0).rank >= p:
         raise RankError("Q0 has full row rank: no kernel datum exists")
-    slopes = _slopes_at(spec, grid)
-    msrc = spec.source.at_points(grid.centers)
-    diag = msrc[:, np.arange(n), np.arange(n)].T
+    msrc, idx = spec.source.at_points(grid.centers), np.arange(n)
     off = msrc.copy()
-    off[:, np.arange(n), np.arange(n)] = 0.0
-    if np.max(np.abs(diag + slopes)) > 1e-12 or np.any(off):
+    off[:, idx, idx] = 0.0
+    if np.max(np.abs(msrc[:, idx, idx].T + _slopes_at(spec, grid))) > 1e-12 or np.any(off):
         raise ConfigError("source must equal minus the speed slope (diagonal)")
     t_need = necessity_horizon(spec)
     if T < t_need - 1e-12:
@@ -291,20 +273,25 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
 
     dt = cfl_dt(spec, grid, cfl, T)
     n_steps = int(round(T / dt))
-    dx = grid.dx
-    denom = 0.0
-    z_minus_max = 0.0
+    # the states before each step are buffered and reduced WITNESS_CHUNK at a time
+    buf = np.empty((min(WITNESS_CHUNK, n_steps), n, grid.n_cells))
+    squares, z_minus_max = 0.0, 0.0
+
+    def reduce(rows: int):
+        nonlocal squares, z_minus_max
+        squares += np.vdot(buf[:rows], buf[:rows])
+        z_minus_max = max(z_minus_max, float(np.abs(buf[:rows, :m]).max(initial=0.0)))
 
     def observe(s, z):
-        nonlocal denom, z_minus_max
-        denom += dt * dx * float(np.sum(z ** 2))
-        z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:m]))))
+        buf[s % len(buf)] = z[:, :, 0]
+        if s % len(buf) == len(buf) - 1:
+            reduce(len(buf))
 
     z, _ = _march(_adjoint_marcher(spec, grid, dt), z1.values, n_steps, visit=observe)
-    z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:m]))))
-
-    num = dx * float(np.sum(z1.values ** 2))
-    return NecessityWitness(nu, eta, z1, num / denom, z_minus_max, support_hi)
+    reduce(n_steps % len(buf))
+    z_minus_max = max(z_minus_max, float(np.abs(z[:m]).max()))  # the final state
+    ratio = float(np.sum(z1.values ** 2)) / (dt * float(squares))
+    return NecessityWitness(nu, eta, z1, ratio, z_minus_max, support_hi)
 
 
 @dataclass(frozen=True)

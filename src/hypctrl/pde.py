@@ -250,6 +250,10 @@ class _Marcher:
 
 def _coupling_bc(matrix: np.ndarray):
     mat = np.asarray(matrix, dtype=float)
+    if mat.shape == (1, 1):
+        # the same single product per entry as ``mat @ outflow``, without
+        # matmul's dispatch cost
+        return lambda j, outflow: mat * outflow
 
     def bc(j, outflow):
         return mat @ outflow

@@ -76,33 +76,46 @@ def travel_time(spec: SystemSpec, k: int, interval) -> float:
     return total
 
 
-def characteristic_time(spec: SystemSpec, k: int, x: float) -> float:
-    """Time for the k-th characteristic (positive speed) to travel from 0 to x."""
+def _segment_table(spec: SystemSpec, k: int, caller: str):
+    """Breakpoints, start speeds, slopes, flat mask and cumulative crossing
+    times from x = 0 (summed as in ``travel_time``) of a positive component."""
     if spec.speeds.value(k, 0.0) <= 0:
-        raise ValueError("characteristic_time needs a positive-speed component")
-    return travel_time(spec, k, Interval(0.0, float(x))) if x > 0 else 0.0
-
-
-def characteristic_position(spec: SystemSpec, k: int, t: float) -> float:
-    """Inverse of ``characteristic_time``: position reached after time t."""
-    if spec.speeds.value(k, 0.0) <= 0:
-        raise ValueError("characteristic_position needs a positive-speed component")
-    if t <= 0.0:
-        return 0.0
+        raise ValueError(f"{caller} needs a positive-speed component")
     xs, vs = spec.speeds.segments(k)
-    acc = 0.0
+    cum = [0.0]
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
-        seg = _segment_crossing(v0, v1, x0, x1, x0, x1)
-        if acc + seg >= t:
-            rem = t - acc
-            b = (v1 - v0) / (x1 - x0)
-            if abs(b) < CONSTANT_SLOPE_TOL:
-                return x0 + v0 * rem
-            return x0 + v0 * (math.exp(b * rem) - 1.0) / b
-        acc += seg
-    if t <= acc * (1.0 + 1e-12):
-        return xs[-1]
-    raise ValueError(f"time {t} exceeds the full crossing time {acc}")
+        cum.append(cum[-1] + _segment_crossing(v0, v1, x0, x1, x0, x1))
+    slopes = np.diff(vs) / np.diff(xs)
+    return xs, vs[:-1], slopes, np.abs(slopes) < CONSTANT_SLOPE_TOL, np.array(cum)
+
+
+def characteristic_time(spec: SystemSpec, k: int, x):
+    """Time for the k-th (positive) characteristic from 0 to x, a scalar or an
+    array (0 for x <= 0), by the closed forms of ``_segment_crossing``."""
+    xs, v0, b, flat, cum = _segment_table(spec, k, "characteristic_time")
+    x = np.asarray(x, dtype=float)
+    if np.any(x > 1.0):
+        raise ValueError(f"invalid interval (0.0, {np.max(x)})")
+    i = np.clip(np.searchsorted(xs, x) - 1, 0, b.size - 1)
+    x0, v0, b, d = xs[i], v0[i], b[i], np.maximum(x, 0.0)  # x <= 0: d = x0 = 0
+    lin = np.where(flat[i], 1.0, b)  # a stand-in slope where the log form is unused
+    out = cum[i] + np.where(flat[i], (d - x0) / np.abs(v0 + b * (0.5 * (x0 + d) - x0)),
+                            np.abs(np.log((v0 + lin * (d - x0)) / v0) / lin))
+    return out if out.ndim else float(out)
+
+
+def characteristic_position(spec: SystemSpec, k: int, t):
+    """Inverse of ``characteristic_time``: position reached after time t, a
+    scalar or an array (0 for t <= 0)."""
+    xs, v0, b, flat, cum = _segment_table(spec, k, "characteristic_position")
+    t = np.asarray(t, dtype=float)
+    if np.any(t > cum[-1] * (1.0 + 1e-12)):
+        raise ValueError(f"time {np.max(t)} exceeds the full crossing time {cum[-1]}")
+    i = np.minimum(np.searchsorted(cum[1:], t), b.size - 1)  # first segment ending >= t
+    rem, b = np.maximum(t - cum[i], 0.0), np.where(flat[i], 1.0, b[i])
+    out = np.where(t > cum[-1], xs[-1], xs[i] + v0[i] * np.where(flat[i], rem,
+                                                                  (np.exp(b * rem) - 1.0) / b))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

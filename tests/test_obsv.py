@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hypctrl.model import SourceTerm, SpeedProfile
-from hypctrl.obsv import (_gramian_windows, detect_threshold, kernel_vector,
-                          necessity_sweep, necessity_witness,
+from hypctrl.obsv import (WITNESS_CHUNK, _gramian_windows, detect_threshold,
+                          kernel_vector, necessity_sweep, necessity_witness,
                           observability_gramian, sigma_min_sweep)
 from hypctrl.pde import (Grid, StateField, _adjoint_marcher, _march, cfl_dt,
                          solve_adjoint)
@@ -216,6 +216,28 @@ class TestKernelVector:
             assert np.max(np.abs(r0.T @ eta)) <= 1e-10 * max(1.0, np.max(np.abs(r0)))
 
 
+def multispeed_witness_spec():
+    return make_spec([-2.0, -1.0, 1.0, 3.0], [[1.0, 2.0], [2.0, 4.0]], np.eye(2),
+                     [(0.0, 1.0)])
+
+
+def reference_quadrature(spec, z1, T, grid):
+    """ratio and max |z_-| of the witness by a per-step visit that sums
+    np.sum(z ** 2) step by step."""
+    dt = cfl_dt(spec, grid, 1.0, T)
+    denom, z_minus_max = 0.0, 0.0
+
+    def observe(s, z):
+        nonlocal denom, z_minus_max
+        denom += dt * grid.dx * float(np.sum(z ** 2))
+        z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
+
+    z, _ = _march(_adjoint_marcher(spec, grid, dt), z1, int(round(T / dt)),
+                  visit=observe)
+    z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
+    return grid.dx * float(np.sum(z1 ** 2)) / denom, z_minus_max
+
+
 class TestNecessity:
     def test_ratio_matches_closed_form(self, spec_rank_deficient):
         grid = Grid(0.0, 1.0, 500)
@@ -224,6 +246,26 @@ class TestNecessity:
             assert w.ratio == pytest.approx(nu + 1.0, rel=0.05)
             assert w.z_minus_max <= 1e-12
             assert not w.z1.values[0].any()
+
+    @pytest.mark.parametrize("nu", [1, 2, 4, 8])
+    @pytest.mark.parametrize("case,T,cells", [
+        ("2x2", 2.0, 10),     # 20 steps, fewer than one chunk
+        ("2x2", 2.0, 64),     # 128 steps, whole chunks
+        ("2x2", 2.0, 203),    # 406 steps, a partial last chunk
+        ("multispeed", 3.0, 101),  # 909 steps, a partial last chunk
+    ])
+    def test_chunked_quadrature_matches_per_step_sums(self, spec_rank_deficient,
+                                                      nu, case, T, cells):
+        spec = spec_rank_deficient if case == "2x2" else multispeed_witness_spec()
+        grid = Grid(0.0, 1.0, cells)
+        w = necessity_witness(spec, nu, T, grid)
+        ratio, z_minus_max = reference_quadrature(spec, w.z1.values, T, grid)
+        assert w.ratio == pytest.approx(ratio, rel=1e-13, abs=0.0)
+        # a maximum does not depend on the order of its terms
+        assert w.z_minus_max == z_minus_max
+        n_steps = int(round(T / cfl_dt(spec, grid, 1.0, T)))
+        assert n_steps == 2 * cells if case == "2x2" else 9 * cells
+        assert (n_steps % WITNESS_CHUNK == 0) == (cells == 64)
 
     def test_witness_support(self, spec_rank_deficient):
         grid = Grid(0.0, 1.0, 200)
@@ -262,9 +304,7 @@ class TestNecessity:
         # transports exactly, so the negative components pick up grid-level
         # contamination; it must shrink under refinement while the ratios
         # stay ordered in nu
-        spec = make_spec([-2.0, -1.0, 1.0, 3.0],
-                         [[1.0, 2.0], [2.0, 4.0]], np.eye(2),
-                         [(0.0, 1.0)])
+        spec = multispeed_witness_spec()
         leak = [necessity_witness(spec, 2, 3.0, Grid(0.0, 1.0, n)).z_minus_max
                 for n in (200, 800)]
         assert leak[1] < leak[0]

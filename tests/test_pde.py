@@ -364,6 +364,18 @@ class TestMarchingKernel:
             forcing = rng.standard_normal((n, nx, 1)) if j % 2 else None
             assert np.array_equal(new.step(w, j, forcing), ref.step(w, j, forcing))
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_scalar_coupling_matches_matmul(self, batch):
+        # a 1x1 coupling broadcasts a product instead of calling matmul;
+        # every entry is the same single product, so the values agree
+        # exactly, here on a strided outflow like the step's boundary slice
+        rng = np.random.default_rng(batch)
+        for mat in (np.array([[rng.uniform(-2.0, 2.0)]]), np.array([[0.0]])):
+            outflow = rng.standard_normal((1, 5, batch))[:, 0, :]
+            got = pde._coupling_bc(mat)(0, outflow)
+            assert got.shape == (1, batch)
+            assert np.array_equal(got, mat @ outflow)
+
     def test_march_checks_finiteness_of_batches(self):
         class LosesFiniteness:
             def step(self, w, j, forcing=None):

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from hypctrl.model import ControlDomain, Interval, SpeedProfile
-from hypctrl.times import (boundary_control_time, boundary_time_interior,
-                           boundary_time_left, boundary_time_right,
-                           characteristic_position, characteristic_time,
+from hypctrl.times import (CONSTANT_SLOPE_TOL, boundary_control_time,
+                           boundary_time_interior, boundary_time_left,
+                           boundary_time_right, characteristic_position,
+                           characteristic_time,
                            linear_bound_constant, minimal_control_time,
                            refine_control_region, shrink_region, travel_time)
 from conftest import make_spec
@@ -61,6 +62,112 @@ class TestTravelTime:
         for x in (0.1, 0.45, 0.5, 0.81, 1.0):
             t = characteristic_time(spec, 1, x)
             assert characteristic_position(spec, 1, t) == pytest.approx(x, abs=1e-12)
+
+
+def _reference_crossing(v0, v1, x0, x1, c, d):
+    b = (v1 - v0) / (x1 - x0)
+    if abs(b) < CONSTANT_SLOPE_TOL:
+        return (d - c) / abs(v0 + b * (0.5 * (c + d) - x0))
+    return abs(math.log((v0 + b * (d - x0)) / (v0 + b * (c - x0))) / b)
+
+
+def reference_time(spec, k, x):
+    """characteristic_time as the scalar loop over speed segments."""
+    xs, vs = spec.speeds.segments(k)
+    total = 0.0
+    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+        if x0 < min(x, x1):
+            total += _reference_crossing(v0, v1, x0, x1, x0, min(x, x1))
+    return total
+
+
+def reference_position(spec, k, t):
+    """characteristic_position as the scalar loop over speed segments."""
+    if t <= 0.0:
+        return 0.0
+    xs, vs = spec.speeds.segments(k)
+    acc = 0.0
+    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+        seg = _reference_crossing(v0, v1, x0, x1, x0, x1)
+        if acc + seg >= t:
+            rem, b = t - acc, (v1 - v0) / (x1 - x0)
+            if abs(b) < CONSTANT_SLOPE_TOL:
+                return x0 + v0 * rem
+            return x0 + v0 * (math.exp(b * rem) - 1.0) / b
+        acc += seg
+    if t <= acc * (1.0 + 1e-12):
+        return xs[-1]
+    raise ValueError(f"time {t} exceeds the full crossing time {acc}")
+
+
+ARRAY_PROFILES = {
+    "constant": SpeedProfile.constant([-2.0, -1.0, 1.0, 3.0]),
+    "linear": SpeedProfile.piecewise_linear([0.0, 0.5, 1.0],
+                                            [[-1.0] * 3, [1.0, 2.0, 1.5]]),
+    "flat-segment": SpeedProfile.piecewise_linear(
+        [0.0, 0.3, 0.7, 1.0], [[-2.0, -1.0, -1.5, -2.5], [0.5, 1.0, 1.0, 3.0]]),
+    # slope 5e-15 on (0, 0.4): integrated as constant
+    "tiny-slope": SpeedProfile.piecewise_linear(
+        [0.0, 0.4, 1.0], [[-1.0] * 3, [1.0, 1.0 + 2e-15, 2.0]]),
+}
+
+
+class TestArrayCharacteristics:
+    @pytest.fixture(params=sorted(ARRAY_PROFILES))
+    def spec(self, request):
+        profile = ARRAY_PROFILES[request.param]
+        return make_spec(profile, np.eye(profile.m), np.eye(profile.m), [(0.2, 0.8)])
+
+    def test_tiny_slope_is_below_the_tolerance(self):
+        xs, vs = ARRAY_PROFILES["tiny-slope"].segments(1)
+        assert 0.0 < (vs[1] - vs[0]) / (xs[1] - xs[0]) < CONSTANT_SLOPE_TOL
+
+    def test_time_matches_scalar_loop(self, spec):
+        for k in range(spec.m, spec.n):
+            xs, _ = spec.speeds.segments(k)
+            x = np.concatenate([[0.0, 1e-9], xs, np.linspace(0.0, 1.0, 101),
+                                np.random.default_rng(k).uniform(0.0, 1.0, 200)])
+            ref = np.array([reference_time(spec, k, v) for v in x])
+            np.testing.assert_allclose(characteristic_time(spec, k, x), ref,
+                                       rtol=1e-14, atol=0.0)
+            assert characteristic_time(spec, k, 0.0) == 0.0
+
+    def test_position_matches_scalar_loop(self, spec):
+        for k in range(spec.m, spec.n):
+            xs, _ = spec.speeds.segments(k)
+            full = reference_time(spec, k, 1.0)
+            crossings = [reference_time(spec, k, v) for v in xs]
+            t = np.concatenate([[0.0, 1e-9], crossings, np.linspace(0.0, full, 101),
+                                np.random.default_rng(k).uniform(0.0, full, 200)])
+            ref = np.array([reference_position(spec, k, v) for v in t])
+            # x0 + v0 (exp(b r) - 1) / b loses relative digits as r -> 0:
+            # one ulp of exp(b r) ~ 1 is 2.2e-16 absolute, hence the floor
+            np.testing.assert_allclose(characteristic_position(spec, k, t), ref,
+                                       rtol=1e-14, atol=1e-15)
+            assert characteristic_position(spec, k, 0.0) == 0.0
+            assert characteristic_position(spec, k, full) == pytest.approx(1.0, rel=1e-14)
+            assert characteristic_position(spec, k, full * (1.0 + 5e-13)) == 1.0
+
+    def test_errors_kept(self, spec):
+        k = spec.n - 1
+        full = reference_time(spec, k, 1.0)
+        with pytest.raises(ValueError, match="exceeds the full crossing time"):
+            characteristic_position(spec, k, full * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match="exceeds the full crossing time"):
+            characteristic_position(spec, k, np.array([0.1, full * 1.1]))
+        with pytest.raises(ValueError, match="positive-speed"):
+            characteristic_time(spec, 0, 0.5)
+        with pytest.raises(ValueError, match="positive-speed"):
+            characteristic_position(spec, 0, np.array([0.5]))
+        with pytest.raises(ValueError):
+            characteristic_time(spec, k, np.array([0.5, 1.5]))
+
+    def test_scalar_in_float_out(self, spec):
+        k = spec.n - 1
+        assert type(characteristic_time(spec, k, 0.3)) is float
+        assert type(characteristic_position(spec, k, 0.3)) is float
+        assert characteristic_time(spec, k, np.full((2, 3), 0.3)).shape == (2, 3)
+        assert characteristic_position(spec, k, np.zeros(4)).shape == (4,)
 
 
 class TestBoundaryTimes:
