@@ -19,8 +19,8 @@ from .times import (BoundaryTimeResult, MinimalTimeResult, RefinedRegion,
                     TimeTerm, boundary_control_time, boundary_time_interior,
                     boundary_time_left, boundary_time_right,
                     characteristic_position, characteristic_time,
-                    couplings_invertible, linear_bound_constant,
-                    minimal_control_time, refine_control_region, travel_time)
+                    linear_bound_constant, minimal_control_time,
+                    refine_control_region, travel_time)
 
 __version__ = "0.1.0"
 
@@ -35,11 +35,11 @@ __all__ = [
     "ValidationReport", "assemble_internal_control", "boundary_control_time",
     "boundary_time_interior", "boundary_time_left", "boundary_time_right",
     "canonical_form", "cfl_dt", "characteristic_position",
-    "characteristic_time", "characteristics_oracle", "couplings_invertible",
-    "detect_threshold", "hum_boundary_control", "kernel_vector",
-    "linear_bound_constant", "minimal_control_time", "necessity_sweep",
-    "necessity_witness", "observability_gramian", "refine_control_region",
-    "reversed_coupling", "sample_state", "sigma_min_sweep", "solve_adjoint",
-    "solve_backward", "solve_boundary_forward", "solve_forward",
-    "state_function", "synthesize_full_domain", "travel_time", "validate",
+    "characteristic_time", "characteristics_oracle", "detect_threshold",
+    "hum_boundary_control", "kernel_vector", "linear_bound_constant",
+    "minimal_control_time", "necessity_sweep", "necessity_witness",
+    "observability_gramian", "refine_control_region", "reversed_coupling",
+    "sample_state", "sigma_min_sweep", "solve_adjoint", "solve_backward",
+    "solve_boundary_forward", "solve_forward", "state_function",
+    "synthesize_full_domain", "travel_time", "validate",
 ]

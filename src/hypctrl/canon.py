@@ -15,6 +15,11 @@ row operations onto later rows (recorded in L) clear the rest of the column.
 Unit-upper-triangular column operations can only push mass rightward, which
 is why the leftmost-nonzero pivot choice is forced and the sweep lands on
 the canonical form with strictly increasing pivot rows.
+
+Each spec decides the rank of its couplings once, under PIVOT_RTOL: Q0's on
+Q0, Q1's on its backwards relabeling (``model.CouplingSpec``); every command
+reads that decision.  ``canon --which Q1`` prints Q1's own form, whose rank
+can differ at the tolerance edge.
 """
 
 from __future__ import annotations

@@ -26,8 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+
+from .canon import CanonicalDecomposition, canonical_form, reversed_coupling
 
 # Speeds equal at one breakpoint must be equal at all of them; this is the
 # tolerance of that structural comparison (profiles are exact user data).
@@ -238,7 +241,8 @@ class SourceTerm:
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Boundary coupling matrices: Q0 (p x m) at x=0 and Q1 (m x p) at x=1."""
+    """Boundary coupling matrices: Q0 (p x m) at x=0 and Q1 (m x p) at x=1,
+    with the rank decision of each made once, on first use (see ``canon``)."""
 
     q0: np.ndarray
     q1: np.ndarray
@@ -246,6 +250,21 @@ class CouplingSpec:
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_2d(_readonly(self.q0)))
         object.__setattr__(self, "q1", np.atleast_2d(_readonly(self.q1)))
+
+    @cached_property
+    def q0_form(self) -> CanonicalDecomposition:
+        return canonical_form(self.q0)
+
+    @cached_property
+    def q1_form(self) -> CanonicalDecomposition:
+        return canonical_form(reversed_coupling(self.q1))
+
+    @property
+    def invertible(self) -> bool:
+        """Both matrices square, of transposed shapes and of full rank."""
+        k = self.q0.shape[0]
+        return (self.q0.shape == (k, k) == self.q1.shape
+                and self.q0_form.rank == k == self.q1_form.rank)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ diagnostic (``detect_threshold`` reports the missing contrast as None).
 When a coupling matrix is rank deficient no observability constant can
 exist.  ``necessity_witness`` builds the explicit family certifying this:
 a unit vector in the kernel of the transposed x=0 reflection of the adjoint
-system feeds final data whose positive components ride a profile
-f(s) = ((Tn - s)/Tn)^nu; the ratio |z1|^2 / integral |z|^2 then grows like
-nu + 1 without bound.
+system, read off the canonical form of Q0, feeds final data whose positive
+components ride a profile f(s) = ((Tn - s)/Tn)^nu; the ratio
+|z1|^2 / integral |z|^2 then grows like nu + 1 without bound.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, Interval,
                     RankError, SpeedProfile, SystemSpec)
 from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
-                  _slopes_at, adjoint_reflection, cfl_dt)
+                  _slopes_at, cfl_dt)
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
@@ -189,20 +189,15 @@ def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | No
 
 
 def kernel_vector(q0, speeds: SpeedProfile) -> np.ndarray | None:
-    """Unit vector annihilated by the transposed x=0 reflection of the
-    adjoint system, or None when that reflection has full rank.
-
-    With L R U = canonical, column c of U spans a kernel direction of R
-    whenever c holds no pivot; the first such column is taken.  The rank is
-    decided by ``canonical_form`` with ``canon.PIVOT_RTOL``, the tolerance
-    of the Q0 rank check in ``necessity_witness``.
-    """
-    q0 = np.atleast_2d(np.asarray(q0, dtype=float))
-    dec = canonical_form(adjoint_reflection(speeds, q0, 0.0).T)
-    free = sorted(set(range(dec.upper.shape[1])) - {c for _, c in dec.pivots})
+    """Unit vector annihilated by R0^T = -Lambda_-(0)^-1 Q0^T Lambda_+(0),
+    the transposed x=0 reflection of the adjoint system, or None when Q0 has
+    full row rank: with L Q0 U canonical, L[r] Q0 = 0 for the first row r
+    without a pivot, and the vector is L[r] / lambda_+(0), normalized."""
+    dec = canonical_form(q0)
+    free = sorted(set(range(dec.lower.shape[0])) - {r for r, _ in dec.pivots})
     if not free:
         return None
-    x = dec.upper[:, free[0]].astype(float)
+    x = dec.lower[free[0]].astype(float) / speeds.table[speeds.m:, 0]
     return x / np.linalg.norm(x)
 
 
@@ -256,8 +251,9 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
-    m, p, n = spec.m, spec.p, spec.n
-    if canonical_form(spec.couplings.q0).rank >= p:
+    m, n = spec.m, spec.n
+    eta = kernel_vector(spec.couplings.q0, spec.speeds)
+    if eta is None:
         raise RankError("Q0 has full row rank: no kernel datum exists")
     msrc, idx = spec.source.at_points(grid.centers), np.arange(n)
     off = msrc.copy()
@@ -268,7 +264,6 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     if T < t_need - 1e-12:
         raise BelowThresholdError(f"horizon {T} below the required {t_need}")
 
-    eta = kernel_vector(spec.couplings.q0, spec.speeds)
     z1, support_hi = _witness_final_datum(spec, nu, grid, eta)
 
     dt = cfl_dt(spec, grid, cfl, T)

@@ -359,14 +359,11 @@ def solve_backward(spec: SystemSpec, y1: StateField, T: float,
     """
     grid = y1.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
-    try:
-        q0inv = np.linalg.inv(spec.couplings.q0)
-        q1inv = np.linalg.inv(spec.couplings.q1)
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"singular coupling matrix: {exc}") from exc
+    if not spec.couplings.invertible:
+        raise RankError("singular coupling matrix: Q0 and Q1 must be invertible")
     marcher = _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
-                       bc_lo=_coupling_bc(q0inv),
-                       bc_hi=_coupling_bc(q1inv),
+                       bc_lo=_coupling_bc(np.linalg.inv(spec.couplings.q0)),
+                       bc_hi=_coupling_bc(np.linalg.inv(spec.couplings.q1)),
                        source=-spec.source.at_points(grid.centers))
     return _evolve(marcher, y1, n_steps, dt, 0.0, reverse=True)
 

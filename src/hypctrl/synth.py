@@ -216,19 +216,18 @@ class HumResult:
 
 def hum_boundary_control(spec: SystemSpec, interval: Interval,
                          y0_vals: np.ndarray, y1_vals: np.ndarray,
-                         grid: Grid, T: float, cfl: float = 0.9,
-                         regularization: float = HUM_REGULARIZATION) -> HumResult:
+                         grid: Grid, T: float, cfl: float = 0.9) -> HumResult:
     """Boundary control steering y0 to y1 on one complement component.
 
-    Minimizes |A U + b - y1|^2_L2 + regularization |U|^2_L2 over control
-    series U, where A is the input-to-final-state map of the subinterval
-    solver with zero initial data and b the free evolution of y0.  Because
-    the step operator does not depend on time, the columns of A are time
-    shifts of one impulse response per control channel, and one batched
+    Minimizes |A U + b - y1|^2_L2 + alpha |U|^2_L2 over control series U,
+    alpha = ``HUM_REGULARIZATION``, A the input-to-final-state map of the
+    subinterval solver with zero initial data, b the free evolution of y0.
+    Because the step operator does not depend on time, the columns of A are
+    time shifts of one impulse response per control channel, and one batched
     march carries all of them beside the free evolution.  The normal system
     is solved on the state side, of size n N_i instead of channels n_steps:
-    U = A^T x with (dx A A^T + regularization dt I) x = dx (y1 - b), which
-    is the same minimizer by the push-through identity.
+    U = A^T x with (dx A A^T + alpha dt I) x = dx (y1 - b), which is the
+    same minimizer by the push-through identity.
 
     Exact steering needs a horizon above the component's boundary-control
     time (with some margin); below it the residual stays bounded away from
@@ -270,7 +269,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
 
     dx = grid.dx
     gram = dx * (a_t.T @ a_t)
-    gram[np.diag_indices_from(gram)] += regularization * dt
+    gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * dt
     vec = a_t @ _solve_normal_equations(gram, dx * target)
 
     u = vec.reshape(n_ch, n_steps).T
@@ -319,8 +318,7 @@ def _shrunk_core(spec: SystemSpec, bound: float) -> ControlDomain:
 
 
 def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
-                              grid: Grid, epsilon: float | None = None,
-                              cfl: float = 0.9) -> SynthesisReport:
+                              grid: Grid, cfl: float = 0.9) -> SynthesisReport:
     """Steer y0 to y1 with a control supported in omega, for any horizon
     above the minimal control time (two-step margin).
 
@@ -328,10 +326,9 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     complement components are all controllable within T, steer each
     component by boundary least squares (y_out), steer the whole domain by
     the forward/backward blend (y_in), and glue with the space cut-off.
-    ``epsilon`` optionally caps the extra control time granted to the
-    components; by default almost the whole margin above the minimal time
-    is spent on them, keeping the shrink margins (and hence the cut-off
-    transition zones) as wide as possible.  Delegates to
+    Almost the whole margin above the minimal time is granted to the
+    components as extra control time, keeping the shrink margins (and hence
+    the cut-off transition zones) as wide as possible.  Delegates to
     ``synthesize_full_domain`` when the closure of omega covers [0, 1].
     """
     base = minimal_control_time(spec)
@@ -349,8 +346,6 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     # leave a horizon margin for the component steering, spend the rest
     margin = max(4.0 * dt_global, 0.05 * (T - tau_max))
     slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
-    if epsilon is not None:
-        slack = min(slack, epsilon)
     refined_region = _shrunk_core(spec, tau_max + slack)
     cutoff = SpaceCutoff.between(refined_region, spec.omega)
 

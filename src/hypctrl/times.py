@@ -3,7 +3,7 @@
 ``travel_time`` integrates 1/|lambda_k| analytically over an interval (the
 crossing time of the k-th characteristic).  The three boundary-control time
 formulas combine travel times with the canonical pivots of the coupling
-matrices:
+matrices, read from the forms ``model.CouplingSpec`` holds (see ``canon``):
 
 * interval (0, a), control on the right end:  finite iff rank Q0 = p, value
   max_j { T_{m+j} + T_{c_j}, T_m } with c_j the pivot columns of Q0;
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import canonical_form, reversed_coupling
 from .model import (ConfigError, ControlDomain, Interval, PositionTag, RankError,
                     SystemSpec)
 
@@ -114,7 +113,7 @@ def characteristic_position(spec: SystemSpec, k: int, t):
     i = np.minimum(np.searchsorted(cum[1:], t), b.size - 1)  # first segment ending >= t
     rem, b = np.maximum(t - cum[i], 0.0), np.where(flat[i], 1.0, b[i])
     out = np.where(t > cum[-1], xs[-1], xs[i] + v0[i] * np.where(flat[i], rem,
-                                                                  (np.exp(b * rem) - 1.0) / b))
+                                                                  np.expm1(b * rem) / b))
     return out if out.ndim else float(out)
 
 
@@ -162,8 +161,7 @@ def boundary_time_left(spec: SystemSpec, interval) -> BoundaryTimeResult:
     iv = _as_interval(interval)
     if iv.lo != 0.0:
         raise ValueError("interval must touch the left boundary")
-    m, p = spec.m, spec.p
-    dec = canonical_form(spec.couplings.q0)
+    m, p, dec = spec.m, spec.p, spec.couplings.q0_form
     if dec.rank < p:
         return BoundaryTimeResult(CASE_LEFT, None,
                                   reason=f"rank Q0 = {dec.rank} < p = {p}")
@@ -179,8 +177,7 @@ def boundary_time_right(spec: SystemSpec, interval) -> BoundaryTimeResult:
     iv = _as_interval(interval)
     if iv.hi != 1.0:
         raise ValueError("interval must touch the right boundary")
-    n, m = spec.n, spec.m
-    dec = canonical_form(reversed_coupling(spec.couplings.q1))
+    n, m, dec = spec.n, spec.m, spec.couplings.q1_form
     if dec.rank < m:
         return BoundaryTimeResult(CASE_RIGHT, None,
                                   reason=f"rank Q1 = {dec.rank} < m = {m}")
@@ -232,17 +229,9 @@ class MinimalTimeResult:
         return self.value is not None
 
 
-def couplings_invertible(spec: SystemSpec) -> bool:
-    """Both coupling matrices square and of full rank (forces m = p)."""
-    m, p = spec.m, spec.p
-    q0, q1 = spec.couplings.q0, spec.couplings.q1
-    return (m == p and q0.shape == (p, m) and q1.shape == (m, p)
-            and canonical_form(q0).rank == p and canonical_form(q1).rank == m)
-
-
 def minimal_control_time(spec: SystemSpec) -> MinimalTimeResult:
     """Exact minimal time for internal exact controllability."""
-    if not couplings_invertible(spec):
+    if not spec.couplings.invertible:
         return MinimalTimeResult(None, reason="coupling matrices must be invertible")
     comps = spec.omega.complement_components()
     if not comps:

@@ -13,6 +13,15 @@ def make_spec(speeds, q0, q1, omega, source=None):
                       ControlDomain(tuple(omega)))
 
 
+def near_singular(rng, k, rel=1e-12):
+    """A k x k matrix of rank k - 1 plus a perturbation of about ``rel``
+    relative to its largest entry: its rank sits at the ``PIVOT_RTOL`` edge,
+    where Q and its backwards relabeling may factor to different ranks."""
+    q = rng.uniform(-1.0, 1.0, (k, k))
+    q[-1] = rng.uniform(-1.0, 1.0, k - 1) @ q[:-1]
+    return q + rel * np.abs(q).max() * rng.uniform(-1.0, 1.0, (k, k))
+
+
 @pytest.fixture
 def spec_2x2():
     """Symmetric unit speeds, identity couplings, omega = (0.25, 0.75)."""

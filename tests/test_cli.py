@@ -46,6 +46,21 @@ def config_variant(tmp_path, name, **overrides):
 BIG_SOURCE = {"M": [[1e100, 0.0], [0.0, 1e100]], "grid": {"cells": 32, "cfl": 0.9}}
 GRAMIAN = ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "3"]
 
+# couplings whose rank sits at the PIVOT_RTOL edge: this Q1 factors with
+# rank 3 but its backwards relabeling with rank 2, and this Q0 factors with
+# rank 2; the other coupling is the identity
+SIX = {"n": 6, "m": 3,
+       "speeds": [{"type": "constant", "value": v}
+                  for v in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)],
+       "M": [[0.0] * 6 for _ in range(6)], "omega": [[0.2, 0.5]],
+       "grid": {"cells": 64}, "Q0": np.eye(3).tolist(), "Q1": np.eye(3).tolist()}
+EDGE_Q1 = [[0.5988462126346276, 0.03972210748165899, -0.2924567509650886],
+           [-0.7819084623568421, -0.2571922406188707, 0.008142180518343508],
+           [-0.14653393984055052, 0.37814646189991136, 0.7775170830871272]]
+EDGE_Q0 = [[0.18905338179353307, -0.5227484414807474, -0.41306354339189344],
+           [-2.4414673826398556, 1.799707382720902, 1.1441658720372287],
+           [-2.4914011263956173, 2.0488453834949376, 1.347263338418283]]
+
 
 def control_csv(n_steps, dt, drop=0):
     """A zero control CSV on the grid of EXAMPLE1, less its last ``drop`` rows."""
@@ -177,6 +192,13 @@ class TestSubcommands:
         ratios = {int(nu): float(r) for nu, r in rows}
         assert ratios[1] == pytest.approx(2.0, rel=0.05)
         assert ratios[2] == pytest.approx(3.0, rel=0.05)
+
+    def test_necessity_at_the_rank_edge(self, tmp_path):
+        path = config_variant(tmp_path, "edge.json", **{**SIX, "Q0": EDGE_Q0})
+        code, text = capture(["necessity", "--config", path, "--nu-list", "1,2,4"])
+        assert code == 0
+        ratios = [float(line.split(",")[1]) for line in text.splitlines()[1:4]]
+        assert all(np.isfinite(ratios)) and ratios == sorted(set(ratios))
 
     def test_simulate_roundtrip(self, config_path, tmp_path):
         out_csv = tmp_path / "state.csv"
@@ -345,7 +367,10 @@ class TestFlagValidation:
         ({"Q0": [[0.0]]}, ["mintime"], 3, "T_inf = inf\n"),
         ({"Q0": [[0.0]]}, ["omegahat", "--eps", "0.1"], 3, ""),
         ({"omega": [[0.75, 0.25]]}, ["mintime"], 2, ""),
-    ], ids=["mintime-rank", "omegahat-rank", "config"])
+        ({**SIX, "Q1": EDGE_Q1}, ["mintime"], 3, "T_inf = inf\n"),
+        ({**SIX, "Q1": EDGE_Q1}, ["omegahat", "--eps", "0.1"], 3, ""),
+    ], ids=["mintime-rank", "omegahat-rank", "config", "mintime-rank-edge",
+            "omegahat-rank-edge"])
     def test_run_maps_errors_to_codes(self, tmp_path, capsys, overrides, command,
                                       code, stdout):
         # callers that bypass main, such as the benchmark, rely on run itself

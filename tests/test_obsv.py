@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from hypctrl.canon import canonical_form
 from hypctrl.model import SourceTerm, SpeedProfile
 from hypctrl.obsv import (WITNESS_CHUNK, _gramian_windows, detect_threshold,
                           kernel_vector, necessity_sweep, necessity_witness,
                           observability_gramian, sigma_min_sweep)
 from hypctrl.pde import (Grid, StateField, _adjoint_marcher, _march, cfl_dt,
                          solve_adjoint)
-from conftest import make_spec
+from conftest import make_spec, near_singular
 
 
 @pytest.fixture
@@ -214,6 +215,18 @@ class TestKernelVector:
             assert abs(np.linalg.norm(eta) - 1.0) <= 1e-14
             r0 = -np.diag(lam[m:]) @ q0 @ np.diag(1.0 / lam[:m])
             assert np.max(np.abs(r0.T @ eta)) <= 1e-10 * max(1.0, np.max(np.abs(r0)))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_none_exactly_when_q0_factors_to_full_rank(self, p):
+        # the witness reads the rank of Q0 from the factorization of Q0
+        # itself, also at the PIVOT_RTOL edge
+        rng = np.random.default_rng(40 + p)
+        speeds = SpeedProfile.constant(np.concatenate([-np.arange(p, 0, -1.0),
+                                                       np.arange(1.0, p + 1)]))
+        for _ in range(100):
+            q0 = near_singular(rng, p)
+            eta = kernel_vector(q0, speeds)
+            assert (eta is None) == (canonical_form(q0).rank == p)
 
 
 def multispeed_witness_spec():

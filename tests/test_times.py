@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import hypctrl.canon
 from hypctrl.model import ControlDomain, Interval, SpeedProfile
 from hypctrl.times import (CONSTANT_SLOPE_TOL, boundary_control_time,
                            boundary_time_interior, boundary_time_left,
@@ -11,7 +13,7 @@ from hypctrl.times import (CONSTANT_SLOPE_TOL, boundary_control_time,
                            characteristic_time,
                            linear_bound_constant, minimal_control_time,
                            refine_control_region, shrink_region, travel_time)
-from conftest import make_spec
+from conftest import make_spec, near_singular
 
 
 def random_omega(rng, max_pieces=3, min_gap=0.02):
@@ -162,6 +164,20 @@ class TestArrayCharacteristics:
         with pytest.raises(ValueError):
             characteristic_time(spec, k, np.array([0.5, 1.5]))
 
+    def test_position_keeps_its_digits_near_a_sloped_start(self):
+        # the speed is 0.5 + b x on the first segment of "flat-segment", so x
+        # is reached at t = log1p(b x / 0.5) / b; (exp(b t) - 1) / b gave x
+        # back with up to 1.2e-13 relative error near x = 3e-4.  The times
+        # come from log1p: characteristic_time's log(v(x) / v0) is itself
+        # off by up to 1.1e-13 there
+        spec = make_spec(ARRAY_PROFILES["flat-segment"], np.eye(1), np.eye(1),
+                         [(0.2, 0.8)])
+        b = (1.0 - 0.5) / 0.3
+        x = np.linspace(2.9e-4, 3.1e-4, 201)
+        t = np.log1p(b * x / 0.5) / b
+        np.testing.assert_allclose(characteristic_position(spec, 1, t), x,
+                                   rtol=1e-14, atol=0.0)
+
     def test_scalar_in_float_out(self, spec):
         k = spec.n - 1
         assert type(characteristic_time(spec, k, 0.3)) is float
@@ -259,6 +275,36 @@ class TestMinimalControlTime:
         res = minimal_control_time(spec)
         assert not res.finite
         assert "invertible" in res.reason
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_near_singular_couplings_never_raise(self, k):
+        # the invertibility test and the right-end formula read one rank of
+        # Q1; a finite minimal time has a finite value on every component
+        rng = np.random.default_rng(30 + k)
+        speeds = np.concatenate([-np.arange(k, 0, -1.0), np.arange(1.0, k + 1)])
+        for _ in range(100):
+            q = near_singular(rng, k)
+            for q0, q1 in ((q, np.eye(k)), (np.eye(k), q)):
+                res = minimal_control_time(make_spec(speeds, q0, q1, [(0.2, 0.5)]))
+                if res.finite:
+                    assert all(r.finite and math.isfinite(r.value)
+                               for _, r in res.per_component)
+
+    def test_couplings_factored_once_per_spec(self, monkeypatch, spec_4x4):
+        # every binding of canonical_form in hypctrl counts; the halvings of
+        # shrink_region read the spec's two forms instead of factoring again
+        original, calls = hypctrl.canon.canonical_form, []
+
+        def counted(q):
+            calls.append(q)
+            return original(q)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hypctrl") and getattr(module, "canonical_form", None) is original:
+                monkeypatch.setattr(module, "canonical_form", counted)
+        minimal_control_time(spec_4x4)
+        refine_control_region(spec_4x4, 0.05)
+        assert len(calls) <= 2
 
     def test_rectangular_couplings_flagged_infinite(self):
         spec = make_spec([-2.0, -1.0, 1.0], np.ones((1, 2)), np.ones((2, 1)),
