@@ -79,9 +79,10 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
     if nstate > GRAMIAN_STATE_LIMIT:
         raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
                          f"({GRAMIAN_STATE_LIMIT})")
-    step, _ = _march(_adjoint_marcher(spec, grid, dt),
-                     np.eye(nstate).reshape(n, nx, nstate), 1)
-    rows, vals = _column_sparse(step.reshape(nstate, nstate))
+    # reshaping the padded interior copies it; the padded buffers are freed here
+    step = _march(_adjoint_marcher(spec, grid, dt),
+                  np.eye(nstate).reshape(n, nx, nstate), 1)[0].reshape(nstate, nstate)
+    rows, vals = _column_sparse(step)
     del step  # dense A is not kept beside the three buffers below
 
     diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), n)) * (nstate + 1)

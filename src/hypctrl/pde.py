@@ -3,9 +3,12 @@
 Everything runs on a uniform cell grid with a first-order explicit upwind
 scheme: components with positive speed difference to the left, components
 with negative speed to the right, and the zero-order term and control enter
-explicitly per step.  Inflow ghost values come either from the boundary
-couplings applied to the upwind-side cell value of the outgoing components
-(first-order consistent trace) or from prescribed control series.
+explicitly per step.  A march steps between two ghost-padded states and
+allocates nothing per step: the inflow ghosts are written in place, either
+from the boundary couplings applied to the upwind-side cell value of the
+outgoing components (first-order consistent trace) or from prescribed
+control series, and one difference of neighbouring cells and one product
+with a Courant table then step both sign families.
 
 Four solvers are thin wrappers around one stepping loop, ``_march``:
 
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Interval, PositionTag, RankError, SpeedProfile, SystemSpec
+from .model import ConfigError, Interval, PositionTag, RankError, SpeedProfile, SystemSpec
 
 NAN_CHECK_EVERY = 64
 TRAJECTORY_BYTES_LIMIT = 1 << 30
@@ -184,15 +187,39 @@ def _slopes_at(spec: SystemSpec, grid: Grid) -> np.ndarray:
                      for k in range(spec.n)])
 
 
-class _Marcher:
-    """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f.
+class _Padded:
+    """A marching state as an (n, N+2, B) buffer with the cells in columns
+    1..N and pad cells at both ends, and the views of it a step uses.  The
+    two states of a march share the difference and gain scratch."""
 
-    States are (n, N, B) batches.  Boundary conditions are callables mapping
-    (step index j, outgoing trace (n_out, B)) to inflow ghost values
-    (n_in, B): at the left end the inflow components are those with positive
-    sigma, at the right end those with negative sigma.  Each sign family
-    must be one contiguous block (true of validated speeds and their
-    negations), so a step slices instead of gathering and copying.
+    def __init__(self, shape, pos: slice, neg: slice, diff, gain):
+        buf = np.zeros((shape[0], shape[1] + 2, shape[2]))
+        self.inner = buf[:, 1:-1]
+        self.inner_pos, self.inner_neg = self.inner[pos], self.inner[neg]
+        self.upper, self.lower = buf[:, 1:], buf[:, :-1]
+        # inflow ghosts are written before each step that reads the state;
+        # the pad cells past the outflow ends are never written and stay 0
+        self.ghost_lo, self.out_lo = buf[pos, 0], buf[neg, 1]
+        self.ghost_hi, self.out_hi = buf[neg, -1], buf[pos, -2]
+        # slot k of diff is cell k minus cell k-1 (a pad cell at either end):
+        # the positive family reads slots 0..N-1, the negative family 1..N
+        self.diff, self.diff_pos, self.diff_neg = diff, diff[pos, :-1], diff[neg, 1:]
+        self.gain = gain
+
+
+class _Marcher:
+    """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f,
+    from one ``_Padded`` state to the other.
+
+    Boundary conditions are callables ``bc(j, outflow, out)`` writing the
+    inflow ghosts (n_in, B) of step j into ``out`` from the outgoing trace
+    (n_out, B): positive-sigma components flow in at the left end, negative
+    ones at the right.  Each sign family is one contiguous block (true of
+    validated speeds and their negations), so views are basic slices.  One
+    difference of neighbouring cells serves both families, scaled by a
+    Courant table holding the positive family's numbers in slots 0..N-1
+    and the negative family's in 1..N: the positive family steps as
+    w - c (w - upwind), the negative family as w - c (downwind - w).
     """
 
     def __init__(self, sigma: np.ndarray, dt: float, dx: float,
@@ -210,42 +237,41 @@ class _Marcher:
         cour = sigma * (dt / dx)
         if np.max(np.abs(cour)) > 1.0 + 1e-12:
             raise ValueError(f"CFL violated: max Courant number {np.max(np.abs(cour)):.3f}")
-        self.cp = cour[self.pos][:, :, None]
-        self.cn = cour[self.neg][:, :, None]
-        self.bc_lo = bc_lo
-        self.bc_hi = bc_hi
-        self.dt = dt
+        self.courant = np.zeros((n, nx + 1, 1))
+        self.courant[self.pos, :-1, 0] = cour[self.pos]
+        self.courant[self.neg, 1:, 0] = cour[self.neg]
+        self.bc_lo, self.bc_hi, self.dt = bc_lo, bc_hi, dt
         # source enters as  w += dt * S w  with S sampled per cell, kept as
         # S[i, j, x] so the cell axis runs alongside the state's
         self.source = (None if source is None or not np.any(source)
                        else np.transpose(source, (1, 2, 0)).copy())
 
-    def step(self, w: np.ndarray, j: int, forcing: np.ndarray | None = None) -> np.ndarray:
-        ghost_lo = self.bc_lo(j, w[self.neg, 0, :])
-        ghost_hi = self.bc_hi(j, w[self.pos, -1, :])
-        out = np.empty_like(w)
+    def states(self, w: np.ndarray, forcing: bool) -> tuple[_Padded, _Padded]:
+        """The two padded states of a march of the (n, N, B) batch ``w``,
+        the first holding ``w``; ``forcing`` says whether steps get one."""
+        n, nx, batch = w.shape
+        diff = np.empty((n, nx + 1, batch))
+        gain = np.empty(w.shape) if forcing or self.source is not None else None
+        cur, nxt = (_Padded(w.shape, self.pos, self.neg, diff, gain) for _ in range(2))
+        cur.inner[...] = w
+        return cur, nxt
 
-        # positive family:  w - c (w - upwind), the upwind cell on the left
-        wp, op = w[self.pos], out[self.pos]
-        np.subtract(wp[:, 1:], wp[:, :-1], out=op[:, 1:])
-        np.subtract(wp[:, 0], ghost_lo, out=op[:, 0])
-        op *= self.cp
-        np.subtract(wp, op, out=op)
-
-        # negative family:  w - c (downwind - w), the upwind cell on the right
-        wn, on = w[self.neg], out[self.neg]
-        np.subtract(wn[:, 1:], wn[:, :-1], out=on[:, :-1])
-        np.subtract(ghost_hi, wn[:, -1], out=on[:, -1])
-        on *= self.cn
-        np.subtract(wn, on, out=on)
-
+    def step(self, src: _Padded, dst: _Padded, j: int,
+             forcing: np.ndarray | None = None):
+        """Write the state after step j from ``src`` into ``dst``."""
+        self.bc_lo(j, src.out_lo, src.ghost_lo)
+        self.bc_hi(j, src.out_hi, src.ghost_hi)
+        np.subtract(src.upper, src.lower, out=src.diff)
+        np.multiply(src.diff, self.courant, out=src.diff)
+        np.subtract(src.inner_pos, src.diff_pos, out=dst.inner_pos)
+        np.subtract(src.inner_neg, src.diff_neg, out=dst.inner_neg)
         if self.source is not None:
-            gain = np.einsum("ijx,jxb->ixb", self.source, w)
-            gain *= self.dt
-            out += gain
+            np.einsum("ijx,jxb->ixb", self.source, src.inner, out=src.gain)
+            np.multiply(src.gain, self.dt, out=src.gain)
+            np.add(dst.inner, src.gain, out=dst.inner)
         if forcing is not None:
-            out += self.dt * forcing
-        return out
+            np.multiply(forcing, self.dt, out=src.gain)
+            np.add(dst.inner, src.gain, out=dst.inner)
 
 
 def _coupling_bc(matrix: np.ndarray):
@@ -253,22 +279,15 @@ def _coupling_bc(matrix: np.ndarray):
     if mat.shape == (1, 1):
         # the same single product per entry as ``mat @ outflow``, without
         # matmul's dispatch cost
-        return lambda j, outflow: mat * outflow
-
-    def bc(j, outflow):
-        return mat @ outflow
-    return bc
+        return lambda j, outflow, out: np.multiply(mat, outflow, out=out)
+    return lambda j, outflow, out: np.matmul(mat, outflow, out=out)
 
 
 def _dirichlet_bc(series: np.ndarray):
     """Ghost values from an (n_steps, n_in) or (n_steps, n_in, B) series."""
     ser = np.asarray(series, dtype=float)
-    if ser.ndim == 2:
-        ser = ser[:, :, None]
-
-    def bc(j, outflow):
-        return ser[j]
-    return bc
+    ser = ser[:, :, None] if ser.ndim == 2 else ser
+    return lambda j, outflow, out: np.copyto(out, ser[j])
 
 
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
@@ -278,6 +297,8 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
     sees the state before step j.  ``keep="trajectory"`` also stores column
     0 of every state as (n_steps+1, n, N), last state first if ``reverse``;
     ``keep="final"`` stores nothing and returns None for it.
+    Steps swap the two states of ``marcher.states`` and allocate nothing;
+    ``visit`` and the result see a padded buffer's (n, N, B) interior.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
     traj = None
@@ -288,15 +309,17 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
                              f"above the limit of {TRAJECTORY_BYTES_LIMIT}")
         traj = np.empty((n_steps + 1,) + w.shape[:2])
         traj[n_steps if reverse else 0] = w[:, :, 0]
+    cur, nxt = marcher.states(w, forcing is not None)
     for j in range(n_steps):
         if visit is not None:
-            visit(j, w)
-        w = marcher.step(w, j, None if forcing is None else forcing[j][:, :, None])
-        if (j % NAN_CHECK_EVERY == 0 or j + 1 == n_steps) and not np.isfinite(w).all():
+            visit(j, cur.inner)
+        marcher.step(cur, nxt, j, None if forcing is None else forcing[j][:, :, None])
+        cur, nxt = nxt, cur
+        if (j % NAN_CHECK_EVERY == 0 or j + 1 == n_steps) and not np.isfinite(cur.inner).all():
             raise RuntimeError(f"solution lost finiteness at step {j + 1}")
         if traj is not None:
-            traj[n_steps - 1 - j if reverse else j + 1] = w[:, :, 0]
-    return w, traj
+            traj[n_steps - 1 - j if reverse else j + 1] = cur.inner[:, :, 0]
+    return cur.inner, traj
 
 
 def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
@@ -314,7 +337,8 @@ def _resolve_steps(spec, grid, T, cfl, control: ControlField | None):
             raise ValueError("control grid does not match the state grid")
         dt, n_steps = control.dt, control.n_steps
         if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-            raise ValueError("control series does not cover the horizon")
+            raise ConfigError(f"control series spans {n_steps} steps of {dt:.6g} = "
+                              f"{n_steps * dt:.6g}, not the horizon {T:.6g}")
         return dt, n_steps
     dt = cfl_dt(spec, grid, cfl, T)
     return dt, int(round(T / dt))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -384,6 +385,17 @@ class TestFlagValidation:
         assert main(["omegahat", "--config", path, "--eps", "0.1"]) == 3
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("T", ["0.05", "0.2"])
+    def test_control_not_spanning_the_horizon_exits_2(self, config_path, tmp_path,
+                                                      capsys, T):
+        # two steps of 0.05: shorter and longer horizons are both bad input
+        csv = tmp_path / "control.csv"
+        csv.write_text(control_csv(2, 0.05))
+        assert main(["simulate", "--config", config_path, "--T", T, "--y0", "zero",
+                     "--u", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR: control series spans 2 steps of 0.05 = 0.1, not the horizon {T}\n"
+
     @staticmethod
     def _assert_one_error_line(capsys):
         err = capsys.readouterr().err
@@ -421,3 +433,25 @@ class TestDeterminism:
             _, text = capture(["mintime", "--config", config_path])
             outputs.add(text)
         assert len(outputs) == 2
+
+    # sha256 of the state CSV of `simulate --T 0.37 --y0 sinpi`: any change
+    # to the marching arithmetic shows here.  Both configs have 1x1
+    # couplings (a plain product, not matmul) and the source goes through
+    # einsum, so no BLAS call enters these bytes.
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, "c45611cad7814e8191809b589195c8a3238798728184450f4d7b3fca5447f572"),
+        ({"speeds": [{"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                      "v": [-1.0, -1.5, -1.0]},
+                     {"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                      "v": [1.0, 2.0, 1.0]}],
+          "M": [[0.3, -0.2], [0.1, 0.4]]},
+         "4cbf1e373778b7bd3abde6e8f5819fa40e0d4611d8ec2b83ca4a49abb5be17d8"),
+    ], ids=["example_2x2", "piecewise-source"])
+    def test_simulate_golden_bytes(self, tmp_path, overrides, digest):
+        path = tmp_path / "cfg.json"
+        config = json.loads((ROOT / "demos" / "example_2x2.json").read_text())
+        path.write_text(json.dumps({**config, **overrides}))
+        code, text = capture(["simulate", "--config", str(path), "--T", "0.37",
+                              "--y0", "sinpi"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hypctrl.pde as pde
-from hypctrl.model import Interval, SourceTerm
+from hypctrl.model import ConfigError, Interval, SourceTerm
 from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
                          cfl_dt, characteristics_oracle, sample_state,
                          solve_adjoint, solve_backward, solve_boundary_forward,
@@ -48,6 +50,16 @@ class TestCflDt:
         u = ControlField(np.zeros((5, 2, 64)), grid, 0.01, np.ones(64, dtype=bool))
         with pytest.raises(ValueError, match="finite"):
             solve_forward(spec_2x2, y0, u, horizon)
+
+    @pytest.mark.parametrize("horizon", [0.04, 0.06])
+    def test_control_must_span_the_horizon(self, spec_2x2, horizon):
+        grid = Grid(0.0, 1.0, 64)
+        y0 = StateField(np.zeros((2, 64)), grid)
+        u = ControlField(np.zeros((5, 2, 64)), grid, 0.01, np.ones(64, dtype=bool))
+        with pytest.raises(ConfigError, match=f"spans 5 steps of 0.01 = 0.05, "
+                                              f"not the horizon {horizon}"):
+            solve_forward(spec_2x2, y0, u, horizon)
+        assert solve_forward(spec_2x2, y0, u, 0.05).times.size == 6
 
 
 class TestSolveForward:
@@ -333,36 +345,143 @@ class _ReferenceMarcher:
         return out
 
 
+def _kernel_case(n_neg, n_pos, negative_first, bc, n_steps, seed=11, nx=40):
+    """Grouped speeds with slopes, a random per-cell source and random
+    boundary data: the marcher under test and the reference on the same
+    numbers.  The reference takes its boundary callables in the form
+    ``bc(j, outflow) -> ghosts``."""
+    rng = np.random.default_rng(seed)
+    n = n_neg + n_pos
+    x = (np.arange(nx) + 0.5) / nx
+    neg = -np.stack([0.5 + 0.1 * k + 0.3 * x for k in range(n_neg)])
+    pos = np.stack([0.7 + 0.2 * k - 0.2 * x for k in range(n_pos)])
+    sigma = np.vstack([neg, pos] if negative_first else [-pos, -neg])
+    n_lo = int(np.sum(sigma[:, 0] > 0))   # inflow components at x=0
+    n_hi = n - n_lo
+    dx = 1.0 / nx
+    dt = 0.95 * dx / np.max(np.abs(sigma))
+    if bc == "coupling":
+        lo, hi = rng.standard_normal((n_lo, n_hi)), rng.standard_normal((n_hi, n_lo))
+        bc_lo, bc_hi = pde._coupling_bc(lo), pde._coupling_bc(hi)
+        ref_lo, ref_hi = (lambda j, o: lo @ o), (lambda j, o: hi @ o)
+    else:
+        lo, hi = rng.standard_normal((n_steps, n_lo)), rng.standard_normal((n_steps, n_hi))
+        bc_lo, bc_hi = pde._dirichlet_bc(lo), pde._dirichlet_bc(hi)
+        ref_lo, ref_hi = (lambda j, o: lo[j][:, None]), (lambda j, o: hi[j][:, None])
+    source = rng.standard_normal((nx, n, n))
+    return (pde._Marcher(sigma, dt, dx, bc_lo, bc_hi, source),
+            _ReferenceMarcher(sigma, dt, dx, ref_lo, ref_hi, source), rng)
+
+
+def _reference_march(ref, w0, n_steps, forcing):
+    """Every state of a march by the reference step, first to last."""
+    states = [w0]
+    for j in range(n_steps):
+        states.append(ref.step(states[-1], j, forcing[j][:, :, None]))
+    return states
+
+
+KERNEL_CASES = pytest.mark.parametrize("n_neg,n_pos", [(1, 2), (2, 2)])
+SIGN_ORDERS = pytest.mark.parametrize("negative_first", [True, False])
+BCS = pytest.mark.parametrize("bc", ["coupling", "dirichlet"])
+BATCHES = pytest.mark.parametrize("batch", [1, 7])
+
+
 class TestMarchingKernel:
-    @pytest.mark.parametrize("n_neg,n_pos", [(1, 2), (2, 2)])
-    @pytest.mark.parametrize("negative_first", [True, False])
-    @pytest.mark.parametrize("bc", ["coupling", "dirichlet"])
-    @pytest.mark.parametrize("batch", [1, 7])
+    @KERNEL_CASES
+    @SIGN_ORDERS
+    @BCS
+    @BATCHES
     def test_step_bit_identical_to_reference(self, n_neg, n_pos, negative_first,
                                              bc, batch):
-        rng = np.random.default_rng(11)
-        n, nx, n_steps = n_neg + n_pos, 40, 6
-        x = (np.arange(nx) + 0.5) / nx
-        neg = -np.stack([0.5 + 0.1 * k + 0.3 * x for k in range(n_neg)])
-        pos = np.stack([0.7 + 0.2 * k - 0.2 * x for k in range(n_pos)])
-        sigma = np.vstack([neg, pos] if negative_first else [-pos, -neg])
-        n_lo = int(np.sum(sigma[:, 0] > 0))   # inflow components at x=0
-        n_hi = n - n_lo
-        dx = 1.0 / nx
-        dt = 0.95 * dx / np.max(np.abs(sigma))
-        if bc == "coupling":
-            bc_lo = pde._coupling_bc(rng.standard_normal((n_lo, n_hi)))
-            bc_hi = pde._coupling_bc(rng.standard_normal((n_hi, n_lo)))
-        else:
-            bc_lo = pde._dirichlet_bc(rng.standard_normal((n_steps, n_lo)))
-            bc_hi = pde._dirichlet_bc(rng.standard_normal((n_steps, n_hi)))
-        source = rng.standard_normal((nx, n, n))
-        new = pde._Marcher(sigma, dt, dx, bc_lo, bc_hi, source)
-        ref = _ReferenceMarcher(sigma, dt, dx, bc_lo, bc_hi, source)
+        n_steps = 6
+        new, ref, rng = _kernel_case(n_neg, n_pos, negative_first, bc, n_steps)
         for j in range(n_steps):
-            w = rng.standard_normal((n, nx, batch))
-            forcing = rng.standard_normal((n, nx, 1)) if j % 2 else None
-            assert np.array_equal(new.step(w, j, forcing), ref.step(w, j, forcing))
+            w = rng.standard_normal((n_neg + n_pos, 40, batch))
+            forcing = rng.standard_normal((n_neg + n_pos, 40, 1)) if j % 2 else None
+            src, dst = new.states(w, forcing is not None)
+            new.step(src, dst, j, forcing)
+            assert np.array_equal(dst.inner, ref.step(w, j, forcing))
+
+    @KERNEL_CASES
+    @SIGN_ORDERS
+    @BCS
+    @BATCHES
+    def test_march_bit_identical_to_reference(self, n_neg, n_pos, negative_first,
+                                              bc, batch):
+        # the whole loop: the buffers swap every step, the ghosts of the
+        # state each step reads are rewritten, and nothing carries over
+        n, n_steps = n_neg + n_pos, 12
+        new, ref, rng = _kernel_case(n_neg, n_pos, negative_first, bc, n_steps)
+        w0 = rng.standard_normal((n, 40, batch))
+        forcing = rng.standard_normal((n_steps, n, 40))
+        states = _reference_march(ref, w0, n_steps, forcing)
+        for reverse in (False, True):
+            seen = []
+            w, traj = pde._march(new, w0, n_steps, keep="trajectory", forcing=forcing,
+                                 visit=lambda j, v: seen.append((j, v.copy())),
+                                 reverse=reverse)
+            assert [j for j, _ in seen] == list(range(n_steps))
+            for (_, v), want in zip(seen, states):
+                assert np.array_equal(v, want)
+            assert np.array_equal(w, states[-1])
+            order = states[::-1] if reverse else states
+            assert np.array_equal(traj, np.stack([s[:, :, 0] for s in order]))
+
+    @BCS
+    @BATCHES
+    def test_pad_cells_never_read(self, bc, batch, monkeypatch):
+        # the pad columns no boundary condition writes only meet the zero
+        # slots of the Courant table; NaN there must not reach any state
+        new, _, rng = _kernel_case(1, 2, True, bc, 10)
+        w0 = rng.standard_normal((3, 40, batch))
+        forcing = rng.standard_normal((10, 3, 40))
+        clean, _ = pde._march(new, w0, 10, forcing=forcing)
+        clean = clean.copy()
+        real_states = new.states
+
+        def poisoned(w, with_forcing):
+            pair = real_states(w, with_forcing)
+            for state in pair:
+                buf = state.inner.base
+                buf[new.pos, -1] = np.nan
+                buf[new.neg, 0] = np.nan
+            return pair
+
+        monkeypatch.setattr(new, "states", poisoned)
+        with np.errstate(invalid="raise"):
+            got, _ = pde._march(new, w0, 10, forcing=forcing)
+        assert np.array_equal(got, clean)
+
+    def test_no_per_step_arrays(self):
+        # a 400-step march with a source and a forcing holds two padded
+        # states, the difference and the gain, plus the temporaries of the
+        # finiteness check every NAN_CHECK_EVERY steps: its traced peak stays
+        # within a fixed multiple of one padded state, and the steps between
+        # two checks allocate nothing near the size of a state
+        n, nx, n_steps = 2, 2000, 400
+        new, _, rng = _kernel_case(1, 1, True, "coupling", n_steps, nx=nx)
+        w0 = rng.standard_normal((n, nx))
+        forcing = np.zeros((n_steps, n, nx))
+        padded = n * (nx + 2) * 8
+        marks = {}
+
+        def visit(j, w):
+            if j == 1:
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            elif j == pde.NAN_CHECK_EVERY - 1:
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            pde._march(new, w0, n_steps, forcing=forcing)
+            total = tracemalloc.get_traced_memory()[1]
+            pde._march(new, w0, n_steps, forcing=forcing, visit=visit)
+        finally:
+            tracemalloc.stop()
+        assert total < 6 * padded
+        assert marks["peak"] - marks["start"] < padded // 8
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_scalar_coupling_matches_matmul(self, batch):
@@ -372,18 +491,19 @@ class TestMarchingKernel:
         rng = np.random.default_rng(batch)
         for mat in (np.array([[rng.uniform(-2.0, 2.0)]]), np.array([[0.0]])):
             outflow = rng.standard_normal((1, 5, batch))[:, 0, :]
-            got = pde._coupling_bc(mat)(0, outflow)
-            assert got.shape == (1, batch)
+            got = np.full((1, batch), np.nan)
+            pde._coupling_bc(mat)(0, outflow, got)
             assert np.array_equal(got, mat @ outflow)
 
     def test_march_checks_finiteness_of_batches(self):
-        class LosesFiniteness:
-            def step(self, w, j, forcing=None):
-                return w + np.inf if j == 1 else w
+        class LosesFiniteness(pde._Marcher):
+            def step(self, src, dst, j, forcing=None):
+                np.add(src.inner, np.inf if j == 1 else 0.0, out=dst.inner)
 
+        marcher = LosesFiniteness(np.ones((2, 8)), 0.1, 0.125, None, None)
         # steps between the periodic checks are caught by the final one
         with pytest.raises(RuntimeError, match="finiteness at step 5"):
-            pde._march(LosesFiniteness(), np.ones((2, 8, 3)), 5)
+            pde._march(marcher, np.ones((2, 8, 3)), 5)
 
     def test_ungrouped_signs_rejected(self):
         spec = make_spec([-1.0, 1.0, -2.0], [[1.0, 0.0]], [[1.0], [0.0]],
