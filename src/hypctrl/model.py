@@ -96,24 +96,25 @@ class Interval:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Diagonal speed matrix Lambda(x), constant or piecewise linear in x.
+    """Diagonal speed matrix Lambda(x), piecewise linear in x.
 
-    For the piecewise-linear kind all components share one breakpoint grid
-    x_0 = 0 < ... < x_B = 1 and ``values[k, i]`` is lambda_k(x_i); between
-    breakpoints the speed is interpolated linearly.  For the constant kind
-    ``values`` has shape (n,).
+    All components share one breakpoint grid x_0 = 0 < ... < x_B = 1 and
+    ``table[k, i]`` is lambda_k(x_i); between breakpoints the speed is
+    interpolated linearly.  A constant profile is the one-segment table
+    with breakpoints (0, 1); ``kind`` names the constructor.
     """
 
     kind: str
-    values: np.ndarray
-    breakpoints: np.ndarray | None = None
+    table: np.ndarray
+    breakpoints: np.ndarray
 
     @staticmethod
     def constant(values) -> "SpeedProfile":
         v = _readonly(values)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("constant profile needs a 1-d list of at least 2 speeds")
-        return SpeedProfile("constant", v)
+        return SpeedProfile("constant", _readonly(np.stack([v, v], axis=1)),
+                            _readonly([0.0, 1.0]))
 
     @staticmethod
     def piecewise_linear(breakpoints, values) -> "SpeedProfile":
@@ -129,14 +130,7 @@ class SpeedProfile:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def table(self) -> np.ndarray:
-        """Breakpoint values as an (n, B+1) array (single column if constant)."""
-        if self.kind == "constant":
-            return self.values.reshape(-1, 1)
-        return self.values
+        return self.table.shape[0]
 
     @property
     def m(self) -> int:
@@ -154,30 +148,20 @@ class SpeedProfile:
             raise ValueError("position outside [0, 1]")
         if not 0 <= k < self.n:
             raise ValueError(f"component index {k} out of range")
-        if self.kind == "constant":
-            out = np.full_like(xs, self.values[k], dtype=float)
-        else:
-            out = np.interp(xs, self.breakpoints, self.values[k])
+        out = np.interp(xs, self.breakpoints, self.table[k])
         return out if out.ndim else float(out)
 
     def slope(self, k: int, x) -> np.ndarray | float:
         """d lambda_k / dx at positions x (one-sided at breakpoints)."""
         xs = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            out = np.zeros_like(xs)
-        else:
-            seg = np.clip(np.searchsorted(self.breakpoints, xs, side="right") - 1,
-                          0, self.breakpoints.size - 2)
-            dv = np.diff(self.values[k])
-            dx = np.diff(self.breakpoints)
-            out = dv[seg] / dx[seg]
+        seg = np.clip(np.searchsorted(self.breakpoints, xs, side="right") - 1,
+                      0, self.breakpoints.size - 2)
+        out = (np.diff(self.table[k]) / np.diff(self.breakpoints))[seg]
         return out if out.ndim else float(out)
 
     def segments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoint grid and lambda_k values on it ((0,1) ends for constant)."""
-        if self.kind == "constant":
-            return np.array([0.0, 1.0]), np.array([self.values[k]] * 2)
-        return self.breakpoints, self.values[k]
+        """Breakpoint grid and lambda_k values on it."""
+        return self.breakpoints, self.table[k]
 
     def min_abs_speed(self) -> float:
         """min over k, x of |lambda_k(x)| (attained at a breakpoint)."""
@@ -194,7 +178,6 @@ class SourceTerm:
     ``matrices[i]`` applies on [breakpoints[i], breakpoints[i+1]).
     """
 
-    kind: str
     matrices: np.ndarray
     breakpoints: np.ndarray
 
@@ -203,7 +186,7 @@ class SourceTerm:
         m = _readonly(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("source matrix must be square")
-        return SourceTerm("constant", m.reshape((1,) + m.shape), _readonly([0.0, 1.0]))
+        return SourceTerm(m.reshape((1,) + m.shape), _readonly([0.0, 1.0]))
 
     @staticmethod
     def zero(n: int) -> "SourceTerm":
@@ -217,7 +200,7 @@ class SourceTerm:
             raise ValueError("breakpoints must increase strictly from 0 to 1")
         if mats.ndim != 3 or mats.shape[0] != x.size - 1 or mats.shape[1] != mats.shape[2]:
             raise ValueError("need one square matrix per breakpoint cell")
-        return SourceTerm("piecewise_constant", mats, x)
+        return SourceTerm(mats, x)
 
     @property
     def n(self) -> int:

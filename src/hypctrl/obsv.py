@@ -35,8 +35,8 @@ import numpy as np
 from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, Interval,
                     RankError, SpeedProfile, SystemSpec)
-from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
-                  _slopes_at, cfl_dt)
+from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _check_horizon,
+                  _march, _resolve_steps, _slopes_at)
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
@@ -48,8 +48,6 @@ class GramianSweepResult:
     """(T, sigma_min) pairs over a horizon grid, smallest first."""
 
     points: tuple[tuple[float, float], ...]
-    omega: ControlDomain
-    grid: Grid
     dt: float
     snapped_times: tuple[float, ...]
 
@@ -139,12 +137,9 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     of [0, T), anchored at the final time; the result is symmetrized.  The
     default Courant factor is 1, not the solvers' 0.9 (see the module note).
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
-    dt = cfl_dt(spec, grid, cfl, T)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     grams = []
-    _gramian_windows(spec, omega, grid, dt, {int(round(T / dt))},
-                     lambda k, gram: grams.append(gram))
+    _gramian_windows(spec, omega, grid, dt, {n_steps}, lambda k, gram: grams.append(gram))
     return grams[0]
 
 
@@ -158,10 +153,12 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     the snapped values are reported alongside).
     """
     t_list = [float(t) for t in t_list]
-    if not t_list or t_list[0] <= 0.0 or any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
-        raise ValueError("horizons must be a nonempty, positive, strictly increasing list")
+    if not t_list or any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
+        raise ConfigError("horizons must be a nonempty, strictly increasing list")
+    for t in t_list:
+        _check_horizon(t, positive=True)
 
-    dt = cfl_dt(spec, grid, cfl, t_list[-1])
+    dt, _ = _resolve_steps(spec, grid, t_list[-1], cfl)
     targets = [max(1, int(round(t / dt))) for t in t_list]
     sigmas: dict[int, float] = {}
 
@@ -171,7 +168,7 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     _gramian_windows(spec, omega, grid, dt, set(targets), smallest_eigenvalue)
     points = tuple((t, sigmas[k]) for t, k in zip(t_list, targets))
     snapped = tuple(k * dt for k in targets)
-    return GramianSweepResult(points, omega, grid, dt, snapped)
+    return GramianSweepResult(points, dt, snapped)
 
 
 def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | None:
@@ -206,8 +203,6 @@ def kernel_vector(q0, speeds: SpeedProfile) -> np.ndarray | None:
 class NecessityWitness:
     """One member of the family disproving the observability inequality."""
 
-    nu: int
-    eta: np.ndarray
     z1: StateField
     ratio: float
     z_minus_max: float
@@ -230,7 +225,7 @@ def _witness_final_datum(spec: SystemSpec, nu: int, grid: Grid,
         denom = sum(eta[i] ** 2 * spec.speeds.value(m + i, characteristic_position(spec, m + i, t))
                     for i in active)
         values[m + j, inside] = np.sqrt(minus_fprime / denom) * eta[j]
-    return StateField(values, grid, 0.0), support_hi
+    return StateField(values, grid), support_hi
 
 
 def necessity_horizon(spec: SystemSpec) -> float:
@@ -245,13 +240,14 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     """Build the nu-th blow-up datum, march the adjoint, and measure the
     ratio |z1|^2 / (sum_t dt |z(t)|^2) over the full domain.
 
-    Requires a rank-deficient Q0 (else ``RankError``), a source equal to minus
-    the speed slope, so the adjoint is pure transport (else ``ConfigError``),
-    nu >= 1, and a horizon of at least ``necessity_horizon(spec)`` (else
-    ``BelowThresholdError``).
+    Requires nu >= 1, a finite positive horizon (else ``ConfigError``), a
+    rank-deficient Q0 (else ``RankError``), a source equal to minus the speed
+    slope (else ``ConfigError``; the adjoint is then pure transport), and
+    T >= ``necessity_horizon(spec)`` (else ``BelowThresholdError``).
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     m, n = spec.m, spec.n
     eta = kernel_vector(spec.couplings.q0, spec.speeds)
     if eta is None:
@@ -267,8 +263,6 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
 
     z1, support_hi = _witness_final_datum(spec, nu, grid, eta)
 
-    dt = cfl_dt(spec, grid, cfl, T)
-    n_steps = int(round(T / dt))
     # the states before each step are buffered and reduced WITNESS_CHUNK at a time
     buf = np.empty((min(WITNESS_CHUNK, n_steps), n, grid.n_cells))
     squares, z_minus_max = 0.0, 0.0
@@ -287,7 +281,7 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     reduce(n_steps % len(buf))
     z_minus_max = max(z_minus_max, float(np.abs(z[:m]).max()))  # the final state
     ratio = float(np.sum(z1.values ** 2)) / (dt * float(squares))
-    return NecessityWitness(nu, eta, z1, ratio, z_minus_max, support_hi)
+    return NecessityWitness(z1, ratio, z_minus_max, support_hi)
 
 
 @dataclass(frozen=True)

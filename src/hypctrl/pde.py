@@ -26,6 +26,11 @@ It also drives the sweeps and witness of ``obsv`` and the batched HUM march
 of ``synth``, and keeps the current state only or the whole trajectory too
 (forward-time order, even backward; refused above ``TRAJECTORY_BYTES_LIMIT``).
 
+This module decides every horizon: each entry point that takes one, here and
+in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
+positive, else ``ConfigError``) and grids it with ``_resolve_steps``, the
+one (dt, n_steps) rule, which checks with ``_check_horizon``.
+
 With constant speeds of equal magnitude and unit Courant number the scheme
 transports exactly, reflections included; ``characteristics_oracle`` provides
 the matching exact solution for constant speeds and zero source by tracing
@@ -77,7 +82,6 @@ class StateField:
 
     values: np.ndarray
     grid: Grid
-    time: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -88,13 +92,13 @@ class StateField:
         object.__setattr__(self, "values", v)
 
 
-def sample_state(fn, grid: Grid, n: int, time: float = 0.0) -> StateField:
+def sample_state(fn, grid: Grid, n: int) -> StateField:
     """Sample a vectorized state function fn(x) -> (n, len(x)) on a grid."""
     vals = np.asarray(fn(grid.centers), dtype=float)
     if vals.shape != (n, grid.n_cells):
         raise ValueError(f"state function returned shape {vals.shape}, "
                          f"expected {(n, grid.n_cells)}")
-    return StateField(vals.copy(), grid, time)
+    return StateField(vals.copy(), grid)
 
 
 def state_function(*components):
@@ -159,9 +163,10 @@ class EvolutionResult:
     traces: TraceRecord | None = None
 
 
-def _check_horizon(T: float):
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {T}")
+def _check_horizon(T: float, positive: bool = False):
+    if not (math.isfinite(T) and (T > 0.0 if positive else T >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(f"horizon must be finite and {sign}, got {T}")
 
 
 def cfl_dt(spec: SystemSpec, grid: Grid, cfl_factor: float, horizon: float) -> float:
@@ -323,15 +328,18 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
 
 
 def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
-            final_time: float, keep: str = "trajectory", forcing=None,
-            reverse: bool = False) -> EvolutionResult:
+            keep: str = "trajectory", forcing=None, reverse: bool = False) -> EvolutionResult:
     w, traj = _march(marcher, state.values, n_steps, keep, forcing, reverse=reverse)
-    final = StateField(w[:, :, 0].copy(), state.grid, final_time)
+    final = StateField(w[:, :, 0].copy(), state.grid)
     return EvolutionResult(final, traj, np.arange(n_steps + 1) * dt)
 
 
-def _resolve_steps(spec, grid, T, cfl, control: ControlField | None):
-    _check_horizon(T)
+def _resolve_steps(spec, grid, T, cfl, control: ControlField | None = None,
+                   positive: bool = False):
+    """The one (dt, n_steps) rule of a march over [0, T], after checking T:
+    the control's own step when one is given, else ``cfl_dt`` and the whole
+    steps of T."""
+    _check_horizon(T, positive)
     if control is not None:
         if control.grid != grid:
             raise ValueError("control grid does not match the state grid")
@@ -368,7 +376,7 @@ def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
                        bc_lo=_coupling_bc(spec.couplings.q0),
                        bc_hi=_coupling_bc(spec.couplings.q1),
                        source=spec.source.at_points(grid.centers))
-    return _evolve(marcher, y0, n_steps, dt, T, keep,
+    return _evolve(marcher, y0, n_steps, dt, keep,
                    forcing=None if u is None else u.values)
 
 
@@ -382,14 +390,14 @@ def solve_backward(spec: SystemSpec, y1: StateField, T: float,
     trajectory is indexed by forward time (trajectory[-1] equals y1).
     """
     grid = y1.grid
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl)
     if not spec.couplings.invertible:
         raise RankError("singular coupling matrix: Q0 and Q1 must be invertible")
     marcher = _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
                        bc_lo=_coupling_bc(np.linalg.inv(spec.couplings.q0)),
                        bc_hi=_coupling_bc(np.linalg.inv(spec.couplings.q1)),
                        source=-spec.source.at_points(grid.centers))
-    return _evolve(marcher, y1, n_steps, dt, 0.0, reverse=True)
+    return _evolve(marcher, y1, n_steps, dt, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -445,11 +453,11 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
     right boundary: mirrored; interior: controls on both ends.
     """
     grid = y0.grid
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl)
     bc_lo, bc_hi = _subinterval_bcs(spec, interval.tag, controls, n_steps)
     marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
                        spec.source.at_points(grid.centers))
-    return _evolve(marcher, y0, n_steps, dt, T)
+    return _evolve(marcher, y0, n_steps, dt)
 
 
 def adjoint_reflection(speeds: SpeedProfile, q, end: float) -> np.ndarray:
@@ -489,9 +497,9 @@ def solve_adjoint(spec: SystemSpec, z1: StateField, T: float,
     equals z1).
     """
     grid = z1.grid
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, None)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl)
     marcher = _adjoint_marcher(spec, grid, dt)
-    return _evolve(marcher, z1, n_steps, dt, 0.0, reverse=True)
+    return _evolve(marcher, z1, n_steps, dt, reverse=True)
 
 
 def characteristics_oracle(spec: SystemSpec, y0, T: float, query_x,
@@ -507,7 +515,7 @@ def characteristics_oracle(spec: SystemSpec, y0, T: float, query_x,
         raise ValueError("the oracle needs constant speeds")
     if not spec.source.is_zero():
         raise ValueError("the oracle needs a zero source term")
-    lam = np.asarray(spec.speeds.values, dtype=float)
+    lam = spec.speeds.table[:, 0]
     m, n = spec.m, spec.n
     q0 = np.asarray(spec.couplings.q0, dtype=float)
     q1 = np.asarray(spec.couplings.q1, dtype=float)

@@ -32,9 +32,9 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _forward, _march, _Marcher, _speeds_at,
-                  _subinterval_bcs, cfl_dt, sample_state, solve_backward,
-                  solve_boundary_forward, solve_forward)
+                  StateField, _check_horizon, _forward, _march, _Marcher,
+                  _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
+                  solve_backward, solve_boundary_forward, solve_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -64,8 +64,6 @@ class SpaceCutoff:
     each transition (x0, x1, v0, v1) interpolates from v0 at x0 to v1 at x1.
     """
 
-    omega_hat: ControlDomain
-    omega1: ControlDomain
     zero_spans: tuple[tuple[float, float], ...]
     transitions: tuple[tuple[float, float, float, float], ...]
 
@@ -84,7 +82,6 @@ class SpaceCutoff:
                     return pa, pb
             raise ValueError("refined interval not strictly inside omega")
 
-        omega1 = []
         transitions = []
         for i, (a, b) in enumerate(hats):
             pa, pb = containing_piece(a, b)
@@ -98,11 +95,9 @@ class SpaceCutoff:
             e_hi = 0.5 * (right_limit - b)
             if e_lo <= 0.0 or e_hi <= 0.0:
                 raise ValueError("no room for the cut-off transition")
-            omega1.append((a - e_lo, b + e_hi))
             transitions.append((a - e_lo, a, 1.0, 0.0))
             transitions.append((b, b + e_hi, 0.0, 1.0))
-        return SpaceCutoff(omega_hat, ControlDomain(tuple(omega1)),
-                           tuple((a, b) for a, b in hats), tuple(transitions))
+        return SpaceCutoff(tuple((a, b) for a, b in hats), tuple(transitions))
 
     def _eval(self, xs, want_derivative: bool) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -136,7 +131,6 @@ class SynthesisReport:
     final_state: StateField
     hum_residuals: tuple[float, ...] = ()
     omega_hat: ControlDomain | None = None
-    omega1: ControlDomain | None = None
 
 
 def _l2(values: np.ndarray, dx: float) -> float:
@@ -161,12 +155,11 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
                            grid: Grid, cfl: float = 0.9) -> SynthesisReport:
     """Steer y0 to y1 when the control acts on the whole domain.
 
-    Needs invertible couplings and T > 0; works for every such horizon.
-    The achieved error is the L2 distance of the re-simulated final state
-    from the target.
+    Needs invertible couplings and a finite T > 0 (else ``ConfigError``);
+    works for every such horizon.  The achieved error is the L2 distance of
+    the re-simulated final state from the target.
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T, positive=True)
     if spec.omega.complement_components():
         raise ValueError("full-domain synthesis needs the closure of omega "
                          "to cover [0, 1]")
@@ -209,7 +202,6 @@ class HumResult:
 
     controls: BoundaryControls
     residual: float
-    final_state: StateField
     trajectory: np.ndarray
     times: np.ndarray
 
@@ -233,10 +225,9 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     time (with some margin); below it the residual stays bounded away from
     zero under refinement, which is itself the threshold-sharpness
     diagnostic, so short horizons run normally and simply report a large
-    residual.
+    residual; the horizon itself must be finite and positive.
     """
-    dt = cfl_dt(spec, grid, cfl, T)
-    n_steps = int(round(T / dt))
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     # control channels: the inflow components at each control end, left first
     n_left = 0 if interval.tag is PositionTag.TOUCHES_LEFT else spec.p
     n_ch = n_left + (0 if interval.tag is PositionTag.TOUCHES_RIGHT else spec.m)
@@ -278,8 +269,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     controlled = solve_boundary_forward(spec, interval, StateField(y0_vals, grid),
                                         controls, T, cfl)
     residual = _l2(controlled.final.values - np.asarray(y1_vals, dtype=float), dx)
-    return HumResult(controls, residual, controlled.final,
-                     controlled.trajectory, controlled.times)
+    return HumResult(controls, residual, controlled.trajectory, controlled.times)
 
 
 def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
@@ -330,7 +320,9 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     components as extra control time, keeping the shrink margins (and hence
     the cut-off transition zones) as wide as possible.  Delegates to
     ``synthesize_full_domain`` when the closure of omega covers [0, 1].
+    The horizon must be finite and positive (else ``ConfigError``).
     """
+    dt_global, _ = _resolve_steps(spec, grid, T, cfl, positive=True)
     base = minimal_control_time(spec)
     if not base.finite:
         raise RankError(base.reason)
@@ -338,7 +330,6 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
         return synthesize_full_domain(spec, y0_fn, y1_fn, T, grid, cfl)
 
     tau_max = base.value
-    dt_global = cfl_dt(spec, grid, cfl, T) if T > 0 else 0.0
     if not T > tau_max + 2.0 * dt_global:
         raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
                                   f"time {tau_max:g} (plus the two-step margin)")
@@ -377,5 +368,4 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
 
     final = _forward(spec, y0f, control, T, cfl, keep="final").final
     err = _l2(final.values - y1f.values, grid.dx)
-    return SynthesisReport(control, err, final, tuple(residuals),
-                           refined_region, cutoff.omega1)
+    return SynthesisReport(control, err, final, tuple(residuals), refined_region)

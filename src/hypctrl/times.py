@@ -292,9 +292,11 @@ def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
     within a margin ``delta`` of each: two pieces per cell, so a single-piece
     omega still yields two intervals.  ``shrink_region`` halves ``delta``
     until the gaps of the resulting region cost at most tau_max + epsilon.
+    An epsilon that is not finite and positive, or too small for the margins
+    to stay apart in double precision, raises ``ConfigError``.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     if not spec.omega.complement_components():
         raise ConfigError("omega: its closure already covers [0, 1], nothing to refine")
     base = minimal_control_time(spec)
@@ -325,5 +327,6 @@ def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
 
     region, achieved = shrink_region(spec, tau + epsilon, delta, region_at)
     if not omega.compactly_contains(region):
-        raise RuntimeError("refined region is not compactly contained in omega")
+        raise ConfigError(f"epsilon {epsilon} is too small to resolve: the refined "
+                          "region is not compactly contained in omega")
     return RefinedRegion(region, achieved, tau + epsilon)

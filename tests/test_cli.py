@@ -275,6 +275,7 @@ class TestFlagValidation:
         ["canon", "--matrix", "[[Infinity, 1]]"],
         ["canon", "--matrix", '{"a": 1}'],
         ["simulate", "--T", "0.1", "--y0", "zero", "--u", "no_such_control.csv"],
+        ["omegahat", "--eps", "1e-16"],
     ])
     def test_bad_flag_exits_2_with_one_error_line(self, config_path, tmp_path,
                                                   capsys, flags):

@@ -9,6 +9,10 @@ from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
                          cfl_dt, characteristics_oracle, sample_state,
                          solve_adjoint, solve_backward, solve_boundary_forward,
                          solve_forward, state_function)
+from hypctrl.obsv import necessity_witness, observability_gramian, sigma_min_sweep
+from hypctrl.synth import (assemble_internal_control, hum_boundary_control,
+                           synthesize_full_domain)
+from hypctrl.times import refine_control_region
 from conftest import make_spec
 
 
@@ -60,6 +64,46 @@ class TestCflDt:
                                               f"not the horizon {horizon}"):
             solve_forward(spec_2x2, y0, u, horizon)
         assert solve_forward(spec_2x2, y0, u, 0.05).times.size == 6
+
+
+def _entry_point(name: str, spec, full, bad):
+    """Call one library entry point with the bad horizon (or epsilon) ``bad``."""
+    grid, zero = Grid(0.0, 1.0, 32), state_function(0.0, 0.0)
+    calls = {
+        "solve_forward": lambda: solve_forward(
+            spec, StateField(np.zeros((2, 32)), grid), None, bad),
+        "observability_gramian": lambda: observability_gramian(spec, bad, spec.omega, grid),
+        "sigma_min_sweep": lambda: sigma_min_sweep(spec, bad, spec.omega, grid),
+        "necessity_witness": lambda: necessity_witness(spec, 1, bad, grid),
+        "synthesize_full_domain": lambda: synthesize_full_domain(full, zero, zero, bad, grid),
+        "assemble_internal_control": lambda: assemble_internal_control(
+            spec, zero, zero, bad, grid),
+        "hum_boundary_control": lambda: hum_boundary_control(
+            spec, Interval(0.0, 0.25), np.zeros((2, 8)), np.zeros((2, 8)),
+            Grid(0.0, 0.25, 8), bad),
+        "refine_control_region": lambda: refine_control_region(spec, bad),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("solve_forward", np.nan), ("solve_forward", np.inf), ("solve_forward", -1.0),
+    ("observability_gramian", 0.0), ("observability_gramian", np.nan),
+    ("sigma_min_sweep", []), ("sigma_min_sweep", [np.nan]),
+    ("sigma_min_sweep", [0.3, np.inf]), ("sigma_min_sweep", [0.5, 0.3]),
+    # spec_2x2 has a full-rank Q0: the horizon is decided before the rank
+    ("necessity_witness", np.nan), ("necessity_witness", -1.0),
+    ("synthesize_full_domain", 0.0),
+    ("assemble_internal_control", 0.0), ("assemble_internal_control", np.nan),
+    ("assemble_internal_control", np.inf),
+    ("hum_boundary_control", np.nan),
+    ("refine_control_region", np.nan), ("refine_control_region", np.inf),
+    ("refine_control_region", 0.0),
+])
+def test_bad_horizon_raises_config_error(spec_2x2, spec_full_domain, name, bad):
+    # one horizon rule in pde, plus refine_control_region's epsilon check
+    with pytest.raises(ConfigError, match="horizon|epsilon"):
+        _entry_point(name, spec_2x2, spec_full_domain, bad)
 
 
 class TestSolveForward:
