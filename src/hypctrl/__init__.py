@@ -9,7 +9,7 @@ from .obsv import (GramianSweepResult, NecessitySweep, NecessityWitness,
                    detect_threshold, kernel_vector, necessity_sweep,
                    necessity_witness, observability_gramian, sigma_min_sweep)
 from .pde import (BoundaryControls, ControlField, EvolutionResult, Grid,
-                  StateField, TraceRecord, cfl_dt, characteristics_oracle,
+                  StateField, cfl_dt, characteristics_oracle,
                   sample_state, solve_adjoint, solve_backward,
                   solve_boundary_forward, solve_forward, state_function)
 from .synth import (HumResult, SpaceCutoff, SynthesisReport, TimeCutoff,
@@ -31,7 +31,7 @@ __all__ = [
     "HumResult", "Interval", "MinimalTimeResult", "NecessitySweep",
     "NecessityWitness", "PositionTag", "RankError", "RefinedRegion",
     "SourceTerm", "SpaceCutoff", "SpeedProfile", "StateField",
-    "SynthesisReport", "SystemSpec", "TimeCutoff", "TimeTerm", "TraceRecord",
+    "SynthesisReport", "SystemSpec", "TimeCutoff", "TimeTerm",
     "ValidationReport", "assemble_internal_control", "boundary_control_time",
     "boundary_time_interior", "boundary_time_left", "boundary_time_right",
     "canonical_form", "cfl_dt", "characteristic_position",

@@ -40,7 +40,7 @@ characteristics backwards through the boundary couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,13 +129,23 @@ class ControlField:
     mask: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, grid: Grid, dt: float, mask) -> "ControlField":
+        """Take over a float array the library built: zeroed in place, not copied."""
+        field = object.__new__(cls)
+        field.__dict__.update(grid=grid, dt=dt, mask=mask)
+        field._own(values)
+        return field
+
+    def _own(self, v: np.ndarray):
         m = np.asarray(self.mask, dtype=bool)
         if v.ndim != 3 or v.shape[2] != self.grid.n_cells or m.shape != (self.grid.n_cells,):
             raise ValueError("control values must have shape (n_steps, n, n_cells)")
         if not np.isfinite(v).all():
             raise ValueError("control values must be finite")
-        v = np.where(m, v, 0.0)
+        np.copyto(v, 0.0, where=~m)
         v.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -147,20 +157,10 @@ class ControlField:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """Boundary values of all components at both ends over the time grid."""
-
-    times: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-@dataclass(frozen=True)
 class EvolutionResult:
     final: StateField
     trajectory: np.ndarray | None
     times: np.ndarray
-    traces: TraceRecord | None = None
 
 
 def _check_horizon(T: float, positive: bool = False):
@@ -295,6 +295,13 @@ def _dirichlet_bc(series: np.ndarray):
     return lambda j, outflow, out: np.copyto(out, ser[j])
 
 
+def _check_bytes(what: str, size: int):
+    """Refuse, before allocating it, memory above ``TRAJECTORY_BYTES_LIMIT``."""
+    if size > TRAJECTORY_BYTES_LIMIT:
+        raise ValueError(f"{what} needs {size} bytes, "
+                         f"above the limit of {TRAJECTORY_BYTES_LIMIT}")
+
+
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
            forcing: np.ndarray | None = None, visit=None, reverse: bool = False):
     """March an (n, N) state or (n, N, B) batch; return (final batch,
@@ -308,10 +315,8 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
     w = w0[:, :, None] if w0.ndim == 2 else w0
     traj = None
     if keep == "trajectory":
-        size = (n_steps + 1) * w.shape[0] * w.shape[1] * 8
-        if size > TRAJECTORY_BYTES_LIMIT:
-            raise ValueError(f"trajectory of {n_steps + 1} states needs {size} bytes, "
-                             f"above the limit of {TRAJECTORY_BYTES_LIMIT}")
+        _check_bytes(f"trajectory of {n_steps + 1} states",
+                     (n_steps + 1) * w.shape[0] * w.shape[1] * 8)
         traj = np.empty((n_steps + 1,) + w.shape[:2])
         traj[n_steps if reverse else 0] = w[:, :, 0]
     cur, nxt = marcher.states(w, forcing is not None)
@@ -360,16 +365,12 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
     from Q1 applied to the y_+ trace.  The control, when given, fixes the
     time step (its own dt) and is applied explicitly per step.
     """
-    res = _forward(spec, y0, u, T, cfl, keep="trajectory")
-    out_lo, out_hi = res.trajectory[:, :spec.m, 0], res.trajectory[:, spec.m:, -1]
-    left = np.hstack([out_lo, out_lo @ np.asarray(spec.couplings.q0).T])
-    right = np.hstack([out_hi @ np.asarray(spec.couplings.q1).T, out_hi])
-    return replace(res, traces=TraceRecord(res.times, left, right))
+    return _forward(spec, y0, u, T, cfl, keep="trajectory")
 
 
 def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
              T: float, cfl: float, keep: str) -> EvolutionResult:
-    """``solve_forward`` without traces, storing the trajectory or not."""
+    """``solve_forward``, storing the trajectory or only the final state."""
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, u)
     marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx,

@@ -18,8 +18,9 @@ the component solutions y_out to the full-domain solution y_in:
     y = xi y_out + (1 - xi) y_in,
     u = xi'(x) Lambda(x) (y_out - y_in) + (1 - xi) u_in.
 
-The glued control is supported in omega by construction; every synthesis is
-verified by re-simulating the forward system with the assembled control.
+The control is supported in omega, is written over the stored forward
+trajectory, and needs y_out and y_in only where xi' != 0; its peak memory is
+checked before the first march, and its re-simulation verifies the synthesis.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _check_horizon, _forward, _march, _Marcher,
+                  StateField, _check_bytes, _forward, _march, _Marcher,
                   _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
-                  solve_backward, solve_boundary_forward, solve_forward)
+                  solve_backward, solve_boundary_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -137,18 +138,34 @@ def _l2(values: np.ndarray, dx: float) -> float:
     return math.sqrt(dx * float(np.sum(values ** 2)))
 
 
-def _glue_full_domain(spec, y0f, y1f, T, grid, cfl):
-    """Forward/backward blend: control values on the step grid plus the
-    blended trajectory (used as the inner solution of the general case)."""
-    fwd = solve_forward(spec, y0f, None, T, cfl)
-    bwd = solve_backward(spec, y1f, T, cfl)
-    dt = fwd.times[1] - fwd.times[0]
+def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
+    """Forward/backward blend: the control eta'(t) (y_f - y_b), written over
+    the forward trajectory, and y_in = eta y_f + (1 - eta) y_b (the general
+    case's inner solution) at ``cells`` only; the backward trajectory dies."""
+    fwd = _forward(spec, y0f, None, T, cfl, keep="trajectory")
+    bwd = solve_backward(spec, y1f, T, cfl).trajectory
     cut = TimeCutoff(T)
     eta = cut.value(fwd.times)[:, None, None]
-    eta_dot = cut.derivative(fwd.times)[:, None, None]
-    u_vals = eta_dot[:-1] * (fwd.trajectory[:-1] - bwd.trajectory[:-1])
-    y_in = eta * fwd.trajectory + (1.0 - eta) * bwd.trajectory
-    return u_vals, y_in, dt, fwd.times
+    y_in, b_in = fwd.trajectory[:, :, cells], bwd[:, :, cells]
+    y_in *= eta
+    y_in += np.multiply(b_in, 1.0 - eta, out=b_in)
+    u = fwd.trajectory[:-1]
+    np.subtract(u, bwd[:-1], out=u)
+    np.multiply(cut.derivative(fwd.times[:-1])[:, None, None], u, out=u)
+    return u, y_in
+
+
+def _peak_bytes(spec, grid, n_steps, n_glued, parts, T, cfl) -> int:
+    """Peak bytes of a synthesis: the glue's two trajectories and its three
+    arrays at n_glued cells, or, if more, one HUM's a_t, normal matrix and
+    the larger of its Cholesky factor and controlled trajectory."""
+    peak = (n_steps + 1) * spec.n * (2 * grid.n_cells + 3 * n_glued)
+    for comp, grid_i in parts:
+        _, steps = _resolve_steps(spec, grid_i, T, cfl)
+        nstate = spec.n * grid_i.n_cells
+        n_ch = _channels(spec, comp.tag)[1]
+        peak = max(peak, nstate * (n_ch * steps + nstate + max(nstate, steps + 1)))
+    return 8 * peak
 
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -159,15 +176,15 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
     works for every such horizon.  The achieved error is the L2 distance of
     the re-simulated final state from the target.
     """
-    _check_horizon(T, positive=True)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     if spec.omega.complement_components():
         raise ValueError("full-domain synthesis needs the closure of omega "
                          "to cover [0, 1]")
+    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, 0, (), T, cfl))
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)
-    u_vals, _, dt, _ = _glue_full_domain(spec, y0f, y1f, T, grid, cfl)
-    mask = spec.omega.contains_points(grid.centers)
-    control = ControlField(u_vals, grid, dt, mask)
+    u_vals, _ = _glue_full_domain(spec, y0f, y1f, T, cfl, [])
+    control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
     final = _forward(spec, y0f, control, T, cfl, keep="final").final
     err = _l2(final.values - y1f.values, grid.dx)
     return SynthesisReport(control, err, final)
@@ -194,6 +211,12 @@ def _solve_normal_equations(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for i in range(rhs.size - 1, -1, -1):
         x[i] = (y[i] - chol[i + 1:, i] @ x[i + 1:]) / chol[i, i]
     return x
+
+
+def _channels(spec: SystemSpec, tag: PositionTag) -> tuple[int, int]:
+    """(left, all) control channels: each control end's inflow components."""
+    n_left = 0 if tag is PositionTag.TOUCHES_LEFT else spec.p
+    return n_left, n_left + (0 if tag is PositionTag.TOUCHES_RIGHT else spec.m)
 
 
 @dataclass(frozen=True)
@@ -228,9 +251,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     residual; the horizon itself must be finite and positive.
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
-    # control channels: the inflow components at each control end, left first
-    n_left = 0 if interval.tag is PositionTag.TOUCHES_LEFT else spec.p
-    n_ch = n_left + (0 if interval.tag is PositionTag.TOUCHES_RIGHT else spec.m)
+    n_left, n_ch = _channels(spec, interval.tag)
     nstate = spec.n * grid.n_cells
 
     # batch column c < n_ch: zero data and a unit ghost on channel c during
@@ -280,10 +301,10 @@ def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
     s = np.clip(times / (traj_times[1] - traj_times[0]), 0.0, float(last))
     s0 = s.astype(np.intp)
     w = (s - s0)[:, None, None]
-    state = (1.0 - w) * traj[s0] + w * traj[np.minimum(s0 + 1, last)]
     j = np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
     theta = np.clip((xq - xp[j]) / (xp[j + 1] - xp[j]), 0.0, 1.0)
-    lo, hi = state[:, :, j], state[:, :, j + 1]
+    lo, hi = ((1.0 - w) * col[s0] + w * col[np.minimum(s0 + 1, last)]
+              for col in (traj[:, :, j], traj[:, :, j + 1]))
     return lo + theta * (hi - lo)
 
 
@@ -322,7 +343,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     ``synthesize_full_domain`` when the closure of omega covers [0, 1].
     The horizon must be finite and positive (else ``ConfigError``).
     """
-    dt_global, _ = _resolve_steps(spec, grid, T, cfl, positive=True)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     base = minimal_control_time(spec)
     if not base.finite:
         raise RankError(base.reason)
@@ -330,41 +351,39 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
         return synthesize_full_domain(spec, y0_fn, y1_fn, T, grid, cfl)
 
     tau_max = base.value
-    if not T > tau_max + 2.0 * dt_global:
+    if not T > tau_max + 2.0 * dt:
         raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
                                   f"time {tau_max:g} (plus the two-step margin)")
 
     # leave a horizon margin for the component steering, spend the rest
-    margin = max(4.0 * dt_global, 0.05 * (T - tau_max))
+    margin = max(4.0 * dt, 0.05 * (T - tau_max))
     slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
     refined_region = _shrunk_core(spec, tau_max + slack)
     cutoff = SpaceCutoff.between(refined_region, spec.omega)
+    parts = [(comp, Grid(comp.lo, comp.hi, max(8, math.ceil(comp.length * grid.n_cells))))
+             for comp in refined_region.complement_components()]
+    # xi' Lambda (y_out - y_in) vanishes where xi' = 0, outside these cells
+    xi_dot = cutoff.derivative(grid.centers)
+    cells = np.flatnonzero(xi_dot)
+    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, cells.size, parts, T, cfl))
+    xq = grid.centers[cells]
+    y_out = np.zeros((n_steps, spec.n, cells.size))
+    residuals = []
+    for comp, grid_i in parts:
+        hum = hum_boundary_control(spec, comp, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
+                                   grid_i, T, cfl)
+        residuals.append(hum.residual)
+        inside = (xq > comp.lo) & (xq < comp.hi)
+        y_out[:, :, inside] = _resample(hum.trajectory, hum.times, grid_i.centers,
+                                        np.arange(n_steps) * dt, xq[inside])
+        del hum  # one component trajectory alive at a time
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)
-    u_in, y_in, dt, times = _glue_full_domain(spec, y0f, y1f, T, grid, cfl)
-
-    components = refined_region.complement_components()
-    y_out = np.zeros_like(y_in)
-    residuals = []
-    for comp in components:
-        n_cells = max(8, math.ceil(comp.length * grid.n_cells))
-        grid_i = Grid(comp.lo, comp.hi, n_cells)
-        y0_i = np.asarray(y0_fn(grid_i.centers), dtype=float)
-        y1_i = np.asarray(y1_fn(grid_i.centers), dtype=float)
-        hum = hum_boundary_control(spec, comp, y0_i, y1_i, grid_i, T, cfl)
-        residuals.append(hum.residual)
-        inside = (grid.centers > comp.lo) & (grid.centers < comp.hi)
-        y_out[:, :, inside] = _resample(hum.trajectory, hum.times, grid_i.centers,
-                                        times, grid.centers[inside])
-
-    xi = cutoff.value(grid.centers)
-    xi_dot = cutoff.derivative(grid.centers)
-    lam = _speeds_at(spec, grid)
-    u_vals = (xi_dot[None, None, :] * lam[None, :, :] * (y_out[:-1] - y_in[:-1])
-              + (1.0 - xi)[None, None, :] * u_in)
-    mask = spec.omega.contains_points(grid.centers)
-    control = ControlField(u_vals, grid, dt, mask)
+    u_vals, y_in = _glue_full_domain(spec, y0f, y1f, T, cfl, cells)
+    u_vals *= 1.0 - cutoff.value(grid.centers)
+    u_vals[:, :, cells] += xi_dot[cells] * _speeds_at(spec, grid)[:, cells] * (y_out - y_in[:-1])
+    control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
 
     final = _forward(spec, y0f, control, T, cfl, keep="final").final
     err = _l2(final.values - y1f.values, grid.dx)

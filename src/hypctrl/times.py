@@ -97,9 +97,9 @@ def characteristic_time(spec: SystemSpec, k: int, x):
         raise ValueError(f"invalid interval (0.0, {np.max(x)})")
     i = np.clip(np.searchsorted(xs, x) - 1, 0, b.size - 1)
     x0, v0, b, d = xs[i], v0[i], b[i], np.maximum(x, 0.0)  # x <= 0: d = x0 = 0
-    lin = np.where(flat[i], 1.0, b)  # a stand-in slope where the log form is unused
+    lin = np.where(flat[i], 1.0, b)  # a stand-in slope where log1p is unused
     out = cum[i] + np.where(flat[i], (d - x0) / np.abs(v0 + b * (0.5 * (x0 + d) - x0)),
-                            np.abs(np.log((v0 + lin * (d - x0)) / v0) / lin))
+                            np.abs(np.log1p(lin * (d - x0) / v0) / lin))
     return out if out.ndim else float(out)
 
 

@@ -147,14 +147,6 @@ class TestSolveForward:
         res = solve_forward(spec_full_domain, y0, None, 0.0)
         assert np.array_equal(res.final.values, y0.values)
 
-    def test_traces_satisfy_couplings(self, spec_2x2):
-        grid = Grid(0.0, 1.0, 64)
-        y0 = sample_state(smooth_pair, grid, 2)
-        res = solve_forward(spec_2x2, y0, None, 0.3, cfl=0.9)
-        tr = res.traces
-        assert np.allclose(tr.left[:, 1], tr.left[:, 0])
-        assert np.allclose(tr.right[:, 0], tr.right[:, 1])
-
     def test_causality(self, spec_2x2):
         grid = Grid(0.0, 1.0, 64)
         T = 0.4
@@ -346,6 +338,23 @@ class TestFieldTypes:
         u = ControlField(vals, grid, 0.01, mask)
         assert not u.values[:, :, ~mask].any()
         assert u.values[:, :, mask].all()
+
+    def test_control_field_copies_and_adopt_takes_over(self, spec_2x2):
+        # the public constructor leaves the caller's array alone; the
+        # library's private adopt zeroes outside the mask in place, keeps
+        # the array and freezes it, after the same checks
+        grid = Grid(0.0, 1.0, 64)
+        mask = spec_2x2.omega.contains_points(grid.centers)
+        vals = np.ones((5, 2, 64))
+        u = ControlField(vals, grid, 0.01, mask)
+        assert vals.all() and vals.flags.writeable and u.values is not vals
+        adopted = ControlField._adopt(vals, grid, 0.01, mask)
+        assert adopted.values is vals and not vals.flags.writeable
+        assert np.array_equal(adopted.values, u.values) and adopted.dt == u.dt
+        with pytest.raises(ValueError, match="finite"):
+            ControlField._adopt(np.full((5, 2, 64), np.nan), grid, 0.01, mask)
+        with pytest.raises(ValueError, match="shape"):
+            ControlField._adopt(np.ones((5, 64)), grid, 0.01, mask)
 
     def test_state_field_shape_checked(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hypctrl.model import ControlDomain, Interval, PositionTag
-from hypctrl.pde import Grid, sample_state, solve_forward, state_function
+from hypctrl.pde import (ControlField, Grid, _speeds_at, sample_state, solve_backward,
+                         solve_forward, state_function)
 from hypctrl.synth import (BelowThresholdError, SpaceCutoff, TimeCutoff,
                            assemble_internal_control, hum_boundary_control,
                            synthesize_full_domain)
@@ -87,8 +91,8 @@ class TestFullDomainSynthesis:
         grid = Grid(0.0, 1.0, 64)
         y0 = sample_state(Y0_SIN, grid, 2)
         y1 = sample_state(state_function(lambda x: x * (1 - x), 0.5), grid, 2)
-        _, blended, _, _ = _glue_full_domain(spec_full_domain, y0, y1, 0.4,
-                                             grid, 0.9)
+        _, blended = _glue_full_domain(spec_full_domain, y0, y1, 0.4, 0.9,
+                                       np.arange(grid.n_cells))
         assert np.array_equal(blended[0], y0.values)
         assert np.array_equal(blended[-1], y1.values)
 
@@ -429,3 +433,148 @@ class TestAssembleInternalControl:
             assert not rep.control.values[:, :, outside].any()
             errs.append(rep.achieved_error)
         assert errs[1] < errs[0] and errs[1] <= 0.05
+
+
+def _whole_state_resample(traj, traj_times, xp, times, xq):
+    # the resample as it was: every grid column interpolated in time first
+    last = traj.shape[0] - 1
+    s = np.clip(times / (traj_times[1] - traj_times[0]), 0.0, float(last))
+    s0 = s.astype(np.intp)
+    w = (s - s0)[:, None, None]
+    state = (1.0 - w) * traj[s0] + w * traj[np.minimum(s0 + 1, last)]
+    j = np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
+    theta = np.clip((xq - xp[j]) / (xp[j + 1] - xp[j]), 0.0, 1.0)
+    lo, hi = state[:, :, j], state[:, :, j + 1]
+    return lo + theta * (hi - lo)
+
+
+def _whole_array_glue(spec, y0_fn, y1_fn, T, grid, omega_hat, cfl=0.9):
+    """The glue as whole-array algebra over (n_steps+1, n, N): forward and
+    backward trajectories, y_in and y_out everywhere, then one expression
+    for u.  Returns (control, achieved error, HUM residuals)."""
+    y0f, y1f = sample_state(y0_fn, grid, spec.n), sample_state(y1_fn, grid, spec.n)
+    fwd = solve_forward(spec, y0f, None, T, cfl)
+    bwd = solve_backward(spec, y1f, T, cfl)
+    cut = TimeCutoff(T)
+    eta = cut.value(fwd.times)[:, None, None]
+    eta_dot = cut.derivative(fwd.times)[:, None, None]
+    u_in = eta_dot[:-1] * (fwd.trajectory[:-1] - bwd.trajectory[:-1])
+    residuals = []
+    if omega_hat is None:
+        u_vals = u_in
+    else:
+        y_in = eta * fwd.trajectory + (1.0 - eta) * bwd.trajectory
+        y_out = np.zeros_like(y_in)
+        for comp in omega_hat.complement_components():
+            grid_i = Grid(comp.lo, comp.hi, max(8, math.ceil(comp.length * grid.n_cells)))
+            hum = hum_boundary_control(spec, comp, y0_fn(grid_i.centers),
+                                       y1_fn(grid_i.centers), grid_i, T, cfl)
+            residuals.append(hum.residual)
+            inside = (grid.centers > comp.lo) & (grid.centers < comp.hi)
+            y_out[:, :, inside] = _whole_state_resample(
+                hum.trajectory, hum.times, grid_i.centers, fwd.times, grid.centers[inside])
+        cutoff = SpaceCutoff.between(omega_hat, spec.omega)
+        xi, xi_dot = cutoff.value(grid.centers), cutoff.derivative(grid.centers)
+        lam = _speeds_at(spec, grid)
+        u_vals = (xi_dot[None, None, :] * lam[None, :, :] * (y_out[:-1] - y_in[:-1])
+                  + (1.0 - xi)[None, None, :] * u_in)
+    control = ControlField(u_vals, grid, fwd.times[1] - fwd.times[0],
+                           spec.omega.contains_points(grid.centers))
+    final = solve_forward(spec, y0f, control, T, cfl).final
+    err = np.sqrt(grid.dx * np.sum((final.values - y1f.values) ** 2))
+    return control, err, tuple(residuals)
+
+
+def _fourier(n, seed):
+    amp = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3)) / np.arange(1, 4) ** 2
+    return lambda x: amp @ np.sin(np.pi * np.arange(1, 4)[:, None] * np.asarray(x)[None, :])
+
+
+def _synth_case(label):
+    # small-grid versions of the three synthesis cases of the benchmark
+    from hypctrl.model import SourceTerm, SpeedProfile
+    if label == "a":
+        return make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)]), 0.6, 100
+    if label == "b":
+        return make_spec([-2.0, -1.0, 1.0, 3.0], np.eye(2), np.eye(2), [(0.3, 0.8)]), 0.6, 60
+    prof = SpeedProfile.piecewise_linear([0.0, 0.5, 1.0], [[-1.0, -1.5, -1.0], [1.0, 2.0, 1.0]])
+    return (make_spec(prof, [[0.8]], [[1.2]], [(0.2, 0.6)],
+                      source=SourceTerm.constant([[0.3, -0.2], [0.1, 0.4]])), 0.78, 60)
+
+
+class TestInPlaceGlue:
+    """The glue formed in place, at the transition cells only, against the
+    whole-array glue it replaced: the same operations per element, so every
+    control value is equal (the sign of a zero may differ)."""
+
+    @pytest.mark.parametrize("label", ["a", "b", "c"])
+    def test_matches_whole_array_glue(self, label):
+        spec, T, cells = _synth_case(label)
+        grid = Grid(0.0, 1.0, cells)
+        y0, y1 = _fourier(spec.n, 1), _fourier(spec.n, 2)
+        rep = assemble_internal_control(spec, y0, y1, T, grid)
+        control, err, residuals = _whole_array_glue(spec, y0, y1, T, grid, rep.omega_hat)
+        assert np.array_equal(rep.control.values, control.values)
+        assert rep.control.dt == control.dt
+        assert rep.achieved_error == err
+        assert rep.hum_residuals == residuals
+
+    def test_full_domain_matches_whole_array_glue(self, spec_full_domain):
+        grid = Grid(0.0, 1.0, 80)
+        y0, y1 = _fourier(2, 3), _fourier(2, 4)
+        rep = synthesize_full_domain(spec_full_domain, y0, y1, 0.4, grid)
+        control, err, _ = _whole_array_glue(spec_full_domain, y0, y1, 0.4, grid, None)
+        assert np.array_equal(rep.control.values, control.values)
+        assert rep.achieved_error == err
+
+    def test_peak_memory_is_near_two_controls(self, spec_2x2):
+        tracemalloc.start()
+        try:
+            rep = assemble_internal_control(spec_2x2, Y0_SIN, _fourier(2, 5), 0.6,
+                                            Grid(0.0, 1.0, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * rep.control.values.nbytes
+
+
+class TestSynthesisMemoryGuard:
+    """The peak memory of a synthesis is predicted and checked against
+    ``pde.TRAJECTORY_BYTES_LIMIT`` before its first march."""
+
+    @staticmethod
+    def _traced(monkeypatch, synthesize, spec, T):
+        """(predicted bytes, tracemalloc peak, the ValueError raised or None)."""
+        import hypctrl.synth as synth
+        predicted = []
+        real = synth._peak_bytes
+
+        def spy(*args):
+            predicted.append(real(*args))
+            return predicted[-1]
+
+        monkeypatch.setattr(synth, "_peak_bytes", spy)
+        error = None
+        tracemalloc.start()
+        try:
+            synthesize(spec, Y0_SIN, _fourier(spec.n, 6), T, Grid(0.0, 1.0, 400))
+        except ValueError as exc:
+            error = exc
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return predicted[-1], peak, error
+
+    @pytest.mark.parametrize("full", [False, True], ids=["glued", "full-domain"])
+    def test_refused_before_allocating(self, monkeypatch, spec_2x2, spec_full_domain, full):
+        import hypctrl.pde as pde
+        spec, T = (spec_full_domain, 0.4) if full else (spec_2x2, 0.6)
+        synthesize = synthesize_full_domain if full else assemble_internal_control
+        predicted, peak, error = self._traced(monkeypatch, synthesize, spec, T)
+        assert error is None and abs(predicted - peak) <= 0.25 * peak
+        monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", predicted - 1)
+        _, refused_peak, error = self._traced(monkeypatch, synthesize, spec, T)
+        assert f"synthesis needs {predicted} bytes, above the limit" in str(error)
+        assert refused_peak < 1 << 20 < peak
+        monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", predicted)
+        assert self._traced(monkeypatch, synthesize, spec, T)[2] is None

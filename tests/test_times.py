@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -74,12 +75,17 @@ def _reference_crossing(v0, v1, x0, x1, c, d):
 
 
 def reference_time(spec, k, x):
-    """characteristic_time as the scalar loop over speed segments."""
+    """characteristic_time as the scalar loop over speed segments, with the
+    log1p form on the segment that holds x."""
     xs, vs = spec.speeds.segments(k)
     total = 0.0
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
         if x0 < min(x, x1):
-            total += _reference_crossing(v0, v1, x0, x1, x0, min(x, x1))
+            b = (v1 - v0) / (x1 - x0)
+            if x < x1 and abs(b) >= CONSTANT_SLOPE_TOL:
+                total += abs(math.log1p(b * (x - x0) / v0) / b)
+            else:
+                total += _reference_crossing(v0, v1, x0, x1, x0, min(x, x1))
     return total
 
 
@@ -168,8 +174,7 @@ class TestArrayCharacteristics:
         # the speed is 0.5 + b x on the first segment of "flat-segment", so x
         # is reached at t = log1p(b x / 0.5) / b; (exp(b t) - 1) / b gave x
         # back with up to 1.2e-13 relative error near x = 3e-4.  The times
-        # come from log1p: characteristic_time's log(v(x) / v0) is itself
-        # off by up to 1.1e-13 there
+        # come from log1p here, independently of characteristic_time
         spec = make_spec(ARRAY_PROFILES["flat-segment"], np.eye(1), np.eye(1),
                          [(0.2, 0.8)])
         b = (1.0 - 0.5) / 0.3
@@ -177,6 +182,21 @@ class TestArrayCharacteristics:
         t = np.log1p(b * x / 0.5) / b
         np.testing.assert_allclose(characteristic_position(spec, 1, t), x,
                                    rtol=1e-14, atol=0.0)
+
+    def test_time_keeps_its_digits_near_a_sloped_start(self):
+        # on the first segment of "flat-segment" the speed is 0.5 + b x, so x
+        # is reached at t = log(1 + b x / 0.5) / b; log of the speed ratio
+        # was off by up to 1.1e-13 relative near x = 3e-4
+        spec = make_spec(ARRAY_PROFILES["flat-segment"], np.eye(1), np.eye(1),
+                         [(0.2, 0.8)])
+        x = np.linspace(2.9e-4, 3.1e-4, 201)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            v0 = decimal.Decimal(0.5)
+            b = (decimal.Decimal(1.0) - v0) / decimal.Decimal(0.3)
+            ref = np.array([float((1 + b * decimal.Decimal(v) / v0).ln() / b) for v in x])
+        np.testing.assert_allclose(characteristic_time(spec, 1, x), ref,
+                                   rtol=1e-15, atol=0.0)
 
     def test_scalar_in_float_out(self, spec):
         k = spec.n - 1
