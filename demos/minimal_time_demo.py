@@ -8,12 +8,11 @@ four speeds and shows the per-component breakdown behind the maximum.
 import numpy as np
 
 from hypctrl import (ControlDomain, CouplingSpec, SourceTerm, SpeedProfile,
-                     SystemSpec, minimal_control_time, validate)
+                     SystemSpec, minimal_control_time)
 
 
 def report(name, spec):
     print(f"== {name} ==")
-    print(validate(spec))
     result = minimal_control_time(spec)
     print(f"minimal control time: {result.value}")
     for interval, bc in result.per_component:

@@ -4,7 +4,7 @@ for 1D linear hyperbolic balance laws with internal controls."""
 from .canon import CanonicalDecomposition, canonical_form, reversed_coupling
 from .model import (BelowThresholdError, ConfigError, ControlDomain,
                     CouplingSpec, Interval, PositionTag, RankError, SourceTerm,
-                    SpeedProfile, SystemSpec, ValidationReport, validate)
+                    SpeedProfile, SystemSpec)
 from .obsv import (GramianSweepResult, NecessitySweep, NecessityWitness,
                    detect_threshold, kernel_vector, necessity_sweep,
                    necessity_witness, observability_gramian, sigma_min_sweep)
@@ -32,7 +32,7 @@ __all__ = [
     "NecessityWitness", "PositionTag", "RankError", "RefinedRegion",
     "SourceTerm", "SpaceCutoff", "SpeedProfile", "StateField",
     "SynthesisReport", "SystemSpec", "TimeCutoff", "TimeTerm",
-    "ValidationReport", "assemble_internal_control", "boundary_control_time",
+    "assemble_internal_control", "boundary_control_time",
     "boundary_time_interior", "boundary_time_left", "boundary_time_right",
     "canonical_form", "cfl_dt", "characteristic_position",
     "characteristic_time", "characteristics_oracle", "detect_threshold",
@@ -41,5 +41,5 @@ __all__ = [
     "observability_gramian", "refine_control_region", "reversed_coupling",
     "sample_state", "sigma_min_sweep", "solve_adjoint", "solve_backward",
     "solve_boundary_forward", "solve_forward", "state_function",
-    "synthesize_full_domain", "travel_time", "validate",
+    "synthesize_full_domain", "travel_time",
 ]

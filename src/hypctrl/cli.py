@@ -40,7 +40,7 @@ import numpy as np
 
 from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, CouplingSpec,
-                    RankError, SourceTerm, SpeedProfile, SystemSpec, validate)
+                    RankError, SourceTerm, SpeedProfile, SystemSpec)
 from .obsv import detect_threshold, necessity_horizon, necessity_sweep, sigma_min_sweep
 from .pde import ControlField, Grid, StateField, _forward
 from .synth import assemble_internal_control
@@ -175,10 +175,6 @@ def parse_config(path) -> RunConfig:
         _fail("grid.cfl", "must lie in (0, 1]")
 
     spec = SystemSpec(speeds, source, couplings, omega)
-    report = validate(spec)
-    if not report.ok:
-        first = report.failures[0]
-        _fail(f"config ({first.name})", first.detail or "hypothesis violated")
     if spec.m != m:
         _fail("m", f"declared m={m} but the speeds have {spec.m} negative components")
     try:

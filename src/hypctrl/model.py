@@ -16,7 +16,7 @@ where y_- collects the m components with negative speed and y_+ the p = n - m
 components with positive speed.  The control u acts only on the open set
 omega, a finite union of open intervals.
 
-This module holds the immutable data types, the standing-hypothesis checks,
+This module holds the immutable data types, the standing-hypothesis check,
 the interval algebra on the control region (complement components drive
 everything downstream), and the errors a caller can act on.  All types are
 plain-value objects; operations are pure functions.
@@ -134,7 +134,7 @@ class SpeedProfile:
 
     @property
     def m(self) -> int:
-        """Number of negative-speed components (valid once validated)."""
+        """Number of negative-speed components."""
         return int(np.sum(self.table[:, 0] < 0.0))
 
     @property
@@ -319,12 +319,18 @@ class ControlDomain:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """The full problem datum: speeds, source, couplings and control region."""
+    """The full problem datum: speeds, source, couplings and control region,
+    checked against the standing hypotheses when it is built."""
 
     speeds: SpeedProfile
     source: SourceTerm
     couplings: CouplingSpec
     omega: ControlDomain
+
+    def __post_init__(self):
+        # the module global, looked up per call, so a rebinding of
+        # ``model.validate`` sees every build
+        validate(self)
 
     @property
     def n(self) -> int:
@@ -339,35 +345,9 @@ class SystemSpec:
         return self.speeds.p
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f": {c.detail}" if c.detail else "")
-            for c in self.checks
-        )
-
-
-def validate(spec: SystemSpec) -> ValidationReport:
-    """Check every standing hypothesis; report pass/fail per hypothesis."""
-    checks: list[CheckResult] = []
+def validate(spec: SystemSpec) -> None:
+    """Check the standing hypotheses in order; raise ``ConfigError`` naming
+    the first one ``spec`` breaks."""
     table = spec.speeds.table
     n = table.shape[0]
 
@@ -378,61 +358,34 @@ def validate(spec: SystemSpec) -> ValidationReport:
 
     if m + p < n:
         bad = [k for k in range(n) if not (neg[k] or pos[k])]
-        checks.append(CheckResult(
-            "speed-sign", False,
-            f"components {bad} change sign or vanish; negative speeds must be < 0 "
-            "and positive speeds must be > 0 everywhere"))
-    else:
-        checks.append(CheckResult("speed-sign", True))
-
+        raise ConfigError(
+            f"config (speed-sign): components {bad} change sign or vanish; negative "
+            "speeds must be < 0 and positive speeds must be > 0 everywhere")
     if n < 2 or m < 1 or p < 1:
-        checks.append(CheckResult(
-            "dimension", False,
-            f"need n >= 2 with at least one negative and one positive speed (m={m}, p={p})"))
-    else:
-        checks.append(CheckResult("dimension", True))
+        raise ConfigError(
+            "config (dimension): need n >= 2 with at least one negative and one "
+            f"positive speed (m={m}, p={p})")
+    if not np.all(np.diff(table, axis=0) >= 0.0):
+        raise ConfigError(
+            "config (speed-ordering): speeds must be nondecreasing in the component "
+            "index at every breakpoint")
 
-    if np.all(np.diff(table, axis=0) >= 0.0):
-        checks.append(CheckResult("speed-ordering", True))
-    else:
-        checks.append(CheckResult(
-            "speed-ordering", False,
-            "speeds must be nondecreasing in the component index at every breakpoint"))
-
-    coincide_ok = True
-    detail = ""
     for k in range(n):
         for l in range(k + 1, n):
             close = np.abs(table[k] - table[l]) <= EQUAL_SPEED_TOL
             if close.any() and not close.all():
-                coincide_ok = False
-                detail = (f"speeds {k} and {l} are equal somewhere but not everywhere; "
-                          "equal somewhere implies equal everywhere")
-                break
-        if not coincide_ok:
-            break
-    checks.append(CheckResult("speed-coincidence", coincide_ok, detail))
+                raise ConfigError(
+                    f"config (speed-coincidence): speeds {k} and {l} are equal somewhere "
+                    "but not everywhere; equal somewhere implies equal everywhere")
 
     q0, q1 = spec.couplings.q0, spec.couplings.q1
-    if q0.shape == (p, m) and q1.shape == (m, p) and np.isfinite(q0).all() and np.isfinite(q1).all():
-        checks.append(CheckResult("coupling-shapes", True))
-    else:
-        checks.append(CheckResult(
-            "coupling-shapes", False,
-            f"Q0 must be {p}x{m} and Q1 {m}x{p} with finite entries; "
-            f"got {q0.shape} and {q1.shape}"))
+    if not (q0.shape == (p, m) and q1.shape == (m, p)
+            and np.isfinite(q0).all() and np.isfinite(q1).all()):
+        raise ConfigError(
+            f"config (coupling-shapes): Q0 must be {p}x{m} and Q1 {m}x{p} with finite "
+            f"entries; got {q0.shape} and {q1.shape}")
 
-    src = spec.source
-    if src.matrices.shape[1:] == (n, n) and np.isfinite(src.matrices).all():
-        checks.append(CheckResult("source", True))
-    else:
-        checks.append(CheckResult(
-            "source", False,
-            f"source matrices must be {n}x{n} with finite entries"))
-
-    om_ok = all(0.0 <= a < b <= 1.0 for a, b in spec.omega.intervals)
-    checks.append(CheckResult(
-        "control-region", om_ok,
-        "" if om_ok else "control intervals must satisfy 0 <= a < b <= 1"))
-
-    return ValidationReport(tuple(checks))
+    src = spec.source.matrices
+    if not (src.shape[1:] == (n, n) and np.isfinite(src).all()):
+        raise ConfigError(
+            f"config (source): source matrices must be {n}x{n} with finite entries")

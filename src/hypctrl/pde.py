@@ -219,24 +219,20 @@ class _Marcher:
     Boundary conditions are callables ``bc(j, outflow, out)`` writing the
     inflow ghosts (n_in, B) of step j into ``out`` from the outgoing trace
     (n_out, B): positive-sigma components flow in at the left end, negative
-    ones at the right.  Each sign family is one contiguous block (true of
-    validated speeds and their negations), so views are basic slices.  One
-    difference of neighbouring cells serves both families, scaled by a
-    Courant table holding the positive family's numbers in slots 0..N-1
-    and the negative family's in 1..N: the positive family steps as
-    w - c (w - upwind), the negative family as w - c (downwind - w).
+    ones at the right.  Each sign family is one contiguous block (a
+    ``SystemSpec`` orders its speeds by sign, and negation keeps the
+    blocks), so views are basic slices.  One difference of neighbouring
+    cells serves both families, scaled by a Courant table holding the
+    positive family's numbers in slots 0..N-1 and the negative family's in
+    1..N: the positive family steps as w - c (w - upwind), the negative
+    family as w - c (downwind - w).
     """
 
     def __init__(self, sigma: np.ndarray, dt: float, dx: float,
                  bc_lo, bc_hi, source: np.ndarray | None = None):
         n, nx = sigma.shape
         pos = sigma[:, 0] > 0
-        if not np.all(pos | (sigma[:, 0] < 0)):
-            raise ValueError("speeds must be nonvanishing")
         split = int(np.argmin(pos == pos[0])) or n
-        if np.any(pos[split:] == pos[0]):
-            raise ValueError("speeds must be grouped by sign: all negative "
-                             "components before all positive ones, or the reverse")
         first, rest = slice(0, split), slice(split, n)
         self.pos, self.neg = (first, rest) if pos[0] else (rest, first)
         cour = sigma * (dt / dx)

@@ -64,7 +64,7 @@ def travel_time(spec: SystemSpec, k: int, interval) -> float:
     integral over the interval of 1 / |lambda_k|."""
     if not 0 <= k < spec.n:
         raise ValueError(f"component index {k} out of range")
-    iv = _as_interval(interval) if not isinstance(interval, Interval) else interval
+    iv = _as_interval(interval)
     lo, hi = iv.lo, iv.hi
     xs, vs = spec.speeds.segments(k)
     total = 0.0

@@ -397,6 +397,42 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert err == f"ERROR: control series spans 2 steps of 0.05 = 0.1, not the horizon {T}\n"
 
+    @pytest.mark.parametrize("overrides,line", [
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "constant", "value": 0.0}]},
+         "speed-sign): components [1] change sign or vanish; negative speeds must "
+         "be < 0 and positive speeds must be > 0 everywhere"),
+        ({"m": 2, "speeds": [{"type": "constant", "value": -2.0},
+                             {"type": "constant", "value": -1.0}],
+          "Q0": [[1.0, 1.0]]},
+         "dimension): need n >= 2 with at least one negative and one positive "
+         "speed (m=2, p=0)"),
+        ({"speeds": [{"type": "constant", "value": 1.0},
+                     {"type": "constant", "value": -1.0}]},
+         "speed-ordering): speeds must be nondecreasing in the component index "
+         "at every breakpoint"),
+        ({"n": 3, "speeds": [{"type": "constant", "value": -1.0},
+                             {"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                              "v": [1.0, 2.0, 3.0]},
+                             {"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                              "v": [2.0, 2.0, 4.0]}],
+          "M": [[0.0] * 3] * 3, "Q0": [[1.0], [1.0]], "Q1": [[1.0, 1.0]]},
+         "speed-coincidence): speeds 1 and 2 are equal somewhere but not "
+         "everywhere; equal somewhere implies equal everywhere"),
+        ({"Q0": [[1.0, 1.0]]},
+         "coupling-shapes): Q0 must be 1x1 and Q1 1x1 with finite entries; "
+         "got (1, 2) and (1, 1)"),
+        ({"M": {"type": "piecewise_constant", "x": [0.0, 1.0],
+                "matrices": [[[0.0] * 3] * 3]}},
+         "source): source matrices must be 2x2 with finite entries"),
+    ], ids=["speed-sign", "dimension", "speed-ordering", "speed-coincidence",
+            "coupling-shapes", "source"])
+    def test_broken_hypothesis_exits_2_naming_it(self, tmp_path, capsys,
+                                                 overrides, line):
+        path = config_variant(tmp_path, "bad.json", **overrides)
+        assert main(["mintime", "--config", path]) == 2
+        assert capsys.readouterr().err == f"ERROR: config ({line}\n"
+
     @staticmethod
     def _assert_one_error_line(capsys):
         err = capsys.readouterr().err

@@ -1,40 +1,30 @@
 import numpy as np
 import pytest
 
-from hypctrl.model import (ControlDomain, Interval, PositionTag,
-                           SpeedProfile, validate)
+from hypctrl.model import (ConfigError, ControlDomain, Interval, PositionTag,
+                           SourceTerm, SpeedProfile)
 from conftest import make_spec
 
 
-class TestValidate:
-    def test_plain_2x2_passes(self, spec_2x2):
-        report = validate(spec_2x2)
-        assert report.ok, str(report)
+BREAKPOINT_SPEEDS = SpeedProfile.piecewise_linear(
+    [0.0, 0.5, 1.0], [[-1.0, -1.0, -1.0], [1.0, 2.0, 3.0], [2.0, 2.0, 4.0]])
 
-    def test_zero_speed_fails_sign_check(self):
-        spec = make_spec([-1.0, 0.0], [[1.0]], [[1.0]], [(0.25, 0.75)])
-        report = validate(spec)
-        assert not report.ok
-        names = [c.name for c in report.failures]
-        assert "speed-sign" in names
-        assert "must be > 0" in report.failures[0].detail
 
-    def test_equal_at_one_breakpoint_only_fails(self):
-        x = [0.0, 0.5, 1.0]
-        vals = [[-1.0, -1.0, -1.0], [1.0, 2.0, 3.0], [2.0, 2.0, 4.0]]
-        spec = make_spec(SpeedProfile.piecewise_linear(x, vals),
-                         np.ones((2, 1)), np.ones((1, 2)), [(0.2, 0.7)])
-        report = validate(spec)
-        failed = {c.name for c in report.failures}
-        assert "speed-coincidence" in failed
-
-    def test_wrong_coupling_shape_fails(self):
-        spec = make_spec([-1.0, 1.0], np.ones((2, 2)), [[1.0]], [(0.2, 0.7)])
-        assert any(c.name == "coupling-shapes" for c in validate(spec).failures)
-
-    def test_revalidation_is_idempotent(self, spec_4x4):
-        assert validate(spec_4x4).ok
-        assert validate(spec_4x4).ok
+@pytest.mark.parametrize("name,speeds,q0,q1,source", [
+    ("speed-sign", [-1.0, 0.0], [[1.0]], [[1.0]], None),
+    ("dimension", [-2.0, -1.0], [[1.0, 1.0]], [[1.0]], None),
+    ("speed-ordering", [1.0, -1.0], [[1.0]], [[1.0]], None),
+    ("speed-ordering", [-1.0, 1.0, -2.0], [[1.0, 0.0]], [[1.0], [0.0]], None),
+    ("speed-coincidence", BREAKPOINT_SPEEDS, np.ones((2, 1)), np.ones((1, 2)), None),
+    ("coupling-shapes", [-1.0, 1.0], np.ones((2, 2)), [[1.0]], None),
+    ("coupling-shapes", [-1.0, 1.0], [[1.0, 1.0]], [[1.0]], None),
+    ("coupling-shapes", [-1.0, 1.0], [[np.nan]], [[1.0]], None),
+    ("source", [-1.0, 1.0], [[1.0]], [[1.0]], SourceTerm.zero(3)),
+], ids=["zero-speed", "no-positive-speed", "positive-first", "ungrouped",
+        "equal-at-one-breakpoint", "q0-2x2", "q0-1x2", "q0-nan", "source-3x3"])
+def test_broken_hypothesis_rejected_at_construction(name, speeds, q0, q1, source):
+    with pytest.raises(ConfigError, match=rf"config \({name}\)"):
+        make_spec(speeds, q0, q1, [(0.2, 0.7)], source)
 
 
 class TestComplementComponents:

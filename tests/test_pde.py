@@ -558,13 +558,6 @@ class TestMarchingKernel:
         with pytest.raises(RuntimeError, match="finiteness at step 5"):
             pde._march(marcher, np.ones((2, 8, 3)), 5)
 
-    def test_ungrouped_signs_rejected(self):
-        spec = make_spec([-1.0, 1.0, -2.0], [[1.0, 0.0]], [[1.0], [0.0]],
-                         [(0.2, 0.6)])
-        y0 = StateField(np.zeros((3, 64)), Grid(0.0, 1.0, 64))
-        with pytest.raises(ValueError, match="grouped by sign"):
-            solve_forward(spec, y0, None, 0.1)
-
     def test_backward_trajectories_in_forward_time(self, spec_2x2):
         grid = Grid(0.0, 1.0, 64)
         datum = sample_state(smooth_pair, grid, 2)
