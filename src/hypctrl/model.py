@@ -361,6 +361,10 @@ def validate(spec: SystemSpec) -> None:
         raise ConfigError(
             f"config (speed-sign): components {bad} change sign or vanish; negative "
             "speeds must be < 0 and positive speeds must be > 0 everywhere")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        bad = [k for k in range(n) if not finite[k]]
+        raise ConfigError(f"config (speed-sign): speeds of components {bad} are not finite")
     if n < 2 or m < 1 or p < 1:
         raise ConfigError(
             "config (dimension): need n >= 2 with at least one negative and one "

@@ -35,7 +35,7 @@ from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _check_bytes, _forward, _march, _Marcher,
                   _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
-                  solve_backward, solve_boundary_forward)
+                  solve_backward, solve_boundary_forward, solve_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -142,7 +142,7 @@ def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
     """Forward/backward blend: the control eta'(t) (y_f - y_b), written over
     the forward trajectory, and y_in = eta y_f + (1 - eta) y_b (the general
     case's inner solution) at ``cells`` only; the backward trajectory dies."""
-    fwd = _forward(spec, y0f, None, T, cfl, keep="trajectory")
+    fwd = solve_forward(spec, y0f, None, T, cfl)
     bwd = solve_backward(spec, y1f, T, cfl).trajectory
     cut = TimeCutoff(T)
     eta = cut.value(fwd.times)[:, None, None]
@@ -155,17 +155,20 @@ def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
     return u, y_in
 
 
+def _hum_bytes(spec, grid_i, tag, T, cfl) -> int:
+    """Peak bytes of one HUM: its a_t and normal matrix, plus the larger of
+    LAPACK's working copy of that matrix and the controlled trajectory."""
+    _, steps = _resolve_steps(spec, grid_i, T, cfl)
+    nstate = spec.n * grid_i.n_cells
+    n_ch = _channels(spec, tag)[1]
+    return 8 * nstate * (n_ch * steps + nstate + max(nstate, steps + 1))
+
+
 def _peak_bytes(spec, grid, n_steps, n_glued, parts, T, cfl) -> int:
     """Peak bytes of a synthesis: the glue's two trajectories and its three
-    arrays at n_glued cells, or, if more, one HUM's a_t, normal matrix and
-    the larger of its Cholesky factor and controlled trajectory."""
-    peak = (n_steps + 1) * spec.n * (2 * grid.n_cells + 3 * n_glued)
-    for comp, grid_i in parts:
-        _, steps = _resolve_steps(spec, grid_i, T, cfl)
-        nstate = spec.n * grid_i.n_cells
-        n_ch = _channels(spec, comp.tag)[1]
-        peak = max(peak, nstate * (n_ch * steps + nstate + max(nstate, steps + 1)))
-    return 8 * peak
+    arrays at n_glued cells, or, if more, one component's HUM."""
+    glue = 8 * (n_steps + 1) * spec.n * (2 * grid.n_cells + 3 * n_glued)
+    return max([glue] + [_hum_bytes(spec, grid_i, comp.tag, T, cfl) for comp, grid_i in parts])
 
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -188,29 +191,6 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
     final = _forward(spec, y0f, control, T, cfl, keep="final").final
     err = _l2(final.values - y1f.values, grid.dx)
     return SynthesisReport(control, err, final)
-
-
-def _solve_normal_equations(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the regularized (symmetric positive definite) normal system.
-
-    The regularized matrix carries a near-continuum of eigenvalues spanning
-    eight decades down to the regularization floor, so Krylov iterations
-    stagnate long after the least-squares objective has saturated; a dense
-    Cholesky factorization gets the exact minimizer at these sizes.  Its
-    triangular solves are row substitutions: numpy's general solver would
-    LU-factor each triangular factor again.
-    """
-    try:
-        chol = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"normal equations lost positive definiteness: {exc}") from exc
-    y = np.empty_like(rhs)
-    for i in range(rhs.size):
-        y[i] = (rhs[i] - chol[i, :i] @ y[:i]) / chol[i, i]
-    x = np.empty_like(rhs)
-    for i in range(rhs.size - 1, -1, -1):
-        x[i] = (y[i] - chol[i + 1:, i] @ x[i + 1:]) / chol[i, i]
-    return x
 
 
 def _channels(spec: SystemSpec, tag: PositionTag) -> tuple[int, int]:
@@ -242,7 +222,11 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     march carries all of them beside the free evolution.  The normal system
     is solved on the state side, of size n N_i instead of channels n_steps:
     U = A^T x with (dx A A^T + alpha dt I) x = dx (y1 - b), which is the
-    same minimizer by the push-through identity.
+    same minimizer by the push-through identity.  Its eigenvalues span some
+    eight decades down to the floor alpha dt, where Krylov iterations
+    stagnate, so one dense LU solve (partial pivoting, backward stable on a
+    symmetric positive definite matrix) gets the exact minimizer.  The peak
+    memory is checked before the batched march.
 
     Exact steering needs a horizon above the component's boundary-control
     time (with some margin); below it the residual stays bounded away from
@@ -251,6 +235,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     residual; the horizon itself must be finite and positive.
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
+    _check_bytes("HUM", _hum_bytes(spec, grid, interval.tag, T, cfl))
     n_left, n_ch = _channels(spec, interval.tag)
     nstate = spec.n * grid.n_cells
 
@@ -282,7 +267,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     dx = grid.dx
     gram = dx * (a_t.T @ a_t)
     gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * dt
-    vec = a_t @ _solve_normal_equations(gram, dx * target)
+    vec = a_t @ np.linalg.solve(gram, dx * target)
 
     u = vec.reshape(n_ch, n_steps).T
     controls = BoundaryControls(u[:, :n_left] if n_left else None,

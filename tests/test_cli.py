@@ -314,11 +314,18 @@ class TestFlagValidation:
         ({"grid": {"cells": 2100}}, GRAMIAN, 1),
         (BIG_SOURCE, GRAMIAN, 1),
         (BIG_SOURCE, ["simulate", "--T", "1", "--y0", "sinpi"], 1),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1.0, float("inf")]}]},
+         ["mintime"], 2),
+        ({"speeds": [{"type": "constant", "value": -float("inf")},
+                     {"type": "constant", "value": 1.0}]},
+         ["simulate", "--T", "0.3", "--y0", "sinpi"], 2),
     ], ids=["n-float", "n-integral-float", "m-float", "m-bool", "n-string",
             "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers",
             "cfl-string", "cfl-bool", "speed-string", "speed-null", "piecewise-x-number",
             "mixed-constant-no-value", "source-matrix-count", "necessity-short-horizon",
-            "necessity-source", "gramian-guard", "gramian-overflow", "simulate-overflow"])
+            "necessity-source", "gramian-guard", "gramian-overflow", "simulate-overflow",
+            "speed-infinite", "speed-minus-infinite"])
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                     overrides, command, code):
         path = config_variant(tmp_path, "bad.json", **overrides)
@@ -425,8 +432,11 @@ class TestFlagValidation:
         ({"M": {"type": "piecewise_constant", "x": [0.0, 1.0],
                 "matrices": [[[0.0] * 3] * 3]}},
          "source): source matrices must be 2x2 with finite entries"),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1.0, float("inf")]}]},
+         "speed-sign): speeds of components [1] are not finite"),
     ], ids=["speed-sign", "dimension", "speed-ordering", "speed-coincidence",
-            "coupling-shapes", "source"])
+            "coupling-shapes", "source", "speed-infinite"])
     def test_broken_hypothesis_exits_2_naming_it(self, tmp_path, capsys,
                                                  overrides, line):
         path = config_variant(tmp_path, "bad.json", **overrides)

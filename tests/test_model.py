@@ -20,8 +20,12 @@ BREAKPOINT_SPEEDS = SpeedProfile.piecewise_linear(
     ("coupling-shapes", [-1.0, 1.0], [[1.0, 1.0]], [[1.0]], None),
     ("coupling-shapes", [-1.0, 1.0], [[np.nan]], [[1.0]], None),
     ("source", [-1.0, 1.0], [[1.0]], [[1.0]], SourceTerm.zero(3)),
+    ("speed-sign", [-np.inf, 1.0], [[1.0]], [[1.0]], None),
+    ("speed-sign", SpeedProfile.piecewise_linear([0.0, 1.0], [[-1.0, -1.0], [1.0, np.inf]]),
+     [[1.0]], [[1.0]], None),
 ], ids=["zero-speed", "no-positive-speed", "positive-first", "ungrouped",
-        "equal-at-one-breakpoint", "q0-2x2", "q0-1x2", "q0-nan", "source-3x3"])
+        "equal-at-one-breakpoint", "q0-2x2", "q0-1x2", "q0-nan", "source-3x3",
+        "minus-infinite-speed", "infinite-breakpoint-speed"])
 def test_broken_hypothesis_rejected_at_construction(name, speeds, q0, q1, source):
     with pytest.raises(ConfigError, match=rf"config \({name}\)"):
         make_spec(speeds, q0, q1, [(0.2, 0.7)], source)

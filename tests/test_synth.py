@@ -578,3 +578,21 @@ class TestSynthesisMemoryGuard:
         assert refused_peak < 1 << 20 < peak
         monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", predicted)
         assert self._traced(monkeypatch, synthesize, spec, T)[2] is None
+
+
+def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
+    # a direct library call checks its own peak: about 1.8 MB of impulse
+    # responses, normal matrix and trajectory for 240 states over 356 steps
+    import hypctrl.pde as pde
+    monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", 1 << 20)
+    grid = Grid(0.0, 0.3, 120)
+    y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(120)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"HUM needs \d+ bytes, above the limit"):
+            hum_boundary_control(spec_2x2, Interval(0.0, 0.3), y0, np.zeros((2, 120)),
+                                 grid, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
