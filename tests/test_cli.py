@@ -502,3 +502,17 @@ class TestDeterminism:
                               "--y0", "sinpi"])
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # sha256 of the stdout of `gramian --tmin 0.3 --steps 9` on the example:
+    # --tmax 0.7 marches at Courant 1, where the Gramian is diagonal, and
+    # --tmax 0.7234 at Courant 0.998, where it is one dense block
+    @pytest.mark.parametrize("tmax,digest", [
+        ("0.7", "dec997bf93ed32bd84dabc53a60c70e3309b559f4937a7e52c352303cb6a04d6"),
+        ("0.7234", "1226cb06e66be8a87c34d703c158c9a384b20e46587d71c9fe23ca5724056ee1"),
+    ], ids=["courant-1", "courant-0.998"])
+    def test_gramian_golden_bytes(self, tmax, digest):
+        code, text = capture(["gramian", "--config", str(ROOT / "demos" / "example_2x2.json"),
+                              "--tmin", "0.3",
+                              "--tmax", tmax, "--steps", "9"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
