@@ -373,6 +373,9 @@ def _cmd_synthesize(cfg: RunConfig, args, out):
 def _cmd_gramian(cfg: RunConfig, args, out):
     if args.steps < 1:
         raise ConfigError(f"--steps: must be at least 1, got {args.steps}")
+    if args.steps == 1 and args.tmax != args.tmin:
+        raise ConfigError(f"--steps: 1 sweeps the single horizon --tmin, so --tmax "
+                          f"must equal it, got {args.tmin} and {args.tmax}")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid)
     out.write("T,sigma_min\n")

@@ -9,7 +9,11 @@ respect to the dx-weighted norm is positive exactly when the discrete
 observability inequality holds, so sweeping it over horizons locates the
 controllability threshold numerically.  The windows [T - k dt, T] are
 nested, so one backward Stein recurrence (``_gramian_windows``) serves every
-horizon of a sweep, plus one ``eigvalsh`` per horizon.
+horizon of a sweep.  Its one-step operator is read off a few colored probe
+columns, and its nonzero pattern fixes the finest block partition the
+recurrence keeps; each horizon's sigma_min is the least over the blocks:
+1x1 blocks straight off the diagonal, larger blocks one ``eigvalsh`` call
+per stack of equal size (a dense Gramian is the one-block case).
 
 The certification is crisp only at Courant number exactly 1 for every
 component: the discrete evolution is then exact and sigma_min vanishes
@@ -59,29 +63,27 @@ class GramianSweepResult:
 def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
                      dt: float, stops: set[int], on_window):
     """Hand the Gramian of each window [T - k dt, T], k in ``stops``, to
-    ``on_window(k, gram)``, symmetrized.
+    ``on_window(k, gram, blocks)``: ``gram`` is the running buffer, not
+    symmetrized and overwritten by the next step, and ``blocks`` the
+    partition of ``_block_partition``, which keeps every window
+    block-diagonal.
 
     The windows are nested and obey the backward Stein recurrence
 
         G_1 = w P,    G_{k+1} = w P + A^T G_k A,
 
     with w = dt * dx, P the 0/1 diagonal of the cells of omega and A the
-    one-step adjoint operator, built once by one ``_march`` step of the
-    identity batch.  Each column of A holds at most K nonzeros (the upwind
-    stencil, the reflections at the ends, the source), so A is kept
-    column-sparse and A^T G A costs K row gathers and K column gathers: a
-    step is O(K * nstate^2) on three nstate^2 buffers.
+    column-sparse one-step adjoint operator of ``_one_step_operator``: A^T G A
+    costs K row gathers and K column gathers, K the most nonzeros in a
+    column of A, so a step is O(K * nstate^2) on three nstate^2 buffers.
     """
     n, nx = spec.n, grid.n_cells
     nstate = n * nx
     if nstate > GRAMIAN_STATE_LIMIT:
         raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
                          f"({GRAMIAN_STATE_LIMIT})")
-    # reshaping the padded interior copies it; the padded buffers are freed here
-    step = _march(_adjoint_marcher(spec, grid, dt),
-                  np.eye(nstate).reshape(n, nx, nstate), 1)[0].reshape(nstate, nstate)
-    rows, vals = _column_sparse(step)
-    del step  # dense A is not kept beside the three buffers below
+    rows, vals = _one_step_operator(spec, grid, dt)
+    blocks = _block_partition(rows, vals)
 
     diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), n)) * (nstate + 1)
     w = dt * grid.dx
@@ -94,7 +96,7 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
         if (k % NAN_CHECK_EVERY == 0 or k in stops) and not np.isfinite(gram).all():
             raise RuntimeError(f"Gramian lost finiteness at step {k}")
         if k in stops:
-            on_window(k, 0.5 * (gram + gram.T))
+            on_window(k, gram, blocks)
         if k == last:
             break
         _gather(gram, rows, vals, 0, nxt, part)     # A^T G
@@ -102,20 +104,95 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
         gram.flat[diag] += w
 
 
-def _column_sparse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices and values of the nonzeros of each column of ``a`` as
-    (K, ncols) arrays, K the most nonzeros in a column; shorter columns are
-    padded with rows where they hold zeros, so the padding adds nothing."""
-    nonzero = a != 0.0
-    k = int(nonzero.sum(axis=0).max())
-    rows = np.argsort(~nonzero, axis=0, kind="stable")[:k]
-    return rows, np.take_along_axis(a, rows, axis=0)
+def _one_step_operator(spec: SystemSpec, grid: Grid,
+                       dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step adjoint operator A as the row indices and values of the
+    nonzeros of each column, two (K, nstate) arrays, K the most nonzeros in
+    a column: the nonzero rows ascending, then as padding the smallest rows
+    where the column holds zeros, so the padding adds nothing.
+
+    A is read off one ``_march`` step of 3n colored probe columns (Curtis,
+    Powell and Reid, IMA J. Appl. Math. 13, 1974) and never built densely.
+    Probe (k, c) holds ones at the cells x = c (mod 3) of component k.  A
+    step couples cell x only with cells x - 1 to x + 1 (the upwind stencil,
+    the source at one cell, the reflections between the components of one
+    end cell), so the probe's entry at row (i, x) is the entry of the one
+    column (k, x') of A with x' = c (mod 3) and |x - x'| <= 1, and the 3n
+    rows (i, x' - 1 .. x' + 1) of column (k, x') hold all its nonzeros.
+    """
+    n, nx = spec.n, grid.n_cells
+    cells, comps = np.arange(nx), np.arange(n)[:, None]
+    probes = np.zeros((n, nx, n, 3))
+    probes[comps, cells, comps, cells % 3] = 1.0
+    out = _march(_adjoint_marcher(spec, grid, dt), probes.reshape(n, nx, 3 * n), 1)[0]
+    # candidate (i, d) of column (k, x') is row (i, x' + d - 1), so the 3n
+    # candidates of a column ascend
+    near = cells + np.array([-1, 0, 1])[:, None]
+    inside = (near >= 0) & (near < nx)
+    near = np.clip(near, 0, nx - 1)
+    cand = out.reshape(n, nx, n, 3)[:, near[:, None], comps, cells % 3]
+    cand = np.where(inside[:, None], cand, 0.0).reshape(3 * n, n * nx)
+    cand_rows = np.broadcast_to(comps[:, :, None, None] * nx + near[:, None],
+                                (n, 3, n, nx)).reshape(3 * n, n * nx)
+
+    nonzero = cand != 0.0
+    count = nonzero.sum(axis=0)
+    slot = np.arange(int(count.max()))[:, None]
+    first = np.argsort(~nonzero, axis=0, kind="stable")[:slot.size]
+    nz_rows = np.take_along_axis(cand_rows, first, axis=0)
+    real = slot < count
+    # a column with c nonzeros pads with the K - c smallest rows holding none
+    # of them, all below K
+    held = ((slot[:, None] == nz_rows) & real).any(axis=1)
+    free = np.argsort(held, axis=0, kind="stable")
+    rows = np.where(real, nz_rows,
+                    np.take_along_axis(free, np.maximum(slot - count, 0), axis=0))
+    return rows, np.where(real, np.take_along_axis(cand, first, axis=0), 0.0)
+
+
+def _block_partition(rows: np.ndarray, vals: np.ndarray) -> list[np.ndarray]:
+    """The finest partition of the states for which A^T X A is
+    block-diagonal whenever X is, for the column-sparse A of
+    ``_one_step_operator``: one (count, size) array of state indices per
+    block size, a block per row, ascending.  A dense Gramian is the one
+    block ``arange(nstate)``.
+
+    Entry (i, j) of A^T X A can be nonzero only where columns i and j of A
+    have nonzeros in one block of X, so those columns must share a block.
+    Blocks are labeled by their least state and merged from singletons on
+    until no label drops.
+    """
+    nstate = rows.shape[1]
+    nonzero = vals != 0.0
+    cols = np.broadcast_to(np.arange(nstate), rows.shape)[nonzero]
+    hits = rows[nonzero]
+    label = np.arange(nstate)
+    while True:
+        # the columns meeting a block drop to the least label among them ...
+        block = label[hits]
+        least = np.full(nstate, nstate)
+        np.minimum.at(least, block, label[cols])
+        merged = label.copy()
+        np.minimum.at(merged, cols, least[block])
+        # ... and every block to the least label of its states, which drops
+        # to that label's own label
+        least = np.full(nstate, nstate)
+        np.minimum.at(least, label, merged)
+        merged = least[label]
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))  # by size, then block, then state
+    size = size[order]
+    return [order[size == s].reshape(-1, s) for s in np.unique(size)]
 
 
 def _gather(x: np.ndarray, rows: np.ndarray, vals: np.ndarray, axis: int,
             out: np.ndarray, part: np.ndarray):
     """out = A^T x (axis 0) or x A (axis 1) for the column-sparse A of
-    ``_column_sparse``: row (column) i of out sums vals[q, i] times row
+    ``_one_step_operator``: row (column) i of out sums vals[q, i] times row
     (column) rows[q, i] of x over q."""
     scale = [v[:, None] if axis == 0 else v[None, :] for v in vals]
     # the indices are in range; with out= the default mode="raise" costs
@@ -139,7 +216,8 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     grams = []
-    _gramian_windows(spec, omega, grid, dt, {n_steps}, lambda k, gram: grams.append(gram))
+    _gramian_windows(spec, omega, grid, dt, {n_steps},
+                     lambda k, gram, blocks: grams.append(0.5 * (gram + gram.T)))
     return grams[0]
 
 
@@ -148,9 +226,14 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     """Smallest Gramian eigenvalue (dx-weighted) for each horizon in t_list.
 
     One recurrence serves all horizons: the Gramian windows are nested, so
-    the running Gramian is handed to one ``eigvalsh`` whenever its window
-    reaches a requested horizon (each horizon snaps to the shared step grid;
-    the snapped values are reported alongside).
+    the running Gramian is read whenever its window reaches a requested
+    horizon (each horizon snaps to the shared step grid; the snapped values
+    are reported alongside).  It is block-diagonal under the partition of
+    ``_block_partition``, so sigma_min is the least eigenvalue over the
+    blocks: the diagonal entry of each 1x1 block, and one batched
+    ``eigvalsh`` per size of the larger blocks, each block symmetrized
+    alone.  A dense Gramian is the one-block case and gets the same
+    ``eigvalsh`` call on the same matrix as a whole-matrix solve.
     """
     t_list = [float(t) for t in t_list]
     if not t_list or any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
@@ -162,8 +245,15 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     targets = [max(1, int(round(t / dt))) for t in t_list]
     sigmas: dict[int, float] = {}
 
-    def smallest_eigenvalue(k, gram):
-        sigmas[k] = float(np.linalg.eigvalsh(gram)[0] / grid.dx)
+    def smallest_eigenvalue(k, gram, blocks):
+        lows = []
+        for idx in blocks:
+            if idx.shape[1] == 1:  # a 1x1 block is its own eigenvalue
+                lows.append(gram.diagonal()[idx[:, 0]].min())
+                continue
+            sub = gram[idx[:, :, None], idx[:, None, :]]
+            lows.append(np.linalg.eigvalsh(0.5 * (sub + sub.transpose(0, 2, 1)))[:, 0].min())
+        sigmas[k] = float(min(lows) / grid.dx)
 
     _gramian_windows(spec, omega, grid, dt, set(targets), smallest_eigenvalue)
     points = tuple((t, sigmas[k]) for t, k in zip(t_list, targets))

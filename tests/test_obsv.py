@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hypctrl.canon import canonical_form
 from hypctrl.model import SourceTerm, SpeedProfile
-from hypctrl.obsv import (WITNESS_CHUNK, _gramian_windows, detect_threshold,
-                          kernel_vector, necessity_sweep, necessity_witness,
-                          observability_gramian, sigma_min_sweep)
+from hypctrl.obsv import (WITNESS_CHUNK, _block_partition, _gramian_windows,
+                          _one_step_operator, detect_threshold, kernel_vector,
+                          necessity_sweep, necessity_witness, observability_gramian,
+                          sigma_min_sweep)
 from hypctrl.pde import (Grid, StateField, _adjoint_marcher, _march, cfl_dt,
                          solve_adjoint)
 from conftest import make_spec, near_singular
@@ -80,8 +83,32 @@ def forward_gramians(spec, grid, dt, stops):
 def recurrence_gramians(spec, grid, dt, stops):
     out = {}
     _gramian_windows(spec, spec.omega, grid, dt, stops,
-                     lambda k, gram: out.setdefault(k, gram))
+                     lambda k, gram, blocks: out.setdefault(k, 0.5 * (gram + gram.T)))
     return out
+
+
+STEIN_CASES = [
+    pytest.param(make_spec([-1.0, 1.0], [[0.7]], [[-1.3]], [(0.25, 0.75)]), 0.9,
+                 id="courant-0.9-couplings"),
+    pytest.param(make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)],
+                           source=SourceTerm.constant([[0.3, -0.5], [0.2, 0.1]])), 1.0,
+                 id="constant-source"),
+    pytest.param(make_spec(SpeedProfile.piecewise_linear(
+        [0.0, 0.5, 1.0], [[-1.0, -1.5, -1.2], [1.0, 2.0, 1.5]]),
+        [[1.0]], [[0.8]], [(0.2, 0.7)],
+        source=SourceTerm.constant([[0.3, -0.5], [0.2, 0.1]])), 1.0,
+        id="piecewise-source"),
+    pytest.param(make_spec([-2.0, -1.0, 1.0, 3.0], [[1.0, 0.5], [-0.3, 0.8]],
+                           [[0.2, 1.0], [0.9, -0.4]], [(0.3, 0.8)]), 1.0,
+                 id="n4-couplings"),
+]
+
+
+def equal_speeds_n4():
+    """The n4 couplings on speeds (-1, -1, 1, 1): every component marches at
+    Courant 1, and each reflection mixes two components of one end cell."""
+    return make_spec([-1.0, -1.0, 1.0, 1.0], [[1.0, 0.5], [-0.3, 0.8]],
+                     [[0.2, 1.0], [0.9, -0.4]], [(0.3, 0.8)])
 
 
 class TestStein:
@@ -110,18 +137,7 @@ class TestStein:
         for k in ref:
             assert np.array_equal(new[k], ref[k])
 
-    @pytest.mark.parametrize("spec,cfl", [
-        (make_spec([-1.0, 1.0], [[0.7]], [[-1.3]], [(0.25, 0.75)]), 0.9),
-        (make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)],
-                   source=SourceTerm.constant([[0.3, -0.5], [0.2, 0.1]])), 1.0),
-        (make_spec(SpeedProfile.piecewise_linear(
-            [0.0, 0.5, 1.0], [[-1.0, -1.5, -1.2], [1.0, 2.0, 1.5]]),
-            [[1.0]], [[0.8]], [(0.2, 0.7)],
-            source=SourceTerm.constant([[0.3, -0.5], [0.2, 0.1]])), 1.0),
-        (make_spec([-2.0, -1.0, 1.0, 3.0], [[1.0, 0.5], [-0.3, 0.8]],
-                   [[0.2, 1.0], [0.9, -0.4]], [(0.3, 0.8)]), 1.0),
-    ], ids=["courant-0.9-couplings", "constant-source", "piecewise-source",
-            "n4-couplings"])
+    @pytest.mark.parametrize("spec,cfl", STEIN_CASES)
     def test_agrees_with_forward_accumulation(self, spec, cfl):
         ref, new = self._both(spec, 30, cfl, [0.3, 0.6, 1.0])
         for k in ref:
@@ -136,6 +152,105 @@ class TestStein:
                          source=SourceTerm.constant([[1e100, 0.0], [0.0, 1e100]]))
         with pytest.raises(RuntimeError, match="finiteness"):
             sigma_min_sweep(spec, [0.3, 0.5], spec.omega, Grid(0.0, 1.0, 32))
+
+
+def identity_batch_operator(spec, grid, dt):
+    """Reference: the dense one-step operator, one ``_march`` step of the
+    identity batch, and its column-sparse (rows, vals): the nonzero rows of
+    each column ascending, padded with its smallest zero rows."""
+    n, nx = spec.n, grid.n_cells
+    nstate = n * nx
+    a = _march(_adjoint_marcher(spec, grid, dt), np.eye(nstate).reshape(n, nx, nstate),
+               1)[0].reshape(nstate, nstate)
+    nonzero = a != 0.0
+    rows = np.argsort(~nonzero, axis=0, kind="stable")[:int(nonzero.sum(axis=0).max())]
+    return a, rows, np.take_along_axis(a, rows, axis=0)
+
+
+def single_horizon_sigmas(spec, grid, t_list, cfl):
+    """sigma_min of each horizon from its own one-horizon sweep, and from
+    ``eigvalsh`` of the dense Gramian of ``observability_gramian``."""
+    swept = [sigma_min_sweep(spec, [t], spec.omega, grid, cfl).points[0][1] for t in t_list]
+    dense = [np.linalg.eigvalsh(observability_gramian(spec, t, spec.omega, grid, cfl))[0]
+             / grid.dx for t in t_list]
+    return swept, dense
+
+
+class TestBlocks:
+    """The probe-built operator, the block partition and the per-block
+    eigensolve of the sweep."""
+
+    @pytest.mark.parametrize("n_cells", [8, 30])
+    @pytest.mark.parametrize("spec,cfl", STEIN_CASES + [
+        pytest.param(make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)]), 1.0,
+                     id="2x2"),
+        pytest.param(equal_speeds_n4(), 1.0, id="n4-equal-speeds"),
+    ])
+    def test_probes_match_identity_batch(self, spec, cfl, n_cells):
+        grid = Grid(0.0, 1.0, n_cells)
+        dt = cfl_dt(spec, grid, cfl, 1.0)
+        _, rows, vals = identity_batch_operator(spec, grid, dt)
+        new_rows, new_vals = _one_step_operator(spec, grid, dt)
+        assert np.array_equal(new_rows, rows)
+        assert np.array_equal(new_vals, vals)
+
+    @pytest.mark.parametrize("case,cfl,shapes", [
+        ("2x2", 1.0, [(100, 1)]),
+        ("2x2", 0.9, [(1, 100)]),
+        ("n4-equal-speeds", 1.0, [(100, 2)]),
+    ])
+    def test_partition_shapes(self, spec_2x2, case, cfl, shapes):
+        spec = spec_2x2 if case == "2x2" else equal_speeds_n4()
+        grid = Grid(0.0, 1.0, 50)
+        dt = cfl_dt(spec, grid, cfl, 1.0)
+        blocks = _block_partition(*_one_step_operator(spec, grid, dt))
+        assert [b.shape for b in blocks] == shapes
+        # every state once, each block ascending
+        assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in blocks])),
+                              np.arange(spec.n * 50))
+        assert all(np.all(np.diff(b, axis=1) > 0) for b in blocks)
+        # A^T X A keeps any block-diagonal X block-diagonal
+        a, _, _ = identity_batch_operator(spec, grid, dt)
+        label = np.empty(spec.n * 50, dtype=int)
+        for b in blocks:
+            label[b] = b[:, :1]
+        same = label[:, None] == label[None, :]
+        x = np.random.default_rng(5).standard_normal(a.shape) * same
+        assert not np.any((a.T @ x @ a)[~same])
+
+    @pytest.mark.parametrize("cfl", [1.0, 0.9], ids=["singletons", "one-block"])
+    def test_sigma_bitwise_where_blocks_are_trivial(self, spec_2x2, cfl):
+        swept, dense = single_horizon_sigmas(spec_2x2, Grid(0.0, 1.0, 32),
+                                             [0.25, 0.5, 0.625, 0.75], cfl)
+        assert swept == dense
+
+    def test_sigma_of_blocks_of_two(self):
+        swept, dense = single_horizon_sigmas(equal_speeds_n4(), Grid(0.0, 1.0, 50),
+                                             [0.3, 0.6, 1.0], 1.0)
+        assert max(swept) > 0.0
+        assert np.max(np.abs(np.subtract(swept, dense))) <= 1e-13 * max(swept)
+
+    def test_courant_one_sweep_makes_no_eigensolve(self, spec_2x2, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kw: calls.append(a.shape) or eigvalsh(a, *args, **kw))
+        grid = Grid(0.0, 1.0, 100)
+        sigma_min_sweep(spec_2x2, [0.3, 0.5, 0.7], spec_2x2.omega, grid)
+        assert calls == []
+        sigma_min_sweep(spec_2x2, [0.3, 0.5, 0.7], spec_2x2.omega, grid, cfl=0.9)
+        assert calls == [(1, 200, 200)] * 3
+
+    def test_probe_build_stays_small(self, spec_2x2):
+        # the identity batch needed about 5 nstate^2 doubles, 640 MB here
+        grid = Grid(0.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            _one_step_operator(spec_2x2, grid, grid.dx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestSigmaMinSweep:
