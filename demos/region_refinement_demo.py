@@ -2,10 +2,11 @@
 
 Any open control region contains a finite union of intervals, compactly
 inside it, whose complement components cost at most epsilon more control
-time.  The construction partitions (0, 1) into cheap cells, keeps a small
-interval of the region near the first and the last contact point in each,
-and halves the margin around those points until every gap in between costs
-at most the target (the same halving rule the control synthesis uses).
+time.  The construction shrinks every open interval (a, b) of the region to
+(a + gamma, b - gamma), starting gamma at a quarter of the narrowest
+interval, and halves gamma until every gap costs at most the target (the
+same construction the control synthesis uses), so each interval keeps one
+piece.
 """
 
 from hypctrl import (ControlDomain, CouplingSpec, SourceTerm, SpeedProfile,

@@ -293,26 +293,6 @@ def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
     return lo + theta * (hi - lo)
 
 
-def _shrunk_core(spec: SystemSpec, bound: float) -> ControlDomain:
-    """The widest margin-shrink of omega whose complement components all
-    stay below `bound` of boundary-control time.
-
-    Each merged piece (a, b) of omega shrinks to (a+gamma, b-gamma); the
-    complement components grow by gamma per touching side, so their times
-    exceed those of omega's own components by at most a multiple of gamma.
-    The margin starts at a quarter of the narrowest piece and
-    ``shrink_region`` halves it until the directly evaluated bound holds.
-    Wide margins matter numerically: they become the cut-off transition
-    zones, and sub-cell zones make the glued control unresolvable on the
-    grid.
-    """
-    pieces = spec.omega.merged_closure()
-    region, _ = shrink_region(
-        spec, bound, min(0.25 * (b - a) for a, b in pieces),
-        lambda gamma: ControlDomain(tuple((a + gamma, b - gamma) for a, b in pieces)))
-    return region
-
-
 def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
                               grid: Grid, cfl: float = 0.9) -> SynthesisReport:
     """Steer y0 to y1 with a control supported in omega, for any horizon
@@ -343,7 +323,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     # leave a horizon margin for the component steering, spend the rest
     margin = max(4.0 * dt, 0.05 * (T - tau_max))
     slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
-    refined_region = _shrunk_core(spec, tau_max + slack)
+    refined_region, _ = shrink_region(spec, tau_max + slack)
     cutoff = SpaceCutoff.between(refined_region, spec.omega)
     parts = [(comp, Grid(comp.lo, comp.hi, max(8, math.ceil(comp.length * grid.n_cells))))
              for comp in refined_region.complement_components()]

@@ -14,11 +14,11 @@ matrices, read from the forms ``model.CouplingSpec`` holds (see ``canon``):
 ``minimal_control_time`` maximizes the per-component values over the
 connected components of the complement of the control region (0 when the
 closure of omega covers [0, 1], infinite when the couplings are not
-invertible).  ``refine_control_region`` constructively shrinks omega to a
-finite union of intervals compactly inside it whose complement components
-lose at most epsilon of control time; ``shrink_region`` is the one halving
-rule that decides whether such a region is cheap enough, shared with the
-control synthesis.
+invertible).  ``shrink_region`` is the one construction of a region inside
+omega: it shrinks every open interval of omega by a margin, halved until
+the complement components cost at most a given bound.
+``refine_control_region`` calls it with the bound tau + epsilon, the
+control synthesis with tau plus most of its horizon margin.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ def _segment_crossing(v0: float, v1: float, x0: float, x1: float,
         mid = v0 + b * (0.5 * (c + d) - x0)
         return (d - c) / abs(mid)
     vc = v0 + b * (c - x0)
-    vd = v0 + b * (d - x0)
-    return abs(math.log(vd / vc) / b)
+    return abs(math.log1p(b * (d - c) / vc) / b)
 
 
 def travel_time(spec: SystemSpec, k: int, interval) -> float:
@@ -245,23 +244,27 @@ def linear_bound_constant(spec: SystemSpec) -> float:
     return 2.0 / spec.speeds.min_abs_speed()
 
 
-def shrink_region(spec: SystemSpec, bound: float, margin: float,
-                  region_at) -> tuple[ControlDomain, float]:
-    """The first of ``region_at(margin)``, ``region_at(margin / 2)``, ... (at
-    most 60 halvings) whose complement components all cost at most ``bound``
-    of boundary-control time, with that worst cost by direct evaluation.
+def shrink_region(spec: SystemSpec, bound: float) -> tuple[ControlDomain, float]:
+    """Omega's open intervals (a, b) shrunk to (a + gamma, b - gamma) for the
+    first gamma among a quarter of the narrowest interval and its halvings
+    (at most 60) whose complement components all cost at most ``bound`` of
+    boundary-control time, with that worst cost by direct evaluation.
 
-    ``region_at`` maps a margin to a control region whose gaps shrink with
-    the margin, so that halving drives the worst cost down to that of
-    omega's own complement.
+    The complement components grow by gamma per touching side, so their
+    times exceed those of omega's own components by at most a multiple of
+    gamma.  Wide margins matter numerically: in the synthesis they become
+    the cut-off transition zones, and sub-cell zones make the glued control
+    unresolvable on the grid.
     """
+    pieces = spec.omega.intervals
+    gamma = min(0.25 * (b - a) for a, b in pieces)
     for _ in range(60):
-        region = region_at(margin)
+        region = ControlDomain(tuple((a + gamma, b - gamma) for a, b in pieces))
         worst = max(boundary_control_time(spec, iv).value
                     for iv in region.complement_components())
         if worst <= bound:
             return region, worst
-        margin *= 0.5
+        gamma *= 0.5
     raise RuntimeError("bisection for the shrink margin exhausted 60 halvings")
 
 
@@ -275,25 +278,13 @@ class RefinedRegion:
     target_bound: float
 
 
-def _middle_half(c: float, d: float) -> tuple[float, float]:
-    """(c, d) shrunk by 25% of its width on each side."""
-    w = d - c
-    return (c + 0.25 * w, d - 0.25 * w)
-
-
 def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
     """Shrink omega to a finite union of intervals, compactly contained in
     omega, whose complement components all have boundary-control time at most
-    ``minimal_control_time(spec) + epsilon``.
-
-    The construction partitions [0, 1] into cells cheap enough that each
-    costs at most tau_max + epsilon/2, finds the first and last point of
-    omega in every cell meeting it, and keeps one small interval of omega
-    within a margin ``delta`` of each: two pieces per cell, so a single-piece
-    omega still yields two intervals.  ``shrink_region`` halves ``delta``
-    until the gaps of the resulting region cost at most tau_max + epsilon.
-    An epsilon that is not finite and positive, or too small for the margins
-    to stay apart in double precision, raises ``ConfigError``.
+    ``minimal_control_time(spec) + epsilon``: one ``shrink_region`` call with
+    that bound, so each open interval of omega keeps one piece.  An epsilon
+    that is not finite and positive, or too small for the shrunk pieces to
+    stay apart from omega's ends in double precision, raises ``ConfigError``.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
@@ -303,30 +294,9 @@ def refine_control_region(spec: SystemSpec, epsilon: float) -> RefinedRegion:
     if not base.finite:
         raise RankError(base.reason)
 
-    tau = base.value
-    omega = spec.omega
-    ncells = max(1, math.ceil(linear_bound_constant(spec) / (tau + 0.5 * epsilon)))
-    partition = np.linspace(0.0, 1.0, ncells + 1)
-
-    # the first and the last piece of omega inside each cell it meets
-    ends = []
-    for lo, hi in zip(partition[:-1], partition[1:]):
-        inside = [(max(a, lo), min(b, hi)) for a, b in omega.intervals
-                  if max(a, lo) < min(b, hi)]
-        if inside:
-            ends.append((inside[0], inside[-1]))
-    # each margin stays within half its cell's share of omega
-    delta = min(0.5 * (leave - enter) for (enter, _), (_, leave) in ends)
-
-    def region_at(margin: float) -> ControlDomain:
-        pieces = []
-        for (enter, first_end), (last_start, leave) in ends:
-            pieces.append(_middle_half(enter, min(first_end, enter + margin)))
-            pieces.append(_middle_half(max(last_start, leave - margin), leave))
-        return ControlDomain(tuple(sorted(set(pieces))))
-
-    region, achieved = shrink_region(spec, tau + epsilon, delta, region_at)
-    if not omega.compactly_contains(region):
+    target = base.value + epsilon
+    region, achieved = shrink_region(spec, target)
+    if not spec.omega.compactly_contains(region):
         raise ConfigError(f"epsilon {epsilon} is too small to resolve: the refined "
                           "region is not compactly contained in omega")
-    return RefinedRegion(region, achieved, tau + epsilon)
+    return RefinedRegion(region, achieved, target)

@@ -228,6 +228,17 @@ class TestSubcommands:
         summary = (outdir / "summary.txt").read_text()
         assert float(summary.splitlines()[0].split("=")[1]) <= 0.1
 
+    def test_touching_intervals(self, tmp_path):
+        # omega's two intervals share the end 0.5, which is not in omega
+        path = config_variant(tmp_path, "touch.json", omega=[[0.25, 0.5], [0.5, 0.75]],
+                              grid={"cells": 200, "cfl": 0.9})
+        code = main(["synthesize", "--config", path, "--T", "0.6",
+                     "--y0", "sinpi", "--y1", "zero", "--out", str(tmp_path / "synth")])
+        assert code == 0
+        code, text = capture(["omegahat", "--config", path, "--eps", "0.05"])
+        assert code == 0
+        assert text.splitlines()[2:] == ["lo,hi", "0.265625,0.484375", "0.515625,0.734375"]
+
     def test_simulate_replays_synthesized_control(self, config_path, tmp_path):
         outdir = tmp_path / "synth"
         main(["synthesize", "--config", config_path, "--T", "0.7",
@@ -517,3 +528,12 @@ class TestDeterminism:
                               "--tmax", tmax, "--steps", "9"])
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # stdout of `omegahat --eps 0.05` on the example: omega (0.25, 0.75)
+    # shrinks by 0.125 / 2**3 on each side
+    def test_omegahat_golden_bytes(self):
+        code, text = capture(["omegahat", "--config", str(ROOT / "demos" / "example_2x2.json"),
+                              "--eps", "0.05"])
+        assert code == 0
+        assert text == ("achieved_bound = 0.53125\ntarget_bound = 0.55000000000000004\n"
+                        "lo,hi\n0.265625,0.734375\n")

@@ -373,6 +373,20 @@ class TestAssembleInternalControl:
         assert rep.achieved_error <= 0.1
         assert len(rep.omega_hat.intervals) == 2
 
+    def test_touching_intervals(self):
+        # x = 0.5 is in the closure of omega but not in omega: each open
+        # interval shrinks on its own, so no piece of omega_hat covers it
+        omega = [(0.25, 0.5), (0.5, 0.75)]
+        spec = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], omega)
+        grid = Grid(0.0, 1.0, 200)
+        rep = assemble_internal_control(spec, Y0_SIN, Y_ZERO, 0.6, grid)
+        outside = ~spec.omega.contains_points(grid.centers)
+        assert not rep.control.values[:, :, outside].any()
+        assert rep.achieved_error <= 0.03
+        assert len(rep.omega_hat.intervals) == 2
+        for (lo, hi), (a, b) in zip(rep.omega_hat.intervals, omega):
+            assert a < lo < hi < b
+
     def test_nonzero_target(self, spec_2x2):
         y1 = state_function(lambda x: 0.5 * np.sin(2 * np.pi * x),
                             lambda x: 0.3 * np.sin(np.pi * x))

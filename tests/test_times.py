@@ -51,6 +51,22 @@ class TestTravelTime:
                               lo, hi, epsabs=1e-12, limit=200)
                 assert travel_time(spec, k, (lo, hi)) == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-12])
+    def test_nearly_flat_segment_keeps_its_digits(self, s):
+        # speed 1 + s x: log(v_d / v_c) cancelled as v_d / v_c -> 1, which
+        # was off by 7.4e-11 relative at s = 1e-6 and 1.5e-4 at s = 1e-12
+        prof = SpeedProfile.piecewise_linear([0.0, 1.0], [[-1.0, -1.0], [1.0, 1.0 + s]])
+        spec = make_spec(prof, [[1.0]], [[1.0]], [(0.3, 0.7)])
+        assert abs(s) > CONSTANT_SLOPE_TOL
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            b = decimal.Decimal(1.0 + s) - 1
+            ref = float((1 + b * decimal.Decimal(0.3)).ln() / b)
+        assert travel_time(spec, 1, (0.0, 0.3)) == pytest.approx(ref, rel=1e-15, abs=0.0)
+        # the left component (0, 0.3) sets the time: both families cross it
+        assert minimal_control_time(spec).value == pytest.approx(0.3 + ref, rel=1e-15,
+                                                                 abs=0.0)
+
     def test_vanishing_interval(self, spec_2x2):
         assert travel_time(spec_2x2, 0, (0.4, 0.4 + 1e-12)) <= 2e-12
 
@@ -463,7 +479,9 @@ class TestRefineControlRegion:
         refined = refine_control_region(spec_2x2, 0.1)
         assert spec_2x2.omega.compactly_contains(refined.region)
         assert refined.achieved_bound <= 0.6
-        assert len(refined.region.intervals) >= 2
+        (lo, hi), = refined.region.intervals
+        gamma = lo - 0.25
+        assert 0.0 < gamma <= 0.125 and hi == 0.75 - gamma
 
     def test_full_domain_rejected(self, spec_full_domain):
         with pytest.raises(ValueError):
@@ -488,10 +506,8 @@ class TestRefineControlRegion:
 
     def test_shrink_region_below_tau_raises(self, spec_2x2):
         # every margin leaves omega's own complement, which costs tau = 0.5
-        pieces = spec_2x2.omega.merged_closure()
         with pytest.raises(RuntimeError, match="60 halvings"):
-            shrink_region(spec_2x2, 0.49, 0.1, lambda g: ControlDomain(
-                tuple((a + g, b - g) for a, b in pieces)))
+            shrink_region(spec_2x2, 0.49)
 
     def test_random_regions_meet_posted_bound(self):
         rng = np.random.default_rng(10)
