@@ -171,14 +171,20 @@ def _check_horizon(T: float, positive: bool = False):
 
 def cfl_dt(spec: SystemSpec, grid: Grid, cfl_factor: float, horizon: float) -> float:
     """Stable time step: cfl_factor * dx / max|lambda|, then shrunk so the
-    horizon is an integer number of steps."""
+    horizon is an integer number of steps.  A horizon that is not a finite
+    number of steps (a step so small that horizon / step overflows) raises
+    ``ValueError`` before anything is allocated."""
     if not 0.0 < cfl_factor <= 1.0:
         raise ValueError("cfl factor must lie in (0, 1]")
     _check_horizon(horizon)
     dt0 = cfl_factor * grid.dx / spec.speeds.max_abs_speed()
     if horizon == 0.0:
         return dt0
-    n_steps = max(1, math.ceil(horizon / dt0 - 1e-12))
+    steps = horizon / dt0 if dt0 > 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon {horizon:g} in steps of {dt0:g} is not a finite "
+                         f"number of steps")
+    n_steps = max(1, math.ceil(steps - 1e-12))
     return horizon / n_steps
 
 

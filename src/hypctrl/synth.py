@@ -11,9 +11,11 @@ For a general control region the refined subregion (a finite union of
 intervals compactly inside omega) splits (0, 1) into complement components;
 each component carries its own boundary-controlled solution reaching y1
 (HUM: regularized least squares on the discrete input-to-state map, solved
-on the state side after one batched march), and a C^1 space cut-off xi (0
-on the refined region, 1 outside an intermediate enlargement omega_1) glues
-the component solutions y_out to the full-domain solution y_in:
+on the state side after one batched march, whose impulse responses also
+give the controlled solution at the few cells the glue reads, by
+superposition), and a C^1 space cut-off xi (0 on the refined region, 1
+outside an intermediate enlargement omega_1) glues the component solutions
+y_out to the full-domain solution y_in:
 
     y = xi y_out + (1 - xi) y_in,
     u = xi'(x) Lambda(x) (y_out - y_in) + (1 - xi) u_in.
@@ -35,7 +37,7 @@ from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _check_bytes, _forward, _march, _Marcher,
                   _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
-                  solve_backward, solve_boundary_forward, solve_forward)
+                  solve_backward, solve_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -156,12 +158,13 @@ def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
 
 
 def _hum_bytes(spec, grid_i, tag, T, cfl) -> int:
-    """Peak bytes of one HUM: its a_t and normal matrix, plus the larger of
-    LAPACK's working copy of that matrix and the controlled trajectory."""
+    """Peak bytes of one HUM: its a_t, its normal matrix and LAPACK's
+    working copy of that matrix, which numpy allocates outside its tracked
+    memory."""
     _, steps = _resolve_steps(spec, grid_i, T, cfl)
     nstate = spec.n * grid_i.n_cells
     n_ch = _channels(spec, tag)[1]
-    return 8 * nstate * (n_ch * steps + nstate + max(nstate, steps + 1))
+    return 8 * nstate * (n_ch * steps + 2 * nstate)
 
 
 def _peak_bytes(spec, grid, n_steps, n_glued, parts, T, cfl) -> int:
@@ -201,17 +204,20 @@ def _channels(spec: SystemSpec, tag: PositionTag) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class HumResult:
-    """Boundary control series steering a component, with its residual."""
+    """Boundary control series steering a component, with its residual and
+    the controlled solution at the requested cells: ``samples[j, :, i]`` is
+    the state after j steps, at ``times[j]``, in cell ``cells[i]``."""
 
     controls: BoundaryControls
     residual: float
-    trajectory: np.ndarray
+    samples: np.ndarray
     times: np.ndarray
 
 
 def hum_boundary_control(spec: SystemSpec, interval: Interval,
                          y0_vals: np.ndarray, y1_vals: np.ndarray,
-                         grid: Grid, T: float, cfl: float = 0.9) -> HumResult:
+                         grid: Grid, T: float, cfl: float = 0.9,
+                         cells=()) -> HumResult:
     """Boundary control steering y0 to y1 on one complement component.
 
     Minimizes |A U + b - y1|^2_L2 + alpha |U|^2_L2 over control series U,
@@ -228,6 +234,13 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     symmetric positive definite matrix) gets the exact minimizer.  The peak
     memory is checked before the batched march.
 
+    The controlled solution is not marched again.  By linearity its state
+    after j steps is the free one plus sum_c sum_{k<j} U[k, c] R_c(j - k),
+    with R_c(s) the impulse response of channel c after s steps, which the
+    batched march already stores in A.  At the grid indices ``cells`` this
+    is one causal convolution over time, formed by FFT; the residual comes
+    from the final state b + A U.
+
     Exact steering needs a horizon above the component's boundary-control
     time (with some margin); below it the residual stays bounded away from
     zero under refinement, which is itself the threshold-sharpness
@@ -235,6 +248,9 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     residual; the horizon itself must be finite and positive.
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
+    cells = np.asarray(cells, dtype=np.intp).reshape(-1)
+    if cells.size and not 0 <= cells.min() <= cells.max() < grid.n_cells:
+        raise ValueError(f"sampled cells must lie in 0..{grid.n_cells - 1}")
     _check_bytes("HUM", _hum_bytes(spec, grid, interval.tag, T, cfl))
     n_left, n_ch = _channels(spec, interval.tag)
     nstate = spec.n * grid.n_cells
@@ -254,28 +270,49 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     # a_t[c, k] is the column of A for the control of channel c during step
     # k: it surfaces at T as the impulse response n_steps - k steps old
     a_t = np.empty((n_ch, n_steps, nstate))
+    samples = np.empty((n_steps + 1, spec.n, cells.size))
 
     def visit(j, w):
+        samples[j] = w[:, cells, n_ch]
         if j:
             a_t[:, n_steps - j] = w[:, :, :n_ch].reshape(nstate, n_ch).T
 
     w, _ = _march(marcher, w0, n_steps, visit=visit)
+    samples[n_steps] = w[:, cells, n_ch]
     a_t[:, 0] = w[:, :, :n_ch].reshape(nstate, n_ch).T
     a_t = a_t.reshape(n_ch * n_steps, nstate)
-    target = (np.asarray(y1_vals, dtype=float) - w[:, :, n_ch]).reshape(nstate)
+    free = w[:, :, n_ch].reshape(nstate)
+    y1_flat = np.asarray(y1_vals, dtype=float).reshape(nstate)
 
     dx = grid.dx
-    gram = dx * (a_t.T @ a_t)
+    gram = a_t.T @ a_t
+    gram *= dx
     gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * dt
-    vec = a_t @ np.linalg.solve(gram, dx * target)
+    vec = a_t @ np.linalg.solve(gram, dx * (y1_flat - free))
+    del gram
+    residual = _l2(free + vec @ a_t - y1_flat, dx)
+    # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
+    states = (np.arange(spec.n)[:, None] * grid.n_cells + cells).reshape(-1)
+    responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, states]
+    del a_t
 
-    u = vec.reshape(n_ch, n_steps).T
-    controls = BoundaryControls(u[:, :n_left] if n_left else None,
-                                u[:, n_left:] if n_ch > n_left else None)
-    controlled = solve_boundary_forward(spec, interval, StateField(y0_vals, grid),
-                                        controls, T, cfl)
-    residual = _l2(controlled.final.values - np.asarray(y1_vals, dtype=float), dx)
-    return HumResult(controls, residual, controlled.trajectory, controlled.times)
+    # the length is a power of two at least 2 n_steps, so the circular
+    # convolution does not wrap onto the n_steps terms that are kept
+    size = 1 << (2 * n_steps - 1).bit_length()
+    u = vec.reshape(n_ch, n_steps)
+    spectrum = np.fft.rfft(u, size)[:, :, None] * np.fft.rfft(responses, size, axis=1)
+    steered = np.fft.irfft(spectrum.sum(axis=0), size, axis=0)[:n_steps]
+    samples[1:] += steered.reshape(n_steps, spec.n, cells.size)
+
+    controls = BoundaryControls(u.T[:, :n_left] if n_left else None,
+                                u.T[:, n_left:] if n_ch > n_left else None)
+    return HumResult(controls, residual, samples, np.arange(n_steps + 1) * dt)
+
+
+def _bracket(xp: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Index j of the pair xp[j], xp[j + 1] that interpolates at each of
+    ``xq``, clamped to the first and the last pair."""
+    return np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
 
 
 def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
@@ -286,7 +323,7 @@ def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
     s = np.clip(times / (traj_times[1] - traj_times[0]), 0.0, float(last))
     s0 = s.astype(np.intp)
     w = (s - s0)[:, None, None]
-    j = np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
+    j = _bracket(xp, xq)
     theta = np.clip((xq - xp[j]) / (xp[j + 1] - xp[j]), 0.0, 1.0)
     lo, hi = ((1.0 - w) * col[s0] + w * col[np.minimum(s0 + 1, last)]
               for col in (traj[:, :, j], traj[:, :, j + 1]))
@@ -335,13 +372,18 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     y_out = np.zeros((n_steps, spec.n, cells.size))
     residuals = []
     for comp, grid_i in parts:
-        hum = hum_boundary_control(spec, comp, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
-                                   grid_i, T, cfl)
-        residuals.append(hum.residual)
         inside = (xq > comp.lo) & (xq < comp.hi)
-        y_out[:, :, inside] = _resample(hum.trajectory, hum.times, grid_i.centers,
+        # HUM samples only the component cells that bracket these points
+        j = _bracket(grid_i.centers, xq[inside])
+        pairs = np.zeros(grid_i.n_cells, dtype=bool)
+        pairs[j] = pairs[j + 1] = True
+        sampled = np.flatnonzero(pairs)
+        hum = hum_boundary_control(spec, comp, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
+                                   grid_i, T, cfl, sampled)
+        residuals.append(hum.residual)
+        y_out[:, :, inside] = _resample(hum.samples, hum.times, grid_i.centers[sampled],
                                         np.arange(n_steps) * dt, xq[inside])
-        del hum  # one component trajectory alive at a time
+        del hum  # y_out holds what the glue needs of its samples
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)

@@ -46,6 +46,9 @@ def config_variant(tmp_path, name, **overrides):
 # overflows within a few steps: 1e100 squared is not finite
 BIG_SOURCE = {"M": [[1e100, 0.0], [0.0, 1e100]], "grid": {"cells": 32, "cfl": 0.9}}
 GRAMIAN = ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "3"]
+# dx / max|lambda| is subnormal, so a horizon is not a finite number of steps
+HUGE_SPEED = {"speeds": [{"type": "constant", "value": -1e308},
+                         {"type": "constant", "value": 1.0}]}
 
 # couplings whose rank sits at the PIVOT_RTOL edge: this Q1 factors with
 # rank 3 but its backwards relabeling with rank 2, and this Q0 factors with
@@ -332,16 +335,23 @@ class TestFlagValidation:
         ({"speeds": [{"type": "constant", "value": -float("inf")},
                      {"type": "constant", "value": 1.0}]},
          ["simulate", "--T", "0.3", "--y0", "sinpi"], 2),
+        (HUGE_SPEED, ["simulate", "--T", "1", "--y0", "sinpi"], 1),
+        (HUGE_SPEED, GRAMIAN, 1),
+        (HUGE_SPEED, ["synthesize", "--T", "0.7", "--y0", "sinpi", "--y1", "zero"], 1),
     ], ids=["n-float", "n-integral-float", "m-float", "m-bool", "n-string",
             "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers",
             "cfl-string", "cfl-bool", "speed-string", "speed-null", "piecewise-x-number",
             "mixed-constant-no-value", "source-matrix-count", "necessity-short-horizon",
             "necessity-source", "gramian-guard", "gramian-overflow", "simulate-overflow",
-            "speed-infinite", "speed-minus-infinite"])
+            "speed-infinite", "speed-minus-infinite", "simulate-huge-speed",
+            "gramian-huge-speed", "synthesize-huge-speed"])
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                     overrides, command, code):
         path = config_variant(tmp_path, "bad.json", **overrides)
-        assert main(command[:1] + ["--config", path] + command[1:]) == code
+        argv = command[:1] + ["--config", path] + command[1:]
+        if command[0] == "synthesize":
+            argv += ["--out", str(tmp_path / "synth")]
+        assert main(argv) == code
         self._assert_one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error")

@@ -11,6 +11,8 @@ from hypctrl.obsv import (WITNESS_CHUNK, _block_partition, _gramian_windows,
                           sigma_min_sweep)
 from hypctrl.pde import (Grid, StateField, _adjoint_marcher, _march, cfl_dt,
                          solve_adjoint)
+from hypctrl.times import (CASE_LEFT, CASE_RIGHT, CASE_TWO_SIDED,
+                           minimal_control_time)
 from conftest import make_spec, near_singular
 
 
@@ -293,6 +295,54 @@ class TestSigmaMinSweep:
         sweep = sigma_min_sweep(spec, [0.4, 0.6], spec.omega, grid)
         assert all(abs(s) <= 1e-12 for _, s in sweep.points)
         assert detect_threshold(sweep) is None
+
+
+PROPERTY_CELLS = 80
+PROPERTY_SEEDS = range(20)
+
+
+def property_spec(seed):
+    """A seeded random configuration at which the scheme transports exactly:
+    speeds -1 and +1 in a 1+1 or 2+2 system, no source, couplings uniform
+    in [-1.5, 1.5], and omega of one or two intervals with endpoints on the
+    cell edges.  The layout of omega cycles with the seed: a component
+    touching the left end, the right end, one interior component, and one
+    interval leaving a component at each end."""
+    rng = np.random.default_rng(seed)
+    half = int(rng.integers(1, 3))
+    q0, q1 = rng.uniform(-1.5, 1.5, (2, half, half))
+    a, b = np.sort(rng.choice(np.arange(8, 73), 2, replace=False)) / PROPERTY_CELLS
+    omega = ([(a, 1.0)], [(0.0, b)], [(0.0, a), (b, 1.0)], [(a, b)])[seed % 4]
+    return make_spec([-1.0] * half + [1.0] * half, q0, q1, omega)
+
+
+def setting_case(spec):
+    """The case of the component whose boundary time is the minimal time."""
+    return max(minimal_control_time(spec).per_component, key=lambda c: c[1].value)[1].case
+
+
+class TestMinimalTimeAgainstCertificate:
+    """The closed-form minimal control time against the Gramian certificate
+    at Courant 1, on horizons tau - 12 dx .. tau + 12 dx in steps of 2 dx."""
+
+    @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+    def test_threshold_is_the_minimal_time(self, seed):
+        spec = property_spec(seed)
+        tau = minimal_control_time(spec).value
+        dx = 1.0 / PROPERTY_CELLS
+        horizons = [t for t in tau + 2.0 * dx * np.arange(-6, 7) if t > 0.0]
+        sweep = sigma_min_sweep(spec, horizons, spec.omega, Grid(0.0, 1.0, PROPERTY_CELLS))
+        detected = detect_threshold(sweep)
+        assert detected is not None and abs(detected - tau) <= dx
+        for t, sigma in sweep.points:
+            if t < tau - dx:
+                assert abs(sigma) <= 1e-12
+            elif t > tau + dx:
+                assert sigma > 1e-9
+
+    def test_sample_covers_every_case(self):
+        assert {setting_case(property_spec(seed)) for seed in PROPERTY_SEEDS} == {
+            CASE_LEFT, CASE_RIGHT, CASE_TWO_SIDED}
 
 
 class TestKernelVector:
