@@ -244,12 +244,18 @@ def _write_control_csv(path, control: ControlField):
                                       + [_fmt(control.values[j, k, i]) for k in range(n)]) + "\n")
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique`` gives them without its
+    first call's import of ``numpy.ma``."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _read_control_csv(path, grid: Grid, n: int) -> ControlField:
     rows = _load_csv(path)
     if rows.shape[1] != n + 2:
         raise ConfigError(f"{path}: expected columns t,x,u1..u{n}")
-    ts = np.unique(rows[:, 0])
-    xs = np.unique(rows[:, 1])
+    ts, xs = _distinct(rows[:, 0]), _distinct(rows[:, 1])
     if xs.size != grid.n_cells or np.max(np.abs(xs - grid.centers)) > 1e-9:
         raise ConfigError(f"{path}: control grid does not match the configured grid")
     n_steps = ts.size

@@ -186,7 +186,7 @@ def _block_partition(rows: np.ndarray, vals: np.ndarray) -> list[np.ndarray]:
     size = np.bincount(label)[label]
     order = np.lexsort((label, size))  # by size, then block, then state
     size = size[order]
-    return [order[size == s].reshape(-1, s) for s in np.unique(size)]
+    return [order[size == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
 
 
 def _gather(x: np.ndarray, rows: np.ndarray, vals: np.ndarray, axis: int,

@@ -3,12 +3,18 @@
 Everything runs on a uniform cell grid with a first-order explicit upwind
 scheme: components with positive speed difference to the left, components
 with negative speed to the right, and the zero-order term and control enter
-explicitly per step.  A march steps between two ghost-padded states and
-allocates nothing per step: the inflow ghosts are written in place, either
-from the boundary couplings applied to the upwind-side cell value of the
-outgoing components (first-order consistent trace) or from prescribed
-control series, and one difference of neighbouring cells and one product
-with a Courant table then step both sign families.
+explicitly per step.  A march steps between two ghost-padded (n, N+2, B)
+states and allocates nothing per step.  The inflow ghosts are written in
+place, either from the boundary couplings applied to the upwind-side cell
+value of the outgoing components (first-order consistent trace) or from
+prescribed control series; every whole-state operation then runs on one
+contiguous slice of a buffer's flat view: one difference of flat
+neighbours, one product with a Courant table laid out over those slots, one
+subtraction per sign family, and for a source one contraction over the
+whole padded buffer.  The views, the boundary writers and the scratch are
+bound once per march into its two step closures.  A march of more than
+``MARCH_WORK_LIMIT`` state values times steps is refused before anything is
+allocated.
 
 Four solvers are thin wrappers around one stepping loop, ``_march``:
 
@@ -49,6 +55,10 @@ from .model import ConfigError, Interval, PositionTag, RankError, SpeedProfile, 
 
 NAN_CHECK_EVERY = 64
 TRAJECTORY_BYTES_LIMIT = 1 << 30
+# state values times steps: 10-80 s of stepping at the 1-8 ns per value and
+# step measured, and over 400 times the largest march of the tests, demos
+# and benchmark workloads
+MARCH_WORK_LIMIT = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -199,39 +209,53 @@ def _slopes_at(spec: SystemSpec, grid: Grid) -> np.ndarray:
 
 
 class _Padded:
-    """A marching state as an (n, N+2, B) buffer with the cells in columns
-    1..N and pad cells at both ends, and the views of it a step uses.  The
-    two states of a march share the difference and gain scratch."""
+    """A marching state: a C-contiguous (n, N+2, B) buffer with the cells
+    in columns 1..N and pad cells at both ends, its flat view and its
+    (n, N, B) interior.  The two states of a march share ``scratch``: the
+    flat neighbour difference, the flat Courant table over its slots and
+    the padded gain (None when no step adds a source or a forcing)."""
 
-    def __init__(self, shape, pos: slice, neg: slice, diff, gain):
-        buf = np.zeros((shape[0], shape[1] + 2, shape[2]))
-        self.inner = buf[:, 1:-1]
-        self.inner_pos, self.inner_neg = self.inner[pos], self.inner[neg]
-        self.upper, self.lower = buf[:, 1:], buf[:, :-1]
-        # inflow ghosts are written before each step that reads the state;
-        # the pad cells past the outflow ends are never written and stay 0
-        self.ghost_lo, self.out_lo = buf[pos, 0], buf[neg, 1]
-        self.ghost_hi, self.out_hi = buf[neg, -1], buf[pos, -2]
-        # slot k of diff is cell k minus cell k-1 (a pad cell at either end):
-        # the positive family reads slots 0..N-1, the negative family 1..N
-        self.diff, self.diff_pos, self.diff_neg = diff, diff[pos, :-1], diff[neg, 1:]
-        self.gain = gain
+    def __init__(self, shape, scratch):
+        self.buf = np.zeros(shape)
+        self.flat = self.buf.reshape(-1)
+        self.inner = self.buf[:, 1:-1]
+        self.scratch = scratch
+
+
+def _padded_positions(shape) -> np.ndarray:
+    """For each element of a march's (n, N, B) interior of this shape, its
+    position in the flat view of the padded buffer that is the interior's
+    ``base``."""
+    n, nx, batch = shape
+    return np.arange(n * (nx + 2) * batch).reshape(n, nx + 2, batch)[:, 1:-1]
+
+
+def _run(rows: slice, nx: int, batch: int) -> tuple[int, int]:
+    """The flat range from the first cell of padded rows ``rows`` to their
+    last, the pad cells between consecutive rows included (empty for the
+    rows slice(n, n))."""
+    return (rows.start * (nx + 2) + 1) * batch, (rows.stop * (nx + 2) - 1) * batch
 
 
 class _Marcher:
     """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f,
-    from one ``_Padded`` state to the other.
+    from one ``_Padded`` state to the other, on flat views of the buffers.
 
-    Boundary conditions are callables ``bc(j, outflow, out)`` writing the
-    inflow ghosts (n_in, B) of step j into ``out`` from the outgoing trace
-    (n_out, B): positive-sigma components flow in at the left end, negative
-    ones at the right.  Each sign family is one contiguous block (a
-    ``SystemSpec`` orders its speeds by sign, and negation keeps the
-    blocks), so views are basic slices.  One difference of neighbouring
-    cells serves both families, scaled by a Courant table holding the
-    positive family's numbers in slots 0..N-1 and the negative family's in
-    1..N: the positive family steps as w - c (w - upwind), the negative
-    family as w - c (downwind - w).
+    Boundary conditions bind as ``bc(outflow, out)`` to a state's outgoing
+    trace (n_out, B) and inflow ghosts (n_in, B) and return the writer
+    ``write(j)`` of step j: positive-sigma components flow in at the left
+    end, negative ones at the right.  Each sign family is one contiguous
+    block of rows (a ``SystemSpec`` orders its speeds by sign, and negation
+    keeps the blocks).  Slot i of the flat difference is flat cell i + B
+    minus flat cell i, so slot (k, x) is cell x+1 minus cell x of row k; a
+    Courant table laid out over the slots holds the positive family's
+    numbers in slots x = 0..N-1 and the negative family's in 1..N, and 0
+    wherever no cell reads (the pad slots and the slot that straddles two
+    rows).  Then one subtraction per family covers its whole run of rows:
+    the positive family steps as w - c (w - upwind), reading the slots B
+    earlier, the negative family as w - c (downwind - w).  The pad cells
+    between the rows of a run take values that only zero slots read; the
+    inflow ghosts among them are rewritten before every step.
     """
 
     def __init__(self, sigma: np.ndarray, dt: float, dx: float,
@@ -241,44 +265,72 @@ class _Marcher:
         split = int(np.argmin(pos == pos[0])) or n
         first, rest = slice(0, split), slice(split, n)
         self.pos, self.neg = (first, rest) if pos[0] else (rest, first)
-        cour = sigma * (dt / dx)
-        if np.max(np.abs(cour)) > 1.0 + 1e-12:
-            raise ValueError(f"CFL violated: max Courant number {np.max(np.abs(cour)):.3f}")
-        self.courant = np.zeros((n, nx + 1, 1))
-        self.courant[self.pos, :-1, 0] = cour[self.pos]
-        self.courant[self.neg, 1:, 0] = cour[self.neg]
+        self.courant = sigma * (dt / dx)
+        if np.max(np.abs(self.courant)) > 1.0 + 1e-12:
+            raise ValueError(f"CFL violated: max Courant number "
+                             f"{np.max(np.abs(self.courant)):.3f}")
         self.bc_lo, self.bc_hi, self.dt = bc_lo, bc_hi, dt
         # source enters as  w += dt * S w  with S sampled per cell, kept as
-        # S[i, j, x] so the cell axis runs alongside the state's
-        self.source = (None if source is None or not np.any(source)
-                       else np.transpose(source, (1, 2, 0)).copy())
+        # S[i, j, x] over the padded columns, zero in the two pad columns
+        self.source = None
+        if source is not None and np.any(source):
+            self.source = np.zeros((n, n, nx + 2))
+            self.source[:, :, 1:-1] = np.transpose(source, (1, 2, 0))
 
     def states(self, w: np.ndarray, forcing: bool) -> tuple[_Padded, _Padded]:
         """The two padded states of a march of the (n, N, B) batch ``w``,
         the first holding ``w``; ``forcing`` says whether steps get one."""
         n, nx, batch = w.shape
-        diff = np.empty((n, nx + 1, batch))
-        gain = np.empty(w.shape) if forcing or self.source is not None else None
-        cur, nxt = (_Padded(w.shape, self.pos, self.neg, diff, gain) for _ in range(2))
+        table = np.zeros((n, nx + 2, batch))
+        table[self.pos, :-2] = self.courant[self.pos, :, None]
+        table[self.neg, 1:-1] = self.courant[self.neg, :, None]
+        gain = np.zeros(table.shape) if forcing or self.source is not None else None
+        scratch = np.empty(table.size - batch), table.reshape(-1)[:-batch], gain
+        cur, nxt = _Padded(table.shape, scratch), _Padded(table.shape, scratch)
         cur.inner[...] = w
         return cur, nxt
+
+    def stepper(self, src: _Padded, dst: _Padded):
+        """The step from ``src`` to ``dst`` as ``step(j, forcing=None)``,
+        with every view it touches bound here; ``forcing`` is (n, N, 1)."""
+        _, width, batch = src.buf.shape
+        nx = width - 2
+        diff, table, gain = src.scratch
+        x, y, xbuf, source, dt = src.flat, dst.flat, src.buf, self.source, self.dt
+        write_lo = self.bc_lo(xbuf[self.neg, 1], xbuf[self.pos, 0])
+        write_hi = self.bc_hi(xbuf[self.pos, -2], xbuf[self.neg, -1])
+        ahead, behind = x[batch:], x[:-batch]
+        lo, hi = _run(self.pos, nx, batch)
+        x_pos, d_pos, y_pos = x[lo:hi], diff[lo - batch:hi - batch], y[lo:hi]
+        lo, hi = _run(self.neg, nx, batch)
+        x_neg, d_neg, y_neg = x[lo:hi], diff[lo:hi], y[lo:hi]
+        if gain is not None:
+            gain_flat, gain_inner = gain.reshape(-1), gain[:, 1:-1]
+        subtract, multiply, add, einsum = np.subtract, np.multiply, np.add, np.einsum
+
+        def step(j, forcing=None):
+            write_lo(j)
+            write_hi(j)
+            subtract(ahead, behind, out=diff)
+            multiply(diff, table, out=diff)
+            subtract(x_pos, d_pos, out=y_pos)
+            subtract(x_neg, d_neg, out=y_neg)
+            if source is not None:
+                einsum("ijx,jxb->ixb", source, xbuf, out=gain)
+                multiply(gain_flat, dt, out=gain_flat)
+                add(y, gain_flat, out=y)
+            if forcing is not None:
+                # copied in, then scaled flat: a ufunc from a contiguous
+                # input into the strided interior would buffer a whole copy
+                gain_inner[...] = forcing
+                multiply(gain_flat, dt, out=gain_flat)
+                add(y, gain_flat, out=y)
+        return step
 
     def step(self, src: _Padded, dst: _Padded, j: int,
              forcing: np.ndarray | None = None):
         """Write the state after step j from ``src`` into ``dst``."""
-        self.bc_lo(j, src.out_lo, src.ghost_lo)
-        self.bc_hi(j, src.out_hi, src.ghost_hi)
-        np.subtract(src.upper, src.lower, out=src.diff)
-        np.multiply(src.diff, self.courant, out=src.diff)
-        np.subtract(src.inner_pos, src.diff_pos, out=dst.inner_pos)
-        np.subtract(src.inner_neg, src.diff_neg, out=dst.inner_neg)
-        if self.source is not None:
-            np.einsum("ijx,jxb->ixb", self.source, src.inner, out=src.gain)
-            np.multiply(src.gain, self.dt, out=src.gain)
-            np.add(dst.inner, src.gain, out=dst.inner)
-        if forcing is not None:
-            np.multiply(forcing, self.dt, out=src.gain)
-            np.add(dst.inner, src.gain, out=dst.inner)
+        self.stepper(src, dst)(j, forcing)
 
 
 def _coupling_bc(matrix: np.ndarray):
@@ -286,15 +338,15 @@ def _coupling_bc(matrix: np.ndarray):
     if mat.shape == (1, 1):
         # the same single product per entry as ``mat @ outflow``, without
         # matmul's dispatch cost
-        return lambda j, outflow, out: np.multiply(mat, outflow, out=out)
-    return lambda j, outflow, out: np.matmul(mat, outflow, out=out)
+        return lambda outflow, out: lambda j: np.multiply(mat, outflow, out=out)
+    return lambda outflow, out: lambda j: np.matmul(mat, outflow, out=out)
 
 
 def _dirichlet_bc(series: np.ndarray):
     """Ghost values from an (n_steps, n_in) or (n_steps, n_in, B) series."""
     ser = np.asarray(series, dtype=float)
     ser = ser[:, :, None] if ser.ndim == 2 else ser
-    return lambda j, outflow, out: np.copyto(out, ser[j])
+    return lambda outflow, out: lambda j: np.copyto(out, ser[j])
 
 
 def _check_bytes(what: str, size: int):
@@ -311,27 +363,40 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
     sees the state before step j.  ``keep="trajectory"`` also stores column
     0 of every state as (n_steps+1, n, N), last state first if ``reverse``;
     ``keep="final"`` stores nothing and returns None for it.
-    Steps swap the two states of ``marcher.states`` and allocate nothing;
-    ``visit`` and the result see a padded buffer's (n, N, B) interior.
+    The work (values times steps) is checked first, then the two states of
+    ``marcher.states`` and the two steps between them are bound once; the
+    steps alternate and allocate nothing.  ``visit`` and the result see the
+    (n, N, B) interior of a padded buffer, which is the interior's ``base``.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
+    if w.size * n_steps > MARCH_WORK_LIMIT:
+        raise ValueError(f"march of {n_steps} steps over {w.size} values needs "
+                         f"{w.size * n_steps} element-steps, above the limit of "
+                         f"{MARCH_WORK_LIMIT}")
     traj = None
     if keep == "trajectory":
         _check_bytes(f"trajectory of {n_steps + 1} states",
                      (n_steps + 1) * w.shape[0] * w.shape[1] * 8)
         traj = np.empty((n_steps + 1,) + w.shape[:2])
         traj[n_steps if reverse else 0] = w[:, :, 0]
-    cur, nxt = marcher.states(w, forcing is not None)
+    pair = marcher.states(w, forcing is not None)
+    steps = marcher.stepper(*pair), marcher.stepper(*pair[::-1])
+    inners = pair[0].inner, pair[1].inner
+    # laid out as a padded state, so the check of a strided interior
+    # writes it without buffering a copy of the state
+    finite = np.empty(pair[0].buf.shape, dtype=bool)[:, 1:-1]
+    forcing = None if forcing is None else forcing[:, :, :, None]
     for j in range(n_steps):
         if visit is not None:
-            visit(j, cur.inner)
-        marcher.step(cur, nxt, j, None if forcing is None else forcing[j][:, :, None])
-        cur, nxt = nxt, cur
-        if (j % NAN_CHECK_EVERY == 0 or j + 1 == n_steps) and not np.isfinite(cur.inner).all():
+            visit(j, inners[j & 1])
+        steps[j & 1](j, None if forcing is None else forcing[j])
+        w = inners[~j & 1]
+        if ((j % NAN_CHECK_EVERY == 0 or j + 1 == n_steps)
+                and not np.isfinite(w, out=finite).all()):
             raise RuntimeError(f"solution lost finiteness at step {j + 1}")
         if traj is not None:
-            traj[n_steps - 1 - j if reverse else j + 1] = cur.inner[:, :, 0]
-    return cur.inner, traj
+            traj[n_steps - 1 - j if reverse else j + 1] = w[:, :, 0]
+    return inners[n_steps & 1], traj
 
 
 def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,

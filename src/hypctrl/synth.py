@@ -36,8 +36,8 @@ from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _check_bytes, _forward, _march, _Marcher,
-                  _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
-                  solve_backward, solve_forward)
+                  _padded_positions, _resolve_steps, _speeds_at, _subinterval_bcs,
+                  sample_state, solve_backward, solve_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -268,18 +268,23 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     w0[:, :, n_ch] = y0_vals
 
     # a_t[c, k] is the column of A for the control of channel c during step
-    # k: it surfaces at T as the impulse response n_steps - k steps old
+    # k: it surfaces at T as the impulse response n_steps - k steps old;
+    # ``slots`` sees a_t[:, k] as (n_ch, n, N), a state's impulse columns
+    # with the batch axis first, so each is one strided copy
     a_t = np.empty((n_ch, n_steps, nstate))
+    slots = a_t.reshape(n_ch, n_steps, spec.n, grid.n_cells)
     samples = np.empty((n_steps + 1, spec.n, cells.size))
+    free_at = _padded_positions(w0.shape)[:, cells, n_ch]
 
     def visit(j, w):
-        samples[j] = w[:, cells, n_ch]
+        # "clip" since the cells are checked: "raise" would buffer ``out``
+        w.base.take(free_at, out=samples[j], mode="clip")
         if j:
-            a_t[:, n_steps - j] = w[:, :, :n_ch].reshape(nstate, n_ch).T
+            slots[:, n_steps - j] = w[:, :, :n_ch].transpose(2, 0, 1)
 
     w, _ = _march(marcher, w0, n_steps, visit=visit)
-    samples[n_steps] = w[:, cells, n_ch]
-    a_t[:, 0] = w[:, :, :n_ch].reshape(nstate, n_ch).T
+    visit(n_steps, w)
+    del slots  # a view: it would keep a_t alive into the FFT
     a_t = a_t.reshape(n_ch * n_steps, nstate)
     free = w[:, :, n_ch].reshape(nstate)
     y1_flat = np.asarray(y1_vals, dtype=float).reshape(nstate)

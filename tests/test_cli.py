@@ -49,6 +49,12 @@ GRAMIAN = ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "3"]
 # dx / max|lambda| is subnormal, so a horizon is not a finite number of steps
 HUGE_SPEED = {"speeds": [{"type": "constant", "value": -1e308},
                          {"type": "constant", "value": 1.0}]}
+# the demo grid at Courant 0.9 plans 222,222,223 steps over T = 1: 8.9e10
+# state values times steps, above the march's work limit, refused before
+# the first step
+FAST_SPEED = {"speeds": [{"type": "constant", "value": -1e6},
+                         {"type": "constant", "value": 1.0}],
+              "grid": {"cells": 200, "cfl": 0.9}}
 
 # couplings whose rank sits at the PIVOT_RTOL edge: this Q1 factors with
 # rank 3 but its backwards relabeling with rank 2, and this Q0 factors with
@@ -338,13 +344,14 @@ class TestFlagValidation:
         (HUGE_SPEED, ["simulate", "--T", "1", "--y0", "sinpi"], 1),
         (HUGE_SPEED, GRAMIAN, 1),
         (HUGE_SPEED, ["synthesize", "--T", "0.7", "--y0", "sinpi", "--y1", "zero"], 1),
+        (FAST_SPEED, ["simulate", "--T", "1", "--y0", "sinpi"], 1),
     ], ids=["n-float", "n-integral-float", "m-float", "m-bool", "n-string",
             "cells-float", "cells-integral-float", "omega-covers", "omega-closure-covers",
             "cfl-string", "cfl-bool", "speed-string", "speed-null", "piecewise-x-number",
             "mixed-constant-no-value", "source-matrix-count", "necessity-short-horizon",
             "necessity-source", "gramian-guard", "gramian-overflow", "simulate-overflow",
             "speed-infinite", "speed-minus-infinite", "simulate-huge-speed",
-            "gramian-huge-speed", "synthesize-huge-speed"])
+            "gramian-huge-speed", "synthesize-huge-speed", "simulate-work-guard"])
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                     overrides, command, code):
         path = config_variant(tmp_path, "bad.json", **overrides)
@@ -393,6 +400,28 @@ class TestFlagValidation:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert proc.stderr.startswith("ERROR:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        GRAMIAN,
+        ["simulate", "--T", "0.04", "--y0", "sinpi", "--u", "u.csv", "--out", "y.csv"],
+    ], ids=["sweep", "simulate-u"])
+    def test_leaves_numpy_ma_unimported(self, config_path, tmp_path, command):
+        # the first np.unique of a process imports numpy.ma (about 11 ms and
+        # 1.6 MB); the block partition and the control reader do without it.
+        # Compared with the state after the imports, for a numpy that loads
+        # numpy.ma eagerly
+        (tmp_path / "u.csv").write_text(control_csv(4, 0.01))
+        argv = command[:1] + ["--config", config_path] + command[1:]
+        script = ("import sys, numpy, hypctrl.cli\n"
+                  "before = 'numpy.ma' in sys.modules\n"
+                  f"code = hypctrl.cli.main({argv!r})\n"
+                  "print(code, before, 'numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        code, before, after = proc.stdout.splitlines()[-1].split()
+        assert (code, after) == ("0", before)
 
     @pytest.mark.parametrize("overrides,command,code,stdout", [
         ({"Q0": [[0.0]]}, ["mintime"], 3, "T_inf = inf\n"),
@@ -525,19 +554,41 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    # sha256 of the stdout of `gramian --tmin 0.3 --steps 9` on the example:
-    # --tmax 0.7 marches at Courant 1, where the Gramian is diagonal, and
-    # --tmax 0.7234 at Courant 0.998, where it is one dense block
-    @pytest.mark.parametrize("tmax,digest", [
+    # stdout of `gramian --tmin 0.3 --steps 9` on the example.  --tmax 0.7
+    # marches at Courant 1, where the Gramian is diagonal and no LAPACK call
+    # enters: its sha256 is pinned.  --tmax 0.7234 marches at Courant 0.998,
+    # where it is one dense 400x400 block, and eigvalsh's last digits follow
+    # the BLAS thread count (up to 1.5e-15 on the positive sigma_min, and the
+    # roundoff rows): its T column and threshold line are pinned exactly,
+    # sigma_min within 1e-13 of the largest sigma, the bound of TestBlocks
+    @pytest.mark.parametrize("tmax,golden", [
         ("0.7", "dec997bf93ed32bd84dabc53a60c70e3309b559f4937a7e52c352303cb6a04d6"),
-        ("0.7234", "1226cb06e66be8a87c34d703c158c9a384b20e46587d71c9fe23ca5724056ee1"),
+        ("0.7234", "T,sigma_min\n"
+                   "0.29999999999999999,-1.6204105511284586e-16\n"
+                   "0.35292499999999999,-1.8156949694427996e-16\n"
+                   "0.40584999999999999,-1.1499150994246689e-16\n"
+                   "0.45877500000000004,-1.2199494461648064e-16\n"
+                   "0.51170000000000004,0.008223329422808151\n"
+                   "0.56462500000000004,0.029048105342880052\n"
+                   "0.61755000000000004,0.049184791466131195\n"
+                   "0.67047500000000004,0.065720309961477735\n"
+                   "0.72340000000000004,0.082230453696232386\n"
+                   "detected_threshold = 0.45877500000000004\n"),
     ], ids=["courant-1", "courant-0.998"])
-    def test_gramian_golden_bytes(self, tmax, digest):
+    def test_gramian_golden_bytes(self, tmax, golden):
         code, text = capture(["gramian", "--config", str(ROOT / "demos" / "example_2x2.json"),
                               "--tmin", "0.3",
                               "--tmax", tmax, "--steps", "9"])
         assert code == 0
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if tmax == "0.7":
+            assert hashlib.sha256(text.encode()).hexdigest() == golden
+            return
+        got, want = text.splitlines(), golden.splitlines()
+        assert (got[0], got[-1]) == (want[0], want[-1])
+        got, want = ([row.split(",") for row in lines[1:-1]] for lines in (got, want))
+        assert [t for t, _ in got] == [t for t, _ in want]
+        sigma, pinned = (np.array([float(v) for _, v in rows]) for rows in (got, want))
+        assert np.max(np.abs(sigma - pinned)) <= 1e-13 * np.max(pinned)
 
     # stdout of `omegahat --eps 0.05` on the example: omega (0.25, 0.75)
     # shrinks by 0.125 / 2**3 on each side

@@ -545,13 +545,14 @@ class TestMarchingKernel:
         for mat in (np.array([[rng.uniform(-2.0, 2.0)]]), np.array([[0.0]])):
             outflow = rng.standard_normal((1, 5, batch))[:, 0, :]
             got = np.full((1, batch), np.nan)
-            pde._coupling_bc(mat)(0, outflow, got)
+            pde._coupling_bc(mat)(outflow, got)(0)
             assert np.array_equal(got, mat @ outflow)
 
     def test_march_checks_finiteness_of_batches(self):
         class LosesFiniteness(pde._Marcher):
-            def step(self, src, dst, j, forcing=None):
-                np.add(src.inner, np.inf if j == 1 else 0.0, out=dst.inner)
+            def stepper(self, src, dst):
+                return lambda j, forcing=None: np.add(src.inner, np.inf if j == 1 else 0.0,
+                                                      out=dst.inner)
 
         marcher = LosesFiniteness(np.ones((2, 8)), 0.1, 0.125, None, None)
         # steps between the periodic checks are caught by the final one
@@ -567,6 +568,24 @@ class TestMarchingKernel:
             assert res.trajectory.shape == (res.times.size, 2, 64)
             assert np.array_equal(res.trajectory[-1], datum.values)
             assert np.array_equal(res.trajectory[0], res.final.values)
+
+    def test_work_guard(self, spec_2x2, monkeypatch):
+        # state values times steps above MARCH_WORK_LIMIT are refused before
+        # the states are allocated; at the limit the march runs
+        grid = Grid(0.0, 1.0, 64)
+        y0 = sample_state(smooth_pair, grid, 2)
+        n_steps = round(0.3 / cfl_dt(spec_2x2, grid, 0.9, 0.3))
+        work = 2 * 64 * n_steps
+        monkeypatch.setattr(pde, "MARCH_WORK_LIMIT", work)
+        assert pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final").trajectory is None
+        monkeypatch.setattr(pde, "MARCH_WORK_LIMIT", work - 1)
+        with pytest.raises(ValueError, match=f"needs {work} element-steps"):
+            pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final")
+        # a batch counts every column, and no state is made
+        marcher = pde._adjoint_marcher(spec_2x2, grid, cfl_dt(spec_2x2, grid, 0.9, 0.3))
+        monkeypatch.setattr(marcher, "states", None)
+        with pytest.raises(ValueError, match=f"needs {3 * work} element-steps"):
+            pde._march(marcher, np.zeros((2, 64, 3)), n_steps)
 
     def test_final_only_storage(self, spec_2x2):
         grid = Grid(0.0, 1.0, 64)

@@ -662,3 +662,47 @@ def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 0.25), (0.25, 0.5)], ids=["touching", "interior"])
+def test_hum_visit_allocates_nothing_per_step(monkeypatch, spec_2x2, lo, hi):
+    # HUM's batched march writes each impulse response into A by one strided
+    # copy and takes the free column's samples out of the padded buffer: the
+    # steps between two finiteness checks allocate nothing near the size of
+    # a padded state (a reshape of the impulse columns would copy nstate x
+    # channels floats every step).  The normal solve after the march is cut off
+    import hypctrl.pde as pde
+    import hypctrl.synth as synth
+
+    class Marched(Exception):
+        pass
+
+    grid = Grid(lo, hi, 1000)
+    marks, shapes = {}, []
+    real = synth._march
+
+    def spy(marcher, w0, n_steps, visit, **kw):
+        def marked(j, w):
+            if j == 1:
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            elif j == pde.NAN_CHECK_EVERY - 1:
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+            visit(j, w)
+        shapes.append((w0.shape, n_steps))
+        real(marcher, w0, n_steps, visit=marked, **kw)
+        raise Marched
+
+    monkeypatch.setattr(synth, "_march", spy)
+    y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(1000)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(Marched):
+            hum_boundary_control(spec_2x2, Interval(lo, hi), y0, np.zeros((2, 1000)),
+                                 grid, 0.016, cells=[3, 4, 500, 501])
+    finally:
+        tracemalloc.stop()
+    ((n, nx, batch), n_steps), = shapes
+    assert n_steps > pde.NAN_CHECK_EVERY
+    padded = n * (nx + 2) * batch * 8
+    assert marks["peak"] - marks["start"] < padded // 8
