@@ -6,25 +6,27 @@ Configuration is one JSON file with the keys
     m       int                 number of negative speeds
     speeds  list of n entries   {"type": "constant", "value": v} or
                                 {"type": "piecewise_linear", "x": [...], "v": [...]}
-    M       nested list (n x n) or
+    M       matrix (n x n) or
             {"type": "piecewise_constant", "x": [...], "matrices": [...]}
-    Q0      nested list (p x m)
-    Q1      nested list (m x p)
+    Q0      matrix (p x m)
+    Q1      matrix (m x p)
     omega   list of [a, b] pairs
-    grid    {"cells": int, "cfl": float (optional, default 0.9)}
+    grid    {"cells": int, "cfl": number (optional, default 0.9)}
 
-Parsing is strict: unknown keys anywhere are rejected.  Exit codes: 0 on
-success; 1 on a numerical failure (a solution or Gramian that lost
-finiteness, the Gramian size guard) or an output that cannot be written;
-2 on malformed or invalid configuration, flag values or input files, and on
-a request the configuration cannot pose (``omegahat`` when the closure of
-omega covers [0, 1], ``necessity`` when the source is not minus the speed
-slope); 3 when a rank condition makes the request infinite or unanswerable;
-4 when the horizon is below the time the command needs.  Errors are raised
-where they are decided, horizons and epsilon in the library, so this module
-checks neither itself; ``run`` alone turns an error into a single line
-starting with ``ERROR:`` and its exit code.  Floats are printed
-with 17 significant digits so repeated runs are bit-identical.
+where a number is a JSON number in the float range, not a string, boolean or
+null; [...] is a nonempty list of numbers, and a matrix a nonempty list of
+equal-length lists of numbers.  Parsing is strict: unknown keys anywhere are
+rejected.  Exit codes: 0 on success; 1 on a numerical failure (a solution or
+Gramian that lost finiteness, the Gramian size guard) or an output that
+cannot be written; 2 on malformed or invalid configuration, flag values or
+input files, and on a request the configuration cannot pose (``omegahat``
+when the closure of omega covers [0, 1], ``necessity`` when the source is not
+minus the speed slope); 3 when a rank condition makes the request infinite or
+unanswerable; 4 when the horizon is below the time the command needs.  Errors
+are raised where they are decided, horizons and epsilon in the library, so
+this module checks neither itself; ``run`` alone turns an error into a single
+line starting with ``ERROR:`` and its exit code.  Floats are printed with 17
+significant digits so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -70,63 +72,70 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         _fail(where, f"missing keys {missing}")
 
 
+def _numbers(value, where: str, ndim: int = 0):
+    """The one reader of JSON numbers: a number (``ndim`` 0) as a float, or
+    nonempty lists of equal length nested ``ndim`` deep as a float array.
+    Booleans, strings, null, ragged or wrongly nested lists and integers too
+    large for a float are refused, naming ``where``."""
+    # numpy nests only lists of one length, so a ragged or wrongly nested value
+    # comes out with fewer dimensions or with a list for an element
+    arr = np.array(value, dtype=object)
+    # JSON decodes to exact ints and floats, and a boolean's type is bool
+    if arr.ndim != ndim or not arr.size or not {*map(type, arr.flat)} <= {int, float}:
+        what = f"numbers in nonempty equal-length lists {ndim} deep" if ndim else "a number"
+        _fail(where, f"expected {what}, got {json.dumps(value)}")
+    try:
+        return arr.astype(float) if ndim else float(value)
+    except OverflowError:
+        _fail(where, "an integer is too large for a float")
+
+
 def _integer(value, where: str) -> int:
-    # JSON floats and booleans are not counts, even when int() accepts them
+    # JSON floats and booleans are not counts, even when int() accepts them;
+    # the number reader then refuses an integer too large for a float
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(where, f"expected an integer, got {json.dumps(value)}")
+    _numbers(value, where)
     return value
-
-
-def _number(value, where: str) -> float:
-    # booleans are not numbers here either, even when float() accepts them
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(where, f"expected a number, got {json.dumps(value)}")
-    return float(value)
 
 
 def _speed_profile(entries, n: int) -> SpeedProfile:
     if not isinstance(entries, list) or len(entries) != n:
         _fail("speeds", f"expected a list of {n} entries")
-    constants = {}
+    constants, pieces = {}, {}
     for i, e in enumerate(entries):
-        _require_keys(e, f"speeds[{i}]", ("type",), ("value", "x", "v"))
-        if e["type"] == "constant":
-            if "value" not in e:
-                _fail(f"speeds[{i}]", "constant entry needs 'value'")
-            constants[i] = _number(e["value"], f"speeds[{i}].value")
-        elif e["type"] != "piecewise_linear":
-            _fail(f"speeds[{i}]", f"unknown speed type '{e['type']}'")
-        elif not (isinstance(e.get("x"), list) and isinstance(e.get("v"), list)):
-            _fail(f"speeds[{i}]", "piecewise entry needs 'x' and 'v' lists")
-        elif len(e["x"]) != len(e["v"]):
-            _fail(f"speeds[{i}]", "'x' and 'v' must have equal length")
-    if len(constants) == n:
+        where = f"speeds[{i}]"
+        kind = e.get("type") if isinstance(e, dict) else None
+        if kind == "constant":
+            _require_keys(e, where, ("type", "value"))
+            constants[i] = _numbers(e["value"], f"{where}.value")
+        elif kind == "piecewise_linear":
+            _require_keys(e, where, ("type", "x", "v"))
+            pieces[i] = _numbers(e["x"], f"{where}.x", 1), _numbers(e["v"], f"{where}.v", 1)
+            if pieces[i][0].size != pieces[i][1].size:
+                _fail(where, "'x' and 'v' must have equal length")
+        else:
+            _require_keys(e, where, ("type",), ("value", "x", "v"))
+            _fail(where, f"unknown speed type '{e['type']}'")
+    if not pieces:
         return SpeedProfile.constant([constants[i] for i in range(n)])
     # at least one piecewise entry: merge all breakpoints and resample
-    breakpoints = {0.0, 1.0}
-    for e in entries:
-        if e["type"] == "piecewise_linear":
-            breakpoints.update(float(x) for x in e["x"])
-    xs = np.array(sorted(breakpoints))
+    xs = np.array(sorted({0.0, 1.0}.union(*(x.tolist() for x, _ in pieces.values()))))
     if xs[0] != 0.0 or xs[-1] != 1.0:
         _fail("speeds", "piecewise breakpoints must stay inside [0, 1]")
-    rows = [np.full(xs.size, constants[i]) if i in constants
-            else np.interp(xs, np.asarray(e["x"], float), np.asarray(e["v"], float))
-            for i, e in enumerate(entries)]
+    rows = [np.full(xs.size, constants[i]) if i in constants else np.interp(xs, *pieces[i])
+            for i in range(n)]
     return SpeedProfile.piecewise_linear(xs, np.stack(rows))
 
 
-def _source_term(entry, n: int) -> SourceTerm:
+def _source_term(entry) -> SourceTerm:
     if isinstance(entry, list):
-        mat = np.asarray(entry, dtype=float)
-        if mat.shape != (n, n):
-            _fail("M", f"expected an {n}x{n} matrix, got {mat.shape}")
-        return SourceTerm.constant(mat)
+        return SourceTerm.constant(_numbers(entry, "M", 2))
     _require_keys(entry, "M", ("type", "x", "matrices"))
     if entry["type"] != "piecewise_constant":
         _fail("M", f"unknown source type '{entry['type']}'")
-    return SourceTerm.piecewise_constant(np.asarray(entry["x"], float),
-                                         np.asarray(entry["matrices"], float))
+    return SourceTerm.piecewise_constant(_numbers(entry["x"], "M.x", 1),
+                                         _numbers(entry["matrices"], "M.matrices", 3))
 
 
 @dataclass(frozen=True)
@@ -143,33 +152,28 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     """Strictly parse and validate a configuration file."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # also bad UTF-8, or an integer of 4,301+ digits
+        raise ConfigError(f"{path}: {exc}") from exc
 
     _require_keys(data, "config", ("n", "m", "speeds", "M", "Q0", "Q1", "omega", "grid"))
     n, m = _integer(data["n"], "n"), _integer(data["m"], "m")
     try:
         speeds = _speed_profile(data["speeds"], n)
-        source = _source_term(data["M"], n)
-        q0 = np.asarray(data["Q0"], dtype=float)
-        q1 = np.asarray(data["Q1"], dtype=float)
-        couplings = CouplingSpec(q0, q1)
-        omega_list = data["omega"]
-        if not (isinstance(omega_list, list) and omega_list
-                and all(isinstance(p, list) and len(p) == 2 for p in omega_list)):
-            _fail("omega", "expected a nonempty list of [a, b] pairs")
-        omega = ControlDomain(tuple((float(a), float(b)) for a, b in omega_list))
+        source = _source_term(data["M"])
+        couplings = CouplingSpec(_numbers(data["Q0"], "Q0", 2), _numbers(data["Q1"], "Q1", 2))
+        pairs = _numbers(data["omega"], "omega", 2)
+        if pairs.shape[1] != 2:
+            _fail("omega", f"expected [a, b] pairs, got {json.dumps(data['omega'])}")
+        omega = ControlDomain(tuple(pairs.tolist()))
         _require_keys(data["grid"], "grid", ("cells",), ("cfl",))
         cells = _integer(data["grid"]["cells"], "grid.cells")
-        cfl = _number(data["grid"].get("cfl", 0.9), "grid.cfl")
+        cfl = _numbers(data["grid"].get("cfl", 0.9), "grid.cfl")
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     if not np.isfinite(cfl) or not 0.0 < cfl <= 1.0:
         _fail("grid.cfl", "must lie in (0, 1]")
@@ -203,16 +207,12 @@ def _load_csv(path) -> np.ndarray:
 
 
 def _state_from_arg(arg: str, grid: Grid, n: int) -> StateField:
-    """Build a state from a preset name or a state CSV file."""
-    if arg == "zero":
-        return StateField(np.zeros((n, grid.n_cells)), grid)
-    if arg == "sinpi":
+    """A preset (the first component set at the cell centers) or a state CSV."""
+    presets = {"zero": lambda x: 0.0, "sinpi": lambda x: np.sin(np.pi * x),
+               "bump": lambda x: np.exp(-60.0 * (x - 0.5) ** 2)}
+    if arg in presets:
         vals = np.zeros((n, grid.n_cells))
-        vals[0] = np.sin(np.pi * grid.centers)
-        return StateField(vals, grid)
-    if arg == "bump":
-        vals = np.zeros((n, grid.n_cells))
-        vals[0] = np.exp(-60.0 * (grid.centers - 0.5) ** 2)
+        vals[0] = presets[arg](grid.centers)
         return StateField(vals, grid)
     path = Path(arg)
     if not path.exists():
@@ -221,6 +221,8 @@ def _state_from_arg(arg: str, grid: Grid, n: int) -> StateField:
     rows = _load_csv(path)
     if rows.shape[1] != n + 1:
         raise ConfigError(f"{arg}: expected columns x,y1..y{n}")
+    if np.any(np.diff(rows[:, 0]) <= 0.0):
+        raise ConfigError(f"{arg}: x must increase strictly down the rows")
     vals = np.stack([np.interp(grid.centers, rows[:, 0], rows[:, 1 + k])
                      for k in range(n)])
     return StateField(vals, grid)
@@ -244,26 +246,24 @@ def _write_control_csv(path, control: ControlField):
                                       + [_fmt(control.values[j, k, i]) for k in range(n)]) + "\n")
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values, as ``np.unique`` gives them without its
-    first call's import of ``numpy.ma``."""
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
 def _read_control_csv(path, grid: Grid, n: int) -> ControlField:
+    """A control CSV as ``synthesize`` writes it: one row per time and cell,
+    sorted by t, then by ascending x, at evenly spaced times."""
     rows = _load_csv(path)
     if rows.shape[1] != n + 2:
         raise ConfigError(f"{path}: expected columns t,x,u1..u{n}")
-    ts, xs = _distinct(rows[:, 0]), _distinct(rows[:, 1])
-    if xs.size != grid.n_cells or np.max(np.abs(xs - grid.centers)) > 1e-9:
-        raise ConfigError(f"{path}: control grid does not match the configured grid")
-    n_steps = ts.size
-    if rows.shape[0] != n_steps * grid.n_cells:
-        raise ConfigError(f"{path}: expected {n_steps} x {grid.n_cells} rows "
+    if rows.shape[0] % grid.n_cells:
+        raise ConfigError(f"{path}: expected whole steps of {grid.n_cells} rows "
                           f"(times x cells), got {rows.shape[0]}")
-    dt = ts[1] - ts[0] if n_steps > 1 else float(rows[-1, 0])
-    vals = rows[:, 2:].reshape(n_steps, grid.n_cells, n).transpose(0, 2, 1)
+    t, x = rows[:, 0].reshape(-1, grid.n_cells), rows[:, 1].reshape(-1, grid.n_cells)
+    ts = t[:, 0]
+    dt = ts[1] - ts[0] if ts.size > 1 else float(ts[0])
+    if (np.any(t != ts[:, None]) or np.any(np.diff(ts) <= 0.0)
+            or np.any(np.abs(np.diff(ts) - dt) > 1e-9 * max(1.0, ts[-1]))
+            or np.max(np.abs(x - grid.centers)) > 1e-9):
+        raise ConfigError(f"{path}: expected a row per cell of the configured grid at each "
+                          "of evenly spaced times, sorted by t, then by ascending x")
+    vals = rows[:, 2:].reshape(ts.size, grid.n_cells, n).transpose(0, 2, 1)
     return ControlField(vals, grid, dt, np.ones(grid.n_cells, dtype=bool))
 
 
@@ -275,12 +275,12 @@ def _print_matrix(stream, name: str, mat: np.ndarray):
 
 def _matrix_flag(text: str) -> np.ndarray:
     try:
-        mat = np.asarray(json.loads(text), dtype=float)
-    except (ValueError, TypeError) as exc:
+        value = json.loads(text)
+    except ValueError as exc:
         raise ConfigError(f"--matrix: {exc}") from exc
-    if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
-        raise ConfigError(f"--matrix: expected a nonempty 2-D array of finite "
-                          f"numbers, got {text}")
+    mat = _numbers(value, "--matrix", 2)
+    if not np.all(np.isfinite(mat)):
+        _fail("--matrix", f"expected a nonempty 2-D array of finite numbers, got {text}")
     return mat
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypctrl.cli import (ConfigError, build_parser, main, parse_config, run)
+from hypctrl.cli import (EXIT_CODES, ConfigError, build_parser, main, parse_config,
+                          run)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,12 +74,59 @@ EDGE_Q0 = [[0.18905338179353307, -0.5227484414807474, -0.41306354339189344],
            [-2.4914011263956173, 2.0488453834949376, 1.347263338418283]]
 
 
-def control_csv(n_steps, dt, drop=0):
-    """A zero control CSV on the grid of EXAMPLE1, less its last ``drop`` rows."""
+# valid JSON, but too large for a float
+HUGE_INT = 10 ** 400
+PIECEWISE_SPEED = {"speeds": [{"type": "constant", "value": -1.0},
+                              {"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                               "v": [1.0, 2.0, 1.0]}]}
+PIECEWISE_SOURCE = {"M": {"type": "piecewise_constant", "x": [0.0, 0.5, 1.0],
+                          "matrices": [[[0.0, 0.1], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]}}
+
+# the mutation fuzz: one or two leaves of the demo config at 24 cells are
+# replaced by one of these values or deleted, then one subcommand runs
+MUTANTS = (0, 1, -1, 1e308, -1e308, float("nan"), float("inf"), -float("inf"),
+           "x", None, True, [], {}, HUGE_INT, "delete")
+MUTATION_SEEDS = (0, 1, 2, 3, 4)
+MUTATION_TRIALS = 100
+MUTATION_COMMANDS = (["mintime"], ["canon", "--which", "Q1"], ["omegahat", "--eps", "0.1"],
+                     ["simulate", "--T", "0.3", "--y0", "sinpi"],
+                     ["synthesize", "--T", "0.7", "--y0", "sinpi", "--y1", "zero"],
+                     ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "3"],
+                     ["necessity", "--nu-list", "1,2"])
+
+
+def leaves(node, path=()):
+    """The paths of the leaves of a JSON value: everything but a nonempty
+    list or object."""
+    if not (isinstance(node, (dict, list)) and node):
+        return [path]
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    return [leaf for key in keys for leaf in leaves(node[key], path + (key,))]
+
+
+def set_leaf(config, path, value):
+    """Replace the leaf at ``path`` by ``value``, or delete it for "delete"."""
+    *parents, last = path
+    for key in parents:
+        config = config[key]
+    if value == "delete":
+        del config[last]
+    else:
+        config[last] = value
+
+
+def control_csv(n_steps, dt, drop=0, shift_last=0.0, shuffle_seed=None):
+    """A zero control CSV on the grid of EXAMPLE1, less its last ``drop`` rows,
+    with the last time label moved by ``shift_last`` and, given a seed, the
+    rows shuffled."""
     cells = EXAMPLE1["grid"]["cells"]
-    lines = [f"{j * dt!r},{(i + 0.5) / cells!r},0,0"
-             for j in range(n_steps) for i in range(cells)]
-    return "t,x,u1,u2\n" + "".join(line + "\n" for line in lines[:len(lines) - drop])
+    times = [j * dt for j in range(n_steps)]
+    times[-1] += shift_last
+    lines = [f"{t!r},{(i + 0.5) / cells!r},0,0" for t in times for i in range(cells)]
+    lines = lines[:len(lines) - drop]
+    if shuffle_seed is not None:
+        lines = [lines[k] for k in np.random.default_rng(shuffle_seed).permutation(len(lines))]
+    return "t,x,u1,u2\n" + "".join(line + "\n" for line in lines)
 
 
 def capture(argv):
@@ -115,6 +164,17 @@ class TestParseConfig:
         path.write_text('{"n": 2,,}')
         with pytest.raises(ConfigError, match="line"):
             parse_config(path)
+
+    # json raises a plain ValueError past the 4,300-digit integer limit, and
+    # reading raises one on bytes that are not UTF-8
+    @pytest.mark.parametrize("raw", [b'{"n": 1' + b"0" * 5000 + b"}", b'{"n": "\xff"}'],
+                             ids=["integer-digit-limit", "not-utf8"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw)
+        assert main(["mintime", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR: {path}: ") and err.count("\n") == 1
 
     def test_piecewise_constant_source(self, tmp_path):
         path = config_variant(
@@ -369,8 +429,12 @@ class TestFlagValidation:
         ("--y0", "x,y1,y2\n0.25,1,2\n0.75,-inf,0\n"),
         ("--y0", "x,y1,y2\n"),
         ("--u", control_csv(2, 0.05, drop=1)),
+        ("--u", control_csv(2, 0.05, shuffle_seed=0)),
+        ("--y0", "x,y1,y2\n0.75,0,0\n0.5,1,0\n0.25,0,0\n"),
+        ("--u", control_csv(4, 0.025, shift_last=0.4 * 0.025)),
     ], ids=["state-cell", "control-cell", "state-nan", "state-inf", "state-header-only",
-            "control-missing-row"])
+            "control-missing-row", "control-shuffled", "state-x-descending",
+            "control-uneven-times"])
     def test_bad_csv_exits_2_with_one_error_line(self, config_path, tmp_path,
                                                  capsys, flag, text):
         csv = tmp_path / "bad.csv"
@@ -494,6 +558,72 @@ class TestFlagValidation:
         assert main(["mintime", "--config", path]) == 2
         assert capsys.readouterr().err == f"ERROR: config ({line}\n"
 
+    @pytest.mark.parametrize("overrides,command,field", [
+        ({"omega": [["0.25", "0.75"]]}, ["mintime"], "omega"),
+        ({"omega": [[False, True]]}, ["mintime"], "omega"),
+        ({"M": [[True, False], [False, "0"]]}, ["mintime"], "M"),
+        ({"Q0": "1"}, ["mintime"], "Q0"),
+        ({"Q0": 1.0}, ["mintime"], "Q0"),
+        ({"Q1": [True]}, ["mintime"], "Q1"),
+        ({"Q1": [2.0]}, ["mintime"], "Q1"),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": [0, "1"], "v": [True, 2]}]},
+         ["mintime"], "speeds[1].x"),
+        ({"M": {"type": "piecewise_constant", "x": [0, "0.5", 1],
+                "matrices": [[[0.0, 0.0], [0.0, 0.0]]] * 2}}, ["mintime"], "M.x"),
+        ({"speeds": [{"type": "constant", "value": -1.0, "x": "junk", "v": {}},
+                     {"type": "constant", "value": 1.0}]}, ["mintime"], "speeds[0]"),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1.0, 2.0],
+                      "value": "junk"}]}, ["mintime"], "speeds[1]"),
+        ({}, ["canon", "--matrix", "[[true]]"], "--matrix"),
+        ({}, ["canon", "--matrix", '[["1", 2]]'], "--matrix"),
+    ], ids=["omega-strings", "omega-booleans", "M-mixed", "Q0-string", "Q0-scalar",
+            "Q1-boolean-vector", "Q1-vector", "piecewise-speed-mixed", "source-x-string",
+            "constant-stray-keys", "piecewise-stray-value", "matrix-boolean",
+            "matrix-string"])
+    def test_lax_input_exits_2_naming_the_field(self, tmp_path, capsys, overrides,
+                                                command, field):
+        path = config_variant(tmp_path, "bad.json", **overrides)
+        argv = command if command[0] == "canon" else command[:1] + ["--config", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR: {field}: ") and err.count("\n") == 1
+
+    # one row per numeric field: a numeric string, a boolean and an integer
+    # too large for a float are each refused, naming the field
+    @pytest.mark.parametrize("overrides,leaf,field", [
+        ({}, ("n",), "n"),
+        ({}, ("m",), "m"),
+        ({}, ("speeds", 0, "value"), "speeds[0].value"),
+        (PIECEWISE_SPEED, ("speeds", 1, "x", 1), "speeds[1].x"),
+        (PIECEWISE_SPEED, ("speeds", 1, "v", 1), "speeds[1].v"),
+        ({}, ("M", 1, 0), "M"),
+        (PIECEWISE_SOURCE, ("M", "x", 1), "M.x"),
+        (PIECEWISE_SOURCE, ("M", "matrices", 1, 0, 1), "M.matrices"),
+        ({}, ("Q0", 0, 0), "Q0"),
+        ({}, ("Q1", 0, 0), "Q1"),
+        ({}, ("omega", 0, 1), "omega"),
+        ({}, ("grid", "cells"), "grid.cells"),
+        ({}, ("grid", "cfl"), "grid.cfl"),
+        (None, None, "--matrix"),
+    ], ids=["n", "m", "speed-value", "speed-x", "speed-v", "M", "M-x", "M-matrices",
+            "Q0", "Q1", "omega", "grid-cells", "grid-cfl", "canon-matrix"])
+    def test_non_number_exits_2_naming_the_field(self, tmp_path, capsys, overrides,
+                                                 leaf, field):
+        for value in ("1", True, HUGE_INT):
+            if leaf is None:
+                argv = ["canon", "--matrix", json.dumps([[1.0, value]])]
+            else:
+                config = json.loads(json.dumps({**EXAMPLE1, **overrides}))
+                set_leaf(config, leaf, value)
+                path = tmp_path / "bad.json"
+                path.write_text(json.dumps(config))
+                argv = ["mintime", "--config", str(path)]
+            assert main(argv) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith(f"ERROR: {field}: ") and err.count("\n") == 1, err
+
     @staticmethod
     def _assert_one_error_line(capsys):
         err = capsys.readouterr().err
@@ -517,6 +647,44 @@ class TestFlagValidation:
         expected = io.StringIO()
         _write_state_csv(expected, solve_forward(cfg.spec, y0, None, 0.37, cfg.cfl).final)
         assert out_csv.read_text() == expected.getvalue()
+
+
+class TestMutation:
+    @pytest.mark.parametrize("seed", MUTATION_SEEDS)
+    def test_mutated_config_exits_with_a_code(self, tmp_path, seed):
+        # every run exits 0 with nothing on stderr, or with a code from
+        # EXIT_CODES and one ERROR: line; nothing escapes run
+        rng = np.random.default_rng(seed)
+        demo = json.loads((ROOT / "demos" / "example_2x2.json").read_text())
+        demo["grid"]["cells"] = 24
+        path = tmp_path / "mutant.json"
+        parser = build_parser()
+        failures = []
+        for _ in range(MUTATION_TRIALS):
+            config = json.loads(json.dumps(demo))
+            for _ in range(1 + rng.integers(2)):
+                paths = leaves(config)
+                set_leaf(config, paths[rng.integers(len(paths))],
+                         MUTANTS[rng.integers(len(MUTANTS))])
+            command = MUTATION_COMMANDS[rng.integers(len(MUTATION_COMMANDS))]
+            path.write_text(json.dumps(config))
+            argv = command[:1] + ["--config", str(path)] + command[1:]
+            if command[0] == "synthesize":
+                argv += ["--out", str(tmp_path / "synth")]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err):
+                    code = run(parser.parse_args(argv), io.StringIO())
+            except Exception as exc:  # anything raised is the failure under test
+                failures.append((command[0], json.dumps(config)[:300], repr(exc)[:200]))
+                continue
+            text = err.getvalue()
+            ok = (text == "" if code == 0 else
+                  code in EXIT_CODES.values() and text.startswith("ERROR:")
+                  and text.count("\n") == 1)
+            if not ok:
+                failures.append((command[0], json.dumps(config)[:300], code, text[:200]))
+        assert not failures, failures[:3]
 
 
 class TestDeterminism:
