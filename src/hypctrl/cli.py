@@ -112,6 +112,8 @@ def _speed_profile(entries, n: int) -> SpeedProfile:
         elif kind == "piecewise_linear":
             _require_keys(e, where, ("type", "x", "v"))
             pieces[i] = _numbers(e["x"], f"{where}.x", 1), _numbers(e["v"], f"{where}.v", 1)
+            if not all(a < b for a, b in zip(e["x"], e["x"][1:])):
+                _fail(f"{where}.x", f"must increase strictly, got {json.dumps(e['x'])}")
             if pieces[i][0].size != pieces[i][1].size:
                 _fail(where, "'x' and 'v' must have equal length")
         else:
@@ -155,7 +157,7 @@ def parse_config(path) -> RunConfig:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, ValueError) as exc:  # also bad UTF-8, or an integer of 4,301+ digits
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, 4,301 digits, deep lists
         raise ConfigError(f"{path}: {exc}") from exc
 
     _require_keys(data, "config", ("n", "m", "speeds", "M", "Q0", "Q1", "omega", "grid"))

@@ -44,7 +44,6 @@ from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _check_ho
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
-WITNESS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -353,23 +352,15 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
 
     z1, support_hi = _witness_final_datum(spec, nu, grid, eta)
 
-    # the states before each step are buffered and reduced WITNESS_CHUNK at a time
-    buf = np.empty((min(WITNESS_CHUNK, n_steps), n, grid.n_cells))
     squares, z_minus_max = 0.0, 0.0
 
-    def reduce(rows: int):
+    def reduce(j0, states):
+        # the final state enters only the maximum
         nonlocal squares, z_minus_max
-        squares += np.vdot(buf[:rows], buf[:rows])
-        z_minus_max = max(z_minus_max, float(np.abs(buf[:rows, :m]).max(initial=0.0)))
+        squares += np.vdot(states[:n_steps - j0], states[:n_steps - j0])
+        z_minus_max = max(z_minus_max, float(np.abs(states[:, :m]).max()))
 
-    def observe(s, z):
-        buf[s % len(buf)] = z[:, :, 0]
-        if s % len(buf) == len(buf) - 1:
-            reduce(len(buf))
-
-    z, _ = _march(_adjoint_marcher(spec, grid, dt), z1.values, n_steps, visit=observe)
-    reduce(n_steps % len(buf))
-    z_minus_max = max(z_minus_max, float(np.abs(z[:m]).max()))  # the final state
+    _march(_adjoint_marcher(spec, grid, dt), z1.values, n_steps, on_chunk=reduce)
     ratio = float(np.sum(z1.values ** 2)) / (dt * float(squares))
     return NecessityWitness(z1, ratio, z_minus_max, support_hi)
 

@@ -29,8 +29,10 @@ Four solvers are thin wrappers around one stepping loop, ``_march``:
                                   R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1.
 
 It also drives the sweeps and witness of ``obsv`` and the batched HUM march
-of ``synth``, and keeps the current state only or the whole trajectory too
-(forward-time order, even backward; refused above ``TRAJECTORY_BYTES_LIMIT``).
+of ``synth``.  States leave a march a chunk of ``NAN_CHECK_EVERY`` steps at a
+time, after a finiteness check, with no Python callback per step: into the
+whole trajectory (forward-time order, even backward; refused above
+``TRAJECTORY_BYTES_LIMIT``) or into a record of the chunk handed over once.
 
 This module decides every horizon: each entry point that takes one, here and
 in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
@@ -222,14 +224,6 @@ class _Padded:
         self.scratch = scratch
 
 
-def _padded_positions(shape) -> np.ndarray:
-    """For each element of a march's (n, N, B) interior of this shape, its
-    position in the flat view of the padded buffer that is the interior's
-    ``base``."""
-    n, nx, batch = shape
-    return np.arange(n * (nx + 2) * batch).reshape(n, nx + 2, batch)[:, 1:-1]
-
-
 def _run(rows: slice, nx: int, batch: int) -> tuple[int, int]:
     """The flat range from the first cell of padded rows ``rows`` to their
     last, the pad cells between consecutive rows included (empty for the
@@ -357,46 +351,57 @@ def _check_bytes(what: str, size: int):
 
 
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
-           forcing: np.ndarray | None = None, visit=None, reverse: bool = False):
-    """March an (n, N) state or (n, N, B) batch; return (final batch,
-    trajectory).  ``forcing[j]`` (n, N) enters step j and ``visit(j, w)``
-    sees the state before step j.  ``keep="trajectory"`` also stores column
-    0 of every state as (n_steps+1, n, N), last state first if ``reverse``;
-    ``keep="final"`` stores nothing and returns None for it.
-    The work (values times steps) is checked first, then the two states of
-    ``marcher.states`` and the two steps between them are bound once; the
-    steps alternate and allocate nothing.  ``visit`` and the result see the
-    (n, N, B) interior of a padded buffer, which is the interior's ``base``.
+           forcing: np.ndarray | None = None, on_chunk=None, reverse: bool = False):
+    """March an (n, N) state or (n, N, B) batch; return the final batch, the
+    (n, N, B) interior of a padded buffer, and the trajectory or None.
+    ``forcing[j]`` (n, N) enters step j.  ``keep="trajectory"`` stores column
+    0 of every state as (n_steps+1, n, N), last state first if ``reverse``.
+    After the work check (values times steps), the two states of ``marcher``
+    and the two steps between them are bound once; the steps alternate,
+    allocate nothing and run in chunks of ``NAN_CHECK_EVERY``, each step
+    copying its state into a record of the chunk (the trajectory's own rows
+    when B = 1) when states are wanted.  A chunk ends with a finiteness check
+    and ``on_chunk(j0, states)``: the (k, n, N, B) states j0..j0+k-1, and the
+    final state too in the last chunk.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
     if w.size * n_steps > MARCH_WORK_LIMIT:
         raise ValueError(f"march of {n_steps} steps over {w.size} values needs "
                          f"{w.size * n_steps} element-steps, above the limit of "
                          f"{MARCH_WORK_LIMIT}")
-    traj = None
+    traj = rows = record = None
     if keep == "trajectory":
         _check_bytes(f"trajectory of {n_steps + 1} states",
                      (n_steps + 1) * w.shape[0] * w.shape[1] * 8)
         traj = np.empty((n_steps + 1,) + w.shape[:2])
-        traj[n_steps if reverse else 0] = w[:, :, 0]
+        rows = (traj[::-1] if reverse else traj)[:, :, :, None]
+    if (on_chunk is not None and rows is None) or (traj is not None and w.shape[2] > 1):
+        record = np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape)
     pair = marcher.states(w, forcing is not None)
     steps = marcher.stepper(*pair), marcher.stepper(*pair[::-1])
     inners = pair[0].inner, pair[1].inner
-    # laid out as a padded state, so the check of a strided interior
-    # writes it without buffering a copy of the state
-    finite = np.empty(pair[0].buf.shape, dtype=bool)[:, 1:-1]
+    # a padded state's layout, True in the pad cells: the check writes a
+    # strided interior and reduces a contiguous buffer, buffering no copy
+    finite = np.ones(pair[0].buf.shape, dtype=bool)
     forcing = None if forcing is None else forcing[:, :, :, None]
-    for j in range(n_steps):
-        if visit is not None:
-            visit(j, inners[j & 1])
-        steps[j & 1](j, None if forcing is None else forcing[j])
-        w = inners[~j & 1]
-        if ((j % NAN_CHECK_EVERY == 0 or j + 1 == n_steps)
-                and not np.isfinite(w, out=finite).all()):
-            raise RuntimeError(f"solution lost finiteness at step {j + 1}")
-        if traj is not None:
-            traj[n_steps - 1 - j if reverse else j + 1] = w[:, :, 0]
-    return inners[n_steps & 1], traj
+    for j0 in range(0, max(n_steps, 1), NAN_CHECK_EVERY):
+        k = min(NAN_CHECK_EVERY, n_steps - j0)
+        chunk = rows[j0:] if record is None and rows is not None else record
+        if chunk is not None:
+            chunk[0] = w
+        for j in range(j0, j0 + k):
+            steps[j & 1](j, None if forcing is None else forcing[j])
+            if chunk is not None:
+                chunk[j + 1 - j0] = inners[~j & 1]
+        w = inners[(j0 + k) & 1]
+        np.isfinite(w, out=finite[:, 1:-1])
+        if not finite.all():
+            raise RuntimeError(f"solution lost finiteness at step {j0 + k}")
+        if traj is not None and record is not None:
+            rows[j0:j0 + k + 1, :, :, 0] = record[:k + 1, :, :, 0]
+        if on_chunk is not None:
+            on_chunk(j0, chunk[:k + 1] if j0 + k == n_steps else chunk[:k])
+    return w, traj
 
 
 def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,

@@ -36,8 +36,8 @@ from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _check_bytes, _forward, _march, _Marcher,
-                  _padded_positions, _resolve_steps, _speeds_at, _subinterval_bcs,
-                  sample_state, solve_backward, solve_forward)
+                  _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
+                  solve_backward, solve_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -268,22 +268,25 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     w0[:, :, n_ch] = y0_vals
 
     # a_t[c, k] is the column of A for the control of channel c during step
-    # k: it surfaces at T as the impulse response n_steps - k steps old;
-    # ``slots`` sees a_t[:, k] as (n_ch, n, N), a state's impulse columns
-    # with the batch axis first, so each is one strided copy
+    # k, the impulse response n_steps - k steps old at T; ``slots`` sees a_t
+    # as (n_ch, n_steps, n, N), so a chunk's impulse columns are one copy
     a_t = np.empty((n_ch, n_steps, nstate))
     slots = a_t.reshape(n_ch, n_steps, spec.n, grid.n_cells)
     samples = np.empty((n_steps + 1, spec.n, cells.size))
-    free_at = _padded_positions(w0.shape)[:, cells, n_ch]
+    # the sampled cells as state indices, and in a flat state's free column
+    sampled = (np.arange(spec.n)[:, None] * grid.n_cells + cells).reshape(-1)
+    free_at = sampled * (n_ch + 1) + n_ch
 
-    def visit(j, w):
+    def on_chunk(j0, states):
+        j1 = j0 + len(states)
         # "clip" since the cells are checked: "raise" would buffer ``out``
-        w.base.take(free_at, out=samples[j], mode="clip")
-        if j:
-            slots[:, n_steps - j] = w[:, :, :n_ch].transpose(2, 0, 1)
+        states.reshape(j1 - j0, -1).take(free_at, axis=1, mode="clip",
+                                          out=samples[j0:j1].reshape(j1 - j0, -1))
+        # state j >= 1 holds the responses j steps old, for a_t[:, n_steps - j]
+        slots[:, n_steps + 1 - j1:n_steps + 1 - max(j0, 1)] = \
+            states[max(1 - j0, 0):][::-1, :, :, :n_ch].transpose(3, 0, 1, 2)
 
-    w, _ = _march(marcher, w0, n_steps, visit=visit)
-    visit(n_steps, w)
+    w, _ = _march(marcher, w0, n_steps, on_chunk=on_chunk)
     del slots  # a view: it would keep a_t alive into the FFT
     a_t = a_t.reshape(n_ch * n_steps, nstate)
     free = w[:, :, n_ch].reshape(nstate)
@@ -297,8 +300,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     del gram
     residual = _l2(free + vec @ a_t - y1_flat, dx)
     # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
-    states = (np.arange(spec.n)[:, None] * grid.n_cells + cells).reshape(-1)
-    responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, states]
+    responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, sampled]
     del a_t
 
     # the length is a power of two at least 2 n_steps, so the circular

@@ -165,10 +165,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line"):
             parse_config(path)
 
-    # json raises a plain ValueError past the 4,300-digit integer limit, and
-    # reading raises one on bytes that are not UTF-8
-    @pytest.mark.parametrize("raw", [b'{"n": 1' + b"0" * 5000 + b"}", b'{"n": "\xff"}'],
-                             ids=["integer-digit-limit", "not-utf8"])
+    # json raises a plain ValueError past the 4,300-digit integer limit and a
+    # RecursionError on lists nested past the interpreter's depth, and
+    # reading raises a ValueError on bytes that are not UTF-8
+    @pytest.mark.parametrize("raw", [b'{"n": 1' + b"0" * 5000 + b"}", b'{"n": "\xff"}',
+                                     b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+                             ids=["integer-digit-limit", "not-utf8", "nested-too-deep"])
     def test_undecodable_config_exits_2(self, tmp_path, capsys, raw):
         path = tmp_path / "raw.json"
         path.write_bytes(raw)
@@ -578,10 +580,13 @@ class TestFlagValidation:
                       "value": "junk"}]}, ["mintime"], "speeds[1]"),
         ({}, ["canon", "--matrix", "[[true]]"], "--matrix"),
         ({}, ["canon", "--matrix", '[["1", 2]]'], "--matrix"),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": [0.5, 0.2, 1.0], "v": [1.0, 2.0, 1.0]}]},
+         ["mintime"], "speeds[1].x"),
     ], ids=["omega-strings", "omega-booleans", "M-mixed", "Q0-string", "Q0-scalar",
             "Q1-boolean-vector", "Q1-vector", "piecewise-speed-mixed", "source-x-string",
             "constant-stray-keys", "piecewise-stray-value", "matrix-boolean",
-            "matrix-string"])
+            "matrix-string", "piecewise-x-decreasing"])
     def test_lax_input_exits_2_naming_the_field(self, tmp_path, capsys, overrides,
                                                 command, field):
         path = config_variant(tmp_path, "bad.json", **overrides)
@@ -721,6 +726,35 @@ class TestDeterminism:
                               "--y0", "sinpi"])
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # sha256 of the three files of `synthesize --T 0.6 --y0 sinpi --y1 zero`
+    # and of its `simulate --u` replay, on the piecewise-source config above
+    # with omega the whole domain: the control is the forward/backward blend
+    # and its re-simulation marches with a forcing.  1x1 couplings and an
+    # einsum source, so no BLAS call enters these bytes.
+    def test_synthesize_golden_bytes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        config = json.loads((ROOT / "demos" / "example_2x2.json").read_text())
+        speeds = [{"type": "piecewise_linear", "x": [0.0, 0.5, 1.0], "v": v}
+                  for v in ([-1.0, -1.5, -1.0], [1.0, 2.0, 1.0])]
+        path.write_text(json.dumps({**config, "speeds": speeds, "M": [[0.3, -0.2], [0.1, 0.4]],
+                                    "omega": [[0.0, 1.0]]}))
+        outdir = tmp_path / "synth"
+        code, text = capture(["synthesize", "--config", str(path), "--T", "0.6",
+                              "--y0", "sinpi", "--y1", "zero", "--out", str(outdir)])
+        assert (code, text) == (0, "achieved_error = 0.0074692210625977333\n")
+        digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in ("control.csv", "final_state.csv", "summary.txt")}
+        assert digests == {
+            "control.csv": "451eebea5537982dedeb8c9a33ea40bf500d491a86db73b03f77825d1a5e0a1f",
+            "final_state.csv": "5175f2cc1fe616fce83ae118aa123fafa41713ad63710a5af1819539731363d3",
+            "summary.txt": "cb4ad30695ca5002325ac0794567cb75863fd44d20660e51145cd10efa7f2aba",
+        }
+        code, text = capture(["simulate", "--config", str(path), "--T", "0.6", "--y0", "sinpi",
+                              "--u", str(outdir / "control.csv")])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digests["final_state.csv"]
+        assert text == (outdir / "final_state.csv").read_text()
 
     # stdout of `gramian --tmin 0.3 --steps 9` on the example.  --tmax 0.7
     # marches at Courant 1, where the Gramian is diagonal and no LAPACK call

@@ -5,12 +5,12 @@ import pytest
 
 from hypctrl.canon import canonical_form
 from hypctrl.model import SourceTerm, SpeedProfile
-from hypctrl.obsv import (WITNESS_CHUNK, _block_partition, _gramian_windows,
+from hypctrl.obsv import (_block_partition, _gramian_windows,
                           _one_step_operator, detect_threshold, kernel_vector,
                           necessity_sweep, necessity_witness, observability_gramian,
                           sigma_min_sweep)
-from hypctrl.pde import (Grid, StateField, _adjoint_marcher, _march, cfl_dt,
-                         solve_adjoint)
+from hypctrl.pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
+                         cfl_dt, solve_adjoint)
 from hypctrl.times import (CASE_LEFT, CASE_RIGHT, CASE_TWO_SIDED,
                            minimal_control_time)
 from conftest import make_spec, near_singular
@@ -70,15 +70,17 @@ def forward_gramians(spec, grid, dt, stops):
     gram = np.zeros((nstate, nstate))
     out = {}
 
-    def accumulate(s, z):
+    def accumulate(j0, states):
         nonlocal gram
-        zm = z.reshape(nstate, nstate)[mask]
-        gram += dt * grid.dx * (zm.T @ zm)
-        if s + 1 in stops:
-            out[s + 1] = 0.5 * (gram + gram.T)
+        # the final state enters no window
+        for s, z in zip(range(j0, max(stops)), states):
+            zm = z.reshape(nstate, nstate)[mask]
+            gram += dt * grid.dx * (zm.T @ zm)
+            if s + 1 in stops:
+                out[s + 1] = 0.5 * (gram + gram.T)
 
     basis = np.eye(nstate).reshape(n, nx, nstate)
-    _march(_adjoint_marcher(spec, grid, dt), basis, max(stops), visit=accumulate)
+    _march(_adjoint_marcher(spec, grid, dt), basis, max(stops), on_chunk=accumulate)
     return out
 
 
@@ -400,18 +402,19 @@ def multispeed_witness_spec():
 
 
 def reference_quadrature(spec, z1, T, grid):
-    """ratio and max |z_-| of the witness by a per-step visit that sums
-    np.sum(z ** 2) step by step."""
+    """ratio and max |z_-| of the witness by a hand-over that sums
+    np.sum(z ** 2) state by state over the states before each step."""
     dt = cfl_dt(spec, grid, 1.0, T)
+    n_steps = int(round(T / dt))
     denom, z_minus_max = 0.0, 0.0
 
-    def observe(s, z):
+    def observe(j0, states):
         nonlocal denom, z_minus_max
-        denom += dt * grid.dx * float(np.sum(z ** 2))
-        z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
+        for _, z in zip(range(j0, n_steps), states):
+            denom += dt * grid.dx * float(np.sum(z ** 2))
+            z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
 
-    z, _ = _march(_adjoint_marcher(spec, grid, dt), z1, int(round(T / dt)),
-                  visit=observe)
+    z, _ = _march(_adjoint_marcher(spec, grid, dt), z1, n_steps, on_chunk=observe)
     z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
     return grid.dx * float(np.sum(z1 ** 2)) / denom, z_minus_max
 
@@ -443,7 +446,7 @@ class TestNecessity:
         assert w.z_minus_max == z_minus_max
         n_steps = int(round(T / cfl_dt(spec, grid, 1.0, T)))
         assert n_steps == 2 * cells if case == "2x2" else 9 * cells
-        assert (n_steps % WITNESS_CHUNK == 0) == (cells == 64)
+        assert (n_steps % NAN_CHECK_EVERY == 0) == (cells == 64)
 
     def test_witness_support(self, spec_rank_deficient):
         grid = Grid(0.0, 1.0, 200)

@@ -472,14 +472,55 @@ class TestMarchingKernel:
         for reverse in (False, True):
             seen = []
             w, traj = pde._march(new, w0, n_steps, keep="trajectory", forcing=forcing,
-                                 visit=lambda j, v: seen.append((j, v.copy())),
+                                 on_chunk=lambda j0, chunk: seen.extend(
+                                     enumerate(chunk.copy(), j0)),
                                  reverse=reverse)
-            assert [j for j, _ in seen] == list(range(n_steps))
+            assert [j for j, _ in seen] == list(range(n_steps + 1))
             for (_, v), want in zip(seen, states):
                 assert np.array_equal(v, want)
             assert np.array_equal(w, states[-1])
             order = states[::-1] if reverse else states
             assert np.array_equal(traj, np.stack([s[:, :, 0] for s in order]))
+
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("keep,batch", [("final", 3), ("trajectory", 1)])
+    def test_chunks_hand_over_every_state_once(self, n_steps, reverse, forced, keep, batch):
+        # chunks of NAN_CHECK_EVERY steps: the states before each step of a
+        # chunk, the final state too in the last one, each once and in order
+        new, ref, rng = _kernel_case(1, 2, True, "coupling", n_steps)
+        w0 = rng.standard_normal((3, 40, batch))
+        forcing = rng.standard_normal((n_steps, 3, 40))
+        states = _reference_march(ref, w0, n_steps, forcing if forced else np.zeros_like(forcing))
+        chunks = []
+        w, traj = pde._march(new, w0, n_steps, keep=keep, forcing=forcing if forced else None,
+                             on_chunk=lambda j0, chunk: chunks.append((j0, chunk.copy())),
+                             reverse=reverse)
+        every = pde.NAN_CHECK_EVERY
+        assert [j0 for j0, _ in chunks] == list(range(0, n_steps, every))
+        assert [len(c) for _, c in chunks[:-1]] == [every] * (len(chunks) - 1)
+        handed = np.concatenate([c for _, c in chunks])
+        assert np.array_equal(handed, np.stack(states))
+        assert np.array_equal(w, states[-1])
+        if keep == "trajectory":
+            order = states[::-1] if reverse else states
+            assert np.array_equal(traj, np.stack([s[:, :, 0] for s in order]))
+
+    def test_nonfinite_state_reported_at_the_chunk_end(self):
+        # finiteness is checked once per chunk, before its hand-over: a state
+        # made non-finite at step 2 is reported at step NAN_CHECK_EVERY
+        class LosesFiniteness(pde._Marcher):
+            def stepper(self, src, dst):
+                return lambda j, forcing=None: np.add(src.inner, np.inf if j == 1 else 0.0,
+                                                      out=dst.inner)
+
+        marcher = LosesFiniteness(np.ones((2, 8)), 0.1, 0.125, None, None)
+        chunks = []
+        with pytest.raises(RuntimeError, match=f"finiteness at step {pde.NAN_CHECK_EVERY}$"):
+            pde._march(marcher, np.ones((2, 8, 3)), 200,
+                       on_chunk=lambda j0, chunk: chunks.append(j0))
+        assert chunks == []
 
     @BCS
     @BATCHES
@@ -519,18 +560,19 @@ class TestMarchingKernel:
         padded = n * (nx + 2) * 8
         marks = {}
 
-        def visit(j, w):
-            if j == 1:
+        def on_chunk(j0, chunk):
+            # from the first hand-over to the second: the steps of a chunk
+            if j0 == 0:
                 marks["start"] = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-            elif j == pde.NAN_CHECK_EVERY - 1:
+            elif j0 == pde.NAN_CHECK_EVERY:
                 marks["peak"] = tracemalloc.get_traced_memory()[1]
 
         tracemalloc.start()
         try:
             pde._march(new, w0, n_steps, forcing=forcing)
             total = tracemalloc.get_traced_memory()[1]
-            pde._march(new, w0, n_steps, forcing=forcing, visit=visit)
+            pde._march(new, w0, n_steps, forcing=forcing, on_chunk=on_chunk)
         finally:
             tracemalloc.stop()
         assert total < 6 * padded

@@ -197,14 +197,14 @@ class TestHumStateSide:
         seen = []
         real_march = synth._march
 
-        def spy(marcher, w0, n_steps, visit=None, **kw):
+        def spy(marcher, w0, n_steps, on_chunk=None, **kw):
             states = []
 
-            def record(j, w):
-                states.append(w.copy())
-                visit(j, w)
-            w, traj = real_march(marcher, w0, n_steps, visit=record, **kw)
-            seen.append(states + [w])
+            def record(j0, chunk):
+                states.extend(chunk.copy())
+                on_chunk(j0, chunk)
+            w, traj = real_march(marcher, w0, n_steps, on_chunk=record, **kw)
+            seen.append(states)
             return w, traj
 
         monkeypatch.setattr(synth, "_march", spy)
@@ -666,11 +666,12 @@ def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
 
 @pytest.mark.parametrize("lo,hi", [(0.0, 0.25), (0.25, 0.5)], ids=["touching", "interior"])
 def test_hum_visit_allocates_nothing_per_step(monkeypatch, spec_2x2, lo, hi):
-    # HUM's batched march writes each impulse response into A by one strided
-    # copy and takes the free column's samples out of the padded buffer: the
-    # steps between two finiteness checks allocate nothing near the size of
-    # a padded state (a reshape of the impulse columns would copy nstate x
-    # channels floats every step).  The normal solve after the march is cut off
+    # HUM's batched march hands its states over a chunk at a time, and HUM
+    # writes a chunk's impulse responses into A by one transposing copy and
+    # indexes the free column's samples out of it: the second chunk of steps
+    # and its hand-over allocate nothing near the size of a padded state (a
+    # reshape of the impulse columns would copy nstate x channels floats
+    # every step).  The normal solve after the march is cut off
     import hypctrl.pde as pde
     import hypctrl.synth as synth
 
@@ -681,16 +682,16 @@ def test_hum_visit_allocates_nothing_per_step(monkeypatch, spec_2x2, lo, hi):
     marks, shapes = {}, []
     real = synth._march
 
-    def spy(marcher, w0, n_steps, visit, **kw):
-        def marked(j, w):
-            if j == 1:
+    def spy(marcher, w0, n_steps, on_chunk, **kw):
+        def marked(j0, chunk):
+            on_chunk(j0, chunk)
+            if j0 == 0:
                 marks["start"] = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-            elif j == pde.NAN_CHECK_EVERY - 1:
+            elif j0 == pde.NAN_CHECK_EVERY:
                 marks["peak"] = tracemalloc.get_traced_memory()[1]
-            visit(j, w)
         shapes.append((w0.shape, n_steps))
-        real(marcher, w0, n_steps, visit=marked, **kw)
+        real(marcher, w0, n_steps, on_chunk=marked, **kw)
         raise Marched
 
     monkeypatch.setattr(synth, "_march", spy)
