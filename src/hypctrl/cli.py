@@ -248,10 +248,11 @@ def _write_control_csv(path, control: ControlField):
                                       + [_fmt(control.values[j, k, i]) for k in range(n)]) + "\n")
 
 
-def _read_control_csv(path, grid: Grid, n: int) -> ControlField:
+def _read_control_csv(path, spec: SystemSpec, grid: Grid, T: float) -> ControlField:
     """A control CSV as ``synthesize`` writes it: one row per time and cell,
-    sorted by t, then by ascending x, at evenly spaced times."""
-    rows = _load_csv(path)
+    sorted by t, then by ascending x, at evenly spaced times from 0 (one
+    time is one step of ``T``), and 0 outside omega."""
+    rows, n = _load_csv(path), spec.n
     if rows.shape[1] != n + 2:
         raise ConfigError(f"{path}: expected columns t,x,u1..u{n}")
     if rows.shape[0] % grid.n_cells:
@@ -259,14 +260,18 @@ def _read_control_csv(path, grid: Grid, n: int) -> ControlField:
                           f"(times x cells), got {rows.shape[0]}")
     t, x = rows[:, 0].reshape(-1, grid.n_cells), rows[:, 1].reshape(-1, grid.n_cells)
     ts = t[:, 0]
-    dt = ts[1] - ts[0] if ts.size > 1 else float(ts[0])
-    if (np.any(t != ts[:, None]) or np.any(np.diff(ts) <= 0.0)
-            or np.any(np.abs(np.diff(ts) - dt) > 1e-9 * max(1.0, ts[-1]))
+    dt = ts[1] - ts[0] if ts.size > 1 else T
+    tol = 1e-9 * max(1.0, ts[-1])
+    if (np.any(t != ts[:, None]) or abs(ts[0]) > tol or np.any(np.diff(ts) <= 0.0)
+            or np.any(np.abs(np.diff(ts) - dt) > tol)
             or np.max(np.abs(x - grid.centers)) > 1e-9):
         raise ConfigError(f"{path}: expected a row per cell of the configured grid at each "
-                          "of evenly spaced times, sorted by t, then by ascending x")
+                          "of evenly spaced times from 0, sorted by t, then by ascending x")
     vals = rows[:, 2:].reshape(ts.size, grid.n_cells, n).transpose(0, 2, 1)
-    return ControlField(vals, grid, dt, np.ones(grid.n_cells, dtype=bool))
+    mask = spec.omega.contains_points(grid.centers)
+    if np.any(vals[:, :, ~mask]):
+        raise ConfigError(f"{path}: the control must vanish outside omega")
+    return ControlField(vals, grid, dt, mask)
 
 
 def _print_matrix(stream, name: str, mat: np.ndarray):
@@ -340,8 +345,8 @@ def _cmd_simulate(cfg: RunConfig, args, out):
     grid = cfg.grid
     spec = cfg.spec
     y0 = _state_from_arg(args.y0, grid, spec.n)
-    u = _read_control_csv(args.u, grid, spec.n) if args.u else None
-    final = _forward(spec, y0, u, args.T, cfg.cfl, keep="final").final
+    u = _read_control_csv(args.u, spec, grid, args.T) if args.u else None
+    final = _forward(spec, y0, u, args.T, cfg.cfl, trajectory=False).final
     if args.out:
         with open(args.out, "w") as stream:
             _write_state_csv(stream, final)

@@ -123,7 +123,7 @@ def _one_step_operator(spec: SystemSpec, grid: Grid,
     cells, comps = np.arange(nx), np.arange(n)[:, None]
     probes = np.zeros((n, nx, n, 3))
     probes[comps, cells, comps, cells % 3] = 1.0
-    out = _march(_adjoint_marcher(spec, grid, dt), probes.reshape(n, nx, 3 * n), 1)[0]
+    out = _march(_adjoint_marcher(spec, grid, dt), probes.reshape(n, nx, 3 * n), 1)
     # candidate (i, d) of column (k, x') is row (i, x' + d - 1), so the 3n
     # candidates of a column ascend
     near = cells + np.array([-1, 0, 1])[:, None]

@@ -29,10 +29,12 @@ Four solvers are thin wrappers around one stepping loop, ``_march``:
                                   R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1.
 
 It also drives the sweeps and witness of ``obsv`` and the batched HUM march
-of ``synth``.  States leave a march a chunk of ``NAN_CHECK_EVERY`` steps at a
-time, after a finiteness check, with no Python callback per step: into the
-whole trajectory (forward-time order, even backward; refused above
-``TRAJECTORY_BYTES_LIMIT``) or into a record of the chunk handed over once.
+of ``synth``.  A march returns its final batch; its other states leave it a
+chunk of ``NAN_CHECK_EVERY`` steps at a time, after a finiteness check, with
+no Python callback per step: into a caller's buffer of every state (a
+solver's trajectory, which ``_evolve`` alone allocates, in forward-time order
+even backward, and refuses above ``TRAJECTORY_BYTES_LIMIT``) or into a record
+of the chunk handed over once.
 
 This module decides every horizon: each entry point that takes one, here and
 in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
@@ -321,11 +323,6 @@ class _Marcher:
                 add(y, gain_flat, out=y)
         return step
 
-    def step(self, src: _Padded, dst: _Padded, j: int,
-             forcing: np.ndarray | None = None):
-        """Write the state after step j from ``src`` into ``dst``."""
-        self.stepper(src, dst)(j, forcing)
-
 
 def _coupling_bc(matrix: np.ndarray):
     mat = np.asarray(matrix, dtype=float)
@@ -337,10 +334,8 @@ def _coupling_bc(matrix: np.ndarray):
 
 
 def _dirichlet_bc(series: np.ndarray):
-    """Ghost values from an (n_steps, n_in) or (n_steps, n_in, B) series."""
-    ser = np.asarray(series, dtype=float)
-    ser = ser[:, :, None] if ser.ndim == 2 else ser
-    return lambda outflow, out: lambda j: np.copyto(out, ser[j])
+    """Ghost values from an (n_steps, n_in, B) series."""
+    return lambda outflow, out: lambda j: np.copyto(out, series[j])
 
 
 def _check_bytes(what: str, size: int):
@@ -350,33 +345,26 @@ def _check_bytes(what: str, size: int):
                          f"above the limit of {TRAJECTORY_BYTES_LIMIT}")
 
 
-def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
-           forcing: np.ndarray | None = None, on_chunk=None, reverse: bool = False):
-    """March an (n, N) state or (n, N, B) batch; return the final batch, the
-    (n, N, B) interior of a padded buffer, and the trajectory or None.
-    ``forcing[j]`` (n, N) enters step j.  ``keep="trajectory"`` stores column
-    0 of every state as (n_steps+1, n, N), last state first if ``reverse``.
-    After the work check (values times steps), the two states of ``marcher``
-    and the two steps between them are bound once; the steps alternate,
-    allocate nothing and run in chunks of ``NAN_CHECK_EVERY``, each step
-    copying its state into a record of the chunk (the trajectory's own rows
-    when B = 1) when states are wanted.  A chunk ends with a finiteness check
-    and ``on_chunk(j0, states)``: the (k, n, N, B) states j0..j0+k-1, and the
-    final state too in the last chunk.
+def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
+           forcing: np.ndarray | None = None, on_chunk=None, out: np.ndarray | None = None):
+    """March an (n, N) state or (n, N, B) batch and return the final batch,
+    the (n, N, B) interior of a padded buffer.  ``forcing[j]`` (n, N) enters
+    step j.  After the work check (values times steps), the two states of
+    ``marcher`` and the two steps between them are bound once; the steps
+    alternate, allocate nothing and run in chunks of ``NAN_CHECK_EVERY``.
+    Each step copies its state into ``out``, a caller's (n_steps+1, n, N, B)
+    buffer of every state (a reversed view stores the last state first), or,
+    without one, into a record of the chunk when ``on_chunk`` is given.  A
+    chunk ends with a finiteness check and ``on_chunk(j0, states)``: the
+    (k, n, N, B) states j0..j0+k-1, and the final state too in the last chunk.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
     if w.size * n_steps > MARCH_WORK_LIMIT:
         raise ValueError(f"march of {n_steps} steps over {w.size} values needs "
                          f"{w.size * n_steps} element-steps, above the limit of "
                          f"{MARCH_WORK_LIMIT}")
-    traj = rows = record = None
-    if keep == "trajectory":
-        _check_bytes(f"trajectory of {n_steps + 1} states",
-                     (n_steps + 1) * w.shape[0] * w.shape[1] * 8)
-        traj = np.empty((n_steps + 1,) + w.shape[:2])
-        rows = (traj[::-1] if reverse else traj)[:, :, :, None]
-    if (on_chunk is not None and rows is None) or (traj is not None and w.shape[2] > 1):
-        record = np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape)
+    record = (np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape)
+              if out is None and on_chunk is not None else None)
     pair = marcher.states(w, forcing is not None)
     steps = marcher.stepper(*pair), marcher.stepper(*pair[::-1])
     inners = pair[0].inner, pair[1].inner
@@ -386,7 +374,7 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
     forcing = None if forcing is None else forcing[:, :, :, None]
     for j0 in range(0, max(n_steps, 1), NAN_CHECK_EVERY):
         k = min(NAN_CHECK_EVERY, n_steps - j0)
-        chunk = rows[j0:] if record is None and rows is not None else record
+        chunk = record if out is None else out[j0:]
         if chunk is not None:
             chunk[0] = w
         for j in range(j0, j0 + k):
@@ -397,16 +385,21 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int, keep: str = "final",
         np.isfinite(w, out=finite[:, 1:-1])
         if not finite.all():
             raise RuntimeError(f"solution lost finiteness at step {j0 + k}")
-        if traj is not None and record is not None:
-            rows[j0:j0 + k + 1, :, :, 0] = record[:k + 1, :, :, 0]
         if on_chunk is not None:
             on_chunk(j0, chunk[:k + 1] if j0 + k == n_steps else chunk[:k])
-    return w, traj
+    return w
 
 
 def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
-            keep: str = "trajectory", forcing=None, reverse: bool = False) -> EvolutionResult:
-    w, traj = _march(marcher, state.values, n_steps, keep, forcing, reverse=reverse)
+            trajectory: bool = True, forcing=None, reverse: bool = False) -> EvolutionResult:
+    """March one state into a result, storing its trajectory (bytes checked,
+    in forward-time order even if ``reverse``) unless ``trajectory`` is false."""
+    traj = out = None
+    if trajectory:
+        _check_bytes(f"trajectory of {n_steps + 1} states", (n_steps + 1) * state.values.nbytes)
+        traj = np.empty((n_steps + 1,) + state.values.shape)
+        out = (traj[::-1] if reverse else traj)[:, :, :, None]
+    w = _march(marcher, state.values, n_steps, forcing, out=out)
     final = StateField(w[:, :, 0].copy(), state.grid)
     return EvolutionResult(final, traj, np.arange(n_steps + 1) * dt)
 
@@ -437,19 +430,23 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
     from Q1 applied to the y_+ trace.  The control, when given, fixes the
     time step (its own dt) and is applied explicitly per step.
     """
-    return _forward(spec, y0, u, T, cfl, keep="trajectory")
+    return _forward(spec, y0, u, T, cfl)
+
+
+def _forward_marcher(spec: SystemSpec, grid: Grid, dt: float, bc_lo=None, bc_hi=None):
+    """The forward system's marcher on ``grid``: the couplings Q0 and Q1 at
+    the ends, unless boundary writers ``bc_lo`` or ``bc_hi`` replace them."""
+    return _Marcher(_speeds_at(spec, grid), dt, grid.dx,
+                    bc_lo or _coupling_bc(spec.couplings.q0),
+                    bc_hi or _coupling_bc(spec.couplings.q1),
+                    spec.source.at_points(grid.centers))
 
 
 def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
-             T: float, cfl: float, keep: str) -> EvolutionResult:
+             T: float, cfl: float, trajectory: bool = True) -> EvolutionResult:
     """``solve_forward``, storing the trajectory or only the final state."""
-    grid = y0.grid
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, u)
-    marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx,
-                       bc_lo=_coupling_bc(spec.couplings.q0),
-                       bc_hi=_coupling_bc(spec.couplings.q1),
-                       source=spec.source.at_points(grid.centers))
-    return _evolve(marcher, y0, n_steps, dt, keep,
+    dt, n_steps = _resolve_steps(spec, y0.grid, T, cfl, u)
+    return _evolve(_forward_marcher(spec, y0.grid, dt), y0, n_steps, dt, trajectory,
                    forcing=None if u is None else u.values)
 
 
@@ -488,29 +485,26 @@ class BoundaryControls:
 
 
 def _subinterval_bcs(spec: SystemSpec, tag: PositionTag,
-                     controls: BoundaryControls, n_steps: int,
-                     batch: int | None = None):
+                     controls: BoundaryControls, n_steps: int):
     """(bc_lo, bc_hi) on a complement component of the refined region: the
-    couplings at the ends of (0, 1), the Dirichlet series of ``controls`` at
-    the control ends, shaped (n_steps, p) on the left and (n_steps, m) on
-    the right, plus a trailing axis of ``batch`` columns when given."""
+    Dirichlet series of ``controls`` at the control ends, shaped (n_steps, p)
+    on the left and (n_steps, m) on the right, and None at an end of (0, 1),
+    which keeps its coupling."""
     if tag is PositionTag.FULL:
         raise ValueError("use solve_forward for the full domain")
-    tail = () if batch is None else (batch,)
 
     def dirichlet(series, length, name):
         if series is None:
             raise ValueError(f"missing {name} control series")
         ser = np.asarray(series, dtype=float)
-        want = (n_steps, length) + tail
-        if ser.shape != want:
+        if ser.shape != (n_steps, length):
             raise ValueError(f"{name} control series must have shape "
-                             f"{want}, got {ser.shape}")
-        return _dirichlet_bc(ser)
+                             f"{(n_steps, length)}, got {ser.shape}")
+        return _dirichlet_bc(ser[:, :, None])
 
-    bc_lo = (_coupling_bc(spec.couplings.q0) if tag is PositionTag.TOUCHES_LEFT
+    bc_lo = (None if tag is PositionTag.TOUCHES_LEFT
              else dirichlet(controls.left, spec.p, "left-end"))
-    bc_hi = (_coupling_bc(spec.couplings.q1) if tag is PositionTag.TOUCHES_RIGHT
+    bc_hi = (None if tag is PositionTag.TOUCHES_RIGHT
              else dirichlet(controls.right, spec.m, "right-end"))
     return bc_lo, bc_hi
 
@@ -527,9 +521,8 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
     """
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
-    bc_lo, bc_hi = _subinterval_bcs(spec, interval.tag, controls, n_steps)
-    marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
-                       spec.source.at_points(grid.centers))
+    marcher = _forward_marcher(spec, grid, dt,
+                               *_subinterval_bcs(spec, interval.tag, controls, n_steps))
     return _evolve(marcher, y0, n_steps, dt)
 
 

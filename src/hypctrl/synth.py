@@ -35,9 +35,9 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _check_bytes, _forward, _march, _Marcher,
-                  _resolve_steps, _speeds_at, _subinterval_bcs, sample_state,
-                  solve_backward, solve_forward)
+                  StateField, _check_bytes, _dirichlet_bc, _forward, _forward_marcher,
+                  _march, _resolve_steps, _speeds_at, sample_state, solve_backward,
+                  solve_forward)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -191,13 +191,15 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
     y1f = sample_state(y1_fn, grid, spec.n)
     u_vals, _ = _glue_full_domain(spec, y0f, y1f, T, cfl, [])
     control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
-    final = _forward(spec, y0f, control, T, cfl, keep="final").final
+    final = _forward(spec, y0f, control, T, cfl, trajectory=False).final
     err = _l2(final.values - y1f.values, grid.dx)
     return SynthesisReport(control, err, final)
 
 
 def _channels(spec: SystemSpec, tag: PositionTag) -> tuple[int, int]:
     """(left, all) control channels: each control end's inflow components."""
+    if tag is PositionTag.FULL:
+        raise ValueError("use solve_forward for the full domain")
     n_left = 0 if tag is PositionTag.TOUCHES_LEFT else spec.p
     return n_left, n_left + (0 if tag is PositionTag.TOUCHES_RIGHT else spec.m)
 
@@ -259,11 +261,9 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     # step 0; column n_ch: y0 under zero boundary data
     units = np.zeros((n_steps, n_ch, n_ch + 1))
     units[0, :, :n_ch] = np.eye(n_ch)
-    bc_lo, bc_hi = _subinterval_bcs(spec, interval.tag,
-                                    BoundaryControls(units[:, :n_left], units[:, n_left:]),
-                                    n_steps, batch=n_ch + 1)
-    marcher = _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
-                       spec.source.at_points(grid.centers))
+    marcher = _forward_marcher(spec, grid, dt,
+                               _dirichlet_bc(units[:, :n_left]) if n_left else None,
+                               _dirichlet_bc(units[:, n_left:]) if n_ch > n_left else None)
     w0 = np.zeros((spec.n, grid.n_cells, n_ch + 1))
     w0[:, :, n_ch] = y0_vals
 
@@ -286,7 +286,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
         slots[:, n_steps + 1 - j1:n_steps + 1 - max(j0, 1)] = \
             states[max(1 - j0, 0):][::-1, :, :, :n_ch].transpose(3, 0, 1, 2)
 
-    w, _ = _march(marcher, w0, n_steps, on_chunk=on_chunk)
+    w = _march(marcher, w0, n_steps, on_chunk=on_chunk)
     del slots  # a view: it would keep a_t alive into the FFT
     a_t = a_t.reshape(n_ch * n_steps, nstate)
     free = w[:, :, n_ch].reshape(nstate)
@@ -399,6 +399,6 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     u_vals[:, :, cells] += xi_dot[cells] * _speeds_at(spec, grid)[:, cells] * (y_out - y_in[:-1])
     control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
 
-    final = _forward(spec, y0f, control, T, cfl, keep="final").final
+    final = _forward(spec, y0f, control, T, cfl, trajectory=False).final
     err = _l2(final.values - y1f.values, grid.dx)
     return SynthesisReport(control, err, final, tuple(residuals), refined_region)

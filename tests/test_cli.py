@@ -115,14 +115,18 @@ def set_leaf(config, path, value):
         config[last] = value
 
 
-def control_csv(n_steps, dt, drop=0, shift_last=0.0, shuffle_seed=None):
-    """A zero control CSV on the grid of EXAMPLE1, less its last ``drop`` rows,
-    with the last time label moved by ``shift_last`` and, given a seed, the
-    rows shuffled."""
+def control_csv(n_steps, dt, drop=0, shift_last=0.0, shuffle_seed=None, shift=0.0,
+                outside=0.0):
+    """A control CSV on the grid of EXAMPLE1, zero but for u1 = ``outside``
+    outside its omega, less its last ``drop`` rows, with every time label
+    moved by ``shift``, the last one by ``shift_last`` more, and, given a
+    seed, the rows shuffled."""
     cells = EXAMPLE1["grid"]["cells"]
-    times = [j * dt for j in range(n_steps)]
+    times = [j * dt + shift for j in range(n_steps)]
     times[-1] += shift_last
-    lines = [f"{t!r},{(i + 0.5) / cells!r},0,0" for t in times for i in range(cells)]
+    (lo, hi), = EXAMPLE1["omega"]
+    lines = [f"{t!r},{x!r},{0.0 if lo < x < hi else outside!r},0"
+             for t in times for x in ((i + 0.5) / cells for i in range(cells))]
     lines = lines[:len(lines) - drop]
     if shuffle_seed is not None:
         lines = [lines[k] for k in np.random.default_rng(shuffle_seed).permutation(len(lines))]
@@ -323,6 +327,20 @@ class TestSubcommands:
         direct = np.loadtxt(outdir / "final_state.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(replay - direct)) <= 1e-12
 
+    def test_one_step_control_replays(self, tmp_path):
+        # T below one step: the control CSV holds the single time 0, and
+        # its replay takes --T as the step
+        config = json.loads((ROOT / "demos" / "example_2x2.json").read_text())
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({**config, "omega": [[0.0, 1.0]]}))
+        outdir = tmp_path / "synth"
+        assert main(["synthesize", "--config", str(path), "--T", "0.001",
+                     "--y0", "sinpi", "--y1", "zero", "--out", str(outdir)]) == 0
+        assert len((outdir / "control.csv").read_text().splitlines()) == 1 + 200
+        code, text = capture(["simulate", "--config", str(path), "--T", "0.001",
+                              "--y0", "sinpi", "--u", str(outdir / "control.csv")])
+        assert (code, text) == (0, (outdir / "final_state.csv").read_text())
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize("flags", [
@@ -434,9 +452,12 @@ class TestFlagValidation:
         ("--u", control_csv(2, 0.05, shuffle_seed=0)),
         ("--y0", "x,y1,y2\n0.75,0,0\n0.5,1,0\n0.25,0,0\n"),
         ("--u", control_csv(4, 0.025, shift_last=0.4 * 0.025)),
+        # two steps of 0.05 span the horizon 0.1, but start at 0.05
+        ("--u", control_csv(2, 0.05, shift=0.05)),
+        ("--u", control_csv(2, 0.05, outside=1.0)),
     ], ids=["state-cell", "control-cell", "state-nan", "state-inf", "state-header-only",
             "control-missing-row", "control-shuffled", "state-x-descending",
-            "control-uneven-times"])
+            "control-uneven-times", "control-shifted-times", "control-outside-omega"])
     def test_bad_csv_exits_2_with_one_error_line(self, config_path, tmp_path,
                                                  capsys, flag, text):
         csv = tmp_path / "bad.csv"

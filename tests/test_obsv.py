@@ -165,7 +165,7 @@ def identity_batch_operator(spec, grid, dt):
     n, nx = spec.n, grid.n_cells
     nstate = n * nx
     a = _march(_adjoint_marcher(spec, grid, dt), np.eye(nstate).reshape(n, nx, nstate),
-               1)[0].reshape(nstate, nstate)
+               1).reshape(nstate, nstate)
     nonzero = a != 0.0
     rows = np.argsort(~nonzero, axis=0, kind="stable")[:int(nonzero.sum(axis=0).max())]
     return a, rows, np.take_along_axis(a, rows, axis=0)
@@ -414,7 +414,7 @@ def reference_quadrature(spec, z1, T, grid):
             denom += dt * grid.dx * float(np.sum(z ** 2))
             z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
 
-    z, _ = _march(_adjoint_marcher(spec, grid, dt), z1, n_steps, on_chunk=observe)
+    z = _march(_adjoint_marcher(spec, grid, dt), z1, n_steps, on_chunk=observe)
     z_minus_max = max(z_minus_max, float(np.max(np.abs(z[:spec.m]))))
     return grid.dx * float(np.sum(z1 ** 2)) / denom, z_minus_max
 

@@ -419,7 +419,7 @@ def _kernel_case(n_neg, n_pos, negative_first, bc, n_steps, seed=11, nx=40):
         ref_lo, ref_hi = (lambda j, o: lo @ o), (lambda j, o: hi @ o)
     else:
         lo, hi = rng.standard_normal((n_steps, n_lo)), rng.standard_normal((n_steps, n_hi))
-        bc_lo, bc_hi = pde._dirichlet_bc(lo), pde._dirichlet_bc(hi)
+        bc_lo, bc_hi = pde._dirichlet_bc(lo[:, :, None]), pde._dirichlet_bc(hi[:, :, None])
         ref_lo, ref_hi = (lambda j, o: lo[j][:, None]), (lambda j, o: hi[j][:, None])
     source = rng.standard_normal((nx, n, n))
     return (pde._Marcher(sigma, dt, dx, bc_lo, bc_hi, source),
@@ -453,7 +453,7 @@ class TestMarchingKernel:
             w = rng.standard_normal((n_neg + n_pos, 40, batch))
             forcing = rng.standard_normal((n_neg + n_pos, 40, 1)) if j % 2 else None
             src, dst = new.states(w, forcing is not None)
-            new.step(src, dst, j, forcing)
+            new.stepper(src, dst)(j, forcing)
             assert np.array_equal(dst.inner, ref.step(w, j, forcing))
 
     @KERNEL_CASES
@@ -471,16 +471,16 @@ class TestMarchingKernel:
         states = _reference_march(ref, w0, n_steps, forcing)
         for reverse in (False, True):
             seen = []
-            w, traj = pde._march(new, w0, n_steps, keep="trajectory", forcing=forcing,
-                                 on_chunk=lambda j0, chunk: seen.extend(
-                                     enumerate(chunk.copy(), j0)),
-                                 reverse=reverse)
+            traj = np.empty((n_steps + 1,) + w0.shape)
+            w = pde._march(new, w0, n_steps, forcing=forcing,
+                           on_chunk=lambda j0, chunk: seen.extend(enumerate(chunk.copy(), j0)),
+                           out=traj[::-1] if reverse else traj)
             assert [j for j, _ in seen] == list(range(n_steps + 1))
             for (_, v), want in zip(seen, states):
                 assert np.array_equal(v, want)
             assert np.array_equal(w, states[-1])
             order = states[::-1] if reverse else states
-            assert np.array_equal(traj, np.stack([s[:, :, 0] for s in order]))
+            assert np.array_equal(traj, np.stack(order))
 
     @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
@@ -493,10 +493,13 @@ class TestMarchingKernel:
         w0 = rng.standard_normal((3, 40, batch))
         forcing = rng.standard_normal((n_steps, 3, 40))
         states = _reference_march(ref, w0, n_steps, forcing if forced else np.zeros_like(forcing))
+        # keep="trajectory": the states go into a buffer of every state
+        # (reversed: a reversed view), else into the march's chunk record
         chunks = []
-        w, traj = pde._march(new, w0, n_steps, keep=keep, forcing=forcing if forced else None,
-                             on_chunk=lambda j0, chunk: chunks.append((j0, chunk.copy())),
-                             reverse=reverse)
+        traj = np.empty((n_steps + 1,) + w0.shape) if keep == "trajectory" else None
+        w = pde._march(new, w0, n_steps, forcing=forcing if forced else None,
+                       on_chunk=lambda j0, chunk: chunks.append((j0, chunk.copy())),
+                       out=traj[::-1] if reverse and traj is not None else traj)
         every = pde.NAN_CHECK_EVERY
         assert [j0 for j0, _ in chunks] == list(range(0, n_steps, every))
         assert [len(c) for _, c in chunks[:-1]] == [every] * (len(chunks) - 1)
@@ -505,7 +508,7 @@ class TestMarchingKernel:
         assert np.array_equal(w, states[-1])
         if keep == "trajectory":
             order = states[::-1] if reverse else states
-            assert np.array_equal(traj, np.stack([s[:, :, 0] for s in order]))
+            assert np.array_equal(traj, np.stack(order))
 
     def test_nonfinite_state_reported_at_the_chunk_end(self):
         # finiteness is checked once per chunk, before its hand-over: a state
@@ -530,8 +533,7 @@ class TestMarchingKernel:
         new, _, rng = _kernel_case(1, 2, True, bc, 10)
         w0 = rng.standard_normal((3, 40, batch))
         forcing = rng.standard_normal((10, 3, 40))
-        clean, _ = pde._march(new, w0, 10, forcing=forcing)
-        clean = clean.copy()
+        clean = pde._march(new, w0, 10, forcing=forcing).copy()
         real_states = new.states
 
         def poisoned(w, with_forcing):
@@ -544,7 +546,7 @@ class TestMarchingKernel:
 
         monkeypatch.setattr(new, "states", poisoned)
         with np.errstate(invalid="raise"):
-            got, _ = pde._march(new, w0, 10, forcing=forcing)
+            got = pde._march(new, w0, 10, forcing=forcing)
         assert np.array_equal(got, clean)
 
     def test_no_per_step_arrays(self):
@@ -619,10 +621,10 @@ class TestMarchingKernel:
         n_steps = round(0.3 / cfl_dt(spec_2x2, grid, 0.9, 0.3))
         work = 2 * 64 * n_steps
         monkeypatch.setattr(pde, "MARCH_WORK_LIMIT", work)
-        assert pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final").trajectory is None
+        assert pde._forward(spec_2x2, y0, None, 0.3, 0.9, trajectory=False).trajectory is None
         monkeypatch.setattr(pde, "MARCH_WORK_LIMIT", work - 1)
         with pytest.raises(ValueError, match=f"needs {work} element-steps"):
-            pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final")
+            pde._forward(spec_2x2, y0, None, 0.3, 0.9, trajectory=False)
         # a batch counts every column, and no state is made
         marcher = pde._adjoint_marcher(spec_2x2, grid, cfl_dt(spec_2x2, grid, 0.9, 0.3))
         monkeypatch.setattr(marcher, "states", None)
@@ -633,22 +635,29 @@ class TestMarchingKernel:
         grid = Grid(0.0, 1.0, 64)
         y0 = sample_state(smooth_pair, grid, 2)
         full = solve_forward(spec_2x2, y0, None, 0.3)
-        lean = pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final")
+        lean = pde._forward(spec_2x2, y0, None, 0.3, 0.9, trajectory=False)
         assert lean.trajectory is None
         assert np.array_equal(lean.final.values, full.final.values)
         assert np.array_equal(lean.times, full.times)
 
     def test_trajectory_guard(self, spec_2x2, monkeypatch):
-        grid = Grid(0.0, 1.0, 64)
-        y0 = sample_state(smooth_pair, grid, 2)
-        n_steps = round(0.3 / cfl_dt(spec_2x2, grid, 0.9, 0.3))
-        size = (n_steps + 1) * 2 * 64 * 8
-        monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size)
-        assert solve_forward(spec_2x2, y0, None, 0.3).trajectory.nbytes == size
-        monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size - 1)
-        with pytest.raises(ValueError, match=f"needs {size} bytes"):
-            solve_forward(spec_2x2, y0, None, 0.3)
-        with pytest.raises(ValueError, match="bytes"):
-            solve_adjoint(spec_2x2, y0, 0.3)
+        # each public solver stores its trajectory up to the limit and
+        # refuses one byte less
+        grid, sub = Grid(0.0, 1.0, 64), Grid(0.0, 0.25, 64)
+        y0, s0 = sample_state(smooth_pair, grid, 2), sample_state(smooth_pair, sub, 2)
+        steps = {g: round(0.3 / cfl_dt(spec_2x2, g, 0.9, 0.3)) for g in (grid, sub)}
+        right = BoundaryControls(right=np.zeros((steps[sub], 1)))
+        for g, solve in [
+                (grid, lambda: solve_forward(spec_2x2, y0, None, 0.3)),
+                (grid, lambda: solve_backward(spec_2x2, y0, 0.3)),
+                (grid, lambda: solve_adjoint(spec_2x2, y0, 0.3)),
+                (sub, lambda: solve_boundary_forward(spec_2x2, Interval(0.0, 0.25), s0,
+                                                     right, 0.3))]:
+            size = (steps[g] + 1) * 2 * 64 * 8
+            monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size)
+            assert solve().trajectory.nbytes == size
+            monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size - 1)
+            with pytest.raises(ValueError, match=f"needs {size} bytes"):
+                solve()
         # final-state storage is not limited
-        assert pde._forward(spec_2x2, y0, None, 0.3, 0.9, keep="final").trajectory is None
+        assert pde._forward(spec_2x2, y0, None, 0.3, 0.9, trajectory=False).trajectory is None

@@ -203,9 +203,9 @@ class TestHumStateSide:
             def record(j0, chunk):
                 states.extend(chunk.copy())
                 on_chunk(j0, chunk)
-            w, traj = real_march(marcher, w0, n_steps, on_chunk=record, **kw)
+            w = real_march(marcher, w0, n_steps, on_chunk=record, **kw)
             seen.append(states)
-            return w, traj
+            return w
 
         monkeypatch.setattr(synth, "_march", spy)
         hum_boundary_control(spec, iv, y0, y1, grid, T)
