@@ -299,7 +299,8 @@ def _nu_list_flag(text: str) -> list[int]:
     if not nus or min(nus) < 1:
         raise ConfigError(f"--nu-list: expected comma-separated integers >= 1, "
                           f"got '{text}'")
-    return nus
+    # the config's integer reader: one too large for a float exits 2
+    return [_integer(nu, "--nu-list") for nu in nus]
 
 
 def _cmd_mintime(cfg: RunConfig, args, out):

@@ -314,6 +314,9 @@ def _witness_final_datum(spec: SystemSpec, nu: int, grid: Grid,
         denom = sum(eta[i] ** 2 * spec.speeds.value(m + i, characteristic_position(spec, m + i, t))
                     for i in active)
         values[m + j, inside] = np.sqrt(minus_fprime / denom) * eta[j]
+    if not (np.isfinite(values).all() and np.any(values)):
+        raise RuntimeError(f"the witness datum for nu = {nu} underflows on "
+                           f"{grid.n_cells} cells")
     return StateField(values, grid), support_hi
 
 
@@ -332,7 +335,9 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
     Requires nu >= 1, a finite positive horizon (else ``ConfigError``), a
     rank-deficient Q0 (else ``RankError``), a source equal to minus the speed
     slope (else ``ConfigError``; the adjoint is then pure transport), and
-    T >= ``necessity_horizon(spec)`` (else ``BelowThresholdError``).
+    T >= ``necessity_horizon(spec)`` (else ``BelowThresholdError``).  A nu
+    whose datum underflows to zero on the grid (or is not finite), or
+    whose ratio is not finite, raises ``RuntimeError`` and returns no nan.
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
@@ -362,6 +367,8 @@ def necessity_witness(spec: SystemSpec, nu: int, T: float, grid: Grid,
 
     _march(_adjoint_marcher(spec, grid, dt), z1.values, n_steps, on_chunk=reduce)
     ratio = float(np.sum(z1.values ** 2)) / (dt * float(squares))
+    if not np.isfinite(ratio):
+        raise RuntimeError(f"the witness ratio for nu = {nu} is not finite")
     return NecessityWitness(z1, ratio, z_minus_max, support_hi)
 
 

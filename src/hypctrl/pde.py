@@ -7,12 +7,16 @@ explicitly per step.  A march steps between two ghost-padded (n, N+2, B)
 states and allocates nothing per step.  The inflow ghosts are written in
 place, either from the boundary couplings applied to the upwind-side cell
 value of the outgoing components (first-order consistent trace) or from
-prescribed control series; every whole-state operation then runs on one
+prescribed control series, or keep their zeros where no writer is bound
+(zero boundary data); every whole-state operation then runs on one
 contiguous slice of a buffer's flat view: one difference of flat
 neighbours, one product with a Courant table laid out over those slots, one
 subtraction per sign family, and for a source one contraction over the
 whole padded buffer.  The views, the boundary writers and the scratch are
-bound once per march into its two step closures.  A march of more than
+bound once per march into its two step closures.  One padded row may hold
+several segments side by side, each with its own cells, Courant row, dt,
+source and boundary writers, two pad cells apart: the same calls step them
+all at once (a one-segment row is the plain march).  A march of more than
 ``MARCH_WORK_LIMIT`` state values times steps is refused before anything is
 allocated.
 
@@ -28,8 +32,9 @@ Four solvers are thin wrappers around one stepping loop, ``_march``:
                                   R0 = -Lambda_+(0) Q0 Lambda_-(0)^-1 and
                                   R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1.
 
-It also drives the sweeps and witness of ``obsv`` and the batched HUM march
-of ``synth``.  A march returns its final batch; its other states leave it a
+It also drives the sweeps and witness of ``obsv`` and the HUM row of
+``synth``, which marches every complement component of a synthesis as one
+row of segments.  A march returns its final batch; its other states leave it a
 chunk of ``NAN_CHECK_EVERY`` steps at a time, after a finiteness check, with
 no Python callback per step: into a caller's buffer of every state (a
 solver's trajectory, which ``_evolve`` alone allocates, in forward-time order
@@ -235,23 +240,31 @@ def _run(rows: slice, nx: int, batch: int) -> tuple[int, int]:
 
 class _Marcher:
     """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f,
-    from one ``_Padded`` state to the other, on flat views of the buffers.
+    from one ``_Padded`` state to the other, on flat views of the buffers,
+    for a row of segments laid side by side in one padded row: each segment
+    has its own cells, Courant row sigma dt/dx, source samples, step dt and
+    boundary writers, and two pad cells separate neighbouring segments.
+    ``_Marcher(...)`` makes a one-segment row and ``_Marcher.row`` joins
+    rows; the row's interior holds each segment's cells at its offset (the
+    sum of the earlier segments' cells plus two), with zeros between them.
 
-    Boundary conditions bind as ``bc(outflow, out)`` to a state's outgoing
+    Boundary conditions bind as ``bc(outflow, out)`` to a segment's outgoing
     trace (n_out, B) and inflow ghosts (n_in, B) and return the writer
     ``write(j)`` of step j: positive-sigma components flow in at the left
-    end, negative ones at the right.  Each sign family is one contiguous
-    block of rows (a ``SystemSpec`` orders its speeds by sign, and negation
-    keeps the blocks).  Slot i of the flat difference is flat cell i + B
-    minus flat cell i, so slot (k, x) is cell x+1 minus cell x of row k; a
-    Courant table laid out over the slots holds the positive family's
-    numbers in slots x = 0..N-1 and the negative family's in 1..N, and 0
-    wherever no cell reads (the pad slots and the slot that straddles two
-    rows).  Then one subtraction per family covers its whole run of rows:
-    the positive family steps as w - c (w - upwind), reading the slots B
-    earlier, the negative family as w - c (downwind - w).  The pad cells
-    between the rows of a run take values that only zero slots read; the
-    inflow ghosts among them are rewritten before every step.
+    end, negative ones at the right.  None binds no writer, and those
+    ghosts keep their zeros (zero boundary data).  Each sign family is one
+    contiguous block of rows (a ``SystemSpec`` orders its speeds by sign,
+    and negation keeps the blocks).  Slot i of the flat difference is flat
+    cell i + B minus flat cell i, so slot (k, x) is cell x+1 minus cell x
+    of row k; a Courant table laid out over the slots holds the positive
+    family's numbers in each segment's slots x = 0..N-1 and the negative
+    family's in 1..N, and 0 wherever no cell reads (the pad slots and the
+    slot that straddles two rows).  Then one subtraction per family covers
+    its whole run of rows: the positive family steps as w - c (w - upwind),
+    reading the slots B earlier, the negative family as w - c (downwind -
+    w).  The pad cells among the runs take values that only zero slots
+    read, plus 0 times a difference; the inflow ghosts among them are
+    rewritten before every step, or stay zero where no writer is bound.
     """
 
     def __init__(self, sigma: np.ndarray, dt: float, dx: float,
@@ -261,27 +274,60 @@ class _Marcher:
         split = int(np.argmin(pos == pos[0])) or n
         first, rest = slice(0, split), slice(split, n)
         self.pos, self.neg = (first, rest) if pos[0] else (rest, first)
-        self.courant = sigma * (dt / dx)
-        if np.max(np.abs(self.courant)) > 1.0 + 1e-12:
+        courant = sigma * (dt / dx)
+        if np.max(np.abs(courant)) > 1.0 + 1e-12:
             raise ValueError(f"CFL violated: max Courant number "
-                             f"{np.max(np.abs(self.courant)):.3f}")
-        self.bc_lo, self.bc_hi, self.dt = bc_lo, bc_hi, dt
+                             f"{np.max(np.abs(courant)):.3f}")
+        self.segments = ((courant, bc_lo, bc_hi),)
+        # a number, or in a row of unequal steps one dt per padded column
+        self.dt = dt
         # source enters as  w += dt * S w  with S sampled per cell, kept as
-        # S[i, j, x] over the padded columns, zero in the two pad columns
+        # S[i, j, x] over the padded columns, zero in the pad columns
         self.source = None
         if source is not None and np.any(source):
             self.source = np.zeros((n, n, nx + 2))
             self.source[:, :, 1:-1] = np.transpose(source, (1, 2, 0))
+
+    @classmethod
+    def row(cls, marchers) -> "_Marcher":
+        """One row of the segments of ``marchers``, left to right, which
+        share their sign families; a segment steps as it does in its own
+        marcher, entry for entry."""
+        row = object.__new__(cls)
+        row.pos, row.neg = marchers[0].pos, marchers[0].neg
+        row.segments = tuple(seg for m in marchers for seg in m.segments)
+        dt = np.concatenate([np.broadcast_to(m.dt, m.width) for m in marchers])
+        row.dt = float(dt[0]) if np.all(dt == dt[0]) else dt
+        n = row.segments[0][0].shape[0]
+        row.source = None
+        if any(m.source is not None for m in marchers):
+            row.source = np.concatenate(
+                [np.zeros((n, n, m.width)) if m.source is None else m.source for m in marchers],
+                axis=2)
+        return row
+
+    @property
+    def width(self) -> int:
+        """Columns of the padded row."""
+        return sum(courant.shape[1] + 2 for courant, _, _ in self.segments)
 
     def states(self, w: np.ndarray, forcing: bool) -> tuple[_Padded, _Padded]:
         """The two padded states of a march of the (n, N, B) batch ``w``,
         the first holding ``w``; ``forcing`` says whether steps get one."""
         n, nx, batch = w.shape
         table = np.zeros((n, nx + 2, batch))
-        table[self.pos, :-2] = self.courant[self.pos, :, None]
-        table[self.neg, 1:-1] = self.courant[self.neg, :, None]
+        at = 0
+        for courant, _, _ in self.segments:
+            cells = courant.shape[1]
+            table[self.pos, at:at + cells] = courant[self.pos, :, None]
+            table[self.neg, at + 1:at + cells + 1] = courant[self.neg, :, None]
+            at += cells + 2
         gain = np.zeros(table.shape) if forcing or self.source is not None else None
-        scratch = np.empty(table.size - batch), table.reshape(-1)[:-batch], gain
+        dt = self.dt
+        if np.ndim(dt):
+            # one dt per slot: the same product per entry as a segment's own
+            dt = np.broadcast_to(dt[:, None], table.shape).reshape(-1)
+        scratch = np.empty(table.size - batch), table.reshape(-1)[:-batch], gain, dt
         cur, nxt = _Padded(table.shape, scratch), _Padded(table.shape, scratch)
         cur.inner[...] = w
         return cur, nxt
@@ -290,23 +336,28 @@ class _Marcher:
         """The step from ``src`` to ``dst`` as ``step(j, forcing=None)``,
         with every view it touches bound here; ``forcing`` is (n, N, 1)."""
         _, width, batch = src.buf.shape
-        nx = width - 2
-        diff, table, gain = src.scratch
-        x, y, xbuf, source, dt = src.flat, dst.flat, src.buf, self.source, self.dt
-        write_lo = self.bc_lo(xbuf[self.neg, 1], xbuf[self.pos, 0])
-        write_hi = self.bc_hi(xbuf[self.pos, -2], xbuf[self.neg, -1])
+        diff, table, gain, dt = src.scratch
+        x, y, xbuf, source = src.flat, dst.flat, src.buf, self.source
+        writers, at = [], 0
+        for courant, bc_lo, bc_hi in self.segments:
+            end = at + courant.shape[1]
+            if bc_lo is not None:
+                writers.append(bc_lo(xbuf[self.neg, at + 1], xbuf[self.pos, at]))
+            if bc_hi is not None:
+                writers.append(bc_hi(xbuf[self.pos, end], xbuf[self.neg, end + 1]))
+            at = end + 2
         ahead, behind = x[batch:], x[:-batch]
-        lo, hi = _run(self.pos, nx, batch)
+        lo, hi = _run(self.pos, width - 2, batch)
         x_pos, d_pos, y_pos = x[lo:hi], diff[lo - batch:hi - batch], y[lo:hi]
-        lo, hi = _run(self.neg, nx, batch)
+        lo, hi = _run(self.neg, width - 2, batch)
         x_neg, d_neg, y_neg = x[lo:hi], diff[lo:hi], y[lo:hi]
         if gain is not None:
             gain_flat, gain_inner = gain.reshape(-1), gain[:, 1:-1]
         subtract, multiply, add, einsum = np.subtract, np.multiply, np.add, np.einsum
 
         def step(j, forcing=None):
-            write_lo(j)
-            write_hi(j)
+            for write in writers:
+                write(j)
             subtract(ahead, behind, out=diff)
             multiply(diff, table, out=diff)
             subtract(x_pos, d_pos, out=y_pos)
@@ -348,8 +399,10 @@ def _check_bytes(what: str, size: int):
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
            forcing: np.ndarray | None = None, on_chunk=None, out: np.ndarray | None = None):
     """March an (n, N) state or (n, N, B) batch and return the final batch,
-    the (n, N, B) interior of a padded buffer.  ``forcing[j]`` (n, N) enters
-    step j.  After the work check (values times steps), the two states of
+    the (n, N, B) interior of a padded buffer; in a row of segments N
+    counts the pad cells between them, and the states handed out hold each
+    segment's cells at its offset.  ``forcing[j]`` (n, N) enters step j.
+    After the work check (values times steps), the two states of
     ``marcher`` and the two steps between them are bound once; the steps
     alternate, allocate nothing and run in chunks of ``NAN_CHECK_EVERY``.
     Each step copies its state into ``out``, a caller's (n_steps+1, n, N, B)
@@ -433,12 +486,17 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
     return _forward(spec, y0, u, T, cfl)
 
 
-def _forward_marcher(spec: SystemSpec, grid: Grid, dt: float, bc_lo=None, bc_hi=None):
-    """The forward system's marcher on ``grid``: the couplings Q0 and Q1 at
-    the ends, unless boundary writers ``bc_lo`` or ``bc_hi`` replace them."""
-    return _Marcher(_speeds_at(spec, grid), dt, grid.dx,
-                    bc_lo or _coupling_bc(spec.couplings.q0),
-                    bc_hi or _coupling_bc(spec.couplings.q1),
+def _forward_marcher(spec: SystemSpec, grid: Grid, dt: float,
+                     tag: PositionTag = PositionTag.FULL, bc_lo=None, bc_hi=None):
+    """The forward system's marcher on ``grid``, an interval placed in
+    (0, 1) by ``tag``: the couplings Q0 and Q1 at the ends of (0, 1) it
+    touches, and the boundary writers ``bc_lo`` and ``bc_hi`` at its other
+    ends (None: no writer, zero boundary data)."""
+    if tag in (PositionTag.FULL, PositionTag.TOUCHES_LEFT):
+        bc_lo = _coupling_bc(spec.couplings.q0)
+    if tag in (PositionTag.FULL, PositionTag.TOUCHES_RIGHT):
+        bc_hi = _coupling_bc(spec.couplings.q1)
+    return _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
                     spec.source.at_points(grid.centers))
 
 
@@ -489,7 +547,7 @@ def _subinterval_bcs(spec: SystemSpec, tag: PositionTag,
     """(bc_lo, bc_hi) on a complement component of the refined region: the
     Dirichlet series of ``controls`` at the control ends, shaped (n_steps, p)
     on the left and (n_steps, m) on the right, and None at an end of (0, 1),
-    which keeps its coupling."""
+    where ``_forward_marcher`` puts the coupling."""
     if tag is PositionTag.FULL:
         raise ValueError("use solve_forward for the full domain")
 
@@ -521,7 +579,7 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
     """
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
-    marcher = _forward_marcher(spec, grid, dt,
+    marcher = _forward_marcher(spec, grid, dt, interval.tag,
                                *_subinterval_bcs(spec, interval.tag, controls, n_steps))
     return _evolve(marcher, y0, n_steps, dt)
 

@@ -11,9 +11,9 @@ For a general control region the refined subregion (a finite union of
 intervals compactly inside omega) splits (0, 1) into complement components;
 each component carries its own boundary-controlled solution reaching y1
 (HUM: regularized least squares on the discrete input-to-state map, solved
-on the state side after one batched march, whose impulse responses also
-give the controlled solution at the few cells the glue reads, by
-superposition), and a C^1 space cut-off xi (0 on the refined region, 1
+on the state side after one batched march of all the components side by
+side, whose impulse responses also give the controlled solution at the few
+cells the glue reads, by superposition), and a C^1 space cut-off xi (0 on the refined region, 1
 outside an intermediate enlargement omega_1) glues the component solutions
 y_out to the full-domain solution y_in:
 
@@ -35,8 +35,8 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _check_bytes, _dirichlet_bc, _forward, _forward_marcher,
-                  _march, _resolve_steps, _speeds_at, sample_state, solve_backward,
+                  StateField, _check_bytes, _forward, _forward_marcher, _march,
+                  _Marcher, _resolve_steps, _speeds_at, sample_state, solve_backward,
                   solve_forward)
 from .times import minimal_control_time, shrink_region
 
@@ -157,21 +157,28 @@ def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
     return u, y_in
 
 
-def _hum_bytes(spec, grid_i, tag, T, cfl) -> int:
-    """Peak bytes of one HUM: its a_t, its normal matrix and LAPACK's
-    working copy of that matrix, which numpy allocates outside its tracked
-    memory."""
-    _, steps = _resolve_steps(spec, grid_i, T, cfl)
-    nstate = spec.n * grid_i.n_cells
-    n_ch = _channels(spec, tag)[1]
-    return 8 * nstate * (n_ch * steps + 2 * nstate)
+def _hum_bytes(spec, parts, T, cfl) -> int:
+    """Peak bytes of HUM on the components ``parts``, (interval, grid) each:
+    the a_t of every component, each held from the march until its solve,
+    and at a component's solve its normal matrix and LAPACK's working copy
+    of that matrix, which numpy allocates outside its tracked memory."""
+    sizes = []
+    for interval, grid_i in parts:
+        _, steps = _resolve_steps(spec, grid_i, T, cfl)
+        nstate = spec.n * grid_i.n_cells
+        sizes.append((nstate * _channels(spec, interval.tag)[1] * steps, 2 * nstate * nstate))
+    held, peak = sum(a_t for a_t, _ in sizes), 0
+    for a_t, normal in sizes:
+        peak = max(peak, held + normal)
+        held -= a_t
+    return 8 * peak
 
 
 def _peak_bytes(spec, grid, n_steps, n_glued, parts, T, cfl) -> int:
     """Peak bytes of a synthesis: the glue's two trajectories and its three
-    arrays at n_glued cells, or, if more, one component's HUM."""
+    arrays at n_glued cells, or, if more, the HUM of its components."""
     glue = 8 * (n_steps + 1) * spec.n * (2 * grid.n_cells + 3 * n_glued)
-    return max([glue] + [_hum_bytes(spec, grid_i, comp.tag, T, cfl) for comp, grid_i in parts])
+    return max(glue, _hum_bytes(spec, parts, T, cfl))
 
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -227,14 +234,16 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     subinterval solver with zero initial data, b the free evolution of y0.
     Because the step operator does not depend on time, the columns of A are
     time shifts of one impulse response per control channel, and one batched
-    march carries all of them beside the free evolution.  The normal system
-    is solved on the state side, of size n N_i instead of channels n_steps:
-    U = A^T x with (dx A A^T + alpha dt I) x = dx (y1 - b), which is the
-    same minimizer by the push-through identity.  Its eigenvalues span some
-    eight decades down to the floor alpha dt, where Krylov iterations
-    stagnate, so one dense LU solve (partial pivoting, backward stable on a
-    symmetric positive definite matrix) gets the exact minimizer.  The peak
-    memory is checked before the batched march.
+    march carries all of them beside the free evolution: the one-segment
+    row of ``_hum_row``, which steers every component of a synthesis in one
+    march.  The normal system is solved on the state side, of size n N_i
+    instead of channels n_steps: U = A^T x with (dx A A^T + alpha dt I) x =
+    dx (y1 - b), which is the same minimizer by the push-through identity.
+    Its eigenvalues span some eight decades down to the floor alpha dt,
+    where Krylov iterations stagnate, so one dense LU solve (partial
+    pivoting, backward stable on a symmetric positive definite matrix) gets
+    the exact minimizer.  The peak memory is checked before the batched
+    march.
 
     The controlled solution is not marched again.  By linearity its state
     after j steps is the free one plus sum_c sum_{k<j} U[k, c] R_c(j - k),
@@ -249,71 +258,105 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     diagnostic, so short horizons run normally and simply report a large
     residual; the horizon itself must be finite and positive.
     """
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
+    _resolve_steps(spec, grid, T, cfl, positive=True)
     cells = np.asarray(cells, dtype=np.intp).reshape(-1)
     if cells.size and not 0 <= cells.min() <= cells.max() < grid.n_cells:
         raise ValueError(f"sampled cells must lie in 0..{grid.n_cells - 1}")
-    _check_bytes("HUM", _hum_bytes(spec, grid, interval.tag, T, cfl))
-    n_left, n_ch = _channels(spec, interval.tag)
-    nstate = spec.n * grid.n_cells
+    _check_bytes("HUM", _hum_bytes(spec, [(interval, grid)], T, cfl))
+    return _hum_row(spec, [(interval, grid, y0_vals, y1_vals, cells)], T, cfl)[0]
 
-    # batch column c < n_ch: zero data and a unit ghost on channel c during
-    # step 0; column n_ch: y0 under zero boundary data
-    units = np.zeros((n_steps, n_ch, n_ch + 1))
-    units[0, :, :n_ch] = np.eye(n_ch)
-    marcher = _forward_marcher(spec, grid, dt,
-                               _dirichlet_bc(units[:, :n_left]) if n_left else None,
-                               _dirichlet_bc(units[:, n_left:]) if n_ch > n_left else None)
-    w0 = np.zeros((spec.n, grid.n_cells, n_ch + 1))
-    w0[:, :, n_ch] = y0_vals
 
+def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
+    """``hum_boundary_control`` on each component of ``parts``, (interval,
+    grid, y0_vals, y1_vals, cells) each, from one march of a row that lays
+    the components side by side, each with its own dt.  The row runs the
+    longest component's step count; its batch holds a column per channel
+    of the widest component and the free column last.  Every impulse
+    starts one step on: a unit ghost on channel c during step 0 leaves its
+    Courant magnitude, exactly, in the cell it enters and zeros elsewhere,
+    so the control ends carry zero data and bind no writer.  After the
+    march each component is solved as on its own."""
+    n, idx = spec.n, np.arange(spec.n)
+    grids = [grid for _, grid, *_ in parts]
+    steps = [_resolve_steps(spec, grid, T, cfl) for grid in grids]
+    chans = [_channels(spec, interval.tag) for interval, *_ in parts]
+    marcher = _Marcher.row([_forward_marcher(spec, grid, dt, interval.tag)
+                            for (interval, grid, *_), (dt, _) in zip(parts, steps)])
+    batch = 1 + max(n_ch for _, n_ch in chans)
+    width = marcher.width - 2
+    offsets = np.cumsum([0] + [grid.n_cells + 2 for grid in grids])
+    w0 = np.zeros((n, width, batch))
     # a_t[c, k] is the column of A for the control of channel c during step
-    # k, the impulse response n_steps - k steps old at T; ``slots`` sees a_t
-    # as (n_ch, n_steps, n, N), so a chunk's impulse columns are one copy
-    a_t = np.empty((n_ch, n_steps, nstate))
-    slots = a_t.reshape(n_ch, n_steps, spec.n, grid.n_cells)
-    samples = np.empty((n_steps + 1, spec.n, cells.size))
-    # the sampled cells as state indices, and in a flat state's free column
-    sampled = (np.arange(spec.n)[:, None] * grid.n_cells + cells).reshape(-1)
-    free_at = sampled * (n_ch + 1) + n_ch
+    # k, the impulse response n_steps - k steps old at T
+    a_ts, samples, takes, frees = [], [], [], []
+    for (_, grid, y0_vals, _, cells), (_, n_steps), (n_left, n_ch), (courant, _, _), at \
+            in zip(parts, steps, chans, marcher.segments, offsets):
+        own = w0[:, at:at + grid.n_cells]
+        own[:, :, -1] = y0_vals
+        # channel c enters the positive family's c-th row at the left end,
+        # or the negative family's at the right, one step on
+        left, right = idx[marcher.pos][:n_left], idx[marcher.neg][:n_ch - n_left]
+        own[left, 0, np.arange(n_left)] = courant[left, 0]
+        own[right, -1, np.arange(n_left, n_ch)] = -courant[right, -1]
+        a_ts.append(np.empty((n_ch, n_steps, n * grid.n_cells)))
+        samples.append(np.empty((n_steps + 1, n, cells.size)))
+        frees.append(np.empty((n, grid.n_cells)))
+        # the sampled cells in a flat row state's free column
+        takes.append(((idx[:, None] * width + at + cells) * batch + batch - 1).reshape(-1))
 
     def on_chunk(j0, states):
         j1 = j0 + len(states)
-        # "clip" since the cells are checked: "raise" would buffer ``out``
-        states.reshape(j1 - j0, -1).take(free_at, axis=1, mode="clip",
-                                          out=samples[j0:j1].reshape(j1 - j0, -1))
-        # state j >= 1 holds the responses j steps old, for a_t[:, n_steps - j]
-        slots[:, n_steps + 1 - j1:n_steps + 1 - max(j0, 1)] = \
-            states[max(1 - j0, 0):][::-1, :, :, :n_ch].transpose(3, 0, 1, 2)
+        flat = states.reshape(j1 - j0, -1)
+        for i, (grid, (_, n_steps), (_, n_ch), at) in enumerate(zip(grids, steps, chans, offsets)):
+            # the free column's states 0..n_steps
+            k = min(j1, n_steps + 1) - j0
+            if k > 0:
+                # "clip" since the cells are checked: "raise" would buffer ``out``
+                flat[:k].take(takes[i], axis=1, mode="clip",
+                              out=samples[i][j0:j0 + k].reshape(k, -1))
+            if j0 <= n_steps < j1:
+                frees[i][...] = states[n_steps - j0, :, at:at + grid.n_cells, -1]
+            # state j holds the responses j + 1 steps old, for a_t[:, n_steps - 1 - j]
+            k = min(j1, n_steps) - j0
+            if k > 0:
+                slots = a_ts[i].reshape(n_ch, n_steps, n, grid.n_cells)
+                slots[:, n_steps - j0 - k:n_steps - j0] = \
+                    states[:k, :, at:at + grid.n_cells, :n_ch][::-1].transpose(3, 0, 1, 2)
 
-    w = _march(marcher, w0, n_steps, on_chunk=on_chunk)
-    del slots  # a view: it would keep a_t alive into the FFT
-    a_t = a_t.reshape(n_ch * n_steps, nstate)
-    free = w[:, :, n_ch].reshape(nstate)
-    y1_flat = np.asarray(y1_vals, dtype=float).reshape(nstate)
+    def solved(i) -> HumResult:
+        # one component's solve; its locals, and its a_t, go before the next
+        (_, grid, _, y1_vals, cells), (dt, n_steps), (n_left, n_ch) = parts[i], steps[i], chans[i]
+        nstate = n * grid.n_cells
+        a_t, a_ts[i] = a_ts[i].reshape(n_ch * n_steps, nstate), None
+        free = frees[i].reshape(nstate)
+        y1_flat = np.asarray(y1_vals, dtype=float).reshape(nstate)
 
-    dx = grid.dx
-    gram = a_t.T @ a_t
-    gram *= dx
-    gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * dt
-    vec = a_t @ np.linalg.solve(gram, dx * (y1_flat - free))
-    del gram
-    residual = _l2(free + vec @ a_t - y1_flat, dx)
-    # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
-    responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, sampled]
-    del a_t
+        dx = grid.dx
+        gram = a_t.T @ a_t
+        gram *= dx
+        gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * dt
+        vec = a_t @ np.linalg.solve(gram, dx * (y1_flat - free))
+        del gram
+        residual = _l2(free + vec @ a_t - y1_flat, dx)
+        # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
+        sampled = (idx[:, None] * grid.n_cells + cells).reshape(-1)
+        responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, sampled]
+        del a_t
 
-    # the length is a power of two at least 2 n_steps, so the circular
-    # convolution does not wrap onto the n_steps terms that are kept
-    size = 1 << (2 * n_steps - 1).bit_length()
-    u = vec.reshape(n_ch, n_steps)
-    spectrum = np.fft.rfft(u, size)[:, :, None] * np.fft.rfft(responses, size, axis=1)
-    steered = np.fft.irfft(spectrum.sum(axis=0), size, axis=0)[:n_steps]
-    samples[1:] += steered.reshape(n_steps, spec.n, cells.size)
+        # the length is a power of two at least 2 n_steps, so the circular
+        # convolution does not wrap onto the n_steps terms that are kept
+        size = 1 << (2 * n_steps - 1).bit_length()
+        u = vec.reshape(n_ch, n_steps)
+        spectrum = np.fft.rfft(u, size)[:, :, None] * np.fft.rfft(responses, size, axis=1)
+        steered = np.fft.irfft(spectrum.sum(axis=0), size, axis=0)[:n_steps]
+        samples[i][1:] += steered.reshape(n_steps, n, cells.size)
 
-    controls = BoundaryControls(u.T[:, :n_left] if n_left else None,
-                                u.T[:, n_left:] if n_ch > n_left else None)
-    return HumResult(controls, residual, samples, np.arange(n_steps + 1) * dt)
+        controls = BoundaryControls(u.T[:, :n_left] if n_left else None,
+                                    u.T[:, n_left:] if n_ch > n_left else None)
+        return HumResult(controls, residual, samples[i], np.arange(n_steps + 1) * dt)
+
+    _march(marcher, w0, max(n_steps for _, n_steps in steps), on_chunk=on_chunk)
+    return [solved(i) for i in range(len(parts))]
 
 
 def _bracket(xp: np.ndarray, xq: np.ndarray) -> np.ndarray:
@@ -344,8 +387,10 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
 
     Construction: shrink omega to a compactly contained finite union whose
     complement components are all controllable within T, steer each
-    component by boundary least squares (y_out), steer the whole domain by
-    the forward/backward blend (y_in), and glue with the space cut-off.
+    component by boundary least squares (y_out; all of them from one march
+    of a row that lays them side by side, each with its own grid and dt),
+    steer the whole domain by the forward/backward blend (y_in), and glue
+    with the space cut-off.
     Almost the whole margin above the minimal time is granted to the
     components as extra control time, keeping the shrink margins (and hence
     the cut-off transition zones) as wide as possible.  Delegates to
@@ -376,21 +421,23 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     cells = np.flatnonzero(xi_dot)
     _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, cells.size, parts, T, cfl))
     xq = grid.centers[cells]
-    y_out = np.zeros((n_steps, spec.n, cells.size))
-    residuals = []
+    hum_parts, insides = [], []
     for comp, grid_i in parts:
         inside = (xq > comp.lo) & (xq < comp.hi)
         # HUM samples only the component cells that bracket these points
         j = _bracket(grid_i.centers, xq[inside])
         pairs = np.zeros(grid_i.n_cells, dtype=bool)
         pairs[j] = pairs[j + 1] = True
-        sampled = np.flatnonzero(pairs)
-        hum = hum_boundary_control(spec, comp, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
-                                   grid_i, T, cfl, sampled)
-        residuals.append(hum.residual)
+        hum_parts.append((comp, grid_i, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
+                          np.flatnonzero(pairs)))
+        insides.append(inside)
+    y_out = np.zeros((n_steps, spec.n, cells.size))
+    hums = _hum_row(spec, hum_parts, T, cfl)
+    for (_, grid_i, _, _, sampled), inside, hum in zip(hum_parts, insides, hums):
         y_out[:, :, inside] = _resample(hum.samples, hum.times, grid_i.centers[sampled],
                                         np.arange(n_steps) * dt, xq[inside])
-        del hum  # y_out holds what the glue needs of its samples
+    residuals = [hum.residual for hum in hums]
+    del hums  # y_out holds what the glue needs of their samples
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)

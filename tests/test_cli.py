@@ -387,6 +387,16 @@ class TestFlagValidation:
         self._assert_one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nus,code", [
+        ("1," + "1" + "0" * 400, 2),   # past a float: the config's integer reader
+        ("1,1000000000", 1),           # a datum that underflows on the grid
+    ], ids=["nu-401-digits", "nu-underflow"])
+    def test_unresolvable_nu_exits_with_one_error_line(self, tmp_path, capsys, nus, code):
+        path = config_variant(tmp_path, "witness.json", Q0=[[0.0]], omega=[[0.0, 1.0]])
+        assert main(["necessity", "--config", path, "--nu-list", nus]) == code
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("overrides,command,code", [
         ({"n": 2.7}, ["mintime"], 2),
         ({"n": 2.0}, ["mintime"], 2),

@@ -458,6 +458,13 @@ class TestNecessity:
         with pytest.raises(ValueError):
             necessity_witness(spec_rank_deficient, 0, 2.0, Grid(0.0, 1.0, 64))
 
+    @pytest.mark.parametrize("nu", [10 ** 9, 10 ** 300])
+    def test_underflowing_datum_refused(self, spec_rank_deficient, nu):
+        # the datum's profile is narrower than a cell: every sample is 0,
+        # and the ratio would be 0 / 0
+        with pytest.raises(RuntimeError, match=f"nu = {nu} underflows on 64 cells"):
+            necessity_witness(spec_rank_deficient, nu, 2.0, Grid(0.0, 1.0, 64))
+
     def test_full_rank_rejected(self, spec_full_domain):
         with pytest.raises(ValueError, match="full row rank"):
             necessity_witness(spec_full_domain, 1, 2.0, Grid(0.0, 1.0, 64))

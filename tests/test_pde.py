@@ -483,9 +483,10 @@ class TestMarchingKernel:
             assert np.array_equal(traj, np.stack(order))
 
     @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
-    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-    @pytest.mark.parametrize("keep,batch", [("final", 3), ("trajectory", 1)])
+    @pytest.mark.parametrize("keep,batch,reverse", [("final", 3, False), ("trajectory", 1, False),
+                                                    ("trajectory", 1, True)],
+                             ids=["final", "trajectory-forward", "trajectory-reverse"])
     def test_chunks_hand_over_every_state_once(self, n_steps, reverse, forced, keep, batch):
         # chunks of NAN_CHECK_EVERY steps: the states before each step of a
         # chunk, the final state too in the last one, each once and in order
@@ -509,6 +510,67 @@ class TestMarchingKernel:
         if keep == "trajectory":
             order = states[::-1] if reverse else states
             assert np.array_equal(traj, np.stack(order))
+
+    @pytest.mark.parametrize("segments", [
+        [(40, 70, "coupling", "dirichlet", True)],
+        [(40, 70, "coupling", None, True), (29, 66, "dirichlet", "coupling", False)],
+        [(40, 70, "coupling", None, False), (29, 66, None, None, True),
+         (53, 75, "dirichlet", "coupling", True)],
+    ], ids=["one", "two", "three"])
+    def test_row_hands_over_separate_marches(self, segments):
+        # segments side by side in one row, each with its own cells, dx, dt,
+        # step count, source or none, and ends (a coupling, a Dirichlet
+        # series or zero data with no writer), against a march of each
+        # segment alone: the row runs the most steps, and each segment's
+        # states up to its own count are byte for byte its own march's
+        batch, n_max = 3, max(seg[1] for seg in segments)
+
+        def segment(seed, nx, ends, source, zero_series=False):
+            rng = np.random.default_rng(seed)
+            x = (np.arange(nx) + 0.5) / nx
+            sigma = np.vstack([-(0.5 + 0.3 * x), 0.7 - 0.2 * x, 0.9 - 0.2 * x])
+            dx = 0.3 / nx
+            bcs = []
+            for kind, n_in, n_out in [(ends[0], 2, 1), (ends[1], 1, 2)]:
+                if kind == "coupling":
+                    bcs.append(pde._coupling_bc(rng.standard_normal((n_in, n_out))))
+                elif kind == "dirichlet":
+                    bcs.append(pde._dirichlet_bc(rng.standard_normal((n_max, n_in, batch))))
+                else:
+                    bcs.append(pde._dirichlet_bc(np.zeros((n_max, n_in, batch)))
+                               if zero_series else None)
+            return (pde._Marcher(sigma, 0.95 * dx / 0.9, dx, *bcs,
+                                 rng.standard_normal((nx, 3, 3)) if source else None),
+                    rng.standard_normal((3, nx, batch)))
+
+        def states(marcher, w0, n_steps):
+            seen = []
+            pde._march(marcher, w0, n_steps,
+                       on_chunk=lambda j0, chunk: seen.extend(chunk.copy()))
+            return seen
+
+        parts = [segment(seed, nx, ends, source)
+                 for seed, (nx, _, *ends, source) in enumerate(segments)]
+        row = pde._Marcher.row([marcher for marcher, _ in parts])
+        assert len({marcher.dt for marcher, _ in parts}) == len(parts)
+        w0 = np.zeros((3, row.width - 2, batch))
+        at = 0
+        for _, w in parts:
+            w0[:, at:at + w.shape[1]] = w
+            at += w.shape[1] + 2
+        marched = states(row, w0, n_max)
+        at = 0
+        for seed, ((marcher, w), (nx, n_steps, *ends, source)) in enumerate(zip(parts, segments)):
+            alone = states(marcher, w, n_steps)
+            assert len(alone) == n_steps + 1
+            for got, want in zip(marched, alone):
+                assert got[:, at:at + nx].tobytes() == want.tobytes()
+            if None in ends:
+                # no writer is zero boundary data
+                zeros = segment(seed, nx, ends, source, zero_series=True)[0]
+                for got, want in zip(states(zeros, w, n_steps), alone):
+                    assert got.tobytes() == want.tobytes()
+            at += nx + 2
 
     def test_nonfinite_state_reported_at_the_chunk_end(self):
         # finiteness is checked once per chunk, before its hand-over: a state

@@ -218,15 +218,18 @@ class TestHumStateSide:
             single = solve_boundary_forward(
                 spec, iv, StateField(start, grid),
                 _unit_controls(spec, iv.tag, channels, n_steps, row), T)
-            col = batch[..., row if row is not None else len(channels)]
+            # an impulse column starts one step on: its state j is the
+            # single march's state j + 1, and its last state is not used
+            want = single.trajectory if row is None else single.trajectory[1:]
+            col = batch[:len(want), ..., row if row is not None else len(channels)]
             if n == 2 or iv.tag is PositionTag.INTERIOR:
-                assert np.array_equal(col, single.trajectory)
+                assert np.array_equal(col, want)
             else:
                 # a coupling with several terms per ghost goes through
                 # matmul, whose kernel for one column and for a batch sum
                 # in different orders
-                scale = np.max(np.abs(single.trajectory))
-                assert np.max(np.abs(col - single.trajectory)) <= 1e-14 * scale
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(col - want)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("iv,T", HUM_CASES)
     @pytest.mark.parametrize("n", [2, 4])
@@ -617,6 +620,26 @@ class TestSynthesisMemoryGuard:
         assert self._traced(monkeypatch, synthesize, spec, T)[2] is None
 
 
+def _three_interval_case():
+    # the demo config with omega = (0.1, 0.3) u (0.6, 0.8): one component
+    # touching each end and one interior component, with 1, 2 and 1 channels
+    return make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.1, 0.3), (0.6, 0.8)]), 0.7, 200
+
+
+def _row_of(monkeypatch, spec, T, cells):
+    """The parts a synthesis hands its HUM row, and what the row returned."""
+    import hypctrl.synth as synth
+    seen = []
+    real = synth._hum_row
+    monkeypatch.setattr(synth, "_hum_row", lambda spec, parts, T, cfl: seen.append(
+        (parts, cfl, real(spec, parts, T, cfl))) or seen[-1][2])
+    assemble_internal_control(spec, _fourier(spec.n, 1), _fourier(spec.n, 2), T,
+                              Grid(0.0, 1.0, cells))
+    monkeypatch.setattr(synth, "_hum_row", real)
+    (parts, cfl, hums), = seen
+    return parts, cfl, hums
+
+
 @pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240)])
 def test_hum_bytes_match_direct_peak(monkeypatch, label, cells):
     # each component HUM of a synthesis case at the benchmark's grid, called
@@ -625,24 +648,69 @@ def test_hum_bytes_match_direct_peak(monkeypatch, label, cells):
     # the size of that copy is added to the traced peak
     import hypctrl.synth as synth
     spec, T, _ = _synth_case(label)
-    calls = []
-    real = synth.hum_boundary_control
-    monkeypatch.setattr(synth, "hum_boundary_control",
-                        lambda *args: calls.append(args) or real(*args))
-    assemble_internal_control(spec, _fourier(spec.n, 1), _fourier(spec.n, 2), T,
-                              Grid(0.0, 1.0, cells))
-    assert len(calls) == 2
-    for args in calls:
-        comp, grid_i, cfl = args[1], args[4], args[6]
+    parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
+    assert len(parts) == 2
+    for comp, grid_i, y0, y1, sampled in parts:
         tracemalloc.start()
         try:
-            real(*args)
+            hum_boundary_control(spec, comp, y0, y1, grid_i, T, cfl, sampled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         copy = 8 * (spec.n * grid_i.n_cells) ** 2
-        predicted = synth._hum_bytes(spec, grid_i, comp.tag, T, cfl)
+        predicted = synth._hum_bytes(spec, [(comp, grid_i)], T, cfl)
         assert abs(predicted - (peak + copy)) <= 0.25 * (peak + copy)
+
+
+@pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240)])
+def test_hum_row_bytes_match_traced_peak(monkeypatch, label, cells):
+    # the HUM term of ``_peak_bytes``, summed over the components of a
+    # synthesis case at the benchmark's grid, against the traced peak of
+    # their row; LAPACK's untraced copy of a normal matrix is added to the
+    # traced memory at the solve that makes it, since the row's peak may
+    # also fall in the march, where no copy is held
+    import hypctrl.synth as synth
+    spec, T, _ = _synth_case(label)
+    parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
+    solves = []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        solves.append(tracemalloc.get_traced_memory()[0] + a.nbytes)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    tracemalloc.start()
+    try:
+        synth._hum_row(spec, parts, T, cfl)
+        peak = max([tracemalloc.get_traced_memory()[1]] + solves)
+    finally:
+        tracemalloc.stop()
+    assert len(solves) == 2
+    predicted = synth._hum_bytes(spec, [part[:2] for part in parts], T, cfl)
+    assert predicted == synth._peak_bytes(spec, Grid(0.0, 1.0, cells), 0, 0,
+                                          [part[:2] for part in parts], T, cfl)
+    assert abs(predicted - peak) <= 0.25 * peak
+
+
+@pytest.mark.parametrize("label,cells", [("a", 100), ("a", 400), ("b", 60), ("b", 240),
+                                         ("c", 60), ("c", 240), ("three", 200)])
+def test_row_equals_direct_hum(monkeypatch, label, cells):
+    # every component of a synthesis, steered in one row, against a direct
+    # call on that component alone: controls, residual and samples bit for
+    # bit (the small case c has unequal dt and step counts and a source;
+    # the three-interval case has unequal channel counts)
+    spec, T, _ = _three_interval_case() if label == "three" else _synth_case(label)
+    parts, cfl, hums = _row_of(monkeypatch, spec, T, cells)
+    assert len(parts) == (3 if label == "three" else 2)
+    for (comp, grid_i, y0, y1, sampled), hum in zip(parts, hums):
+        direct = hum_boundary_control(spec, comp, y0, y1, grid_i, T, cfl, sampled)
+        for got, want in [(hum.controls.left, direct.controls.left),
+                          (hum.controls.right, direct.controls.right)]:
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        assert hum.residual == direct.residual
+        assert hum.samples.tobytes() == direct.samples.tobytes()
+        assert hum.times.tobytes() == direct.times.tobytes()
 
 
 def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
@@ -705,5 +773,48 @@ def test_hum_visit_allocates_nothing_per_step(monkeypatch, spec_2x2, lo, hi):
         tracemalloc.stop()
     ((n, nx, batch), n_steps), = shapes
     assert n_steps > pde.NAN_CHECK_EVERY
+    padded = n * (nx + 2) * batch * 8
+    assert marks["peak"] - marks["start"] < padded // 8
+
+
+def test_hum_row_allocates_nothing_per_step(monkeypatch, spec_2x2):
+    # a row of three components with 1, 2 and 1 channels and unequal step
+    # counts, under the window and bound of the one-component test above
+    import hypctrl.pde as pde
+    import hypctrl.synth as synth
+
+    class Marched(Exception):
+        pass
+
+    marks, shapes = {}, []
+    real = synth._march
+
+    def spy(marcher, w0, n_steps, on_chunk, **kw):
+        def marked(j0, chunk):
+            on_chunk(j0, chunk)
+            if j0 == 0:
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            elif j0 == pde.NAN_CHECK_EVERY:
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+        shapes.append((w0.shape, n_steps))
+        real(marcher, w0, n_steps, on_chunk=marked, **kw)
+        raise Marched
+
+    monkeypatch.setattr(synth, "_march", spy)
+    parts = []
+    for lo, hi, n_cells in [(0.0, 0.25, 1000), (0.25, 0.5, 1000), (0.75, 1.0, 700)]:
+        grid = Grid(lo, hi, n_cells)
+        y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(n_cells)])
+        parts.append((Interval(lo, hi), grid, y0, np.zeros((2, n_cells)),
+                      np.array([3, 4, 500, 501])))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Marched):
+            synth._hum_row(spec_2x2, parts, 0.016, 0.9)
+    finally:
+        tracemalloc.stop()
+    ((n, nx, batch), n_steps), = shapes
+    assert (nx, batch) == (2 * 1000 + 700 + 4, 3) and n_steps > pde.NAN_CHECK_EVERY
     padded = n * (nx + 2) * batch * 8
     assert marks["peak"] - marks["start"] < padded // 8
