@@ -17,16 +17,17 @@ where a number is a JSON number in the float range, not a string, boolean or
 null; [...] is a nonempty list of numbers, and a matrix a nonempty list of
 equal-length lists of numbers.  Parsing is strict: unknown keys anywhere are
 rejected.  Exit codes: 0 on success; 1 on a numerical failure (a solution or
-Gramian that lost finiteness, the Gramian size guard) or an output that
-cannot be written; 2 on malformed or invalid configuration, flag values or
-input files, and on a request the configuration cannot pose (``omegahat``
-when the closure of omega covers [0, 1], ``necessity`` when the source is not
-minus the speed slope); 3 when a rank condition makes the request infinite or
-unanswerable; 4 when the horizon is below the time the command needs.  Errors
-are raised where they are decided, horizons and epsilon in the library, so
-this module checks neither itself; ``run`` alone turns an error into a single
-line starting with ``ERROR:`` and its exit code.  Floats are printed with 17
-significant digits so repeated runs are bit-identical.
+Gramian that lost finiteness, the size, memory and work guards) or an
+output that cannot be written; 2 on malformed or invalid configuration,
+flag values or input files, and on a request the configuration cannot pose
+(``omegahat`` when the closure of omega covers [0, 1], ``necessity`` when
+the source is not minus the speed slope); 3 when a rank condition makes
+the request infinite or unanswerable; 4 when the horizon is below the time
+the command needs.  Errors are raised where they are decided, horizons and
+epsilon in the library, so this module checks neither itself; ``run`` alone
+turns an error into a single line starting with ``ERROR:`` and its exit
+code.  Floats are printed with 17 significant digits so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, CouplingSpec,
                     RankError, SourceTerm, SpeedProfile, SystemSpec)
 from .obsv import detect_threshold, necessity_horizon, necessity_sweep, sigma_min_sweep
-from .pde import ControlField, Grid, StateField, _forward
+from .pde import ControlField, Grid, StateField, _check_state, _forward, _resolve_steps
 from .synth import assemble_internal_control
 from .times import minimal_control_time, refine_control_region
 
@@ -212,6 +213,7 @@ def _state_from_arg(arg: str, grid: Grid, n: int) -> StateField:
     """A preset (the first component set at the cell centers) or a state CSV."""
     presets = {"zero": lambda x: 0.0, "sinpi": lambda x: np.sin(np.pi * x),
                "bump": lambda x: np.exp(-60.0 * (x - 0.5) ** 2)}
+    _check_state(n, grid)
     if arg in presets:
         vals = np.zeros((n, grid.n_cells))
         vals[0] = presets[arg](grid.centers)
@@ -390,8 +392,15 @@ def _cmd_gramian(cfg: RunConfig, args, out):
     if args.steps == 1 and args.tmax != args.tmin:
         raise ConfigError(f"--steps: 1 sweeps the single horizon --tmin, so --tmax "
                           f"must equal it, got {args.tmin} and {args.tmax}")
+    # the sweep's Courant factor; its horizons snap to whole steps up to
+    # --tmax, so more horizons than steps only repeat one
+    cfl = 1.0
+    _, n_steps = _resolve_steps(cfg.spec, cfg.grid, args.tmax, cfl, positive=True)
+    if args.steps > n_steps:
+        raise ConfigError(f"--steps: at most the {n_steps} steps of the sweep up to "
+                          f"--tmax, got {args.steps}")
     ts = np.linspace(args.tmin, args.tmax, args.steps)
-    sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid)
+    sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid, cfl)
     out.write("T,sigma_min\n")
     for t, s in sweep.points:
         out.write(f"{_fmt(t)},{_fmt(s)}\n")

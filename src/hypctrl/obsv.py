@@ -40,7 +40,7 @@ from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, Interval,
                     RankError, SpeedProfile, SystemSpec)
 from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _check_horizon,
-                  _march, _resolve_steps, _slopes_at)
+                  _check_work, _march, _resolve_steps, _slopes_at)
 from .times import characteristic_position, characteristic_time, travel_time
 
 GRAMIAN_STATE_LIMIT = 4000
@@ -75,6 +75,8 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
     column-sparse one-step adjoint operator of ``_one_step_operator``: A^T G A
     costs K row gathers and K column gathers, K the most nonzeros in a
     column of A, so a step is O(K * nstate^2) on three nstate^2 buffers.
+    A recurrence of more than ``MARCH_WORK_LIMIT`` gathered values (steps
+    times 2K times nstate^2) is refused before those buffers.
     """
     n, nx = spec.n, grid.n_cells
     nstate = n * nx
@@ -82,6 +84,9 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
         raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
                          f"({GRAMIAN_STATE_LIMIT})")
     rows, vals = _one_step_operator(spec, grid, dt)
+    last = max(stops)
+    _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
+                f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
     blocks = _block_partition(rows, vals)
 
     diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), n)) * (nstate + 1)
@@ -90,7 +95,6 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
     gram.flat[diag] = w
     nxt = np.empty_like(gram)
     part = np.empty_like(gram)
-    last = max(stops)
     for k in range(1, last + 1):
         if (k % NAN_CHECK_EVERY == 0 or k in stops) and not np.isfinite(gram).all():
             raise RuntimeError(f"Gramian lost finiteness at step {k}")

@@ -13,10 +13,11 @@ contiguous slice of a buffer's flat view: one difference of flat
 neighbours, one product with a Courant table laid out over those slots, one
 subtraction per sign family, and for a source one contraction over the
 whole padded buffer.  The views, the boundary writers and the scratch are
-bound once per march into its two step closures.  One padded row may hold
-several segments side by side, each with its own cells, Courant row, dt,
-source and boundary writers, two pad cells apart: the same calls step them
-all at once (a one-segment row is the plain march).  A march of more than
+bound once per march into its two step closures.  Every march is built the
+one way, ``_Marcher(*segments)``, from segments made by ``_segment`` (cells,
+Courant row, dt, source and boundary writers): one padded row holds them
+side by side, two pad cells apart, and the same calls step them all at once
+(a one-segment row is the plain march).  A march of more than
 ``MARCH_WORK_LIMIT`` state values times steps is refused before anything is
 allocated.
 
@@ -152,9 +153,9 @@ class ControlField:
 
     @classmethod
     def _adopt(cls, values: np.ndarray, grid: Grid, dt: float, mask) -> "ControlField":
-        """Take over a float array the library built: zeroed in place, not copied."""
-        field = object.__new__(cls)
-        field.__dict__.update(grid=grid, dt=dt, mask=mask)
+        """Take over a float array the library built: zeroed in place, not
+        copied.  The constructor copies only the empty series values[:0]."""
+        field = cls(values[:0], grid, dt, mask)
         field._own(values)
         return field
 
@@ -238,15 +239,28 @@ def _run(rows: slice, nx: int, batch: int) -> tuple[int, int]:
     return (rows.start * (nx + 2) + 1) * batch, (rows.stop * (nx + 2) - 1) * batch
 
 
+def _segment(sigma: np.ndarray, dt: float, dx: float, bc_lo, bc_hi,
+             source: np.ndarray | None = None) -> tuple:
+    """A march's segment (courant, dt, bc_lo, bc_hi, source) for  dw/ds +
+    sigma(x) dw/dx = S(x) w  on cells of width ``dx``: the Courant row sigma
+    dt/dx, checked, and the (N, n, n) ``source``, None if all zero."""
+    courant = sigma * (dt / dx)
+    if np.max(np.abs(courant)) > 1.0 + 1e-12:
+        raise ValueError(f"CFL violated: max Courant number "
+                         f"{np.max(np.abs(courant)):.3f}")
+    return courant, dt, bc_lo, bc_hi, source if source is not None and np.any(source) else None
+
+
 class _Marcher:
     """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f,
     from one ``_Padded`` state to the other, on flat views of the buffers,
-    for a row of segments laid side by side in one padded row: each segment
-    has its own cells, Courant row sigma dt/dx, source samples, step dt and
-    boundary writers, and two pad cells separate neighbouring segments.
-    ``_Marcher(...)`` makes a one-segment row and ``_Marcher.row`` joins
-    rows; the row's interior holds each segment's cells at its offset (the
-    sum of the earlier segments' cells plus two), with zeros between them.
+    for the segments of ``_segment`` laid side by side, left to right, in
+    one padded row: each has its own cells, Courant row, dt, source and
+    boundary writers, the segments share their sign families, and two pad
+    cells separate neighbours.  ``_Marcher(*segments)`` is the one
+    constructor (a one-segment row is the plain march); the row's interior
+    holds each segment's cells at its offset (the sum of the earlier
+    segments' cells plus two), with zeros between them.
 
     Boundary conditions bind as ``bc(outflow, out)`` to a segment's outgoing
     trace (n_out, B) and inflow ghosts (n_in, B) and return the writer
@@ -267,49 +281,26 @@ class _Marcher:
     rewritten before every step, or stay zero where no writer is bound.
     """
 
-    def __init__(self, sigma: np.ndarray, dt: float, dx: float,
-                 bc_lo, bc_hi, source: np.ndarray | None = None):
-        n, nx = sigma.shape
-        pos = sigma[:, 0] > 0
+    def __init__(self, *segments):
+        n = segments[0][0].shape[0]
+        pos = segments[0][0][:, 0] > 0
         split = int(np.argmin(pos == pos[0])) or n
         first, rest = slice(0, split), slice(split, n)
         self.pos, self.neg = (first, rest) if pos[0] else (rest, first)
-        courant = sigma * (dt / dx)
-        if np.max(np.abs(courant)) > 1.0 + 1e-12:
-            raise ValueError(f"CFL violated: max Courant number "
-                             f"{np.max(np.abs(courant)):.3f}")
-        self.segments = ((courant, bc_lo, bc_hi),)
+        self.segments = segments
+        # columns of the padded row
+        self.width = sum(courant.shape[1] + 2 for courant, *_ in segments)
         # a number, or in a row of unequal steps one dt per padded column
-        self.dt = dt
-        # source enters as  w += dt * S w  with S sampled per cell, kept as
+        dts = np.concatenate([np.full(courant.shape[1] + 2, dt) for courant, dt, *_ in segments])
+        self.dt = float(dts[0]) if np.all(dts == dts[0]) else dts
+        # a source enters as  w += dt * S w  with S sampled per cell, kept as
         # S[i, j, x] over the padded columns, zero in the pad columns
         self.source = None
-        if source is not None and np.any(source):
-            self.source = np.zeros((n, n, nx + 2))
-            self.source[:, :, 1:-1] = np.transpose(source, (1, 2, 0))
-
-    @classmethod
-    def row(cls, marchers) -> "_Marcher":
-        """One row of the segments of ``marchers``, left to right, which
-        share their sign families; a segment steps as it does in its own
-        marcher, entry for entry."""
-        row = object.__new__(cls)
-        row.pos, row.neg = marchers[0].pos, marchers[0].neg
-        row.segments = tuple(seg for m in marchers for seg in m.segments)
-        dt = np.concatenate([np.broadcast_to(m.dt, m.width) for m in marchers])
-        row.dt = float(dt[0]) if np.all(dt == dt[0]) else dt
-        n = row.segments[0][0].shape[0]
-        row.source = None
-        if any(m.source is not None for m in marchers):
-            row.source = np.concatenate(
-                [np.zeros((n, n, m.width)) if m.source is None else m.source for m in marchers],
-                axis=2)
-        return row
-
-    @property
-    def width(self) -> int:
-        """Columns of the padded row."""
-        return sum(courant.shape[1] + 2 for courant, _, _ in self.segments)
+        if any(source is not None for *_, source in segments):
+            self.source = np.concatenate(
+                [np.zeros((n, n, courant.shape[1] + 2)) if source is None
+                 else np.pad(np.transpose(source, (1, 2, 0)), ((0, 0), (0, 0), (1, 1)))
+                 for courant, *_, source in segments], axis=2)
 
     def states(self, w: np.ndarray, forcing: bool) -> tuple[_Padded, _Padded]:
         """The two padded states of a march of the (n, N, B) batch ``w``,
@@ -317,7 +308,7 @@ class _Marcher:
         n, nx, batch = w.shape
         table = np.zeros((n, nx + 2, batch))
         at = 0
-        for courant, _, _ in self.segments:
+        for courant, *_ in self.segments:
             cells = courant.shape[1]
             table[self.pos, at:at + cells] = courant[self.pos, :, None]
             table[self.neg, at + 1:at + cells + 1] = courant[self.neg, :, None]
@@ -339,7 +330,7 @@ class _Marcher:
         diff, table, gain, dt = src.scratch
         x, y, xbuf, source = src.flat, dst.flat, src.buf, self.source
         writers, at = [], 0
-        for courant, bc_lo, bc_hi in self.segments:
+        for courant, _, bc_lo, bc_hi, _ in self.segments:
             end = at + courant.shape[1]
             if bc_lo is not None:
                 writers.append(bc_lo(xbuf[self.neg, at + 1], xbuf[self.pos, at]))
@@ -396,6 +387,19 @@ def _check_bytes(what: str, size: int):
                          f"above the limit of {TRAJECTORY_BYTES_LIMIT}")
 
 
+def _check_state(n: int, grid: Grid):
+    """Refuse a state of n x N values above ``TRAJECTORY_BYTES_LIMIT``,
+    before it or ``grid.centers`` is built."""
+    _check_bytes(f"a state of {n} x {grid.n_cells} values", 8 * n * grid.n_cells)
+
+
+def _check_work(what: str, work: int):
+    """Refuse, before allocating for it, work above ``MARCH_WORK_LIMIT``."""
+    if work > MARCH_WORK_LIMIT:
+        raise ValueError(f"{what} needs {work} element-steps, "
+                         f"above the limit of {MARCH_WORK_LIMIT}")
+
+
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
            forcing: np.ndarray | None = None, on_chunk=None, out: np.ndarray | None = None):
     """March an (n, N) state or (n, N, B) batch and return the final batch,
@@ -412,10 +416,7 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
     (k, n, N, B) states j0..j0+k-1, and the final state too in the last chunk.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
-    if w.size * n_steps > MARCH_WORK_LIMIT:
-        raise ValueError(f"march of {n_steps} steps over {w.size} values needs "
-                         f"{w.size * n_steps} element-steps, above the limit of "
-                         f"{MARCH_WORK_LIMIT}")
+    _check_work(f"march of {n_steps} steps over {w.size} values", w.size * n_steps)
     record = (np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape)
               if out is None and on_chunk is not None else None)
     pair = marcher.states(w, forcing is not None)
@@ -459,10 +460,11 @@ def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
 
 def _resolve_steps(spec, grid, T, cfl, control: ControlField | None = None,
                    positive: bool = False):
-    """The one (dt, n_steps) rule of a march over [0, T], after checking T:
-    the control's own step when one is given, else ``cfl_dt`` and the whole
-    steps of T."""
+    """The one (dt, n_steps) rule of a march over [0, T], after checking T
+    and the bytes of one state: the control's own step when one is given,
+    else ``cfl_dt`` and the whole steps of T."""
     _check_horizon(T, positive)
+    _check_state(spec.n, grid)
     if control is not None:
         if control.grid != grid:
             raise ValueError("control grid does not match the state grid")
@@ -486,9 +488,9 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
     return _forward(spec, y0, u, T, cfl)
 
 
-def _forward_marcher(spec: SystemSpec, grid: Grid, dt: float,
+def _forward_segment(spec: SystemSpec, grid: Grid, dt: float,
                      tag: PositionTag = PositionTag.FULL, bc_lo=None, bc_hi=None):
-    """The forward system's marcher on ``grid``, an interval placed in
+    """The forward system's segment on ``grid``, an interval placed in
     (0, 1) by ``tag``: the couplings Q0 and Q1 at the ends of (0, 1) it
     touches, and the boundary writers ``bc_lo`` and ``bc_hi`` at its other
     ends (None: no writer, zero boundary data)."""
@@ -496,7 +498,7 @@ def _forward_marcher(spec: SystemSpec, grid: Grid, dt: float,
         bc_lo = _coupling_bc(spec.couplings.q0)
     if tag in (PositionTag.FULL, PositionTag.TOUCHES_RIGHT):
         bc_hi = _coupling_bc(spec.couplings.q1)
-    return _Marcher(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
+    return _segment(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
                     spec.source.at_points(grid.centers))
 
 
@@ -504,7 +506,7 @@ def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
              T: float, cfl: float, trajectory: bool = True) -> EvolutionResult:
     """``solve_forward``, storing the trajectory or only the final state."""
     dt, n_steps = _resolve_steps(spec, y0.grid, T, cfl, u)
-    return _evolve(_forward_marcher(spec, y0.grid, dt), y0, n_steps, dt, trajectory,
+    return _evolve(_Marcher(_forward_segment(spec, y0.grid, dt)), y0, n_steps, dt, trajectory,
                    forcing=None if u is None else u.values)
 
 
@@ -521,10 +523,10 @@ def solve_backward(spec: SystemSpec, y1: StateField, T: float,
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
     if not spec.couplings.invertible:
         raise RankError("singular coupling matrix: Q0 and Q1 must be invertible")
-    marcher = _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
-                       bc_lo=_coupling_bc(np.linalg.inv(spec.couplings.q0)),
-                       bc_hi=_coupling_bc(np.linalg.inv(spec.couplings.q1)),
-                       source=-spec.source.at_points(grid.centers))
+    marcher = _Marcher(_segment(-_speeds_at(spec, grid), dt, grid.dx,
+                                bc_lo=_coupling_bc(np.linalg.inv(spec.couplings.q0)),
+                                bc_hi=_coupling_bc(np.linalg.inv(spec.couplings.q1)),
+                                source=-spec.source.at_points(grid.centers)))
     return _evolve(marcher, y1, n_steps, dt, reverse=True)
 
 
@@ -547,7 +549,7 @@ def _subinterval_bcs(spec: SystemSpec, tag: PositionTag,
     """(bc_lo, bc_hi) on a complement component of the refined region: the
     Dirichlet series of ``controls`` at the control ends, shaped (n_steps, p)
     on the left and (n_steps, m) on the right, and None at an end of (0, 1),
-    where ``_forward_marcher`` puts the coupling."""
+    where ``_forward_segment`` puts the coupling."""
     if tag is PositionTag.FULL:
         raise ValueError("use solve_forward for the full domain")
 
@@ -579,8 +581,8 @@ def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
     """
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
-    marcher = _forward_marcher(spec, grid, dt, interval.tag,
-                               *_subinterval_bcs(spec, interval.tag, controls, n_steps))
+    marcher = _Marcher(_forward_segment(spec, grid, dt, interval.tag,
+                                        *_subinterval_bcs(spec, interval.tag, controls, n_steps)))
     return _evolve(marcher, y0, n_steps, dt)
 
 
@@ -604,9 +606,8 @@ def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float) -> _Marcher:
     src[:, idx, idx] += slopes.T
     r0 = adjoint_reflection(spec.speeds, spec.couplings.q0, 0.0)
     r1 = adjoint_reflection(spec.speeds, spec.couplings.q1, 1.0)
-    return _Marcher(-_speeds_at(spec, grid), dt, grid.dx,
-                    bc_lo=_coupling_bc(r0.T), bc_hi=_coupling_bc(r1.T),
-                    source=src)
+    return _Marcher(_segment(-_speeds_at(spec, grid), dt, grid.dx,
+                             bc_lo=_coupling_bc(r0.T), bc_hi=_coupling_bc(r1.T), source=src))
 
 
 def solve_adjoint(spec: SystemSpec, z1: StateField, T: float,

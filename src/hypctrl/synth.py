@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _check_bytes, _forward, _forward_marcher, _march,
+                  StateField, _check_bytes, _forward, _forward_segment, _march,
                   _Marcher, _resolve_steps, _speeds_at, sample_state, solve_backward,
                   solve_forward)
 from .times import minimal_control_time, shrink_region
@@ -268,78 +269,76 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
 
 def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
     """``hum_boundary_control`` on each component of ``parts``, (interval,
-    grid, y0_vals, y1_vals, cells) each, from one march of a row that lays
-    the components side by side, each with its own dt.  The row runs the
-    longest component's step count; its batch holds a column per channel
-    of the widest component and the free column last.  Every impulse
-    starts one step on: a unit ghost on channel c during step 0 leaves its
-    Courant magnitude, exactly, in the cell it enters and zeros elsewhere,
-    so the control ends carry zero data and bind no writer.  After the
-    march each component is solved as on its own."""
+    grid, y0_vals, y1_vals, cells) each, from one march of a row of one
+    forward segment per component, each with its own dt.  The row runs the
+    longest step count; its batch holds a column per channel of the widest
+    component and the free column last.  Every impulse starts one step on:
+    a unit ghost on channel c during step 0 leaves its Courant magnitude,
+    exactly, in the cell it enters, so the control ends bind no writer.  A
+    component is one record (its grid, dt, step count, channels, offset and
+    buffers), solved after the march as on its own."""
     n, idx = spec.n, np.arange(spec.n)
-    grids = [grid for _, grid, *_ in parts]
-    steps = [_resolve_steps(spec, grid, T, cfl) for grid in grids]
-    chans = [_channels(spec, interval.tag) for interval, *_ in parts]
-    marcher = _Marcher.row([_forward_marcher(spec, grid, dt, interval.tag)
-                            for (interval, grid, *_), (dt, _) in zip(parts, steps)])
-    batch = 1 + max(n_ch for _, n_ch in chans)
-    width = marcher.width - 2
-    offsets = np.cumsum([0] + [grid.n_cells + 2 for grid in grids])
-    w0 = np.zeros((n, width, batch))
-    # a_t[c, k] is the column of A for the control of channel c during step
-    # k, the impulse response n_steps - k steps old at T
-    a_ts, samples, takes, frees = [], [], [], []
-    for (_, grid, y0_vals, _, cells), (_, n_steps), (n_left, n_ch), (courant, _, _), at \
-            in zip(parts, steps, chans, marcher.segments, offsets):
-        own = w0[:, at:at + grid.n_cells]
+    batch = 1 + max(_channels(spec, interval.tag)[1] for interval, *_ in parts)
+    width = sum(grid.n_cells + 2 for _, grid, *_ in parts) - 2
+    w0, comps, at = np.zeros((n, width, batch)), [], 0
+    for interval, grid, y0_vals, y1_vals, cells in parts:
+        dt, n_steps = _resolve_steps(spec, grid, T, cfl)
+        n_left, n_ch = _channels(spec, interval.tag)
+        segment = _forward_segment(spec, grid, dt, interval.tag)
+        own, courant = w0[:, at:at + grid.n_cells], segment[0]
         own[:, :, -1] = y0_vals
         # channel c enters the positive family's c-th row at the left end,
         # or the negative family's at the right, one step on
-        left, right = idx[marcher.pos][:n_left], idx[marcher.neg][:n_ch - n_left]
+        left = np.flatnonzero(courant[:, 0] > 0)[:n_left]
+        right = np.flatnonzero(courant[:, 0] < 0)[:n_ch - n_left]
         own[left, 0, np.arange(n_left)] = courant[left, 0]
         own[right, -1, np.arange(n_left, n_ch)] = -courant[right, -1]
-        a_ts.append(np.empty((n_ch, n_steps, n * grid.n_cells)))
-        samples.append(np.empty((n_steps + 1, n, cells.size)))
-        frees.append(np.empty((n, grid.n_cells)))
-        # the sampled cells in a flat row state's free column
-        takes.append(((idx[:, None] * width + at + cells) * batch + batch - 1).reshape(-1))
+        # a_t[c, k] is the column of A for the control of channel c during
+        # step k, the impulse response n_steps - k steps old at T; ``take``
+        # holds the sampled cells' indices in a flat row state's free column
+        comps.append(SimpleNamespace(
+            grid=grid, y1=y1_vals, cells=cells, dt=dt, n_steps=n_steps, n_left=n_left,
+            n_ch=n_ch, at=at, segment=segment, a_t=np.empty((n_ch, n_steps, n * grid.n_cells)),
+            samples=np.empty((n_steps + 1, n, cells.size)), free=np.empty((n, grid.n_cells)),
+            take=((idx[:, None] * width + at + cells) * batch + batch - 1).reshape(-1)))
+        at += grid.n_cells + 2
 
     def on_chunk(j0, states):
         j1 = j0 + len(states)
         flat = states.reshape(j1 - j0, -1)
-        for i, (grid, (_, n_steps), (_, n_ch), at) in enumerate(zip(grids, steps, chans, offsets)):
+        for comp in comps:
+            cols = slice(comp.at, comp.at + comp.grid.n_cells)
             # the free column's states 0..n_steps
-            k = min(j1, n_steps + 1) - j0
+            k = min(j1, comp.n_steps + 1) - j0
             if k > 0:
                 # "clip" since the cells are checked: "raise" would buffer ``out``
-                flat[:k].take(takes[i], axis=1, mode="clip",
-                              out=samples[i][j0:j0 + k].reshape(k, -1))
-            if j0 <= n_steps < j1:
-                frees[i][...] = states[n_steps - j0, :, at:at + grid.n_cells, -1]
+                flat[:k].take(comp.take, axis=1, mode="clip",
+                              out=comp.samples[j0:j0 + k].reshape(k, -1))
+            if j0 <= comp.n_steps < j1:
+                comp.free[...] = states[comp.n_steps - j0, :, cols, -1]
             # state j holds the responses j + 1 steps old, for a_t[:, n_steps - 1 - j]
-            k = min(j1, n_steps) - j0
+            k = min(j1, comp.n_steps) - j0
             if k > 0:
-                slots = a_ts[i].reshape(n_ch, n_steps, n, grid.n_cells)
-                slots[:, n_steps - j0 - k:n_steps - j0] = \
-                    states[:k, :, at:at + grid.n_cells, :n_ch][::-1].transpose(3, 0, 1, 2)
+                slots = comp.a_t.reshape(comp.n_ch, comp.n_steps, n, comp.grid.n_cells)
+                slots[:, comp.n_steps - j0 - k:comp.n_steps - j0] = \
+                    states[:k, :, cols, :comp.n_ch][::-1].transpose(3, 0, 1, 2)
 
-    def solved(i) -> HumResult:
+    def solved(comp) -> HumResult:
         # one component's solve; its locals, and its a_t, go before the next
-        (_, grid, _, y1_vals, cells), (dt, n_steps), (n_left, n_ch) = parts[i], steps[i], chans[i]
-        nstate = n * grid.n_cells
-        a_t, a_ts[i] = a_ts[i].reshape(n_ch * n_steps, nstate), None
-        free = frees[i].reshape(nstate)
-        y1_flat = np.asarray(y1_vals, dtype=float).reshape(nstate)
+        n_steps, n_left, n_ch, nstate = comp.n_steps, comp.n_left, comp.n_ch, n * comp.grid.n_cells
+        a_t, comp.a_t = comp.a_t.reshape(n_ch * n_steps, nstate), None
+        free = comp.free.reshape(nstate)
+        y1_flat = np.asarray(comp.y1, dtype=float).reshape(nstate)
 
-        dx = grid.dx
+        dx = comp.grid.dx
         gram = a_t.T @ a_t
         gram *= dx
-        gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * dt
+        gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * comp.dt
         vec = a_t @ np.linalg.solve(gram, dx * (y1_flat - free))
         del gram
         residual = _l2(free + vec @ a_t - y1_flat, dx)
         # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
-        sampled = (idx[:, None] * grid.n_cells + cells).reshape(-1)
+        sampled = (idx[:, None] * comp.grid.n_cells + comp.cells).reshape(-1)
         responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, sampled]
         del a_t
 
@@ -349,14 +348,15 @@ def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
         u = vec.reshape(n_ch, n_steps)
         spectrum = np.fft.rfft(u, size)[:, :, None] * np.fft.rfft(responses, size, axis=1)
         steered = np.fft.irfft(spectrum.sum(axis=0), size, axis=0)[:n_steps]
-        samples[i][1:] += steered.reshape(n_steps, n, cells.size)
+        comp.samples[1:] += steered.reshape(n_steps, n, comp.cells.size)
 
         controls = BoundaryControls(u.T[:, :n_left] if n_left else None,
                                     u.T[:, n_left:] if n_ch > n_left else None)
-        return HumResult(controls, residual, samples[i], np.arange(n_steps + 1) * dt)
+        return HumResult(controls, residual, comp.samples, np.arange(n_steps + 1) * comp.dt)
 
-    _march(marcher, w0, max(n_steps for _, n_steps in steps), on_chunk=on_chunk)
-    return [solved(i) for i in range(len(parts))]
+    _march(_Marcher(*(comp.segment for comp in comps)), w0, max(comp.n_steps for comp in comps),
+           on_chunk=on_chunk)
+    return [solved(comp) for comp in comps]
 
 
 def _bracket(xp: np.ndarray, xq: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +396,43 @@ class TestFlagValidation:
     def test_unresolvable_nu_exits_with_one_error_line(self, tmp_path, capsys, nus, code):
         path = config_variant(tmp_path, "witness.json", Q0=[[0.0]], omega=[[0.0, 1.0]])
         assert main(["necessity", "--config", path, "--nu-list", nus]) == code
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides,command,code", [
+        ({"grid": {"cells": 10 ** 9}}, ["simulate", "--T", "0.7", "--y0", "sinpi"], 1),
+        ({"grid": {"cells": 10 ** 12}}, ["simulate", "--T", "0.7", "--y0", "sinpi"], 1),
+        ({"grid": {"cells": 10 ** 9}},
+         ["synthesize", "--T", "0.7", "--y0", "sinpi", "--y1", "zero"], 1),
+        ({"grid": {"cells": 10 ** 12}},
+         ["synthesize", "--T", "0.7", "--y0", "sinpi", "--y1", "zero"], 1),
+        ({"grid": {"cells": 10 ** 9}, "Q0": [[0.0]]}, ["necessity", "--nu-list", "1,2"], 1),
+        ({"grid": {"cells": 10 ** 12}, "Q0": [[0.0]]}, ["necessity", "--nu-list", "1,2"], 1),
+        ({}, ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "1000000000"], 2),
+        ({}, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "3"], 1),
+    ], ids=["simulate-1e9-cells", "simulate-1e12-cells", "synthesize-1e9-cells",
+            "synthesize-1e12-cells", "necessity-1e9-cells", "necessity-1e12-cells",
+            "gramian-1e9-horizons", "gramian-1e6-tmax"])
+    def test_oversized_job_refused_before_allocating(self, tmp_path, capsys,
+                                                     overrides, command, code):
+        # each is refused before its first large allocation or loop: a
+        # first state of 15 GiB or more, a 7.45 GiB horizon list, and a
+        # recurrence of 6.4e7 steps; one ERROR: line within a second and a
+        # few MB
+        path = config_variant(tmp_path, "big.json", **overrides)
+        argv = command[:1] + ["--config", path] + command[1:]
+        if command[0] == "synthesize":
+            argv += ["--out", str(tmp_path / "synth")]
+        args = build_parser().parse_args(argv)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert run(args) == code
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 4 << 20
         self._assert_one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error")

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hypctrl.obsv as obsv
 import hypctrl.pde as pde
 from hypctrl.model import ConfigError, Interval, SourceTerm
 from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
@@ -422,7 +423,7 @@ def _kernel_case(n_neg, n_pos, negative_first, bc, n_steps, seed=11, nx=40):
         bc_lo, bc_hi = pde._dirichlet_bc(lo[:, :, None]), pde._dirichlet_bc(hi[:, :, None])
         ref_lo, ref_hi = (lambda j, o: lo[j][:, None]), (lambda j, o: hi[j][:, None])
     source = rng.standard_normal((nx, n, n))
-    return (pde._Marcher(sigma, dt, dx, bc_lo, bc_hi, source),
+    return (pde._Marcher(pde._segment(sigma, dt, dx, bc_lo, bc_hi, source)),
             _ReferenceMarcher(sigma, dt, dx, ref_lo, ref_hi, source), rng)
 
 
@@ -539,8 +540,9 @@ class TestMarchingKernel:
                 else:
                     bcs.append(pde._dirichlet_bc(np.zeros((n_max, n_in, batch)))
                                if zero_series else None)
-            return (pde._Marcher(sigma, 0.95 * dx / 0.9, dx, *bcs,
-                                 rng.standard_normal((nx, 3, 3)) if source else None),
+            return (pde._Marcher(pde._segment(
+                        sigma, 0.95 * dx / 0.9, dx, *bcs,
+                        rng.standard_normal((nx, 3, 3)) if source else None)),
                     rng.standard_normal((3, nx, batch)))
 
         def states(marcher, w0, n_steps):
@@ -551,7 +553,7 @@ class TestMarchingKernel:
 
         parts = [segment(seed, nx, ends, source)
                  for seed, (nx, _, *ends, source) in enumerate(segments)]
-        row = pde._Marcher.row([marcher for marcher, _ in parts])
+        row = pde._Marcher(*(seg for marcher, _ in parts for seg in marcher.segments))
         assert len({marcher.dt for marcher, _ in parts}) == len(parts)
         w0 = np.zeros((3, row.width - 2, batch))
         at = 0
@@ -580,7 +582,7 @@ class TestMarchingKernel:
                 return lambda j, forcing=None: np.add(src.inner, np.inf if j == 1 else 0.0,
                                                       out=dst.inner)
 
-        marcher = LosesFiniteness(np.ones((2, 8)), 0.1, 0.125, None, None)
+        marcher = LosesFiniteness(pde._segment(np.ones((2, 8)), 0.1, 0.125, None, None))
         chunks = []
         with pytest.raises(RuntimeError, match=f"finiteness at step {pde.NAN_CHECK_EVERY}$"):
             pde._march(marcher, np.ones((2, 8, 3)), 200,
@@ -660,7 +662,7 @@ class TestMarchingKernel:
                 return lambda j, forcing=None: np.add(src.inner, np.inf if j == 1 else 0.0,
                                                       out=dst.inner)
 
-        marcher = LosesFiniteness(np.ones((2, 8)), 0.1, 0.125, None, None)
+        marcher = LosesFiniteness(pde._segment(np.ones((2, 8)), 0.1, 0.125, None, None))
         # steps between the periodic checks are caught by the final one
         with pytest.raises(RuntimeError, match="finiteness at step 5"):
             pde._march(marcher, np.ones((2, 8, 3)), 5)
@@ -692,6 +694,26 @@ class TestMarchingKernel:
         monkeypatch.setattr(marcher, "states", None)
         with pytest.raises(ValueError, match=f"needs {3 * work} element-steps"):
             pde._march(marcher, np.zeros((2, 64, 3)), n_steps)
+
+    def test_gramian_work_guard(self, spec_2x2, monkeypatch):
+        # a Gramian recurrence of steps x 2K gathers x nstate^2 values above
+        # MARCH_WORK_LIMIT is refused before its nstate^2 buffers; at the
+        # limit the sweep runs
+        grid, nstate = Grid(0.0, 1.0, 200), 400
+        sweep = sigma_min_sweep(spec_2x2, [0.2, 0.3], spec_2x2.omega, grid)
+        rows, _ = obsv._one_step_operator(spec_2x2, grid, sweep.dt)
+        work = (round(0.3 / sweep.dt) - 1) * 2 * rows.shape[0] * nstate ** 2
+        monkeypatch.setattr(pde, "MARCH_WORK_LIMIT", work)
+        assert sigma_min_sweep(spec_2x2, [0.2, 0.3], spec_2x2.omega, grid) == sweep
+        monkeypatch.setattr(pde, "MARCH_WORK_LIMIT", work - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"needs {work} element-steps"):
+                sigma_min_sweep(spec_2x2, [0.2, 0.3], spec_2x2.omega, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * nstate ** 2
 
     def test_final_only_storage(self, spec_2x2):
         grid = Grid(0.0, 1.0, 64)
