@@ -17,7 +17,7 @@ where a number is a JSON number in the float range, not a string, boolean or
 null; [...] is a nonempty list of numbers, and a matrix a nonempty list of
 equal-length lists of numbers.  Parsing is strict: unknown keys anywhere are
 rejected.  Exit codes: 0 on success; 1 on a numerical failure (a solution or
-Gramian that lost finiteness, the size, memory and work guards) or an
+Gramian that lost finiteness, the memory and work guards) or an
 output that cannot be written; 2 on malformed or invalid configuration,
 flag values or input files, and on a request the configuration cannot pose
 (``omegahat`` when the closure of omega covers [0, 1], ``necessity`` when
@@ -44,7 +44,8 @@ import numpy as np
 from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, CouplingSpec,
                     RankError, SourceTerm, SpeedProfile, SystemSpec)
-from .obsv import detect_threshold, necessity_horizon, necessity_sweep, sigma_min_sweep
+from .obsv import (_gramian_plan, detect_threshold, necessity_horizon, necessity_sweep,
+                   sigma_min_sweep)
 from .pde import ControlField, Grid, StateField, _check_state, _forward, _resolve_steps
 from .synth import assemble_internal_control
 from .times import minimal_control_time, refine_control_region
@@ -395,10 +396,11 @@ def _cmd_gramian(cfg: RunConfig, args, out):
     # the sweep's Courant factor; its horizons snap to whole steps up to
     # --tmax, so more horizons than steps only repeat one
     cfl = 1.0
-    _, n_steps = _resolve_steps(cfg.spec, cfg.grid, args.tmax, cfl, positive=True)
+    dt, n_steps = _resolve_steps(cfg.spec, cfg.grid, args.tmax, cfl, positive=True)
     if args.steps > n_steps:
         raise ConfigError(f"--steps: at most the {n_steps} steps of the sweep up to "
                           f"--tmax, got {args.steps}")
+    _gramian_plan(cfg.spec, cfg.grid, dt, n_steps)  # the sweep's sizing, before its horizons
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid, cfl)
     out.write("T,sigma_min\n")

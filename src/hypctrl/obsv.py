@@ -39,11 +39,9 @@ import numpy as np
 from .canon import canonical_form
 from .model import (BelowThresholdError, ConfigError, ControlDomain, Interval,
                     RankError, SpeedProfile, SystemSpec)
-from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _check_horizon,
-                  _check_work, _march, _resolve_steps, _slopes_at)
+from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _check_bytes,
+                  _check_horizon, _check_work, _march, _resolve_steps, _slopes_at)
 from .times import characteristic_position, characteristic_time, travel_time
-
-GRAMIAN_STATE_LIMIT = 4000
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,30 @@ class GramianSweepResult:
     dt: float
     snapped_times: tuple[float, ...]
 
-    @property
-    def sigma_min(self) -> np.ndarray:
-        return np.array([s for _, s in self.points])
+
+def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, dense: bool = False):
+    """The one-step operator (rows, vals) and block partition of a recurrence
+    of ``last`` windows, refused first on its bytes (three nstate^2 buffers
+    and the dense symmetrized Gramian, or the largest gathered stack of
+    blocks with its symmetrized and LAPACK copies), then on its work."""
+    nstate = spec.n * grid.n_cells
+    rows, vals = _one_step_operator(spec, grid, dt)
+    blocks = _block_partition(rows, vals)
+    extra = nstate ** 2 if dense else 3 * max(
+        (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0)
+    _check_bytes(f"Gramian recurrence over {nstate}^2 values", 8 * (3 * nstate ** 2 + extra))
+    _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
+                f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
+    return rows, vals, blocks
 
 
 def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
-                     dt: float, stops: set[int], on_window):
-    """Hand the Gramian of each window [T - k dt, T], k in ``stops``, to
-    ``on_window(k, gram, blocks)``: ``gram`` is the running buffer, not
+                     dt: float, stops, dense: bool = False):
+    """Yield ``(k, gram, blocks)`` for the window [T - k dt, T] of each k of
+    the ascending ``stops``: ``gram`` is the running buffer, not
     symmetrized and overwritten by the next step, and ``blocks`` the
     partition of ``_block_partition``, which keeps every window
-    block-diagonal.
+    block-diagonal.  ``_gramian_plan`` sizes the recurrence first.
 
     The windows are nested and obey the backward Stein recurrence
 
@@ -75,31 +85,23 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
     column-sparse one-step adjoint operator of ``_one_step_operator``: A^T G A
     costs K row gathers and K column gathers, K the most nonzeros in a
     column of A, so a step is O(K * nstate^2) on three nstate^2 buffers.
-    A recurrence of more than ``MARCH_WORK_LIMIT`` gathered values (steps
-    times 2K times nstate^2) is refused before those buffers.
     """
-    n, nx = spec.n, grid.n_cells
-    nstate = n * nx
-    if nstate > GRAMIAN_STATE_LIMIT:
-        raise ValueError(f"state dimension {nstate} exceeds the Gramian guard "
-                         f"({GRAMIAN_STATE_LIMIT})")
-    rows, vals = _one_step_operator(spec, grid, dt)
-    last = max(stops)
-    _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
-                f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
-    blocks = _block_partition(rows, vals)
-
-    diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), n)) * (nstate + 1)
+    last = int(stops[-1])
+    rows, vals, blocks = _gramian_plan(spec, grid, dt, last, dense)
+    nstate = rows.shape[1]
+    diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), spec.n)) * (nstate + 1)
     w = dt * grid.dx
     gram = np.zeros((nstate, nstate))
     gram.flat[diag] = w
     nxt = np.empty_like(gram)
     part = np.empty_like(gram)
+    i = 0
     for k in range(1, last + 1):
-        if (k % NAN_CHECK_EVERY == 0 or k in stops) and not np.isfinite(gram).all():
+        if (k % NAN_CHECK_EVERY == 0 or k == stops[i]) and not np.isfinite(gram).all():
             raise RuntimeError(f"Gramian lost finiteness at step {k}")
-        if k in stops:
-            on_window(k, gram, blocks)
+        if k == stops[i]:
+            yield k, gram, blocks
+            i += 1
         if k == last:
             break
         _gather(gram, rows, vals, 0, nxt, part)     # A^T G
@@ -218,10 +220,8 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     default Courant factor is 1, not the solvers' 0.9 (see the module note).
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
-    grams = []
-    _gramian_windows(spec, omega, grid, dt, {n_steps},
-                     lambda k, gram, blocks: grams.append(0.5 * (gram + gram.T)))
-    return grams[0]
+    for _, gram, _ in _gramian_windows(spec, omega, grid, dt, [n_steps], dense=True):
+        return 0.5 * (gram + gram.T)
 
 
 def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
@@ -238,30 +238,27 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     alone.  A dense Gramian is the one-block case and gets the same
     ``eigvalsh`` call on the same matrix as a whole-matrix solve.
     """
-    t_list = [float(t) for t in t_list]
-    if not t_list or any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
+    ts = np.asarray(t_list, dtype=float)
+    if ts.ndim != 1 or not ts.size or np.any(np.diff(ts) <= 0.0):
         raise ConfigError("horizons must be a nonempty, strictly increasing list")
-    for t in t_list:
-        _check_horizon(t, positive=True)
+    bad = ~(np.isfinite(ts) & (ts > 0.0))
+    if bad.any():  # the first bad horizon names the error
+        _check_horizon(float(ts[bad.argmax()]), positive=True)
 
-    dt, _ = _resolve_steps(spec, grid, t_list[-1], cfl)
-    targets = [max(1, int(round(t / dt))) for t in t_list]
-    sigmas: dict[int, float] = {}
-
-    def smallest_eigenvalue(k, gram, blocks):
-        lows = []
-        for idx in blocks:
-            if idx.shape[1] == 1:  # a 1x1 block is its own eigenvalue
-                lows.append(gram.diagonal()[idx[:, 0]].min())
-                continue
-            sub = gram[idx[:, :, None], idx[:, None, :]]
-            lows.append(np.linalg.eigvalsh(0.5 * (sub + sub.transpose(0, 2, 1)))[:, 0].min())
-        sigmas[k] = float(min(lows) / grid.dx)
-
-    _gramian_windows(spec, omega, grid, dt, set(targets), smallest_eigenvalue)
-    points = tuple((t, sigmas[k]) for t, k in zip(t_list, targets))
-    snapped = tuple(k * dt for k in targets)
-    return GramianSweepResult(points, dt, snapped)
+    dt, _ = _resolve_steps(spec, grid, float(ts[-1]), cfl)
+    # whole steps, as floats: no integer array exists before the sizing
+    steps = np.maximum(1.0, np.rint(ts / dt))
+    stops, where = np.unique(steps, return_inverse=True)
+    sigma = np.empty(stops.size)
+    for i, (_, gram, blocks) in enumerate(_gramian_windows(spec, omega, grid, dt, stops)):
+        # 1x1 blocks (the first stack, if any) are their own eigenvalues
+        lows = [gram.diagonal()[idx[:, 0]].min() for idx in blocks if idx.shape[1] == 1]
+        lows += [np.linalg.eigvalsh(0.5 * (sub + sub.transpose(0, 2, 1)))[:, 0].min()
+                 for sub in (gram[idx[:, :, None], idx[:, None, :]]
+                             for idx in blocks if idx.shape[1] > 1)]
+        sigma[i] = min(lows) / grid.dx
+    return GramianSweepResult(tuple(zip(ts.tolist(), sigma[where].tolist())), dt,
+                              tuple((steps * dt).tolist()))
 
 
 def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | None:

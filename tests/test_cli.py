@@ -50,6 +50,8 @@ def config_variant(tmp_path, name, **overrides):
 # overflows within a few steps: 1e100 squared is not finite
 BIG_SOURCE = {"M": [[1e100, 0.0], [0.0, 1e100]], "grid": {"cells": 32, "cfl": 0.9}}
 GRAMIAN = ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "3"]
+# the demo config's grid: 2e8 steps up to --tmax 1e6
+DEMO_GRID = {"grid": {"cells": 200, "cfl": 0.9}}
 # dx / max|lambda| is subnormal, so a horizon is not a finite number of steps
 HUGE_SPEED = {"speeds": [{"type": "constant", "value": -1e308},
                          {"type": "constant", "value": 1.0}]}
@@ -410,15 +412,19 @@ class TestFlagValidation:
         ({"grid": {"cells": 10 ** 12}, "Q0": [[0.0]]}, ["necessity", "--nu-list", "1,2"], 1),
         ({}, ["gramian", "--tmin", "0.3", "--tmax", "0.7", "--steps", "1000000000"], 2),
         ({}, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "3"], 1),
+        (DEMO_GRID, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "1000000"], 1),
+        (DEMO_GRID, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "100000000"], 1),
+        (DEMO_GRID, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "1000000000"], 2),
     ], ids=["simulate-1e9-cells", "simulate-1e12-cells", "synthesize-1e9-cells",
             "synthesize-1e12-cells", "necessity-1e9-cells", "necessity-1e12-cells",
-            "gramian-1e9-horizons", "gramian-1e6-tmax"])
+            "gramian-1e9-horizons", "gramian-1e6-tmax", "gramian-1e6-tmax-1e6-horizons",
+            "gramian-1e6-tmax-1e8-horizons", "gramian-1e6-tmax-1e9-horizons"])
     def test_oversized_job_refused_before_allocating(self, tmp_path, capsys,
                                                      overrides, command, code):
         # each is refused before its first large allocation or loop: a
         # first state of 15 GiB or more, a 7.45 GiB horizon list, and a
-        # recurrence of 6.4e7 steps; one ERROR: line within a second and a
-        # few MB
+        # recurrence of 2e8 steps, also before a horizon list of up to 0.8
+        # GB; one ERROR: line within a second and a few MB
         path = config_variant(tmp_path, "big.json", **overrides)
         argv = command[:1] + ["--config", path] + command[1:]
         if command[0] == "synthesize":

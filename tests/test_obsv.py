@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypctrl.canon import canonical_form
-from hypctrl.model import SourceTerm, SpeedProfile
+from hypctrl.cli import EXIT_CODES
+from hypctrl.model import ConfigError, SourceTerm, SpeedProfile
 from hypctrl.obsv import (_block_partition, _gramian_windows,
                           _one_step_operator, detect_threshold, kernel_vector,
                           necessity_sweep, necessity_witness, observability_gramian,
@@ -57,8 +59,63 @@ class TestGramian:
         assert abs(sigmas[0] - sigmas[1]) <= 0.2 * max(sigmas)
 
     def test_memory_guard(self, spec_2x2):
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(ValueError, match="bytes, above the limit of"):
             observability_gramian(spec_2x2, 0.5, spec_2x2.omega, Grid(0.0, 1.0, 4000))
+
+    @pytest.mark.parametrize("cells,call,message", [
+        (4000, lambda spec, grid: observability_gramian(spec, 0.5, spec.omega, grid),
+         "bytes, above the limit of"),
+        (2100, lambda spec, grid: sigma_min_sweep(spec, [0.3, 0.5, 0.7], spec.omega, grid),
+         "element-steps, above the limit of"),
+    ], ids=["bytes", "work"])
+    def test_oversized_gramian_refused_before_its_buffers(self, spec_2x2, cells, call,
+                                                          message):
+        # 8000^2 doubles are three times 512 MB; 4200^2 fit in 1 GiB three
+        # times over, but 1470 steps of them are above the work limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                call(spec_2x2, Grid(0.0, 1.0, cells))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("cells,horizons,layout", [
+    (200, [0.3, 0.5, 0.7], [(400, 1)]),
+    (300, [0.2, 0.3], [(1, 600)]),
+    (200, [0.7], None),
+], ids=["singletons", "one-block", "observability-gramian"])
+def test_gramian_bytes_match_traced_peak(spec_2x2, monkeypatch, cells, horizons, layout):
+    # the bytes the recurrence is refused on against its traced peak: a
+    # sweep at Courant 1 keeps 1x1 blocks; at 300 cells cfl_dt lands a hair
+    # below Courant 1 and the partition is one block.  LAPACK's eigvalsh
+    # copies the block it solves where tracemalloc does not see it, so that
+    # copy is added to the traced memory at the call
+    import hypctrl.obsv as obsv
+    grid = Grid(0.0, 1.0, cells)
+    if layout is not None:
+        dt = cfl_dt(spec_2x2, grid, 1.0, horizons[-1])
+        blocks = _block_partition(*_one_step_operator(spec_2x2, grid, dt))
+        assert [idx.shape for idx in blocks] == layout
+    predicted, solves = [], []
+    check, eigvalsh = obsv._check_bytes, np.linalg.eigvalsh
+    monkeypatch.setattr(obsv, "_check_bytes",
+                        lambda what, size: predicted.append(size) or check(what, size))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(
+        tracemalloc.get_traced_memory()[0] + 8 * a.shape[-1] ** 2) or eigvalsh(a))
+    tracemalloc.start()
+    try:
+        if layout is None:
+            observability_gramian(spec_2x2, horizons[0], spec_2x2.omega, grid)
+        else:
+            sigma_min_sweep(spec_2x2, horizons, spec_2x2.omega, grid)
+        peak = max([tracemalloc.get_traced_memory()[1]] + solves)
+    finally:
+        tracemalloc.stop()
+    assert len(predicted) == 1 and bool(solves) == (layout == [(1, 600)])
+    assert abs(predicted[0] - peak) <= 0.25 * peak
 
 
 def forward_gramians(spec, grid, dt, stops):
@@ -86,8 +143,8 @@ def forward_gramians(spec, grid, dt, stops):
 
 def recurrence_gramians(spec, grid, dt, stops):
     out = {}
-    _gramian_windows(spec, spec.omega, grid, dt, stops,
-                     lambda k, gram, blocks: out.setdefault(k, 0.5 * (gram + gram.T)))
+    for k, gram, _ in _gramian_windows(spec, spec.omega, grid, dt, sorted(stops)):
+        out[k] = 0.5 * (gram + gram.T)
     return out
 
 
@@ -274,7 +331,7 @@ class TestSigmaMinSweep:
                                 spec_2x2.omega, grid)
         sig = dict(sweep.points)
         assert sig[0.4] <= 1e-8 * max(sig[0.6], 1e-30)
-        assert np.all(np.diff(sweep.sigma_min) >= -1e-10)
+        assert np.all(np.diff([s for _, s in sweep.points]) >= -1e-10)
         assert detect_threshold(sweep) == pytest.approx(0.5, abs=0.051)
 
     def test_full_domain_always_observable(self, spec_full_domain):
@@ -282,6 +339,56 @@ class TestSigmaMinSweep:
         sweep = sigma_min_sweep(spec_full_domain, [0.1, 0.2], spec_full_domain.omega,
                                 grid)
         assert all(s > 0.05 for _, s in sweep.points)
+
+    def test_overflowing_horizon_refused_by_the_work_guard(self, spec_2x2):
+        # 1e300 snaps to a step count no machine integer holds; the work
+        # guard names it exactly, before the recurrence's buffers
+        grid = Grid(0.0, 1.0, 200)
+        dt = cfl_dt(spec_2x2, grid, 1.0, 1e300)
+        gathers = 2 * _one_step_operator(spec_2x2, grid, dt)[0].shape[0]
+        steps = round(1e300 / dt) - 1
+        message = (f"Gramian recurrence of {steps} steps of {gathers} gathers over 400^2 "
+                   f"values needs {steps * gathers * 400 ** 2} element-steps, above the "
+                   f"limit of 10000000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sigma_min_sweep(spec_2x2, [0.3, 1e300], spec_2x2.omega, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 400 ** 2
+
+    @pytest.mark.parametrize("cfl", [1.0, 0.9])
+    def test_horizons_on_one_step_share_it(self, spec_2x2, cfl):
+        # each horizon snaps to its nearest whole step (ties to even, as
+        # round does); horizons on one step share its sigma_min and time
+        grid = Grid(0.0, 1.0, 32)
+        dt = cfl_dt(spec_2x2, grid, cfl, 0.7)
+        ts = [0.3, 19.6 * dt, 20.0 * dt, 20.4 * dt, 0.7]
+        sweep = sigma_min_sweep(spec_2x2, ts, spec_2x2.omega, grid, cfl)
+        steps = [max(1, round(t / sweep.dt)) for t in ts]
+        assert sweep.snapped_times == tuple(k * sweep.dt for k in steps)
+        assert [t for t, _ in sweep.points] == ts
+        sigma = dict(zip(steps, (s for _, s in sweep.points)))
+        assert [s for _, s in sweep.points] == [sigma[k] for k in steps]
+        assert steps[1] == steps[2] == steps[3] and sigma[steps[1]] > 0.0
+        alone = sigma_min_sweep(spec_2x2, [ts[3], 0.7], spec_2x2.omega, grid, cfl)
+        assert alone.points[0][1] == sweep.points[3][1]
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_horizons_in_any_sequence(self, spec_2x2, kind):
+        grid = Grid(0.0, 1.0, 32)
+        ref = sigma_min_sweep(spec_2x2, [0.3, 0.5, 0.7], spec_2x2.omega, grid)
+        assert sigma_min_sweep(spec_2x2, kind([0.3, 0.5, 0.7]), spec_2x2.omega, grid) == ref
+
+    @pytest.mark.parametrize("bad", [[], [float("nan")], [0.3, float("inf")], [0.5, 0.3]],
+                             ids=["empty", "nan", "inf", "decreasing"])
+    def test_bad_horizons_exit_2(self, spec_2x2, bad):
+        with pytest.raises(ConfigError) as err:
+            sigma_min_sweep(spec_2x2, bad, spec_2x2.omega, Grid(0.0, 1.0, 32))
+        assert next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(err.value, kind)) == 2
 
     def test_unsorted_horizons_rejected(self, spec_2x2):
         with pytest.raises(ValueError):
