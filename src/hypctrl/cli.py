@@ -400,9 +400,9 @@ def _cmd_gramian(cfg: RunConfig, args, out):
     if args.steps > n_steps:
         raise ConfigError(f"--steps: at most the {n_steps} steps of the sweep up to "
                           f"--tmax, got {args.steps}")
-    _gramian_plan(cfg.spec, cfg.grid, dt, n_steps)  # the sweep's sizing, before its horizons
+    plan = _gramian_plan(cfg.spec, cfg.grid, dt, n_steps)  # sized before the horizons
     ts = np.linspace(args.tmin, args.tmax, args.steps)
-    sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid, cfl)
+    sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid, cfl, plan)
     out.write("T,sigma_min\n")
     for t, s in sweep.points:
         out.write(f"{_fmt(t)},{_fmt(s)}\n")

@@ -55,27 +55,29 @@ class GramianSweepResult:
 
 def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, dense: bool = False):
     """The one-step operator (rows, vals) and block partition of a recurrence
-    of ``last`` windows, refused first on its bytes (three nstate^2 buffers
-    and the dense symmetrized Gramian, or the largest gathered stack of
-    blocks with its symmetrized and LAPACK copies), then on its work."""
+    of ``last`` windows, refused on its nstate^2 buffers before the probes,
+    then with 3 copies of the largest gathered block stack, then on its work."""
     nstate = spec.n * grid.n_cells
+    what, size = f"Gramian recurrence over {nstate}^2 values", 8 * (3 + dense) * nstate ** 2
+    _check_bytes(what, size)
     rows, vals = _one_step_operator(spec, grid, dt)
     blocks = _block_partition(rows, vals)
-    extra = nstate ** 2 if dense else 3 * max(
-        (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0)
-    _check_bytes(f"Gramian recurrence over {nstate}^2 values", 8 * (3 * nstate ** 2 + extra))
+    if not dense:
+        _check_bytes(what, size + 24 * max(
+            (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0))
     _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
                 f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
     return rows, vals, blocks
 
 
 def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
-                     dt: float, stops, dense: bool = False):
+                     dt: float, stops, plan=None):
     """Yield ``(k, gram, blocks)`` for the window [T - k dt, T] of each k of
     the ascending ``stops``: ``gram`` is the running buffer, not
     symmetrized and overwritten by the next step, and ``blocks`` the
     partition of ``_block_partition``, which keeps every window
-    block-diagonal.  ``_gramian_plan`` sizes the recurrence first.
+    block-diagonal.  ``plan`` is the recurrence's ``_gramian_plan``, built
+    here when not given.
 
     The windows are nested and obey the backward Stein recurrence
 
@@ -87,7 +89,7 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
     column of A, so a step is O(K * nstate^2) on three nstate^2 buffers.
     """
     last = int(stops[-1])
-    rows, vals, blocks = _gramian_plan(spec, grid, dt, last, dense)
+    rows, vals, blocks = plan or _gramian_plan(spec, grid, dt, last)
     nstate = rows.shape[1]
     diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), spec.n)) * (nstate + 1)
     w = dt * grid.dx
@@ -220,12 +222,13 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     default Courant factor is 1, not the solvers' 0.9 (see the module note).
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
-    for _, gram, _ in _gramian_windows(spec, omega, grid, dt, [n_steps], dense=True):
+    plan = _gramian_plan(spec, grid, dt, n_steps, dense=True)
+    for _, gram, _ in _gramian_windows(spec, omega, grid, dt, [n_steps], plan):
         return 0.5 * (gram + gram.T)
 
 
 def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
-                    cfl: float = 1.0) -> GramianSweepResult:
+                    cfl: float = 1.0, plan=None) -> GramianSweepResult:
     """Smallest Gramian eigenvalue (dx-weighted) for each horizon in t_list.
 
     One recurrence serves all horizons: the Gramian windows are nested, so
@@ -236,7 +239,9 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     blocks: the diagonal entry of each 1x1 block, and one batched
     ``eigvalsh`` per size of the larger blocks, each block symmetrized
     alone.  A dense Gramian is the one-block case and gets the same
-    ``eigvalsh`` call on the same matrix as a whole-matrix solve.
+    ``eigvalsh`` call on the same matrix as a whole-matrix solve.  ``plan``
+    is the ``_gramian_plan`` up to the last horizon's step, for a caller that
+    sized the sweep before building its horizons.
     """
     ts = np.asarray(t_list, dtype=float)
     if ts.ndim != 1 or not ts.size or np.any(np.diff(ts) <= 0.0):
@@ -250,7 +255,7 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     steps = np.maximum(1.0, np.rint(ts / dt))
     stops, where = np.unique(steps, return_inverse=True)
     sigma = np.empty(stops.size)
-    for i, (_, gram, blocks) in enumerate(_gramian_windows(spec, omega, grid, dt, stops)):
+    for i, (_, gram, blocks) in enumerate(_gramian_windows(spec, omega, grid, dt, stops, plan)):
         # 1x1 blocks (the first stack, if any) are their own eigenvalues
         lows = [gram.diagonal()[idx[:, 0]].min() for idx in blocks if idx.shape[1] == 1]
         lows += [np.linalg.eigvalsh(0.5 * (sub + sub.transpose(0, 2, 1)))[:, 0].min()
