@@ -25,7 +25,9 @@ Four solvers are thin wrappers around one stepping loop, ``_march``:
 
 * ``solve_forward``            -- the controlled system on (0, 1);
 * ``solve_backward``           -- the time-reversed uncontrolled system
-                                  (couplings invert), marched via s = T - t;
+                                  (couplings invert), marched via s = T - t
+                                  and mirrored in space, x -> 1 - x, which
+                                  makes it a forward-oriented segment;
 * ``solve_boundary_forward``   -- the system restricted to a subinterval with
                                   Dirichlet control data on the control ends;
 * ``solve_adjoint``            -- the adjoint system, whose reflections at
@@ -33,14 +35,17 @@ Four solvers are thin wrappers around one stepping loop, ``_march``:
                                   R0 = -Lambda_+(0) Q0 Lambda_-(0)^-1 and
                                   R1 = -Lambda_-(1) Q1 Lambda_+(1)^-1.
 
-It also drives the sweeps and witness of ``obsv`` and the HUM row of
-``synth``, which marches every complement component of a synthesis as one
-row of segments.  A march returns its final batch; its other states leave it a
-chunk of ``NAN_CHECK_EVERY`` steps at a time, after a finiteness check, with
-no Python callback per step: into a caller's buffer of every state (a
+It also drives the sweeps and witness of ``obsv`` and the two rows of
+``synth``: the HUM row, which marches every complement component of a
+synthesis as one row of segments, and the glue row of the free forward and
+the mirrored backward solution.  A march returns its final batch; its other
+states leave it with no Python callback per step: each step copies each
+segment's cells into a caller's buffer of every state for that segment (a
 solver's trajectory, which ``_evolve`` alone allocates, in forward-time order
-even backward, and refuses above ``TRAJECTORY_BYTES_LIMIT``) or into a record
-of the chunk handed over once.
+and on the grid's cells even when marched backward and mirrored, and refuses
+above ``TRAJECTORY_BYTES_LIMIT``; or the glue's two trajectories), or copies
+the row into a record of the chunk, handed over once per chunk of
+``NAN_CHECK_EVERY`` steps after a finiteness check.
 
 This module decides every horizon: each entry point that takes one, here and
 in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
@@ -259,8 +264,8 @@ class _Marcher:
     boundary writers, the segments share their sign families, and two pad
     cells separate neighbours.  ``_Marcher(*segments)`` is the one
     constructor (a one-segment row is the plain march); the row's interior
-    holds each segment's cells at its offset (the sum of the earlier
-    segments' cells plus two), with zeros between them.
+    holds each segment's cells at its columns ``cols[i]`` (offset by the
+    earlier segments' cells plus two each), with zeros between them.
 
     Boundary conditions bind as ``bc(outflow, out)`` to a segment's outgoing
     trace (n_out, B) and inflow ghosts (n_in, B) and return the writer
@@ -288,8 +293,12 @@ class _Marcher:
         first, rest = slice(0, split), slice(split, n)
         self.pos, self.neg = (first, rest) if pos[0] else (rest, first)
         self.segments = segments
+        # each segment's cells among the row's interior columns, and the
         # columns of the padded row
-        self.width = sum(courant.shape[1] + 2 for courant, *_ in segments)
+        ends = np.cumsum([courant.shape[1] + 2 for courant, *_ in segments]).tolist()
+        self.cols = tuple(slice(end - courant.shape[1] - 2, end - 2)
+                          for end, (courant, *_) in zip(ends, segments))
+        self.width = ends[-1]
         # a number, or in a row of unequal steps one dt per padded column
         dts = np.concatenate([np.full(courant.shape[1] + 2, dt) for courant, dt, *_ in segments])
         self.dt = float(dts[0]) if np.all(dts == dts[0]) else dts
@@ -307,12 +316,9 @@ class _Marcher:
         the first holding ``w``; ``forcing`` says whether steps get one."""
         n, nx, batch = w.shape
         table = np.zeros((n, nx + 2, batch))
-        at = 0
-        for courant, *_ in self.segments:
-            cells = courant.shape[1]
-            table[self.pos, at:at + cells] = courant[self.pos, :, None]
-            table[self.neg, at + 1:at + cells + 1] = courant[self.neg, :, None]
-            at += cells + 2
+        for (courant, *_), cols in zip(self.segments, self.cols):
+            table[self.pos, cols] = courant[self.pos, :, None]
+            table[self.neg, cols.start + 1:cols.stop + 1] = courant[self.neg, :, None]
         gain = np.zeros(table.shape) if forcing or self.source is not None else None
         dt = self.dt
         if np.ndim(dt):
@@ -329,14 +335,12 @@ class _Marcher:
         _, width, batch = src.buf.shape
         diff, table, gain, dt = src.scratch
         x, y, xbuf, source = src.flat, dst.flat, src.buf, self.source
-        writers, at = [], 0
-        for courant, _, bc_lo, bc_hi, _ in self.segments:
-            end = at + courant.shape[1]
+        writers = []
+        for (_, _, bc_lo, bc_hi, _), cols in zip(self.segments, self.cols):
             if bc_lo is not None:
-                writers.append(bc_lo(xbuf[self.neg, at + 1], xbuf[self.pos, at]))
+                writers.append(bc_lo(xbuf[self.neg, cols.start + 1], xbuf[self.pos, cols.start]))
             if bc_hi is not None:
-                writers.append(bc_hi(xbuf[self.pos, end], xbuf[self.neg, end + 1]))
-            at = end + 2
+                writers.append(bc_hi(xbuf[self.pos, cols.stop], xbuf[self.neg, cols.stop + 1]))
         ahead, behind = x[batch:], x[:-batch]
         lo, hi = _run(self.pos, width - 2, batch)
         x_pos, d_pos, y_pos = x[lo:hi], diff[lo - batch:hi - batch], y[lo:hi]
@@ -401,24 +405,27 @@ def _check_work(what: str, work: int):
 
 
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
-           forcing: np.ndarray | None = None, on_chunk=None, out: np.ndarray | None = None):
+           forcing: np.ndarray | None = None, on_chunk=None, out: tuple | None = None):
     """March an (n, N) state or (n, N, B) batch and return the final batch,
     the (n, N, B) interior of a padded buffer; in a row of segments N
-    counts the pad cells between them, and the states handed out hold each
-    segment's cells at its offset.  ``forcing[j]`` (n, N) enters step j.
+    counts the pad cells between them.  ``forcing[j]`` (n, N) enters step j.
     After the work check (values times steps), the two states of
     ``marcher`` and the two steps between them are bound once; the steps
     alternate, allocate nothing and run in chunks of ``NAN_CHECK_EVERY``.
-    Each step copies its state into ``out``, a caller's (n_steps+1, n, N, B)
-    buffer of every state (a reversed view stores the last state first), or,
-    without one, into a record of the chunk when ``on_chunk`` is given.  A
-    chunk ends with a finiteness check and ``on_chunk(j0, states)``: the
-    (k, n, N, B) states j0..j0+k-1, and the final state too in the last chunk.
+    Each step copies each segment's cells into that segment's buffer of
+    ``out``, one caller's (n_steps+1, n, N_i, B) buffer of every state per
+    segment (a view reversed in time stores the last state first, one
+    reversed in cells stores them mirrored), or, without ``out``, copies the
+    row into a record of the chunk when ``on_chunk`` is given, where each
+    segment's cells sit at its offset.  A chunk ends with a finiteness check
+    and ``on_chunk(j0, states)``: the (k, n, N, B) states j0..j0+k-1 of the
+    record or of the first buffer, and the final state too in the last chunk.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
     _check_work(f"march of {n_steps} steps over {w.size} values", w.size * n_steps)
-    record = (np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape)
-              if out is None and on_chunk is not None else None)
+    record = ((np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape),)
+              if out is None and on_chunk is not None else ())
+    cols = (slice(None),) if out is None else marcher.cols
     pair = marcher.states(w, forcing is not None)
     steps = marcher.stepper(*pair), marcher.stepper(*pair[::-1])
     inners = pair[0].inner, pair[1].inner
@@ -428,33 +435,40 @@ def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
     forcing = None if forcing is None else forcing[:, :, :, None]
     for j0 in range(0, max(n_steps, 1), NAN_CHECK_EVERY):
         k = min(NAN_CHECK_EVERY, n_steps - j0)
-        chunk = record if out is None else out[j0:]
-        if chunk is not None:
-            chunk[0] = w
+        chunks = record if out is None else tuple(buf[j0:] for buf in out)
+        for chunk, c in zip(chunks, cols):
+            chunk[0] = w[:, c]
+        # per state of the pair, each store's chunk and the columns it takes
+        copies = [tuple(zip(chunks, [inner[:, c] for c in cols])) for inner in inners]
         for j in range(j0, j0 + k):
             steps[j & 1](j, None if forcing is None else forcing[j])
-            if chunk is not None:
-                chunk[j + 1 - j0] = inners[~j & 1]
+            for chunk, state in copies[~j & 1]:
+                chunk[j + 1 - j0] = state
         w = inners[(j0 + k) & 1]
         np.isfinite(w, out=finite[:, 1:-1])
         if not finite.all():
             raise RuntimeError(f"solution lost finiteness at step {j0 + k}")
         if on_chunk is not None:
-            on_chunk(j0, chunk[:k + 1] if j0 + k == n_steps else chunk[:k])
+            on_chunk(j0, chunks[0][:k + 1] if j0 + k == n_steps else chunks[0][:k])
     return w
 
 
 def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
-            trajectory: bool = True, forcing=None, reverse: bool = False) -> EvolutionResult:
-    """March one state into a result, storing its trajectory (bytes checked,
-    in forward-time order even if ``reverse``) unless ``trajectory`` is false."""
+            trajectory: bool = True, forcing=None, reverse: bool = False,
+            mirror: bool = False) -> EvolutionResult:
+    """March one state into a result, storing its trajectory (bytes checked)
+    unless ``trajectory`` is false.  A ``reverse`` march runs backward in
+    time and a ``mirror`` march on the cells mirrored in space: the state
+    goes in mirrored, and the final state and the trajectory, in forward
+    time order, come out as on the grid."""
+    cells = slice(None, None, -1 if mirror else 1)
     traj = out = None
     if trajectory:
         _check_bytes(f"trajectory of {n_steps + 1} states", (n_steps + 1) * state.values.nbytes)
         traj = np.empty((n_steps + 1,) + state.values.shape)
-        out = (traj[::-1] if reverse else traj)[:, :, :, None]
-    w = _march(marcher, state.values, n_steps, forcing, out=out)
-    final = StateField(w[:, :, 0].copy(), state.grid)
+        out = ((traj[::-1] if reverse else traj)[:, :, cells, None],)
+    w = _march(marcher, state.values[:, cells], n_steps, forcing, out=out)
+    final = StateField(w[:, cells, 0].copy(), state.grid)
     return EvolutionResult(final, traj, np.arange(n_steps + 1) * dt)
 
 
@@ -510,24 +524,37 @@ def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
                    forcing=None if u is None else u.values)
 
 
+def _backward_segment(spec: SystemSpec, grid: Grid, dt: float):
+    """The time-reversed uncontrolled system's segment on ``grid`` mirrored
+    in space (x -> 1 - x), which negates the speeds back: the forward
+    Courant row with the cells reversed, the source -S on reversed cells,
+    the inverse of Q1 at its left end (x = 1) and of Q0 at its right end.
+    Negation and a reversed difference are exact, so each step is bitwise
+    the negated-speed step on the grid's own cells, and its sign families
+    are those of ``_forward_segment``: the two can share a row.  Singular
+    couplings raise ``RankError`` before anything is built."""
+    if not spec.couplings.invertible:
+        raise RankError("singular coupling matrix: Q0 and Q1 must be invertible")
+    return _segment(_speeds_at(spec, grid)[:, ::-1], dt, grid.dx,
+                    bc_lo=_coupling_bc(np.linalg.inv(spec.couplings.q1)),
+                    bc_hi=_coupling_bc(np.linalg.inv(spec.couplings.q0)),
+                    source=-spec.source.at_points(grid.centers)[::-1])
+
+
 def solve_backward(spec: SystemSpec, y1: StateField, T: float,
                    cfl: float = 0.9) -> EvolutionResult:
     """March the time-reversed uncontrolled system from y(T) = y1 down to 0.
 
     Under s = T - t the speeds negate, the source flips sign, and the
     couplings invert: the inverse of Q1 feeds the positive components at
-    x=1 and the inverse of Q0 the negative ones at x=0.  The returned
-    trajectory is indexed by forward time (trajectory[-1] equals y1).
+    x=1 and the inverse of Q0 the negative ones at x=0.  It is marched
+    mirrored in space, as ``_backward_segment``.  The returned trajectory is
+    indexed by forward time (trajectory[-1] equals y1).
     """
     grid = y1.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
-    if not spec.couplings.invertible:
-        raise RankError("singular coupling matrix: Q0 and Q1 must be invertible")
-    marcher = _Marcher(_segment(-_speeds_at(spec, grid), dt, grid.dx,
-                                bc_lo=_coupling_bc(np.linalg.inv(spec.couplings.q0)),
-                                bc_hi=_coupling_bc(np.linalg.inv(spec.couplings.q1)),
-                                source=-spec.source.at_points(grid.centers)))
-    return _evolve(marcher, y1, n_steps, dt, reverse=True)
+    return _evolve(_Marcher(_backward_segment(spec, grid, dt)), y1, n_steps, dt,
+                   reverse=True, mirror=True)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ y_out to the full-domain solution y_in:
     y = xi y_out + (1 - xi) y_in,
     u = xi'(x) Lambda(x) (y_out - y_in) + (1 - xi) u_in.
 
-The control is supported in omega, is written over the stored forward
+The free forward and backward solutions come from one march of a row of
+two segments, the forward system and the backward one mirrored in space
+(x -> 1 - x), each step copied straight into its own trajectory.  The
+control is supported in omega, is written over the stored forward
 trajectory, and needs y_out and y_in only where xi' != 0; its peak memory is
 checked before the first march, and its re-simulation verifies the synthesis.
 """
@@ -36,9 +39,9 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _check_bytes, _forward, _forward_segment, _march,
-                  _Marcher, _resolve_steps, _speeds_at, sample_state, solve_backward,
-                  solve_forward)
+                  StateField, _backward_segment, _check_bytes, _forward,
+                  _forward_segment, _march, _Marcher, _resolve_steps, _speeds_at,
+                  sample_state)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -144,17 +147,27 @@ def _l2(values: np.ndarray, dx: float) -> float:
 def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
     """Forward/backward blend: the control eta'(t) (y_f - y_b), written over
     the forward trajectory, and y_in = eta y_f + (1 - eta) y_b (the general
-    case's inner solution) at ``cells`` only; the backward trajectory dies."""
-    fwd = solve_forward(spec, y0f, None, T, cfl)
-    bwd = solve_backward(spec, y1f, T, cfl).trajectory
+    case's inner solution) at ``cells`` only; the backward trajectory dies.
+    Both free solutions come from one row march, the forward segment from
+    y0 beside ``_backward_segment`` from y1 mirrored, each state copied into
+    its own trajectory (the backward one through a view reversed in time
+    and cells)."""
+    grid = y0f.grid
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl)
+    row = _Marcher(_forward_segment(spec, grid, dt), _backward_segment(spec, grid, dt))
+    w0 = np.zeros((spec.n, row.width - 2))
+    w0[:, row.cols[0]], w0[:, row.cols[1]] = y0f.values, y1f.values[:, ::-1]
+    fwd, bwd = (np.empty((n_steps + 1,) + y0f.values.shape) for _ in range(2))
+    _march(row, w0, n_steps, out=(fwd[..., None], bwd[::-1, :, ::-1, None]))
+    times = np.arange(n_steps + 1) * dt
     cut = TimeCutoff(T)
-    eta = cut.value(fwd.times)[:, None, None]
-    y_in, b_in = fwd.trajectory[:, :, cells], bwd[:, :, cells]
+    eta = cut.value(times)[:, None, None]
+    y_in, b_in = fwd[:, :, cells], bwd[:, :, cells]
     y_in *= eta
     y_in += np.multiply(b_in, 1.0 - eta, out=b_in)
-    u = fwd.trajectory[:-1]
+    u = fwd[:-1]
     np.subtract(u, bwd[:-1], out=u)
-    np.multiply(cut.derivative(fwd.times[:-1])[:, None, None], u, out=u)
+    np.multiply(cut.derivative(times[:-1])[:, None, None], u, out=u)
     return u, y_in
 
 
@@ -275,17 +288,19 @@ def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
     component and the free column last.  Every impulse starts one step on:
     a unit ghost on channel c during step 0 leaves its Courant magnitude,
     exactly, in the cell it enters, so the control ends bind no writer.  A
-    component is one record (its grid, dt, step count, channels, offset and
-    buffers), solved after the march as on its own."""
+    component is one record (its grid, dt, step count, channels, columns
+    in the row and buffers), solved after the march as on its own."""
     n, idx = spec.n, np.arange(spec.n)
     batch = 1 + max(_channels(spec, interval.tag)[1] for interval, *_ in parts)
-    width = sum(grid.n_cells + 2 for _, grid, *_ in parts) - 2
-    w0, comps, at = np.zeros((n, width, batch)), [], 0
-    for interval, grid, y0_vals, y1_vals, cells in parts:
-        dt, n_steps = _resolve_steps(spec, grid, T, cfl)
+    steps = [_resolve_steps(spec, grid, T, cfl) for _, grid, *_ in parts]
+    row = _Marcher(*(_forward_segment(spec, grid, dt, interval.tag)
+                     for (interval, grid, *_), (dt, _) in zip(parts, steps)))
+    width = row.width - 2
+    w0, comps = np.zeros((n, width, batch)), []
+    for (interval, grid, y0_vals, y1_vals, cells), (dt, n_steps), (courant, *_), cols in zip(
+            parts, steps, row.segments, row.cols):
         n_left, n_ch = _channels(spec, interval.tag)
-        segment = _forward_segment(spec, grid, dt, interval.tag)
-        own, courant = w0[:, at:at + grid.n_cells], segment[0]
+        own = w0[:, cols]
         own[:, :, -1] = y0_vals
         # channel c enters the positive family's c-th row at the left end,
         # or the negative family's at the right, one step on
@@ -298,16 +313,15 @@ def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
         # holds the sampled cells' indices in a flat row state's free column
         comps.append(SimpleNamespace(
             grid=grid, y1=y1_vals, cells=cells, dt=dt, n_steps=n_steps, n_left=n_left,
-            n_ch=n_ch, at=at, segment=segment, a_t=np.empty((n_ch, n_steps, n * grid.n_cells)),
+            n_ch=n_ch, cols=cols, a_t=np.empty((n_ch, n_steps, n * grid.n_cells)),
             samples=np.empty((n_steps + 1, n, cells.size)), free=np.empty((n, grid.n_cells)),
-            take=((idx[:, None] * width + at + cells) * batch + batch - 1).reshape(-1)))
-        at += grid.n_cells + 2
+            take=((idx[:, None] * width + cols.start + cells) * batch + batch - 1).reshape(-1)))
 
     def on_chunk(j0, states):
         j1 = j0 + len(states)
         flat = states.reshape(j1 - j0, -1)
         for comp in comps:
-            cols = slice(comp.at, comp.at + comp.grid.n_cells)
+            cols = comp.cols
             # the free column's states 0..n_steps
             k = min(j1, comp.n_steps + 1) - j0
             if k > 0:
@@ -354,8 +368,7 @@ def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
                                     u.T[:, n_left:] if n_ch > n_left else None)
         return HumResult(controls, residual, comp.samples, np.arange(n_steps + 1) * comp.dt)
 
-    _march(_Marcher(*(comp.segment for comp in comps)), w0, max(comp.n_steps for comp in comps),
-           on_chunk=on_chunk)
+    _march(row, w0, max(comp.n_steps for comp in comps), on_chunk=on_chunk)
     return [solved(comp) for comp in comps]
 
 

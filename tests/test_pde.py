@@ -5,7 +5,7 @@ import pytest
 
 import hypctrl.obsv as obsv
 import hypctrl.pde as pde
-from hypctrl.model import ConfigError, Interval, SourceTerm
+from hypctrl.model import ConfigError, Interval, SourceTerm, SpeedProfile
 from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
                          cfl_dt, characteristics_oracle, sample_state,
                          solve_adjoint, solve_backward, solve_boundary_forward,
@@ -164,6 +164,41 @@ class TestSolveForward:
         assert res.trajectory[start + 1].any()
 
 
+# couplings that mix both components at each end, and a source that jumps
+Q0_MIXED, Q1_MIXED = [[0.9, 0.3], [-0.2, 1.1]], [[1.2, -0.4], [0.1, 0.8]]
+SOURCE_4X4 = SourceTerm.piecewise_constant([0.0, 0.4, 1.0], [
+    [[0.1, -0.2, 0.05, 0.0], [0.0, 0.3, -0.1, 0.2], [0.2, 0.0, -0.3, 0.1], [-0.1, 0.1, 0.0, 0.25]],
+    [[-0.2, 0.1, 0.0, 0.3], [0.15, -0.1, 0.2, 0.0], [0.0, 0.25, 0.1, -0.2], [0.3, 0.0, -0.15, 0.1]]])
+
+
+def _backward_case(label):
+    """(spec, cells, horizon): small-grid versions of the three synthesis
+    cases of the benchmark, and a 4x4 with mixing couplings and a source."""
+    if label == "a":
+        return make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)]), 100, 0.6
+    if label == "b":
+        return make_spec([-2.0, -1.0, 1.0, 3.0], np.eye(2), np.eye(2), [(0.3, 0.8)]), 60, 0.6
+    if label == "c":
+        prof = SpeedProfile.piecewise_linear([0.0, 0.5, 1.0],
+                                             [[-1.0, -1.5, -1.0], [1.0, 2.0, 1.0]])
+        return (make_spec(prof, [[0.8]], [[1.2]], [(0.2, 0.6)],
+                          source=SourceTerm.constant([[0.3, -0.2], [0.1, 0.4]])), 60, 0.78)
+    return make_spec([-2.0, -1.0, 1.0, 3.0], Q0_MIXED, Q1_MIXED, [(0.3, 0.8)], SOURCE_4X4), 60, 0.6
+
+
+def _negated_speed_backward(spec, y1, T, cfl):
+    """Reference: the time-reversed system marched on the grid's own cells,
+    speeds and source negated, the inverse of Q0 at the left end and of Q1
+    at the right, its trajectory stored in forward time."""
+    grid = y1.grid
+    dt, n_steps = pde._resolve_steps(spec, grid, T, cfl)
+    marcher = pde._Marcher(pde._segment(-pde._speeds_at(spec, grid), dt, grid.dx,
+                                        bc_lo=pde._coupling_bc(np.linalg.inv(spec.couplings.q0)),
+                                        bc_hi=pde._coupling_bc(np.linalg.inv(spec.couplings.q1)),
+                                        source=-spec.source.at_points(grid.centers)))
+    return pde._evolve(marcher, y1, n_steps, dt, reverse=True)
+
+
 class TestSolveBackward:
     def test_roundtrip(self, spec_full_domain):
         grid = Grid(0.0, 1.0, 128)
@@ -192,6 +227,22 @@ class TestSolveBackward:
         y1 = sample_state(smooth_pair, grid, 2)
         with pytest.raises(ValueError, match="singular"):
             solve_backward(spec, y1, 0.5)
+
+    @pytest.mark.parametrize("cfl", [0.9, 1.0])
+    @pytest.mark.parametrize("label", ["a", "b", "c", "4x4"])
+    def test_mirror_equals_negated_speed_march(self, label, cfl):
+        # the backward march, mirrored in space, against the negated-speed
+        # march on the grid's own cells: trajectory and final state byte for
+        # byte, since negation and a reversed difference are exact
+        spec, cells, T = _backward_case(label)
+        grid = Grid(0.0, 1.0, cells)
+        rng = np.random.default_rng(cells)
+        y1 = StateField(rng.standard_normal((spec.n, cells)), grid)
+        got, want = solve_backward(spec, y1, T, cfl), _negated_speed_backward(spec, y1, T, cfl)
+        assert got.trajectory.flags.c_contiguous
+        assert got.trajectory.tobytes() == want.trajectory.tobytes()
+        assert got.final.values.tobytes() == want.final.values.tobytes()
+        assert got.times.tobytes() == want.times.tobytes()
 
 
 class TestSolveBoundaryForward:
@@ -475,7 +526,7 @@ class TestMarchingKernel:
             traj = np.empty((n_steps + 1,) + w0.shape)
             w = pde._march(new, w0, n_steps, forcing=forcing,
                            on_chunk=lambda j0, chunk: seen.extend(enumerate(chunk.copy(), j0)),
-                           out=traj[::-1] if reverse else traj)
+                           out=(traj[::-1] if reverse else traj,))
             assert [j for j, _ in seen] == list(range(n_steps + 1))
             for (_, v), want in zip(seen, states):
                 assert np.array_equal(v, want)
@@ -501,7 +552,7 @@ class TestMarchingKernel:
         traj = np.empty((n_steps + 1,) + w0.shape) if keep == "trajectory" else None
         w = pde._march(new, w0, n_steps, forcing=forcing if forced else None,
                        on_chunk=lambda j0, chunk: chunks.append((j0, chunk.copy())),
-                       out=traj[::-1] if reverse and traj is not None else traj)
+                       out=None if traj is None else (traj[::-1] if reverse else traj,))
         every = pde.NAN_CHECK_EVERY
         assert [j0 for j0, _ in chunks] == list(range(0, n_steps, every))
         assert [len(c) for _, c in chunks[:-1]] == [every] * (len(chunks) - 1)
@@ -523,7 +574,8 @@ class TestMarchingKernel:
         # step count, source or none, and ends (a coupling, a Dirichlet
         # series or zero data with no writer), against a march of each
         # segment alone: the row runs the most steps, and each segment's
-        # states up to its own count are byte for byte its own march's
+        # states up to its own count are byte for byte its own march's, both
+        # in the row's record and in the segment's own buffer of every state
         batch, n_max = 3, max(seg[1] for seg in segments)
 
         def segment(seed, nx, ends, source, zero_series=False):
@@ -561,12 +613,19 @@ class TestMarchingKernel:
             w0[:, at:at + w.shape[1]] = w
             at += w.shape[1] + 2
         marched = states(row, w0, n_max)
+        # one buffer per segment, the last a view reversed in time and cells
+        bufs = [np.full((n_max + 1, 3, nx, batch), np.nan) for nx, *_ in segments]
+        own = bufs[:-1] + [bufs[-1][::-1, :, ::-1]]
+        final = pde._march(row, w0, n_max, out=tuple(own))
+        assert final.tobytes() == marched[-1].tobytes()
         at = 0
         for seed, ((marcher, w), (nx, n_steps, *ends, source)) in enumerate(zip(parts, segments)):
             alone = states(marcher, w, n_steps)
             assert len(alone) == n_steps + 1
             for got, want in zip(marched, alone):
                 assert got[:, at:at + nx].tobytes() == want.tobytes()
+            assert own[seed][:n_steps + 1].tobytes() == np.stack(alone).tobytes()
+            assert own[seed].tobytes() == np.stack(marched)[:, :, at:at + nx].tobytes()
             if None in ends:
                 # no writer is zero boundary data
                 zeros = segment(seed, nx, ends, source, zero_series=True)[0]

@@ -537,6 +537,10 @@ def _synth_case(label):
         return make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)]), 0.6, 100
     if label == "b":
         return make_spec([-2.0, -1.0, 1.0, 3.0], np.eye(2), np.eye(2), [(0.3, 0.8)]), 0.6, 60
+    if label == "mixed":
+        # case b with couplings that mix both components at each end
+        return make_spec([-2.0, -1.0, 1.0, 3.0], [[0.9, 0.3], [-0.2, 1.1]],
+                         [[1.2, -0.4], [0.1, 0.8]], [(0.3, 0.8)]), 0.6, 60
     prof = SpeedProfile.piecewise_linear([0.0, 0.5, 1.0], [[-1.0, -1.5, -1.0], [1.0, 2.0, 1.0]])
     return (make_spec(prof, [[0.8]], [[1.2]], [(0.2, 0.6)],
                       source=SourceTerm.constant([[0.3, -0.2], [0.1, 0.4]])), 0.78, 60)
@@ -547,7 +551,7 @@ class TestInPlaceGlue:
     whole-array glue it replaced: the same operations per element, so every
     control value is equal (the sign of a zero may differ)."""
 
-    @pytest.mark.parametrize("label", ["a", "b", "c"])
+    @pytest.mark.parametrize("label", ["a", "b", "c", "mixed"])
     def test_matches_whole_array_glue(self, label):
         spec, T, cells = _synth_case(label)
         grid = Grid(0.0, 1.0, cells)
@@ -572,6 +576,22 @@ class TestInPlaceGlue:
         try:
             rep = assemble_internal_control(spec_2x2, Y0_SIN, _fourier(2, 5), 0.6,
                                             Grid(0.0, 1.0, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * rep.control.values.nbytes
+
+    @pytest.mark.parametrize("label", ["c", "mixed"])
+    def test_peak_memory_is_near_two_controls_in_other_cases(self, label):
+        # the same bound on case c (a source and piecewise speeds) and on a
+        # 4x4 with mixing couplings, at the benchmark's 240 cells, after one
+        # small synthesis has made numpy's one-time allocations
+        spec, T, cells = _synth_case(label)
+        y0, y1 = _fourier(spec.n, 1), _fourier(spec.n, 5)
+        assemble_internal_control(spec, y0, y1, T, Grid(0.0, 1.0, cells))
+        tracemalloc.start()
+        try:
+            rep = assemble_internal_control(spec, y0, y1, T, Grid(0.0, 1.0, 240))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
