@@ -33,6 +33,7 @@ components ride a profile f(s) = ((Tn - s)/Tn)^nu; the ratio
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,9 +55,10 @@ class GramianSweepResult:
 
 
 def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, dense: bool = False):
-    """The one-step operator (rows, vals) and block partition of a recurrence
-    of ``last`` windows, refused on its nstate^2 buffers before the probes,
-    then with 3 copies of the largest gathered block stack, then on its work."""
+    """The record of a recurrence of ``last`` steps of ``dt``, its resolved
+    grid: one-step operator (rows, vals) and block partition, refused on its
+    nstate^2 buffers before the probes, then with 3 copies of the largest
+    gathered block stack, then on its work."""
     nstate = spec.n * grid.n_cells
     what, size = f"Gramian recurrence over {nstate}^2 values", 8 * (3 + dense) * nstate ** 2
     _check_bytes(what, size)
@@ -67,17 +69,17 @@ def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, dense: boo
             (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0))
     _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
                 f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
-    return rows, vals, blocks
+    return SimpleNamespace(dt=dt, last=last, rows=rows, vals=vals, blocks=blocks)
 
 
-def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
-                     dt: float, stops, plan=None):
+def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid, stops, plan):
     """Yield ``(k, gram, blocks)`` for the window [T - k dt, T] of each k of
-    the ascending ``stops``: ``gram`` is the running buffer, not
-    symmetrized and overwritten by the next step, and ``blocks`` the
-    partition of ``_block_partition``, which keeps every window
-    block-diagonal.  ``plan`` is the recurrence's ``_gramian_plan``, built
-    here when not given.
+    the ascending ``stops``, the last of them the last step of ``plan``:
+    ``gram`` is the running buffer, not symmetrized and overwritten by the
+    next step, and ``blocks`` the partition of ``_block_partition``, which
+    keeps every window block-diagonal.  ``plan`` is the caller's
+    ``_gramian_plan``: the one resolution of dt and steps that its guard
+    checked drives the recurrence.
 
     The windows are nested and obey the backward Stein recurrence
 
@@ -88,11 +90,10 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid,
     costs K row gathers and K column gathers, K the most nonzeros in a
     column of A, so a step is O(K * nstate^2) on three nstate^2 buffers.
     """
-    last = int(stops[-1])
-    rows, vals, blocks = plan or _gramian_plan(spec, grid, dt, last)
+    rows, vals, blocks, last = plan.rows, plan.vals, plan.blocks, plan.last
     nstate = rows.shape[1]
     diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), spec.n)) * (nstate + 1)
-    w = dt * grid.dx
+    w = plan.dt * grid.dx
     gram = np.zeros((nstate, nstate))
     gram.flat[diag] = w
     nxt = np.empty_like(gram)
@@ -221,9 +222,9 @@ def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
     of [0, T), anchored at the final time; the result is symmetrized.  The
     default Courant factor is 1, not the solvers' 0.9 (see the module note).
     """
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
-    plan = _gramian_plan(spec, grid, dt, n_steps, dense=True)
-    for _, gram, _ in _gramian_windows(spec, omega, grid, dt, [n_steps], plan):
+    plan = _gramian_plan(spec, grid, *_resolve_steps(spec, grid, T, cfl, positive=True),
+                         dense=True)
+    for _, gram, _ in _gramian_windows(spec, omega, grid, [plan.last], plan):
         return 0.5 * (gram + gram.T)
 
 
@@ -240,8 +241,10 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     ``eigvalsh`` per size of the larger blocks, each block symmetrized
     alone.  A dense Gramian is the one-block case and gets the same
     ``eigvalsh`` call on the same matrix as a whole-matrix solve.  ``plan``
-    is the ``_gramian_plan`` up to the last horizon's step, for a caller that
-    sized the sweep before building its horizons.
+    is the ``_gramian_plan`` of the last horizon's (dt, n_steps), for a
+    caller that resolved and sized the sweep before building its horizons;
+    without one the sweep resolves and plans its last horizon here, once,
+    and the horizons snap to the plan's dt.
     """
     ts = np.asarray(t_list, dtype=float)
     if ts.ndim != 1 or not ts.size or np.any(np.diff(ts) <= 0.0):
@@ -250,12 +253,12 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     if bad.any():  # the first bad horizon names the error
         _check_horizon(float(ts[bad.argmax()]), positive=True)
 
-    dt, _ = _resolve_steps(spec, grid, float(ts[-1]), cfl)
-    # whole steps, as floats: no integer array exists before the sizing
+    plan = plan or _gramian_plan(spec, grid, *_resolve_steps(spec, grid, float(ts[-1]), cfl))
+    dt = plan.dt
     steps = np.maximum(1.0, np.rint(ts / dt))
     stops, where = np.unique(steps, return_inverse=True)
     sigma = np.empty(stops.size)
-    for i, (_, gram, blocks) in enumerate(_gramian_windows(spec, omega, grid, dt, stops, plan)):
+    for i, (_, gram, blocks) in enumerate(_gramian_windows(spec, omega, grid, stops, plan)):
         # 1x1 blocks (the first stack, if any) are their own eigenvalues
         lows = [gram.diagonal()[idx[:, 0]].min() for idx in blocks if idx.shape[1] == 1]
         lows += [np.linalg.eigvalsh(0.5 * (sub + sub.transpose(0, 2, 1)))[:, 0].min()

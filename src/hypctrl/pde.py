@@ -50,7 +50,10 @@ the row into a record of the chunk, handed over once per chunk of
 This module decides every horizon: each entry point that takes one, here and
 in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
 positive, else ``ConfigError``) and grids it with ``_resolve_steps``, the
-one (dt, n_steps) rule, which checks with ``_check_horizon``.
+one (dt, n_steps) rule, which checks with ``_check_horizon``.  A job
+resolves each of its grids once, before its guard, and that one resolution
+sizes the guard and drives every march on the grid (a synthesis's HUM row,
+glue row and re-simulation, a Gramian sweep's recurrence).
 
 With constant speeds of equal magnitude and unit Courant number the scheme
 transports exactly, reflections included; ``characteristics_oracle`` provides

@@ -39,7 +39,7 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _backward_segment, _check_bytes, _forward,
+                  StateField, _backward_segment, _check_bytes, _evolve,
                   _forward_segment, _march, _Marcher, _resolve_steps, _speeds_at,
                   sample_state)
 from .times import minimal_control_time, shrink_region
@@ -144,17 +144,16 @@ def _l2(values: np.ndarray, dx: float) -> float:
     return math.sqrt(dx * float(np.sum(values ** 2)))
 
 
-def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
-    """Forward/backward blend: the control eta'(t) (y_f - y_b), written over
-    the forward trajectory, and y_in = eta y_f + (1 - eta) y_b (the general
-    case's inner solution) at ``cells`` only; the backward trajectory dies.
-    Both free solutions come from one row march, the forward segment from
-    y0 beside ``_backward_segment`` from y1 mirrored, each state copied into
-    its own trajectory (the backward one through a view reversed in time
-    and cells)."""
+def _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells):
+    """Forward/backward blend over the job's n_steps steps of dt: the control
+    eta'(t) (y_f - y_b), written over the forward trajectory, and y_in =
+    eta y_f + (1 - eta) y_b (the general case's inner solution) at ``cells``
+    only; the backward trajectory dies.  Both free solutions come from one
+    row march, the job's ``forward`` segment from y0 beside
+    ``_backward_segment`` from y1 mirrored, each state copied into its own
+    trajectory (the backward one through a view reversed in time and cells)."""
     grid = y0f.grid
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl)
-    row = _Marcher(_forward_segment(spec, grid, dt), _backward_segment(spec, grid, dt))
+    row = _Marcher(forward, _backward_segment(spec, grid, dt))
     w0 = np.zeros((spec.n, row.width - 2))
     w0[:, row.cols[0]], w0[:, row.cols[1]] = y0f.values, y1f.values[:, ::-1]
     fwd, bwd = (np.empty((n_steps + 1,) + y0f.values.shape) for _ in range(2))
@@ -171,16 +170,13 @@ def _glue_full_domain(spec, y0f, y1f, T, cfl, cells):
     return u, y_in
 
 
-def _hum_bytes(spec, parts, T, cfl) -> int:
-    """Peak bytes of HUM on the components ``parts``, (interval, grid) each:
-    the a_t of every component, each held from the march until its solve,
-    and at a component's solve its normal matrix and LAPACK's working copy
-    of that matrix, which numpy allocates outside its tracked memory."""
-    sizes = []
-    for interval, grid_i in parts:
-        _, steps = _resolve_steps(spec, grid_i, T, cfl)
-        nstate = spec.n * grid_i.n_cells
-        sizes.append((nstate * _channels(spec, interval.tag)[1] * steps, 2 * nstate * nstate))
+def _hum_bytes(spec, comps) -> int:
+    """Peak bytes of HUM on the records ``comps`` of ``_hum_component``: the
+    a_t of every component, each held from the march until its solve, and
+    at a component's solve its normal matrix and LAPACK's working copy of
+    that matrix, which numpy allocates outside its tracked memory."""
+    sizes = [(spec.n * comp.grid.n_cells * comp.n_ch * comp.n_steps,
+              2 * (spec.n * comp.grid.n_cells) ** 2) for comp in comps]
     held, peak = sum(a_t for a_t, _ in sizes), 0
     for a_t, normal in sizes:
         peak = max(peak, held + normal)
@@ -188,11 +184,11 @@ def _hum_bytes(spec, parts, T, cfl) -> int:
     return 8 * peak
 
 
-def _peak_bytes(spec, grid, n_steps, n_glued, parts, T, cfl) -> int:
+def _peak_bytes(spec, grid, n_steps, n_glued, comps) -> int:
     """Peak bytes of a synthesis: the glue's two trajectories and its three
     arrays at n_glued cells, or, if more, the HUM of its components."""
     glue = 8 * (n_steps + 1) * spec.n * (2 * grid.n_cells + 3 * n_glued)
-    return max(glue, _hum_bytes(spec, parts, T, cfl))
+    return max(glue, _hum_bytes(spec, comps))
 
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -203,26 +199,37 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
     works for every such horizon.  The achieved error is the L2 distance of
     the re-simulated final state from the target.
     """
-    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
+    return _full_domain(spec, y0_fn, y1_fn, T, grid,
+                        *_resolve_steps(spec, grid, T, cfl, positive=True))
+
+
+def _full_domain(spec, y0_fn, y1_fn, T, grid, dt, n_steps) -> SynthesisReport:
+    """``synthesize_full_domain`` on its grid's resolved n_steps steps of dt."""
     if spec.omega.complement_components():
         raise ValueError("full-domain synthesis needs the closure of omega "
                          "to cover [0, 1]")
-    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, 0, (), T, cfl))
+    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, 0, ()))
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)
-    u_vals, _ = _glue_full_domain(spec, y0f, y1f, T, cfl, [])
+    forward = _forward_segment(spec, grid, dt)
+    u_vals, _ = _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, [])
     control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
-    final = _forward(spec, y0f, control, T, cfl, trajectory=False).final
-    err = _l2(final.values - y1f.values, grid.dx)
-    return SynthesisReport(control, err, final)
+    final = _evolve(_Marcher(forward), y0f, n_steps, dt, trajectory=False,
+                    forcing=control.values).final
+    return SynthesisReport(control, _l2(final.values - y1f.values, grid.dx), final)
 
 
-def _channels(spec: SystemSpec, tag: PositionTag) -> tuple[int, int]:
-    """(left, all) control channels: each control end's inflow components."""
-    if tag is PositionTag.FULL:
+def _hum_component(spec, interval: Interval, grid: Grid, dt: float, n_steps: int):
+    """A complement component's record before its HUM allocates: interval,
+    grid, its grid's resolved (dt, n_steps), and (left, all) control
+    channels, each control end's inflow components; ``_hum_bytes`` sizes
+    from it and ``_hum_row`` fills it."""
+    if interval.tag is PositionTag.FULL:
         raise ValueError("use solve_forward for the full domain")
-    n_left = 0 if tag is PositionTag.TOUCHES_LEFT else spec.p
-    return n_left, n_left + (0 if tag is PositionTag.TOUCHES_RIGHT else spec.m)
+    n_left = 0 if interval.tag is PositionTag.TOUCHES_LEFT else spec.p
+    n_ch = n_left + (0 if interval.tag is PositionTag.TOUCHES_RIGHT else spec.m)
+    return SimpleNamespace(interval=interval, grid=grid, dt=dt, n_steps=n_steps,
+                           n_left=n_left, n_ch=n_ch)
 
 
 @dataclass(frozen=True)
@@ -272,34 +279,33 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     diagnostic, so short horizons run normally and simply report a large
     residual; the horizon itself must be finite and positive.
     """
-    _resolve_steps(spec, grid, T, cfl, positive=True)
+    dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     cells = np.asarray(cells, dtype=np.intp).reshape(-1)
     if cells.size and not 0 <= cells.min() <= cells.max() < grid.n_cells:
         raise ValueError(f"sampled cells must lie in 0..{grid.n_cells - 1}")
-    _check_bytes("HUM", _hum_bytes(spec, [(interval, grid)], T, cfl))
-    return _hum_row(spec, [(interval, grid, y0_vals, y1_vals, cells)], T, cfl)[0]
+    comp = _hum_component(spec, interval, grid, dt, n_steps)
+    _check_bytes("HUM", _hum_bytes(spec, [comp]))
+    return _hum_row(spec, [comp], [(y0_vals, y1_vals, cells)])[0]
 
 
-def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
-    """``hum_boundary_control`` on each component of ``parts``, (interval,
-    grid, y0_vals, y1_vals, cells) each, from one march of a row of one
-    forward segment per component, each with its own dt.  The row runs the
+def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
+    """``hum_boundary_control`` on each record of ``comps``, its (y0_vals,
+    y1_vals, cells) in ``data``, from one march of a row of one forward
+    segment per component, each on its record's dt.  The row runs the
     longest step count; its batch holds a column per channel of the widest
     component and the free column last.  Every impulse starts one step on:
     a unit ghost on channel c during step 0 leaves its Courant magnitude,
-    exactly, in the cell it enters, so the control ends bind no writer.  A
-    component is one record (its grid, dt, step count, channels, columns
-    in the row and buffers), solved after the march as on its own."""
+    exactly, in the cell it enters, so the control ends bind no writer.
+    Each record takes its columns and buffers, and is solved as on its own."""
     n, idx = spec.n, np.arange(spec.n)
-    batch = 1 + max(_channels(spec, interval.tag)[1] for interval, *_ in parts)
-    steps = [_resolve_steps(spec, grid, T, cfl) for _, grid, *_ in parts]
-    row = _Marcher(*(_forward_segment(spec, grid, dt, interval.tag)
-                     for (interval, grid, *_), (dt, _) in zip(parts, steps)))
+    batch = 1 + max(comp.n_ch for comp in comps)
+    row = _Marcher(*(_forward_segment(spec, comp.grid, comp.dt, comp.interval.tag)
+                     for comp in comps))
     width = row.width - 2
-    w0, comps = np.zeros((n, width, batch)), []
-    for (interval, grid, y0_vals, y1_vals, cells), (dt, n_steps), (courant, *_), cols in zip(
-            parts, steps, row.segments, row.cols):
-        n_left, n_ch = _channels(spec, interval.tag)
+    w0 = np.zeros((n, width, batch))
+    for comp, (y0_vals, y1_vals, cells), (courant, *_), cols in zip(
+            comps, data, row.segments, row.cols):
+        n_left, n_ch, n_steps, grid = comp.n_left, comp.n_ch, comp.n_steps, comp.grid
         own = w0[:, cols]
         own[:, :, -1] = y0_vals
         # channel c enters the positive family's c-th row at the left end,
@@ -311,11 +317,10 @@ def _hum_row(spec: SystemSpec, parts, T: float, cfl: float) -> list[HumResult]:
         # a_t[c, k] is the column of A for the control of channel c during
         # step k, the impulse response n_steps - k steps old at T; ``take``
         # holds the sampled cells' indices in a flat row state's free column
-        comps.append(SimpleNamespace(
-            grid=grid, y1=y1_vals, cells=cells, dt=dt, n_steps=n_steps, n_left=n_left,
-            n_ch=n_ch, cols=cols, a_t=np.empty((n_ch, n_steps, n * grid.n_cells)),
+        vars(comp).update(
+            y1=y1_vals, cells=cells, cols=cols, a_t=np.empty((n_ch, n_steps, n * grid.n_cells)),
             samples=np.empty((n_steps + 1, n, cells.size)), free=np.empty((n, grid.n_cells)),
-            take=((idx[:, None] * width + cols.start + cells) * batch + batch - 1).reshape(-1)))
+            take=((idx[:, None] * width + cols.start + cells) * batch + batch - 1).reshape(-1))
 
     def on_chunk(j0, states):
         j1 = j0 + len(states)
@@ -415,7 +420,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     if not base.finite:
         raise RankError(base.reason)
     if base.covers_all:
-        return synthesize_full_domain(spec, y0_fn, y1_fn, T, grid, cfl)
+        return _full_domain(spec, y0_fn, y1_fn, T, grid, dt, n_steps)
 
     tau_max = base.value
     if not T > tau_max + 2.0 * dt:
@@ -427,38 +432,41 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
     refined_region, _ = shrink_region(spec, tau_max + slack)
     cutoff = SpaceCutoff.between(refined_region, spec.omega)
-    parts = [(comp, Grid(comp.lo, comp.hi, max(8, math.ceil(comp.length * grid.n_cells))))
-             for comp in refined_region.complement_components()]
+    comps = []
+    for interval in refined_region.complement_components():
+        grid_i = Grid(interval.lo, interval.hi, max(8, math.ceil(interval.length * grid.n_cells)))
+        comps.append(_hum_component(spec, interval, grid_i, *_resolve_steps(spec, grid_i, T, cfl)))
     # xi' Lambda (y_out - y_in) vanishes where xi' = 0, outside these cells
     xi_dot = cutoff.derivative(grid.centers)
     cells = np.flatnonzero(xi_dot)
-    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, cells.size, parts, T, cfl))
+    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, cells.size, comps))
     xq = grid.centers[cells]
-    hum_parts, insides = [], []
-    for comp, grid_i in parts:
-        inside = (xq > comp.lo) & (xq < comp.hi)
+    data, insides = [], []
+    for comp in comps:
+        inside = (xq > comp.interval.lo) & (xq < comp.interval.hi)
         # HUM samples only the component cells that bracket these points
-        j = _bracket(grid_i.centers, xq[inside])
-        pairs = np.zeros(grid_i.n_cells, dtype=bool)
+        j = _bracket(comp.grid.centers, xq[inside])
+        pairs = np.zeros(comp.grid.n_cells, dtype=bool)
         pairs[j] = pairs[j + 1] = True
-        hum_parts.append((comp, grid_i, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
-                          np.flatnonzero(pairs)))
+        data.append((y0_fn(comp.grid.centers), y1_fn(comp.grid.centers), np.flatnonzero(pairs)))
         insides.append(inside)
     y_out = np.zeros((n_steps, spec.n, cells.size))
-    hums = _hum_row(spec, hum_parts, T, cfl)
-    for (_, grid_i, _, _, sampled), inside, hum in zip(hum_parts, insides, hums):
-        y_out[:, :, inside] = _resample(hum.samples, hum.times, grid_i.centers[sampled],
+    hums = _hum_row(spec, comps, data)
+    for comp, inside, hum in zip(comps, insides, hums):
+        y_out[:, :, inside] = _resample(hum.samples, hum.times, comp.grid.centers[comp.cells],
                                         np.arange(n_steps) * dt, xq[inside])
     residuals = [hum.residual for hum in hums]
-    del hums  # y_out holds what the glue needs of their samples
+    del hums, comps, data  # y_out holds what the glue needs of their samples
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)
-    u_vals, y_in = _glue_full_domain(spec, y0f, y1f, T, cfl, cells)
+    forward = _forward_segment(spec, grid, dt)
+    u_vals, y_in = _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells)
     u_vals *= 1.0 - cutoff.value(grid.centers)
     u_vals[:, :, cells] += xi_dot[cells] * _speeds_at(spec, grid)[:, cells] * (y_out - y_in[:-1])
     control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
-
-    final = _forward(spec, y0f, control, T, cfl, trajectory=False).final
-    err = _l2(final.values - y1f.values, grid.dx)
-    return SynthesisReport(control, err, final, tuple(residuals), refined_region)
+    # the re-simulation marches the job's forward segment again
+    final = _evolve(_Marcher(forward), y0f, n_steps, dt, trajectory=False,
+                    forcing=control.values).final
+    return SynthesisReport(control, _l2(final.values - y1f.values, grid.dx), final,
+                           tuple(residuals), refined_region)

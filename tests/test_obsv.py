@@ -7,7 +7,7 @@ import pytest
 from hypctrl.canon import canonical_form
 from hypctrl.cli import EXIT_CODES
 from hypctrl.model import ConfigError, SourceTerm, SpeedProfile
-from hypctrl.obsv import (_block_partition, _gramian_windows,
+from hypctrl.obsv import (_block_partition, _gramian_plan, _gramian_windows,
                           _one_step_operator, detect_threshold, kernel_vector,
                           necessity_sweep, necessity_witness, observability_gramian,
                           sigma_min_sweep)
@@ -132,7 +132,8 @@ def forward_gramians(spec, grid, dt, stops):
 
 def recurrence_gramians(spec, grid, dt, stops):
     out = {}
-    for k, gram, _ in _gramian_windows(spec, spec.omega, grid, dt, sorted(stops)):
+    for k, gram, _ in _gramian_windows(spec, spec.omega, grid, sorted(stops),
+                                       _gramian_plan(spec, grid, dt, max(stops))):
         out[k] = 0.5 * (gram + gram.T)
     return out
 

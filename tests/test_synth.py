@@ -1,5 +1,8 @@
+import contextlib
+import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,11 +90,14 @@ class TestFullDomainSynthesis:
     def test_blend_hits_both_endpoints_exactly(self, spec_full_domain):
         # the time cut-off is exactly 1 at t=0 and 0 at t=T, so the blended
         # trajectory starts at y0 and ends at y1 bitwise
+        from hypctrl.pde import _forward_segment, _resolve_steps
         from hypctrl.synth import _glue_full_domain
         grid = Grid(0.0, 1.0, 64)
         y0 = sample_state(Y0_SIN, grid, 2)
         y1 = sample_state(state_function(lambda x: x * (1 - x), 0.5), grid, 2)
-        _, blended = _glue_full_domain(spec_full_domain, y0, y1, 0.4, 0.9,
+        dt, n_steps = _resolve_steps(spec_full_domain, grid, 0.4, 0.9)
+        forward = _forward_segment(spec_full_domain, grid, dt)
+        _, blended = _glue_full_domain(spec_full_domain, forward, y0, y1, 0.4, dt, n_steps,
                                        np.arange(grid.n_cells))
         assert np.array_equal(blended[0], y0.values)
         assert np.array_equal(blended[-1], y1.values)
@@ -572,6 +578,9 @@ class TestInPlaceGlue:
         assert rep.achieved_error == err
 
     def test_peak_memory_is_near_two_controls(self, spec_2x2):
+        # one small synthesis first makes numpy's one-time allocations, which
+        # the first synthesis of a process would otherwise count
+        assemble_internal_control(spec_2x2, Y0_SIN, _fourier(2, 5), 0.6, Grid(0.0, 1.0, 100))
         tracemalloc.start()
         try:
             rep = assemble_internal_control(spec_2x2, Y0_SIN, _fourier(2, 5), 0.6,
@@ -647,17 +656,27 @@ def _three_interval_case():
 
 
 def _row_of(monkeypatch, spec, T, cells):
-    """The parts a synthesis hands its HUM row, and what the row returned."""
+    """The parts a synthesis hands its HUM row, (interval, grid, y0, y1,
+    sampled cells) each, its cfl, and what the row returned."""
     import hypctrl.synth as synth
-    seen = []
+    seen, cfl = [], 0.9
     real = synth._hum_row
-    monkeypatch.setattr(synth, "_hum_row", lambda spec, parts, T, cfl: seen.append(
-        (parts, cfl, real(spec, parts, T, cfl))) or seen[-1][2])
+    monkeypatch.setattr(synth, "_hum_row", lambda spec, comps, data: seen.append(
+        ([(comp.interval, comp.grid, *part) for comp, part in zip(comps, data)],
+         real(spec, comps, data))) or seen[-1][1])
     assemble_internal_control(spec, _fourier(spec.n, 1), _fourier(spec.n, 2), T,
-                              Grid(0.0, 1.0, cells))
+                              Grid(0.0, 1.0, cells), cfl)
     monkeypatch.setattr(synth, "_hum_row", real)
-    (parts, cfl, hums), = seen
+    (parts, hums), = seen
     return parts, cfl, hums
+
+
+def _records(spec, parts, T, cfl):
+    """The HUM records of ``parts``, as a synthesis builds them."""
+    import hypctrl.synth as synth
+    from hypctrl.pde import _resolve_steps
+    return [synth._hum_component(spec, comp, grid_i, *_resolve_steps(spec, grid_i, T, cfl))
+            for comp, grid_i, *_ in parts]
 
 
 @pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240)])
@@ -678,7 +697,7 @@ def test_hum_bytes_match_direct_peak(monkeypatch, label, cells):
         finally:
             tracemalloc.stop()
         copy = 8 * (spec.n * grid_i.n_cells) ** 2
-        predicted = synth._hum_bytes(spec, [(comp, grid_i)], T, cfl)
+        predicted = synth._hum_bytes(spec, _records(spec, [(comp, grid_i)], T, cfl))
         assert abs(predicted - (peak + copy)) <= 0.25 * (peak + copy)
 
 
@@ -702,14 +721,14 @@ def test_hum_row_bytes_match_traced_peak(monkeypatch, label, cells):
     monkeypatch.setattr(np.linalg, "solve", solve)
     tracemalloc.start()
     try:
-        synth._hum_row(spec, parts, T, cfl)
+        synth._hum_row(spec, _records(spec, parts, T, cfl), [part[2:] for part in parts])
         peak = max([tracemalloc.get_traced_memory()[1]] + solves)
     finally:
         tracemalloc.stop()
     assert len(solves) == 2
-    predicted = synth._hum_bytes(spec, [part[:2] for part in parts], T, cfl)
+    predicted = synth._hum_bytes(spec, _records(spec, parts, T, cfl))
     assert predicted == synth._peak_bytes(spec, Grid(0.0, 1.0, cells), 0, 0,
-                                          [part[:2] for part in parts], T, cfl)
+                                          _records(spec, parts, T, cfl))
     assert abs(predicted - peak) <= 0.25 * peak
 
 
@@ -831,10 +850,67 @@ def test_hum_row_allocates_nothing_per_step(monkeypatch, spec_2x2):
     tracemalloc.start()
     try:
         with pytest.raises(Marched):
-            synth._hum_row(spec_2x2, parts, 0.016, 0.9)
+            synth._hum_row(spec_2x2, _records(spec_2x2, parts, 0.016, 0.9),
+                           [part[2:] for part in parts])
     finally:
         tracemalloc.stop()
     ((n, nx, batch), n_steps), = shapes
     assert (nx, batch) == (2 * 1000 + 700 + 4, 3) and n_steps > pde.NAN_CHECK_EVERY
     padded = n * (nx + 2) * batch * 8
     assert marks["peak"] - marks["start"] < padded // 8
+
+
+def _synthesis_job(label):
+    spec, T, cells = _three_interval_case() if label == "three" else _synth_case(label)
+    return lambda: assemble_internal_control(spec, _fourier(spec.n, 1), _fourier(spec.n, 2),
+                                             T, Grid(0.0, 1.0, cells))
+
+
+def _full_domain_job(synthesize):
+    spec = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.0, 1.0)])
+    return lambda: synthesize(spec, Y0_SIN, _fourier(2, 4), 0.4, Grid(0.0, 1.0, 80))
+
+
+def _hum_job():
+    spec, grid = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)]), Grid(0.0, 0.25, 32)
+    y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(32)])
+    return lambda: hum_boundary_control(spec, Interval(0.0, 0.25), y0, np.zeros((2, 32)),
+                                        grid, 0.6, cells=[3, 4])
+
+
+def _gramian_job():
+    from hypctrl.cli import main
+    config = str(Path(__file__).resolve().parents[1] / "demos" / "example_2x2.json")
+
+    def job():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gramian", "--config", config, "--tmin", "0.3", "--tmax", "0.7",
+                         "--steps", "3"]) == 0
+    return job
+
+
+@pytest.mark.parametrize("job,grids", [
+    (_synthesis_job("a"), 3), (_synthesis_job("b"), 3), (_synthesis_job("c"), 3),
+    (_synthesis_job("three"), 4), (_full_domain_job(synthesize_full_domain), 1),
+    (_full_domain_job(assemble_internal_control), 1), (_hum_job(), 1), (_gramian_job(), 1),
+], ids=["synth-a", "synth-b", "synth-c", "synth-three", "full-domain",
+        "full-domain-delegated", "hum", "cli-gramian"])
+def test_one_step_resolution_per_grid(monkeypatch, job, grids):
+    # every job resolves each of its grids' (dt, n_steps) once, before its
+    # guard, and hands the numbers to its marches and its re-simulation: a
+    # synthesis resolves its full grid and one grid per complement
+    # component, the other jobs their one grid
+    import hypctrl.cli as cli
+    import hypctrl.obsv as obsv
+    import hypctrl.pde as pde
+    import hypctrl.synth as synth
+    seen, real = [], pde._resolve_steps
+
+    def counted(spec, grid, *args, **kwargs):
+        seen.append(grid)
+        return real(spec, grid, *args, **kwargs)
+
+    for module in (pde, synth, obsv, cli):
+        monkeypatch.setattr(module, "_resolve_steps", counted)
+    job()
+    assert len(seen) == len(set(seen)) == grids
