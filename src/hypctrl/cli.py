@@ -400,7 +400,8 @@ def _cmd_gramian(cfg: RunConfig, args, out):
     if args.steps > n_steps:
         raise ConfigError(f"--steps: at most the {n_steps} steps of the sweep up to "
                           f"--tmax, got {args.steps}")
-    plan = _gramian_plan(cfg.spec, cfg.grid, dt, n_steps)  # sized before the horizons
+    # sized, its horizons' reads and results too, before the horizons are built
+    plan = _gramian_plan(cfg.spec, cfg.grid, dt, n_steps, args.steps)
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     sweep = sigma_min_sweep(cfg.spec, ts, cfg.spec.omega, cfg.grid, cfl, plan)
     out.write("T,sigma_min\n")

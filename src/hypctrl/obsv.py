@@ -54,13 +54,19 @@ class GramianSweepResult:
     snapped_times: tuple[float, ...]
 
 
-def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, dense: bool = False):
+def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, horizons: int = 1,
+                  dense: bool = False):
     """The record of a recurrence of ``last`` steps of ``dt``, its resolved
-    grid: one-step operator (rows, vals) and block partition, refused on its
-    nstate^2 buffers before the probes, then with 3 copies of the largest
-    gathered block stack, then on its work."""
-    nstate = spec.n * grid.n_cells
-    what, size = f"Gramian recurrence over {nstate}^2 values", 8 * (3 + dense) * nstate ** 2
+    grid, read at up to ``horizons`` distinct steps: one-step operator
+    (rows, vals) and block partition, refused on its nstate^2 buffers and
+    its per-horizon results before the probes, then with 3 copies of the
+    largest gathered block stack, then on the recurrence's work and on the
+    reads of its horizons (a finiteness check, and an eigensolve or a
+    diagonal read per block, each)."""
+    nstate, distinct = spec.n * grid.n_cells, min(horizons, last)
+    # a horizon's result holds about 220 B of tuples and floats
+    what = f"Gramian sweep of {distinct} horizons over {nstate}^2 values"
+    size = 8 * (3 + dense) * nstate ** 2 + 220 * distinct
     _check_bytes(what, size)
     rows, vals = _one_step_operator(spec, grid, dt)
     blocks = _block_partition(rows, vals)
@@ -69,6 +75,8 @@ def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, dense: boo
             (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0))
     _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
                 f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
+    _check_work(f"Gramian reads of {distinct} horizons over {nstate}^2 values", distinct * (
+        nstate ** 2 + sum(idx.shape[0] * idx.shape[1] ** 3 for idx in blocks)))
     return SimpleNamespace(dt=dt, last=last, rows=rows, vals=vals, blocks=blocks)
 
 
@@ -253,7 +261,8 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
     if bad.any():  # the first bad horizon names the error
         _check_horizon(float(ts[bad.argmax()]), positive=True)
 
-    plan = plan or _gramian_plan(spec, grid, *_resolve_steps(spec, grid, float(ts[-1]), cfl))
+    plan = plan or _gramian_plan(spec, grid, *_resolve_steps(spec, grid, float(ts[-1]), cfl),
+                                 ts.size)
     dt = plan.dt
     steps = np.maximum(1.0, np.rint(ts / dt))
     stops, where = np.unique(steps, return_inverse=True)

@@ -43,8 +43,8 @@ states leave it with no Python callback per step: each step copies each
 segment's cells into a caller's buffer of every state for that segment (a
 solver's trajectory, which ``_evolve`` alone allocates, in forward-time order
 and on the grid's cells even when marched backward and mirrored, and refuses
-above ``TRAJECTORY_BYTES_LIMIT``; or the glue's two trajectories), or copies
-the row into a record of the chunk, handed over once per chunk of
+above ``TRAJECTORY_BYTES_LIMIT``), or copies the row into a record of the
+chunk (the HUM row, the glue row), handed over once per chunk of
 ``NAN_CHECK_EVERY`` steps after a finiteness check.
 
 This module decides every horizon: each entry point that takes one, here and

@@ -22,10 +22,13 @@ y_out to the full-domain solution y_in:
 
 The free forward and backward solutions come from one march of a row of
 two segments, the forward system and the backward one mirrored in space
-(x -> 1 - x), each step copied straight into its own trajectory.  The
-control is supported in omega, is written over the stored forward
-trajectory, and needs y_out and y_in only where xi' != 0; its peak memory is
-checked before the first march, and its re-simulation verifies the synthesis.
+(x -> 1 - x), handed over a chunk at a time into one buffer of n_steps + 1
+states: each state is stored at its own time until the row passes the
+midpoint, and from there on meets its stored partner, where the control is
+formed in place.  The control is supported in omega, needs y_out and y_in
+only where xi' != 0, and is the buffer's first n_steps states; its peak
+memory is checked before the first march, and its re-simulation verifies
+the synthesis.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
-from .pde import (BoundaryControls, ControlField, Grid, PositionTag,
+from .pde import (NAN_CHECK_EVERY, BoundaryControls, ControlField, Grid, PositionTag,
                   StateField, _backward_segment, _check_bytes, _evolve,
                   _forward_segment, _march, _Marcher, _resolve_steps, _speeds_at,
                   sample_state)
@@ -146,49 +149,87 @@ def _l2(values: np.ndarray, dx: float) -> float:
 
 def _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells):
     """Forward/backward blend over the job's n_steps steps of dt: the control
-    eta'(t) (y_f - y_b), written over the forward trajectory, and y_in =
-    eta y_f + (1 - eta) y_b (the general case's inner solution) at ``cells``
-    only; the backward trajectory dies.  Both free solutions come from one
-    row march, the job's ``forward`` segment from y0 beside
-    ``_backward_segment`` from y1 mirrored, each state copied into its own
-    trajectory (the backward one through a view reversed in time and cells)."""
+    eta'(t) (y_f - y_b), and y_in = eta y_f + (1 - eta) y_b (the general
+    case's inner solution) at ``cells`` only, both formed in one buffer of
+    n_steps + 1 states.  Both free solutions come from one row march, the
+    job's ``forward`` segment from y0 beside ``_backward_segment`` from y1
+    mirrored: row step j holds y_f(j) and y_b(n_steps - j), handed over in
+    the chunk record.  While j < n_steps - j each state is stored at its own
+    time; from the midpoint on each fresh state meets its stored partner,
+    and y_in and the control are formed there in place.  The control is the
+    buffer's first n_steps states."""
     grid = y0f.grid
     row = _Marcher(forward, _backward_segment(spec, grid, dt))
+    fcols, bcols = row.cols
     w0 = np.zeros((spec.n, row.width - 2))
-    w0[:, row.cols[0]], w0[:, row.cols[1]] = y0f.values, y1f.values[:, ::-1]
-    fwd, bwd = (np.empty((n_steps + 1,) + y0f.values.shape) for _ in range(2))
-    _march(row, w0, n_steps, out=(fwd[..., None], bwd[::-1, :, ::-1, None]))
+    w0[:, fcols], w0[:, bcols] = y0f.values, y1f.values[:, ::-1]
     times = np.arange(n_steps + 1) * dt
     cut = TimeCutoff(T)
     eta = cut.value(times)[:, None, None]
-    y_in, b_in = fwd[:, :, cells], bwd[:, :, cells]
-    y_in *= eta
-    y_in += np.multiply(b_in, 1.0 - eta, out=b_in)
-    u = fwd[:-1]
-    np.subtract(u, bwd[:-1], out=u)
-    np.multiply(cut.derivative(times[:-1])[:, None, None], u, out=u)
-    return u, y_in
+    rest = 1.0 - eta
+    slope = cut.derivative(times[:-1])[:, None, None]
+    # u[t] holds y_f(t) for t < h and y_b(t) for t >= h until its partner
+    # comes; at an even n_steps both arrive at the midpoint h, y_b stored first
+    u = np.empty((n_steps + 1,) + y0f.values.shape)
+    y_in = np.empty((n_steps + 1, spec.n, len(cells)))
+    h = (n_steps + 1) // 2
+
+    def meet(fresh, a, b, forward):
+        # times a..b-1: ``fresh`` holds y_f there (or y_b), u[a:b] the other
+        stored = u[a:b]
+        f, g = (fresh, stored) if forward else (stored, fresh)
+        np.multiply(f[:, :, cells], eta[a:b], out=y_in[a:b])
+        y_in[a:b] += np.multiply(g[:, :, cells], rest[a:b])
+        k = min(b, n_steps) - a
+        np.subtract(f[:k], g[:k], out=stored[:k])
+        np.multiply(slope[a:a + k], stored[:k], out=stored[:k])
+
+    def on_chunk(j0, states):
+        # y_f at times j0..j1-1 and y_b at times b0..b1-1, both ascending
+        j1 = j0 + len(states)
+        b0, b1 = n_steps - j1 + 1, n_steps - j0 + 1
+        fresh_f = states[:, :, fcols, 0]
+        fresh_b = states[::-1, :, bcols, 0][:, :, ::-1]
+        if j0 < h:
+            u[j0:min(j1, h)] = fresh_f[:h - j0]
+        if b1 > h:
+            u[max(b0, h):b1] = fresh_b[max(b0, h) - b0:]
+        if j1 > h:
+            meet(fresh_f[max(h, j0) - j0:], max(h, j0), j1, True)
+        if b0 < h:
+            meet(fresh_b[:min(b1, h) - b0], b0, min(b1, h), False)
+
+    _march(row, w0, n_steps, on_chunk=on_chunk)
+    return u[:-1], y_in
 
 
 def _hum_bytes(spec, comps) -> int:
-    """Peak bytes of HUM on the records ``comps`` of ``_hum_component``: the
-    a_t of every component, each held from the march until its solve, and
-    at a component's solve its normal matrix and LAPACK's working copy of
-    that matrix, which numpy allocates outside its tracked memory."""
-    sizes = [(spec.n * comp.grid.n_cells * comp.n_ch * comp.n_steps,
-              2 * (spec.n * comp.grid.n_cells) ** 2) for comp in comps]
-    held, peak = sum(a_t for a_t, _ in sizes), 0
-    for a_t, normal in sizes:
+    """Peak bytes of HUM on the records ``comps`` of ``_hum_component``: in
+    the row's march the a_t of every component and the row's chunk record,
+    then the a_t still held, each until its solve, and at a solve, smallest
+    first, its normal matrix and LAPACK's working copy of that matrix, which
+    numpy allocates outside its tracked memory."""
+    n = spec.n
+    sizes = sorted((2 * (n * comp.grid.n_cells) ** 2,
+                    n * comp.grid.n_cells * comp.n_ch * comp.n_steps) for comp in comps)
+    held = sum(a_t for _, a_t in sizes)
+    states = min(NAN_CHECK_EVERY, max(comp.n_steps for comp in comps)) + 1
+    width = sum(comp.grid.n_cells + 2 for comp in comps) - 2
+    peak = held + states * n * width * (1 + max(comp.n_ch for comp in comps))
+    for normal, a_t in sizes:
         peak = max(peak, held + normal)
         held -= a_t
     return 8 * peak
 
 
 def _peak_bytes(spec, grid, n_steps, n_glued, comps) -> int:
-    """Peak bytes of a synthesis: the glue's two trajectories and its three
-    arrays at n_glued cells, or, if more, the HUM of its components."""
-    glue = 8 * (n_steps + 1) * spec.n * (2 * grid.n_cells + 3 * n_glued)
-    return max(glue, _hum_bytes(spec, comps))
+    """Peak bytes of a synthesis: in the glue row's march its buffer of
+    n_steps + 1 states, its chunk record of the two segments side by side,
+    and y_in and y_out at the n_glued cells; or, if more, the HUM of its
+    components."""
+    glue = 8 * spec.n * ((n_steps + 1) * (grid.n_cells + 2 * n_glued)
+                         + (min(NAN_CHECK_EVERY, n_steps) + 1) * (2 * grid.n_cells + 2))
+    return max(glue, _hum_bytes(spec, comps)) if comps else glue
 
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -374,7 +415,11 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
         return HumResult(controls, residual, comp.samples, np.arange(n_steps + 1) * comp.dt)
 
     _march(row, w0, max(comp.n_steps for comp in comps), on_chunk=on_chunk)
-    return [solved(comp) for comp in comps]
+    # the smallest normal matrix first, while every a_t is still held
+    hums = [None] * len(comps)
+    for i in sorted(range(len(comps)), key=lambda i: comps[i].grid.n_cells):
+        hums[i] = solved(comps[i])
+    return hums
 
 
 def _bracket(xp: np.ndarray, xq: np.ndarray) -> np.ndarray:
@@ -456,7 +501,9 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
         y_out[:, :, inside] = _resample(hum.samples, hum.times, comp.grid.centers[comp.cells],
                                         np.arange(n_steps) * dt, xq[inside])
     residuals = [hum.residual for hum in hums]
-    del hums, comps, data  # y_out holds what the glue needs of their samples
+    # y_out holds what the glue needs of their samples; the loop's names
+    # would keep the last component's alive
+    del hums, comps, data, comp, hum
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)

@@ -416,17 +416,23 @@ class TestFlagValidation:
         (DEMO_GRID, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "1000000"], 1),
         (DEMO_GRID, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "100000000"], 1),
         (DEMO_GRID, ["gramian", "--tmin", "0.3", "--tmax", "1e6", "--steps", "1000000000"], 2),
+        # 1e7 horizons at K = 1: the recurrence's work is within the limit,
+        # their reads and 2.2 GB of results are not
+        ({"grid": {"cells": 8}},
+         ["gramian", "--tmin", "0.5", "--tmax", "1.25e6", "--steps", "10000000"], 1),
     ], ids=["simulate-1e9-cells", "simulate-1e12-cells", "synthesize-1e9-cells",
             "synthesize-1e12-cells", "necessity-1e9-cells", "necessity-1e12-cells",
             "gramian-1e7-cells", "gramian-1e9-horizons", "gramian-1e6-tmax", "gramian-1e6-tmax-1e6-horizons",
-            "gramian-1e6-tmax-1e8-horizons", "gramian-1e6-tmax-1e9-horizons"])
+            "gramian-1e6-tmax-1e8-horizons", "gramian-1e6-tmax-1e9-horizons",
+            "gramian-8-cells-1e7-horizons"])
     def test_oversized_job_refused_before_allocating(self, tmp_path, capsys,
                                                      overrides, command, code):
         # each is refused before its first large allocation or loop: a
         # first state of 15 GiB or more, a Gramian of (2e7)^2 values before
-        # its probes, a 7.45 GiB horizon list, and a recurrence of 2e8
-        # steps, also before a horizon list of up to 0.8 GB; one ERROR: line
-        # within a second and a few MB
+        # its probes, a 7.45 GiB horizon list, a recurrence of 2e8 steps,
+        # also before a horizon list of up to 0.8 GB, and 1e7 horizons of an
+        # 8-cell sweep before their list; one ERROR: line within a second
+        # and a few MB
         path = config_variant(tmp_path, "big.json", **overrides)
         argv = command[:1] + ["--config", path] + command[1:]
         if command[0] == "synthesize":

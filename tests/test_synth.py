@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hypctrl.model import ControlDomain, Interval, PositionTag
-from hypctrl.pde import (ControlField, Grid, _speeds_at, sample_state, solve_backward,
-                         solve_forward, state_function)
+from hypctrl.pde import (ControlField, Grid, _speeds_at, cfl_dt, sample_state,
+                         solve_backward, solve_forward, state_function)
 from hypctrl.synth import (BelowThresholdError, SpaceCutoff, TimeCutoff,
                            assemble_internal_control, hum_boundary_control,
                            synthesize_full_domain)
@@ -557,12 +557,22 @@ class TestInPlaceGlue:
     whole-array glue it replaced: the same operations per element, so every
     control value is equal (the sign of a zero may differ)."""
 
-    @pytest.mark.parametrize("label", ["a", "b", "c", "mixed"])
-    def test_matches_whole_array_glue(self, label):
-        spec, T, cells = _synth_case(label)
-        grid = Grid(0.0, 1.0, cells)
+    # the glue row stores each state until the midpoint of its steps and
+    # forms the control from there on, a chunk of 64 steps at a time: odd
+    # and even step counts, a single chunk (63, 64), a second chunk of one
+    # step (65) and a chunk that straddles the midpoint (129); case a's
+    # 0.6 takes ceil(2 N / 3) steps on N cells
+    @pytest.mark.parametrize("label,cells,steps", [
+        ("a", None, 67), ("b", None, 120), ("c", None, 104), ("mixed", None, 120),
+        pytest.param("a", 94, 63, id="a-63-steps"), pytest.param("a", 96, 64, id="a-64-steps"),
+        pytest.param("a", 97, 65, id="a-65-steps"), pytest.param("a", 193, 129, id="a-129-steps"),
+    ], ids=["a", "b", "c", "mixed"] + [None] * 4)
+    def test_matches_whole_array_glue(self, label, cells, steps):
+        spec, T, case_cells = _synth_case(label)
+        grid = Grid(0.0, 1.0, cells or case_cells)
         y0, y1 = _fourier(spec.n, 1), _fourier(spec.n, 2)
         rep = assemble_internal_control(spec, y0, y1, T, grid)
+        assert rep.control.n_steps == steps
         control, err, residuals = _whole_array_glue(spec, y0, y1, T, grid, rep.omega_hat)
         assert np.array_equal(rep.control.values, control.values)
         assert rep.control.dt == control.dt
@@ -570,12 +580,17 @@ class TestInPlaceGlue:
         assert rep.hum_residuals == residuals
 
     def test_full_domain_matches_whole_array_glue(self, spec_full_domain):
+        # at 0.4 on 80 cells (36 steps), and at the step counts of the
+        # glued test above and the fewest, 1 and 2
         grid = Grid(0.0, 1.0, 80)
         y0, y1 = _fourier(2, 3), _fourier(2, 4)
-        rep = synthesize_full_domain(spec_full_domain, y0, y1, 0.4, grid)
-        control, err, _ = _whole_array_glue(spec_full_domain, y0, y1, 0.4, grid, None)
-        assert np.array_equal(rep.control.values, control.values)
-        assert rep.achieved_error == err
+        dt = cfl_dt(spec_full_domain, grid, 0.9, 0.0)
+        for T, steps in [(0.4, 36)] + [(k * dt, k) for k in (1, 2, 63, 64, 65, 129)]:
+            rep = synthesize_full_domain(spec_full_domain, y0, y1, T, grid)
+            assert rep.control.n_steps == steps
+            control, err, _ = _whole_array_glue(spec_full_domain, y0, y1, T, grid, None)
+            assert np.array_equal(rep.control.values, control.values)
+            assert rep.achieved_error == err
 
     def test_peak_memory_is_near_two_controls(self, spec_2x2):
         # one small synthesis first makes numpy's one-time allocations, which
@@ -605,6 +620,27 @@ class TestInPlaceGlue:
         finally:
             tracemalloc.stop()
         assert peak <= 2.6 * rep.control.values.nbytes
+
+
+    @pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240)],
+                             ids=["a", "b", "c"])
+    def test_peak_memory_per_control_byte(self, label, cells):
+        # the benchmark's three synthesis cases on their grids: the glue row
+        # keeps one buffer of n_steps + 1 states (the control) beside its
+        # chunk record, and HUM solves its smallest normal matrix first, so
+        # the traced peak stays under 1.7x the control's bytes (two stored
+        # trajectories read 2.19, 2.25 and 2.46x); one small synthesis first
+        # makes numpy's one-time allocations
+        spec, T, small = _synth_case(label)
+        y0, y1 = _fourier(spec.n, 1), _fourier(spec.n, 5)
+        assemble_internal_control(spec, y0, y1, T, Grid(0.0, 1.0, small))
+        tracemalloc.start()
+        try:
+            rep = assemble_internal_control(spec, y0, y1, T, Grid(0.0, 1.0, cells))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * rep.control.values.nbytes
 
 
 class TestSynthesisMemoryGuard:
@@ -750,6 +786,25 @@ def test_row_equals_direct_hum(monkeypatch, label, cells):
         assert hum.residual == direct.residual
         assert hum.samples.tobytes() == direct.samples.tobytes()
         assert hum.times.tobytes() == direct.times.tobytes()
+
+
+def test_hum_row_solves_smallest_first_in_component_order(monkeypatch):
+    # the three-interval case's components have 30, 80 and 50 cells: the row
+    # solves their normal systems smallest first, while every a_t is held,
+    # and returns each component's result at its own place
+    import hypctrl.synth as synth
+    spec, T, cells = _three_interval_case()
+    parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
+    sizes = [spec.n * grid_i.n_cells for _, grid_i, *_ in parts]
+    assert sizes != sorted(sizes)
+    solves, real_solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or real_solve(a, b))
+    row = synth._hum_row(spec, _records(spec, parts, T, cfl), [part[2:] for part in parts])
+    assert solves == sorted(sizes)
+    for (comp, grid_i, y0, y1, sampled), hum in zip(parts, row):
+        direct = hum_boundary_control(spec, comp, y0, y1, grid_i, T, cfl, sampled)
+        assert hum.samples.tobytes() == direct.samples.tobytes()
+        assert hum.residual == direct.residual
 
 
 def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
