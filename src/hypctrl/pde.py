@@ -12,8 +12,9 @@ prescribed control series, or keep their zeros where no writer is bound
 contiguous slice of a buffer's flat view: one difference of flat
 neighbours, one product with a Courant table laid out over those slots, one
 subtraction per sign family, and for a source one contraction over the
-whole padded buffer.  The views, the boundary writers and the scratch are
-bound once per march into its two step closures.  Every march is built the
+whole padded buffer.  ``_Marcher.bind`` makes a march's two buffers and
+binds the views, the boundary writers and the shared difference, Courant
+table and gain once into its two step closures.  Every march is built the
 one way, ``_Marcher(*segments)``, from segments made by ``_segment`` (cells,
 Courant row, dt, source and boundary writers): one padded row holds them
 side by side, two pad cells apart, and the same calls step them all at once
@@ -39,13 +40,13 @@ It also drives the sweeps and witness of ``obsv`` and the two rows of
 ``synth``: the HUM row, which marches every complement component of a
 synthesis as one row of segments, and the glue row of the free forward and
 the mirrored backward solution.  A march returns its final batch; its other
-states leave it with no Python callback per step: each step copies each
-segment's cells into a caller's buffer of every state for that segment (a
+states leave it with no Python callback per step: each step copies the row's
+state once into one store, either a caller's buffer of every state (a
 solver's trajectory, which ``_evolve`` alone allocates, in forward-time order
 and on the grid's cells even when marched backward and mirrored, and refuses
-above ``TRAJECTORY_BYTES_LIMIT``), or copies the row into a record of the
-chunk (the HUM row, the glue row), handed over once per chunk of
-``NAN_CHECK_EVERY`` steps after a finiteness check.
+above ``TRAJECTORY_BYTES_LIMIT``) or a record of the chunk (the HUM row, the
+glue row), handed over once per chunk of ``NAN_CHECK_EVERY`` steps after a
+finiteness check.
 
 This module decides every horizon: each entry point that takes one, here and
 in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
@@ -226,20 +227,6 @@ def _slopes_at(spec: SystemSpec, grid: Grid) -> np.ndarray:
                      for k in range(spec.n)])
 
 
-class _Padded:
-    """A marching state: a C-contiguous (n, N+2, B) buffer with the cells
-    in columns 1..N and pad cells at both ends, its flat view and its
-    (n, N, B) interior.  The two states of a march share ``scratch``: the
-    flat neighbour difference, the flat Courant table over its slots and
-    the padded gain (None when no step adds a source or a forcing)."""
-
-    def __init__(self, shape, scratch):
-        self.buf = np.zeros(shape)
-        self.flat = self.buf.reshape(-1)
-        self.inner = self.buf[:, 1:-1]
-        self.scratch = scratch
-
-
 def _run(rows: slice, nx: int, batch: int) -> tuple[int, int]:
     """The flat range from the first cell of padded rows ``rows`` to their
     last, the pad cells between consecutive rows included (empty for the
@@ -261,14 +248,16 @@ def _segment(sigma: np.ndarray, dt: float, dx: float, bc_lo, bc_hi,
 
 class _Marcher:
     """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f,
-    from one ``_Padded`` state to the other, on flat views of the buffers,
-    for the segments of ``_segment`` laid side by side, left to right, in
-    one padded row: each has its own cells, Courant row, dt, source and
-    boundary writers, the segments share their sign families, and two pad
-    cells separate neighbours.  ``_Marcher(*segments)`` is the one
-    constructor (a one-segment row is the plain march); the row's interior
-    holds each segment's cells at its columns ``cols[i]`` (offset by the
-    earlier segments' cells plus two each), with zeros between them.
+    from one padded buffer of a march to the other, on flat views of the
+    buffers, for the segments of ``_segment`` laid side by side, left to
+    right, in one padded row: each has its own cells, Courant row, dt,
+    source and boundary writers, the segments share their sign families,
+    and two pad cells separate neighbours.  ``_Marcher(*segments)`` is the
+    one constructor (a one-segment row is the plain march); the row's
+    interior, ``width`` cells wide, holds each segment's cells at its
+    columns ``cols[i]`` (offset by the earlier segments' cells plus two
+    each), with zeros between them.  ``bind`` makes a march's two buffers
+    and its two steps.
 
     Boundary conditions bind as ``bc(outflow, out)`` to a segment's outgoing
     trace (n_out, B) and inflow ghosts (n_in, B) and return the writer
@@ -301,7 +290,7 @@ class _Marcher:
         ends = np.cumsum([courant.shape[1] + 2 for courant, *_ in segments]).tolist()
         self.cols = tuple(slice(end - courant.shape[1] - 2, end - 2)
                           for end, (courant, *_) in zip(ends, segments))
-        self.width = ends[-1]
+        self.width = ends[-1] - 2
         # a number, or in a row of unequal steps one dt per padded column
         dts = np.concatenate([np.full(courant.shape[1] + 2, dt) for courant, dt, *_ in segments])
         self.dt = float(dts[0]) if np.all(dts == dts[0]) else dts
@@ -314,63 +303,65 @@ class _Marcher:
                  else np.pad(np.transpose(source, (1, 2, 0)), ((0, 0), (0, 0), (1, 1)))
                  for courant, *_, source in segments], axis=2)
 
-    def states(self, w: np.ndarray, forcing: bool) -> tuple[_Padded, _Padded]:
-        """The two padded states of a march of the (n, N, B) batch ``w``,
-        the first holding ``w``; ``forcing`` says whether steps get one."""
+    def bind(self, w: np.ndarray, forcing: bool):
+        """A march of the (n, N, B) batch ``w``: its two padded (n, N+2, B)
+        buffers ``bufs``, the first holding ``w`` in its columns 1..N, and
+        the two steps ``steps[i](j, forcing=None)`` from ``bufs[i]`` to the
+        other, with every view they touch bound here; ``forcing`` says
+        whether steps get one, (n, N, 1).  The steps share the flat
+        neighbour difference, the flat Courant table over its slots and the
+        padded gain (None when no step adds a source or a forcing)."""
         n, nx, batch = w.shape
+        pos, neg = self.pos, self.neg
         table = np.zeros((n, nx + 2, batch))
         for (courant, *_), cols in zip(self.segments, self.cols):
-            table[self.pos, cols] = courant[self.pos, :, None]
-            table[self.neg, cols.start + 1:cols.stop + 1] = courant[self.neg, :, None]
+            table[pos, cols] = courant[pos, :, None]
+            table[neg, cols.start + 1:cols.stop + 1] = courant[neg, :, None]
         gain = np.zeros(table.shape) if forcing or self.source is not None else None
         dt = self.dt
         if np.ndim(dt):
             # one dt per slot: the same product per entry as a segment's own
             dt = np.broadcast_to(dt[:, None], table.shape).reshape(-1)
-        scratch = np.empty(table.size - batch), table.reshape(-1)[:-batch], gain, dt
-        cur, nxt = _Padded(table.shape, scratch), _Padded(table.shape, scratch)
-        cur.inner[...] = w
-        return cur, nxt
-
-    def stepper(self, src: _Padded, dst: _Padded):
-        """The step from ``src`` to ``dst`` as ``step(j, forcing=None)``,
-        with every view it touches bound here; ``forcing`` is (n, N, 1)."""
-        _, width, batch = src.buf.shape
-        diff, table, gain, dt = src.scratch
-        x, y, xbuf, source = src.flat, dst.flat, src.buf, self.source
-        writers = []
-        for (_, _, bc_lo, bc_hi, _), cols in zip(self.segments, self.cols):
-            if bc_lo is not None:
-                writers.append(bc_lo(xbuf[self.neg, cols.start + 1], xbuf[self.pos, cols.start]))
-            if bc_hi is not None:
-                writers.append(bc_hi(xbuf[self.pos, cols.stop], xbuf[self.neg, cols.stop + 1]))
-        ahead, behind = x[batch:], x[:-batch]
-        lo, hi = _run(self.pos, width - 2, batch)
-        x_pos, d_pos, y_pos = x[lo:hi], diff[lo - batch:hi - batch], y[lo:hi]
-        lo, hi = _run(self.neg, width - 2, batch)
-        x_neg, d_neg, y_neg = x[lo:hi], diff[lo:hi], y[lo:hi]
+        diff, bufs = np.empty(table.size - batch), (np.zeros(table.shape), np.zeros(table.shape))
+        bufs[0][:, 1:-1] = w
+        table, source = table.reshape(-1)[:-batch], self.source
         if gain is not None:
             gain_flat, gain_inner = gain.reshape(-1), gain[:, 1:-1]
         subtract, multiply, add, einsum = np.subtract, np.multiply, np.add, np.einsum
 
-        def step(j, forcing=None):
-            for write in writers:
-                write(j)
-            subtract(ahead, behind, out=diff)
-            multiply(diff, table, out=diff)
-            subtract(x_pos, d_pos, out=y_pos)
-            subtract(x_neg, d_neg, out=y_neg)
-            if source is not None:
-                einsum("ijx,jxb->ixb", source, xbuf, out=gain)
-                multiply(gain_flat, dt, out=gain_flat)
-                add(y, gain_flat, out=y)
-            if forcing is not None:
-                # copied in, then scaled flat: a ufunc from a contiguous
-                # input into the strided interior would buffer a whole copy
-                gain_inner[...] = forcing
-                multiply(gain_flat, dt, out=gain_flat)
-                add(y, gain_flat, out=y)
-        return step
+        def stepper(xbuf, ybuf):
+            x, y = xbuf.reshape(-1), ybuf.reshape(-1)
+            writers = []
+            for (_, _, bc_lo, bc_hi, _), cols in zip(self.segments, self.cols):
+                if bc_lo is not None:
+                    writers.append(bc_lo(xbuf[neg, cols.start + 1], xbuf[pos, cols.start]))
+                if bc_hi is not None:
+                    writers.append(bc_hi(xbuf[pos, cols.stop], xbuf[neg, cols.stop + 1]))
+            ahead, behind = x[batch:], x[:-batch]
+            lo, hi = _run(pos, nx, batch)
+            x_pos, d_pos, y_pos = x[lo:hi], diff[lo - batch:hi - batch], y[lo:hi]
+            lo, hi = _run(neg, nx, batch)
+            x_neg, d_neg, y_neg = x[lo:hi], diff[lo:hi], y[lo:hi]
+
+            def step(j, forcing=None):
+                for write in writers:
+                    write(j)
+                subtract(ahead, behind, out=diff)
+                multiply(diff, table, out=diff)
+                subtract(x_pos, d_pos, out=y_pos)
+                subtract(x_neg, d_neg, out=y_neg)
+                if source is not None:
+                    einsum("ijx,jxb->ixb", source, xbuf, out=gain)
+                    multiply(gain_flat, dt, out=gain_flat)
+                    add(y, gain_flat, out=y)
+                if forcing is not None:
+                    # copied in, then scaled flat: a ufunc from a contiguous
+                    # input into the strided interior would buffer a whole copy
+                    gain_inner[...] = forcing
+                    multiply(gain_flat, dt, out=gain_flat)
+                    add(y, gain_flat, out=y)
+            return step
+        return bufs, (stepper(*bufs), stepper(*bufs[::-1]))
 
 
 def _coupling_bc(matrix: np.ndarray):
@@ -407,52 +398,53 @@ def _check_work(what: str, work: int):
                          f"above the limit of {MARCH_WORK_LIMIT}")
 
 
+def _record_states(n_steps: int) -> int:
+    """The length of a march's chunk record: the states before each step of
+    a chunk of at most ``NAN_CHECK_EVERY`` steps, and the state after it."""
+    return min(NAN_CHECK_EVERY, n_steps) + 1
+
+
 def _march(marcher: _Marcher, w0: np.ndarray, n_steps: int,
-           forcing: np.ndarray | None = None, on_chunk=None, out: tuple | None = None):
+           forcing: np.ndarray | None = None, on_chunk=None, out: np.ndarray | None = None):
     """March an (n, N) state or (n, N, B) batch and return the final batch,
     the (n, N, B) interior of a padded buffer; in a row of segments N
     counts the pad cells between them.  ``forcing[j]`` (n, N) enters step j.
-    After the work check (values times steps), the two states of
-    ``marcher`` and the two steps between them are bound once; the steps
-    alternate, allocate nothing and run in chunks of ``NAN_CHECK_EVERY``.
-    Each step copies each segment's cells into that segment's buffer of
-    ``out``, one caller's (n_steps+1, n, N_i, B) buffer of every state per
-    segment (a view reversed in time stores the last state first, one
-    reversed in cells stores them mirrored), or, without ``out``, copies the
-    row into a record of the chunk when ``on_chunk`` is given, where each
-    segment's cells sit at its offset.  A chunk ends with a finiteness check
-    and ``on_chunk(j0, states)``: the (k, n, N, B) states j0..j0+k-1 of the
-    record or of the first buffer, and the final state too in the last chunk.
+    After the work check (values times steps), ``marcher.bind`` makes the
+    two buffers and the two steps between them once; the steps alternate,
+    allocate nothing and run in chunks of ``NAN_CHECK_EVERY``.  Each step
+    copies the row's state into one store: ``out``, a caller's (n_steps+1,
+    n, N, B) buffer of every state (a view reversed in time stores the last
+    state first, one reversed in cells stores them mirrored), or, without
+    ``out``, a record of the chunk when ``on_chunk`` is given.  A chunk ends
+    with a finiteness check and ``on_chunk(j0, states)``: the (k, n, N, B)
+    states j0..j0+k-1 of the store, and the final state too in the last
+    chunk.
     """
     w = w0[:, :, None] if w0.ndim == 2 else w0
     _check_work(f"march of {n_steps} steps over {w.size} values", w.size * n_steps)
-    record = ((np.empty((min(NAN_CHECK_EVERY, n_steps) + 1,) + w.shape),)
-              if out is None and on_chunk is not None else ())
-    cols = (slice(None),) if out is None else marcher.cols
-    pair = marcher.states(w, forcing is not None)
-    steps = marcher.stepper(*pair), marcher.stepper(*pair[::-1])
-    inners = pair[0].inner, pair[1].inner
-    # a padded state's layout, True in the pad cells: the check writes a
-    # strided interior and reduces a contiguous buffer, buffering no copy
-    finite = np.ones(pair[0].buf.shape, dtype=bool)
+    record = (np.empty((_record_states(n_steps),) + w.shape)
+              if out is None and on_chunk is not None else None)
+    bufs, steps = marcher.bind(w, forcing is not None)
+    inners = bufs[0][:, 1:-1], bufs[1][:, 1:-1]
+    # a buffer's layout, True in the pad cells: the check writes a strided
+    # interior and reduces a contiguous buffer, buffering no copy
+    finite = np.ones(bufs[0].shape, dtype=bool)
     forcing = None if forcing is None else forcing[:, :, :, None]
     for j0 in range(0, max(n_steps, 1), NAN_CHECK_EVERY):
         k = min(NAN_CHECK_EVERY, n_steps - j0)
-        chunks = record if out is None else tuple(buf[j0:] for buf in out)
-        for chunk, c in zip(chunks, cols):
-            chunk[0] = w[:, c]
-        # per state of the pair, each store's chunk and the columns it takes
-        copies = [tuple(zip(chunks, [inner[:, c] for c in cols])) for inner in inners]
+        store = record if out is None else out[j0:]
+        if store is not None:
+            store[0] = w
         for j in range(j0, j0 + k):
             steps[j & 1](j, None if forcing is None else forcing[j])
-            for chunk, state in copies[~j & 1]:
-                chunk[j + 1 - j0] = state
+            if store is not None:
+                store[j + 1 - j0] = inners[~j & 1]
         w = inners[(j0 + k) & 1]
         np.isfinite(w, out=finite[:, 1:-1])
         if not finite.all():
             raise RuntimeError(f"solution lost finiteness at step {j0 + k}")
         if on_chunk is not None:
-            on_chunk(j0, chunks[0][:k + 1] if j0 + k == n_steps else chunks[0][:k])
+            on_chunk(j0, store[:k + 1] if j0 + k == n_steps else store[:k])
     return w
 
 
@@ -469,7 +461,7 @@ def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
     if trajectory:
         _check_bytes(f"trajectory of {n_steps + 1} states", (n_steps + 1) * state.values.nbytes)
         traj = np.empty((n_steps + 1,) + state.values.shape)
-        out = ((traj[::-1] if reverse else traj)[:, :, cells, None],)
+        out = (traj[::-1] if reverse else traj)[:, :, cells, None]
     w = _march(marcher, state.values[:, cells], n_steps, forcing, out=out)
     final = StateField(w[:, cells, 0].copy(), state.grid)
     return EvolutionResult(final, traj, np.arange(n_steps + 1) * dt)

@@ -41,10 +41,9 @@ import numpy as np
 
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
-from .pde import (NAN_CHECK_EVERY, BoundaryControls, ControlField, Grid, PositionTag,
-                  StateField, _backward_segment, _check_bytes, _evolve,
-                  _forward_segment, _march, _Marcher, _resolve_steps, _speeds_at,
-                  sample_state)
+from .pde import (BoundaryControls, ControlField, Grid, PositionTag, StateField,
+                  _backward_segment, _check_bytes, _evolve, _forward_segment, _march,
+                  _Marcher, _record_states, _resolve_steps, _speeds_at, sample_state)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -161,7 +160,7 @@ def _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells):
     grid = y0f.grid
     row = _Marcher(forward, _backward_segment(spec, grid, dt))
     fcols, bcols = row.cols
-    w0 = np.zeros((spec.n, row.width - 2))
+    w0 = np.zeros((spec.n, row.width))
     w0[:, fcols], w0[:, bcols] = y0f.values, y1f.values[:, ::-1]
     times = np.arange(n_steps + 1) * dt
     cut = TimeCutoff(T)
@@ -213,7 +212,7 @@ def _hum_bytes(spec, comps) -> int:
     sizes = sorted((2 * (n * comp.grid.n_cells) ** 2,
                     n * comp.grid.n_cells * comp.n_ch * comp.n_steps) for comp in comps)
     held = sum(a_t for _, a_t in sizes)
-    states = min(NAN_CHECK_EVERY, max(comp.n_steps for comp in comps)) + 1
+    states = _record_states(max(comp.n_steps for comp in comps))
     width = sum(comp.grid.n_cells + 2 for comp in comps) - 2
     peak = held + states * n * width * (1 + max(comp.n_ch for comp in comps))
     for normal, a_t in sizes:
@@ -228,7 +227,7 @@ def _peak_bytes(spec, grid, n_steps, n_glued, comps) -> int:
     and y_in and y_out at the n_glued cells; or, if more, the HUM of its
     components."""
     glue = 8 * spec.n * ((n_steps + 1) * (grid.n_cells + 2 * n_glued)
-                         + (min(NAN_CHECK_EVERY, n_steps) + 1) * (2 * grid.n_cells + 2))
+                         + _record_states(n_steps) * (2 * grid.n_cells + 2))
     return max(glue, _hum_bytes(spec, comps)) if comps else glue
 
 
@@ -342,8 +341,7 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
     batch = 1 + max(comp.n_ch for comp in comps)
     row = _Marcher(*(_forward_segment(spec, comp.grid, comp.dt, comp.interval.tag)
                      for comp in comps))
-    width = row.width - 2
-    w0 = np.zeros((n, width, batch))
+    w0 = np.zeros((n, row.width, batch))
     for comp, (y0_vals, y1_vals, cells), (courant, *_), cols in zip(
             comps, data, row.segments, row.cols):
         n_left, n_ch, n_steps, grid = comp.n_left, comp.n_ch, comp.n_steps, comp.grid
@@ -361,7 +359,7 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
         vars(comp).update(
             y1=y1_vals, cells=cells, cols=cols, a_t=np.empty((n_ch, n_steps, n * grid.n_cells)),
             samples=np.empty((n_steps + 1, n, cells.size)), free=np.empty((n, grid.n_cells)),
-            take=((idx[:, None] * width + cols.start + cells) * batch + batch - 1).reshape(-1))
+            take=((idx[:, None] * row.width + cols.start + cells) * batch + batch - 1).reshape(-1))
 
     def on_chunk(j0, states):
         j1 = j0 + len(states)

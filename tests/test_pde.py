@@ -486,6 +486,18 @@ def _reference_march(ref, w0, n_steps, forcing):
     return states
 
 
+class _LosesFiniteness(pde._Marcher):
+    """A march whose steps only add, and add inf in step 1."""
+
+    def bind(self, w, forcing):
+        bufs, _ = super().bind(w, forcing)
+        inners = bufs[0][:, 1:-1], bufs[1][:, 1:-1]
+
+        def stepper(src, dst):
+            return lambda j, forcing=None: np.add(src, np.inf if j == 1 else 0.0, out=dst)
+        return bufs, (stepper(*inners), stepper(*inners[::-1]))
+
+
 KERNEL_CASES = pytest.mark.parametrize("n_neg,n_pos", [(1, 2), (2, 2)])
 SIGN_ORDERS = pytest.mark.parametrize("negative_first", [True, False])
 BCS = pytest.mark.parametrize("bc", ["coupling", "dirichlet"])
@@ -504,9 +516,9 @@ class TestMarchingKernel:
         for j in range(n_steps):
             w = rng.standard_normal((n_neg + n_pos, 40, batch))
             forcing = rng.standard_normal((n_neg + n_pos, 40, 1)) if j % 2 else None
-            src, dst = new.states(w, forcing is not None)
-            new.stepper(src, dst)(j, forcing)
-            assert np.array_equal(dst.inner, ref.step(w, j, forcing))
+            bufs, steps = new.bind(w, forcing is not None)
+            steps[0](j, forcing)
+            assert np.array_equal(bufs[1][:, 1:-1], ref.step(w, j, forcing))
 
     @KERNEL_CASES
     @SIGN_ORDERS
@@ -526,7 +538,7 @@ class TestMarchingKernel:
             traj = np.empty((n_steps + 1,) + w0.shape)
             w = pde._march(new, w0, n_steps, forcing=forcing,
                            on_chunk=lambda j0, chunk: seen.extend(enumerate(chunk.copy(), j0)),
-                           out=(traj[::-1] if reverse else traj,))
+                           out=traj[::-1] if reverse else traj)
             assert [j for j, _ in seen] == list(range(n_steps + 1))
             for (_, v), want in zip(seen, states):
                 assert np.array_equal(v, want)
@@ -552,7 +564,7 @@ class TestMarchingKernel:
         traj = np.empty((n_steps + 1,) + w0.shape) if keep == "trajectory" else None
         w = pde._march(new, w0, n_steps, forcing=forcing if forced else None,
                        on_chunk=lambda j0, chunk: chunks.append((j0, chunk.copy())),
-                       out=None if traj is None else (traj[::-1] if reverse else traj,))
+                       out=None if traj is None else (traj[::-1] if reverse else traj))
         every = pde.NAN_CHECK_EVERY
         assert [j0 for j0, _ in chunks] == list(range(0, n_steps, every))
         assert [len(c) for _, c in chunks[:-1]] == [every] * (len(chunks) - 1)
@@ -575,7 +587,7 @@ class TestMarchingKernel:
         # series or zero data with no writer), against a march of each
         # segment alone: the row runs the most steps, and each segment's
         # states up to its own count are byte for byte its own march's, both
-        # in the row's record and in the segment's own buffer of every state
+        # in the row's record and in a whole-row buffer of every state
         batch, n_max = 3, max(seg[1] for seg in segments)
 
         def segment(seed, nx, ends, source, zero_series=False):
@@ -607,25 +619,28 @@ class TestMarchingKernel:
                  for seed, (nx, _, *ends, source) in enumerate(segments)]
         row = pde._Marcher(*(seg for marcher, _ in parts for seg in marcher.segments))
         assert len({marcher.dt for marcher, _ in parts}) == len(parts)
-        w0 = np.zeros((3, row.width - 2, batch))
+        w0 = np.zeros((3, row.width, batch))
         at = 0
         for _, w in parts:
             w0[:, at:at + w.shape[1]] = w
             at += w.shape[1] + 2
         marched = states(row, w0, n_max)
-        # one buffer per segment, the last a view reversed in time and cells
-        bufs = [np.full((n_max + 1, 3, nx, batch), np.nan) for nx, *_ in segments]
-        own = bufs[:-1] + [bufs[-1][::-1, :, ::-1]]
-        final = pde._march(row, w0, n_max, out=tuple(own))
+        # one buffer of every row state, stored through a view reversed in
+        # time and cells; each segment's states are its columns of the view
+        whole = np.full((n_max + 1, 3, row.width, batch), np.nan)
+        view = whole[::-1, :, ::-1]
+        final = pde._march(row, w0, n_max, out=view)
         assert final.tobytes() == marched[-1].tobytes()
+        assert view.tobytes() == np.stack(marched).tobytes()
         at = 0
         for seed, ((marcher, w), (nx, n_steps, *ends, source)) in enumerate(zip(parts, segments)):
             alone = states(marcher, w, n_steps)
             assert len(alone) == n_steps + 1
             for got, want in zip(marched, alone):
                 assert got[:, at:at + nx].tobytes() == want.tobytes()
-            assert own[seed][:n_steps + 1].tobytes() == np.stack(alone).tobytes()
-            assert own[seed].tobytes() == np.stack(marched)[:, :, at:at + nx].tobytes()
+            own = view[:, :, row.cols[seed]]
+            assert own[:n_steps + 1].tobytes() == np.stack(alone).tobytes()
+            assert own.tobytes() == np.stack(marched)[:, :, at:at + nx].tobytes()
             if None in ends:
                 # no writer is zero boundary data
                 zeros = segment(seed, nx, ends, source, zero_series=True)[0]
@@ -636,12 +651,7 @@ class TestMarchingKernel:
     def test_nonfinite_state_reported_at_the_chunk_end(self):
         # finiteness is checked once per chunk, before its hand-over: a state
         # made non-finite at step 2 is reported at step NAN_CHECK_EVERY
-        class LosesFiniteness(pde._Marcher):
-            def stepper(self, src, dst):
-                return lambda j, forcing=None: np.add(src.inner, np.inf if j == 1 else 0.0,
-                                                      out=dst.inner)
-
-        marcher = LosesFiniteness(pde._segment(np.ones((2, 8)), 0.1, 0.125, None, None))
+        marcher = _LosesFiniteness(pde._segment(np.ones((2, 8)), 0.1, 0.125, None, None))
         chunks = []
         with pytest.raises(RuntimeError, match=f"finiteness at step {pde.NAN_CHECK_EVERY}$"):
             pde._march(marcher, np.ones((2, 8, 3)), 200,
@@ -657,17 +667,16 @@ class TestMarchingKernel:
         w0 = rng.standard_normal((3, 40, batch))
         forcing = rng.standard_normal((10, 3, 40))
         clean = pde._march(new, w0, 10, forcing=forcing).copy()
-        real_states = new.states
+        real_bind = new.bind
 
         def poisoned(w, with_forcing):
-            pair = real_states(w, with_forcing)
-            for state in pair:
-                buf = state.inner.base
+            bufs, steps = real_bind(w, with_forcing)
+            for buf in bufs:
                 buf[new.pos, -1] = np.nan
                 buf[new.neg, 0] = np.nan
-            return pair
+            return bufs, steps
 
-        monkeypatch.setattr(new, "states", poisoned)
+        monkeypatch.setattr(new, "bind", poisoned)
         with np.errstate(invalid="raise"):
             got = pde._march(new, w0, 10, forcing=forcing)
         assert np.array_equal(got, clean)
@@ -716,12 +725,7 @@ class TestMarchingKernel:
             assert np.array_equal(got, mat @ outflow)
 
     def test_march_checks_finiteness_of_batches(self):
-        class LosesFiniteness(pde._Marcher):
-            def stepper(self, src, dst):
-                return lambda j, forcing=None: np.add(src.inner, np.inf if j == 1 else 0.0,
-                                                      out=dst.inner)
-
-        marcher = LosesFiniteness(pde._segment(np.ones((2, 8)), 0.1, 0.125, None, None))
+        marcher = _LosesFiniteness(pde._segment(np.ones((2, 8)), 0.1, 0.125, None, None))
         # steps between the periodic checks are caught by the final one
         with pytest.raises(RuntimeError, match="finiteness at step 5"):
             pde._march(marcher, np.ones((2, 8, 3)), 5)
@@ -750,7 +754,7 @@ class TestMarchingKernel:
             pde._forward(spec_2x2, y0, None, 0.3, 0.9, trajectory=False)
         # a batch counts every column, and no state is made
         marcher = pde._adjoint_marcher(spec_2x2, grid, cfl_dt(spec_2x2, grid, 0.9, 0.3))
-        monkeypatch.setattr(marcher, "states", None)
+        monkeypatch.setattr(marcher, "bind", None)
         with pytest.raises(ValueError, match=f"needs {3 * work} element-steps"):
             pde._march(marcher, np.zeros((2, 64, 3)), n_steps)
 
