@@ -50,9 +50,10 @@ from .pde import ControlField, Grid, StateField, _check_state, _forward, _resolv
 from .synth import assemble_internal_control
 from .times import minimal_control_time, refine_control_region
 
-# the first type an error is an instance of gives its exit code
+# the first type an error is an instance of gives its exit code; a speed
+# that rounds to zero inside a segment divides by zero in ``travel_time``
 EXIT_CODES = {ConfigError: 2, RankError: 3, BelowThresholdError: 4,
-              ValueError: 1, RuntimeError: 1, OSError: 1}
+              ValueError: 1, RuntimeError: 1, OSError: 1, ArithmeticError: 1}
 
 
 def _fmt(x: float) -> str:
@@ -79,15 +80,19 @@ def _numbers(value, where: str, ndim: int = 0):
     nonempty lists of equal length nested ``ndim`` deep as a float array.
     Booleans, strings, null, ragged or wrongly nested lists and integers too
     large for a float are refused, naming ``where``."""
-    # numpy nests only lists of one length, so a ragged or wrongly nested value
-    # comes out with fewer dimensions or with a list for an element
-    arr = np.array(value, dtype=object)
+    # walk the list levels: each holds nonempty lists of one length
+    level = [value]
+    for _ in range(ndim):
+        if {*map(type, level)} != {list} or len({*map(len, level)}) != 1 or not level[0]:
+            level = ()
+            break
+        level = [x for v in level for x in v]
     # JSON decodes to exact ints and floats, and a boolean's type is bool
-    if arr.ndim != ndim or not arr.size or not {*map(type, arr.flat)} <= {int, float}:
+    if not level or not {*map(type, level)} <= {int, float}:
         what = f"numbers in nonempty equal-length lists {ndim} deep" if ndim else "a number"
         _fail(where, f"expected {what}, got {json.dumps(value)}")
     try:
-        return arr.astype(float) if ndim else float(value)
+        return np.array(value, dtype=float) if ndim else float(value)
     except OverflowError:
         _fail(where, "an integer is too large for a float")
 
@@ -104,32 +109,39 @@ def _integer(value, where: str) -> int:
 def _speed_profile(entries, n: int) -> SpeedProfile:
     if not isinstance(entries, list) or len(entries) != n:
         _fail("speeds", f"expected a list of {n} entries")
-    constants, pieces = {}, {}
+    rows, pieces = [None] * n, {}
     for i, e in enumerate(entries):
         where = f"speeds[{i}]"
         kind = e.get("type") if isinstance(e, dict) else None
         if kind == "constant":
             _require_keys(e, where, ("type", "value"))
-            constants[i] = _numbers(e["value"], f"{where}.value")
+            rows[i] = _numbers(e["value"], f"{where}.value")
         elif kind == "piecewise_linear":
             _require_keys(e, where, ("type", "x", "v"))
-            pieces[i] = _numbers(e["x"], f"{where}.x", 1), _numbers(e["v"], f"{where}.v", 1)
+            x = _numbers(e["x"], f"{where}.x", 1).tolist()
+            v = _numbers(e["v"], f"{where}.v", 1)
             if not all(a < b for a, b in zip(e["x"], e["x"][1:])):
                 _fail(f"{where}.x", f"must increase strictly, got {json.dumps(e['x'])}")
-            if pieces[i][0].size != pieces[i][1].size:
+            if x[0] != 0.0 or x[-1] != 1.0:
+                _fail(f"{where}.x", f"must run from 0 to 1, got {json.dumps(e['x'])}")
+            if len(x) != v.size:
                 _fail(where, "'x' and 'v' must have equal length")
+            pieces[i] = x, v
         else:
             _require_keys(e, where, ("type",), ("value", "x", "v"))
             _fail(where, f"unknown speed type '{e['type']}'")
     if not pieces:
-        return SpeedProfile.constant([constants[i] for i in range(n)])
+        return SpeedProfile.constant(rows)
     # at least one piecewise entry: merge all breakpoints and resample
-    xs = np.array(sorted({0.0, 1.0}.union(*(x.tolist() for x, _ in pieces.values()))))
-    if xs[0] != 0.0 or xs[-1] != 1.0:
-        _fail("speeds", "piecewise breakpoints must stay inside [0, 1]")
-    rows = [np.full(xs.size, constants[i]) if i in constants else np.interp(xs, *pieces[i])
-            for i in range(n)]
-    return SpeedProfile.piecewise_linear(xs, np.stack(rows))
+    xs = sorted({0.0, 1.0}.union(*(x for x, _ in pieces.values())))
+    for i, row in enumerate(rows):
+        if i in pieces:
+            x, v = pieces[i]
+            # on v's own breakpoints np.interp returns v itself
+            rows[i] = v if x == xs else np.interp(xs, x, v)
+        else:
+            rows[i] = [row] * len(xs)
+    return SpeedProfile.piecewise_linear(xs, rows)
 
 
 def _source_term(entry) -> SourceTerm:
@@ -156,7 +168,8 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     """Strictly parse and validate a configuration file."""
     try:
-        data = json.loads(Path(path).read_text())
+        with open(path) as stream:
+            data = json.loads(stream.read())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, 4,301 digits, deep lists

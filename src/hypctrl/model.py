@@ -24,6 +24,7 @@ plain-value objects; operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -132,12 +133,12 @@ class SpeedProfile:
     def n(self) -> int:
         return self.table.shape[0]
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Number of negative-speed components."""
-        return int(np.sum(self.table[:, 0] < 0.0))
+        return sum(v < 0.0 for v in self.table[:, 0].tolist())
 
-    @property
+    @cached_property
     def p(self) -> int:
         return self.n - self.m
 
@@ -348,36 +349,36 @@ class SystemSpec:
 def validate(spec: SystemSpec) -> None:
     """Check the standing hypotheses in order; raise ``ConfigError`` naming
     the first one ``spec`` breaks."""
-    table = spec.speeds.table
-    n = table.shape[0]
+    # Python floats: each check is a few comparisons per speed value
+    rows = spec.speeds.table.tolist()
+    n = len(rows)
 
-    neg = np.all(table < 0.0, axis=1)
-    pos = np.all(table > 0.0, axis=1)
-    m = int(np.sum(neg))
-    p = int(np.sum(pos))
+    neg = [all(v < 0.0 for v in row) for row in rows]
+    pos = [all(v > 0.0 for v in row) for row in rows]
+    m, p = sum(neg), sum(pos)
 
     if m + p < n:
         bad = [k for k in range(n) if not (neg[k] or pos[k])]
         raise ConfigError(
             f"config (speed-sign): components {bad} change sign or vanish; negative "
             "speeds must be < 0 and positive speeds must be > 0 everywhere")
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        bad = [k for k in range(n) if not finite[k]]
+    bad = [k for k, row in enumerate(rows) if not all(map(math.isfinite, row))]
+    if bad:
         raise ConfigError(f"config (speed-sign): speeds of components {bad} are not finite")
     if n < 2 or m < 1 or p < 1:
         raise ConfigError(
             "config (dimension): need n >= 2 with at least one negative and one "
             f"positive speed (m={m}, p={p})")
-    if not np.all(np.diff(table, axis=0) >= 0.0):
+    if not all(b - a >= 0.0 for lower, upper in zip(rows, rows[1:])
+               for a, b in zip(lower, upper)):
         raise ConfigError(
             "config (speed-ordering): speeds must be nondecreasing in the component "
             "index at every breakpoint")
 
     for k in range(n):
         for l in range(k + 1, n):
-            close = np.abs(table[k] - table[l]) <= EQUAL_SPEED_TOL
-            if close.any() and not close.all():
+            close = [abs(a - b) <= EQUAL_SPEED_TOL for a, b in zip(rows[k], rows[l])]
+            if any(close) and not all(close):
                 raise ConfigError(
                     f"config (speed-coincidence): speeds {k} and {l} are equal somewhere "
                     "but not everywhere; equal somewhere implies equal everywhere")

@@ -65,10 +65,14 @@ def travel_time(spec: SystemSpec, k: int, interval) -> float:
         raise ValueError(f"component index {k} out of range")
     iv = _as_interval(interval)
     lo, hi = iv.lo, iv.hi
+    # Python floats: the double operations of numpy scalars, without their
+    # per-operation cost
     xs, vs = spec.speeds.segments(k)
+    xs, vs = xs.tolist(), vs.tolist()
     total = 0.0
-    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
-        c, d = max(lo, x0), min(hi, x1)
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+        c = x0 if x0 > lo else lo
+        d = x1 if x1 < hi else hi
         if c < d:
             total += _segment_crossing(v0, v1, x0, x1, c, d)
     return total
@@ -80,8 +84,9 @@ def _segment_table(spec: SystemSpec, k: int, caller: str):
     if spec.speeds.value(k, 0.0) <= 0:
         raise ValueError(f"{caller} needs a positive-speed component")
     xs, vs = spec.speeds.segments(k)
+    xl, vl = xs.tolist(), vs.tolist()
     cum = [0.0]
-    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+    for x0, x1, v0, v1 in zip(xl, xl[1:], vl, vl[1:]):
         cum.append(cum[-1] + _segment_crossing(v0, v1, x0, x1, x0, x1))
     slopes = np.diff(vs) / np.diff(xs)
     return xs, vs[:-1], slopes, np.abs(slopes) < CONSTANT_SLOPE_TOL, np.array(cum)

@@ -77,6 +77,29 @@ EDGE_Q0 = [[0.18905338179353307, -0.5227484414807474, -0.41306354339189344],
            [-2.4414673826398556, 1.799707382720902, 1.1441658720372287],
            [-2.4914011263956173, 2.0488453834949376, 1.347263338418283]]
 
+# shaped like perfbench's formula configs: piecewise speeds on shared
+# breakpoints, non-diagonal couplings at both ends and omega of two and of
+# three intervals, whose complement has a component of every position
+PIECEWISE_FOUR = {
+    "n": 4, "m": 2,
+    "speeds": [{"type": "piecewise_linear", "x": [0.0, 0.3, 0.65, 1.0], "v": v}
+               for v in ([-1.45, -1.2, -1.55, -1.3], [-0.7, -0.52, -0.81, -0.6],
+                         [0.6, 0.93, 0.71, 0.5], [1.2, 1.04, 1.38, 1.1])],
+    "M": [[0.1, -0.2, 0.0, 0.3], [0.0, 0.2, -0.1, 0.0], [0.3, 0.0, -0.4, 0.1],
+          [-0.2, 0.1, 0.0, 0.2]],
+    "Q0": [[0.25, 1.5], [-1.3, 0.1]], "Q1": [[1.1, -0.2], [0.3, -1.7]],
+    "omega": [[0.15, 0.35], [0.6, 0.8]], "grid": {"cells": 200}}
+PIECEWISE_SIX = {
+    "n": 6, "m": 3,
+    "speeds": [{"type": "piecewise_linear", "x": [0.0, 0.2, 0.45, 0.8, 1.0], "v": v}
+               for v in ([-2.1, -1.8, -2.3, -1.95, -2.2], [-1.5, -1.3, -1.65, -1.4, -1.55],
+                         [-0.8, -0.6, -0.9, -0.7, -0.75], [0.7, 0.55, 0.85, 0.65, 0.8],
+                         [1.25, 1.4, 1.1, 1.3, 1.2], [1.9, 2.05, 1.75, 2.2, 1.85])],
+    "M": [[0.0] * 6 for _ in range(6)],
+    "Q0": [[0.2, -1.4, 0.1], [1.6, 0.3, -0.2], [0.1, 0.2, 1.2]],
+    "Q1": [[-0.1, 0.25, 1.3], [1.1, 0.0, 0.2], [0.2, -1.5, 0.1]],
+    "omega": [[0.1, 0.22], [0.4, 0.55], [0.72, 0.9]], "grid": {"cells": 200}}
+
 
 # valid JSON, but too large for a float
 HUGE_INT = 10 ** 400
@@ -636,13 +659,46 @@ class TestFlagValidation:
         ({"speeds": [{"type": "constant", "value": -1.0},
                      {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1.0, float("inf")]}]},
          "speed-sign): speeds of components [1] are not finite"),
+        # 0/1 equal at x = 0 only and 2/3 at x = 0.5 only: the first pair is named
+        ({"n": 4, "m": 2,
+          "speeds": [{"type": "piecewise_linear", "x": [0.0, 0.5, 1.0], "v": v}
+                     for v in ([-2.0, -1.5, -1.0], [-2.0, -1.0, -0.5],
+                               [1.0, 2.0, 3.0], [1.5, 2.0, 3.5])],
+          "M": [[0.0] * 4] * 4, "Q0": [[1.0, 0.0], [0.0, 1.0]],
+          "Q1": [[1.0, 0.0], [0.0, 1.0]]},
+         "speed-coincidence): speeds 0 and 1 are equal somewhere but not "
+         "everywhere; equal somewhere implies equal everywhere"),
+        # in order at both ends, out of order at x = 0.5 only
+        ({"n": 3, "speeds": [{"type": "constant", "value": -1.0},
+                             {"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                              "v": [1.0, 2.5, 3.0]},
+                             {"type": "piecewise_linear", "x": [0.0, 0.5, 1.0],
+                              "v": [2.0, 2.0, 4.0]}],
+          "M": [[0.0] * 3] * 3, "Q0": [[1.0], [1.0]], "Q1": [[1.0, 1.0]]},
+         "speed-ordering): speeds must be nondecreasing in the component index "
+         "at every breakpoint"),
     ], ids=["speed-sign", "dimension", "speed-ordering", "speed-coincidence",
-            "coupling-shapes", "source", "speed-infinite"])
+            "coupling-shapes", "source", "speed-infinite", "coincidence-first-pair",
+            "ordering-interior-breakpoint"])
     def test_broken_hypothesis_exits_2_naming_it(self, tmp_path, capsys,
                                                  overrides, line):
         path = config_variant(tmp_path, "bad.json", **overrides)
         assert main(["mintime", "--config", path]) == 2
         assert capsys.readouterr().err == f"ERROR: config ({line}\n"
+
+    # just below x = 1 the speed's linear interpolant rounds to 0, on a
+    # sloped segment (0.5 falling to 5e-205) and on one flatter than
+    # CONSTANT_SLOPE_TOL: the crossing time of the complement component
+    # there divides by zero, a numerical failure
+    @pytest.mark.parametrize("x,v", [([0.0, 0.329509, 1.0], [0.5, 0.5, 5e-205]),
+                                     ([0.0, 1.0], [1e-15, 1e-32])], ids=["sloped", "flat"])
+    def test_speed_rounding_to_zero_exits_1(self, tmp_path, capsys, x, v):
+        speed = {"type": "piecewise_linear", "x": x, "v": v}
+        path = config_variant(tmp_path, "zero.json", omega=[[0.2, 0.9999999999999999]],
+                              speeds=[EXAMPLE1["speeds"][0], speed])
+        assert main(["mintime", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("overrides,command,field", [
         ({"omega": [["0.25", "0.75"]]}, ["mintime"], "omega"),
@@ -667,10 +723,13 @@ class TestFlagValidation:
         ({"speeds": [{"type": "constant", "value": -1.0},
                      {"type": "piecewise_linear", "x": [0.5, 0.2, 1.0], "v": [1.0, 2.0, 1.0]}]},
          ["mintime"], "speeds[1].x"),
+        ({"speeds": [{"type": "constant", "value": -1.0},
+                     {"type": "piecewise_linear", "x": [0.2, 0.8], "v": [1.0, 2.0]}]},
+         ["mintime"], "speeds[1].x"),
     ], ids=["omega-strings", "omega-booleans", "M-mixed", "Q0-string", "Q0-scalar",
             "Q1-boolean-vector", "Q1-vector", "piecewise-speed-mixed", "source-x-string",
             "constant-stray-keys", "piecewise-stray-value", "matrix-boolean",
-            "matrix-string", "piecewise-x-decreasing"])
+            "matrix-string", "piecewise-x-decreasing", "piecewise-x-partial"])
     def test_lax_input_exits_2_naming_the_field(self, tmp_path, capsys, overrides,
                                                 command, field):
         path = config_variant(tmp_path, "bad.json", **overrides)
@@ -875,6 +934,27 @@ class TestDeterminism:
         assert [t for t, _ in got] == [t for t, _ in want]
         sigma, pinned = (np.array([float(v) for _, v in rows]) for rows in (got, want))
         assert np.max(np.abs(sigma - pinned)) <= 1e-13 * np.max(pinned)
+
+    # sha256 of the stdout of `mintime` and `omegahat --eps 0.05` on the
+    # piecewise configs: travel times summed over several speed segments, and
+    # omega's intervals shrunk after two (four components) and one (six)
+    # halvings of the margin
+    @pytest.mark.parametrize("config,command,digest", [
+        (PIECEWISE_FOUR, ["mintime"],
+         "5b8b0dc15a2f6dd020be8e6dafc7e400ca684ad0d5e31a00a10fbd649df3fdfb"),
+        (PIECEWISE_FOUR, ["omegahat", "--eps", "0.05"],
+         "21920f29ba1ab0d455c4c08ff6e710ed8255b4eef46691ed6345d20e2d129e37"),
+        (PIECEWISE_SIX, ["mintime"],
+         "86bf9cc5cd80c501ff1782f2b4f0cfe8e862615fad52dc7124f6ab5b931dae9c"),
+        (PIECEWISE_SIX, ["omegahat", "--eps", "0.05"],
+         "20e01f698169c5241f90ccdd6f3265f8d570a070366d01574a0434710a4e5437"),
+    ], ids=["four-mintime", "four-omegahat", "six-mintime", "six-omegahat"])
+    def test_piecewise_formulas_golden_bytes(self, tmp_path, config, command, digest):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, text = capture(command[:1] + ["--config", str(path)] + command[1:])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # stdout of `omegahat --eps 0.05` on the example: omega (0.25, 0.75)
     # shrinks by 0.125 / 2**3 on each side

@@ -8,6 +8,13 @@ from conftest import make_spec
 
 BREAKPOINT_SPEEDS = SpeedProfile.piecewise_linear(
     [0.0, 0.5, 1.0], [[-1.0, -1.0, -1.0], [1.0, 2.0, 3.0], [2.0, 2.0, 4.0]])
+# speeds 0/1 equal at x = 0 only, 2/3 at x = 0.5 only
+TWO_PAIRS_SPEEDS = SpeedProfile.piecewise_linear(
+    [0.0, 0.5, 1.0], [[-2.0, -1.5, -1.0], [-2.0, -1.0, -0.5], [1.0, 2.0, 3.0],
+                      [1.5, 2.0, 3.5]])
+# in order at both ends, out of order at x = 0.5 only
+INTERIOR_DISORDER_SPEEDS = SpeedProfile.piecewise_linear(
+    [0.0, 0.5, 1.0], [[-1.0, -1.0, -1.0], [1.0, 2.5, 3.0], [2.0, 2.0, 4.0]])
 
 
 @pytest.mark.parametrize("name,speeds,q0,q1,source", [
@@ -16,6 +23,8 @@ BREAKPOINT_SPEEDS = SpeedProfile.piecewise_linear(
     ("speed-ordering", [1.0, -1.0], [[1.0]], [[1.0]], None),
     ("speed-ordering", [-1.0, 1.0, -2.0], [[1.0, 0.0]], [[1.0], [0.0]], None),
     ("speed-coincidence", BREAKPOINT_SPEEDS, np.ones((2, 1)), np.ones((1, 2)), None),
+    ("speed-coincidence", TWO_PAIRS_SPEEDS, np.eye(2), np.eye(2), None),
+    ("speed-ordering", INTERIOR_DISORDER_SPEEDS, np.ones((2, 1)), np.ones((1, 2)), None),
     ("coupling-shapes", [-1.0, 1.0], np.ones((2, 2)), [[1.0]], None),
     ("coupling-shapes", [-1.0, 1.0], [[1.0, 1.0]], [[1.0]], None),
     ("coupling-shapes", [-1.0, 1.0], [[np.nan]], [[1.0]], None),
@@ -24,7 +33,8 @@ BREAKPOINT_SPEEDS = SpeedProfile.piecewise_linear(
     ("speed-sign", SpeedProfile.piecewise_linear([0.0, 1.0], [[-1.0, -1.0], [1.0, np.inf]]),
      [[1.0]], [[1.0]], None),
 ], ids=["zero-speed", "no-positive-speed", "positive-first", "ungrouped",
-        "equal-at-one-breakpoint", "q0-2x2", "q0-1x2", "q0-nan", "source-3x3",
+        "equal-at-one-breakpoint", "first-equal-pair-named", "disorder-at-interior-breakpoint",
+        "q0-2x2", "q0-1x2", "q0-nan", "source-3x3",
         "minus-infinite-speed", "infinite-breakpoint-speed"])
 def test_broken_hypothesis_rejected_at_construction(name, speeds, q0, q1, source):
     with pytest.raises(ConfigError, match=rf"config \({name}\)"):
