@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,8 @@ from .synth import assemble_internal_control
 from .times import minimal_control_time, refine_control_region
 
 # the first type an error is an instance of gives its exit code; a speed
-# that rounds to zero inside a segment divides by zero in ``travel_time``
+# that rounds to zero inside a segment divides by zero in ``travel_time``,
+# and a crossing time that overflows is refused there
 EXIT_CODES = {ConfigError: 2, RankError: 3, BelowThresholdError: 4,
               ValueError: 1, RuntimeError: 1, OSError: 1, ArithmeticError: 1}
 
@@ -67,6 +71,8 @@ def _fail(where: str, message: str):
 def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
     if not isinstance(obj, dict):
         _fail(where, "expected an object")
+    if len(obj) == len(required) and all(map(obj.__contains__, required)):
+        return
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         _fail(where, f"unknown keys {sorted(unknown)}")
@@ -75,24 +81,39 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         _fail(where, f"missing keys {missing}")
 
 
+_LIST, _NUMBER = {list}, {int, float}
+
+
+def _floats(value: list, ndim: int) -> list:
+    return [float(x) for x in value] if ndim == 1 else [_floats(v, ndim - 1) for v in value]
+
+
 def _numbers(value, where: str, ndim: int = 0):
     """The one reader of JSON numbers: a number (``ndim`` 0) as a float, or
-    nonempty lists of equal length nested ``ndim`` deep as a float array.
-    Booleans, strings, null, ragged or wrongly nested lists and integers too
-    large for a float are refused, naming ``where``."""
-    # walk the list levels: each holds nonempty lists of one length
-    level = [value]
-    for _ in range(ndim):
-        if {*map(type, level)} != {list} or len({*map(len, level)}) != 1 or not level[0]:
-            level = ()
+    nonempty lists of equal length nested ``ndim`` deep as such lists of
+    floats (``value`` itself when it holds no integer); the spec's
+    constructors make the arrays.  Booleans, strings, null, ragged or wrongly
+    nested lists and integers too large for a float are refused, naming
+    ``where``."""
+    # walk the list levels: value is a nonempty list, and each level below
+    # it holds nonempty lists of one length
+    level = value if ndim else [value]
+    ok = type(level) is list and level
+    for _ in range(ndim - 1):
+        if not (ok and {*map(type, level)} == _LIST and len({*map(len, level)}) == 1
+                and level[0]):
+            ok = False
             break
-        level = [x for v in level for x in v]
+        level = [*chain.from_iterable(level)]
     # JSON decodes to exact ints and floats, and a boolean's type is bool
-    if not level or not {*map(type, level)} <= {int, float}:
+    kinds = {*map(type, level)} if ok else ()
+    if not kinds or not kinds <= _NUMBER:
         what = f"numbers in nonempty equal-length lists {ndim} deep" if ndim else "a number"
         _fail(where, f"expected {what}, got {json.dumps(value)}")
     try:
-        return np.array(value, dtype=float) if ndim else float(value)
+        if not ndim:
+            return float(value)
+        return _floats(value, ndim) if int in kinds else value
     except OverflowError:
         _fail(where, "an integer is too large for a float")
 
@@ -118,13 +139,13 @@ def _speed_profile(entries, n: int) -> SpeedProfile:
             rows[i] = _numbers(e["value"], f"{where}.value")
         elif kind == "piecewise_linear":
             _require_keys(e, where, ("type", "x", "v"))
-            x = _numbers(e["x"], f"{where}.x", 1).tolist()
+            x = _numbers(e["x"], f"{where}.x", 1)
             v = _numbers(e["v"], f"{where}.v", 1)
-            if not all(a < b for a, b in zip(e["x"], e["x"][1:])):
+            if not all(map(operator.lt, e["x"], e["x"][1:])):
                 _fail(f"{where}.x", f"must increase strictly, got {json.dumps(e['x'])}")
             if x[0] != 0.0 or x[-1] != 1.0:
                 _fail(f"{where}.x", f"must run from 0 to 1, got {json.dumps(e['x'])}")
-            if len(x) != v.size:
+            if len(x) != len(v):
                 _fail(where, "'x' and 'v' must have equal length")
             pieces[i] = x, v
         else:
@@ -132,13 +153,14 @@ def _speed_profile(entries, n: int) -> SpeedProfile:
             _fail(where, f"unknown speed type '{e['type']}'")
     if not pieces:
         return SpeedProfile.constant(rows)
-    # at least one piecewise entry: merge all breakpoints and resample
+    # at least one piecewise entry: merge all breakpoints and resample, each
+    # row a list of floats, made one array by the constructor
     xs = sorted({0.0, 1.0}.union(*(x for x, _ in pieces.values())))
     for i, row in enumerate(rows):
         if i in pieces:
             x, v = pieces[i]
             # on v's own breakpoints np.interp returns v itself
-            rows[i] = v if x == xs else np.interp(xs, x, v)
+            rows[i] = v if x == xs else np.interp(xs, x, v).tolist()
         else:
             rows[i] = [row] * len(xs)
     return SpeedProfile.piecewise_linear(xs, rows)
@@ -152,6 +174,13 @@ def _source_term(entry) -> SourceTerm:
         _fail("M", f"unknown source type '{entry['type']}'")
     return SourceTerm.piecewise_constant(_numbers(entry["x"], "M.x", 1),
                                          _numbers(entry["matrices"], "M.matrices", 3))
+
+
+def _control_domain(entry) -> ControlDomain:
+    pairs = _numbers(entry, "omega", 2)
+    if len(pairs[0]) != 2:
+        _fail("omega", f"expected [a, b] pairs, got {json.dumps(entry)}")
+    return ControlDomain(tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -181,10 +210,7 @@ def parse_config(path) -> RunConfig:
         speeds = _speed_profile(data["speeds"], n)
         source = _source_term(data["M"])
         couplings = CouplingSpec(_numbers(data["Q0"], "Q0", 2), _numbers(data["Q1"], "Q1", 2))
-        pairs = _numbers(data["omega"], "omega", 2)
-        if pairs.shape[1] != 2:
-            _fail("omega", f"expected [a, b] pairs, got {json.dumps(data['omega'])}")
-        omega = ControlDomain(tuple(pairs.tolist()))
+        omega = _control_domain(data["omega"])
         _require_keys(data["grid"], "grid", ("cells",), ("cfl",))
         cells = _integer(data["grid"]["cells"], "grid.cells")
         cfl = _numbers(data["grid"].get("cfl", 0.9), "grid.cfl")
@@ -192,7 +218,7 @@ def parse_config(path) -> RunConfig:
         raise
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    if not np.isfinite(cfl) or not 0.0 < cfl <= 1.0:
+    if not math.isfinite(cfl) or not 0.0 < cfl <= 1.0:
         _fail("grid.cfl", "must lie in (0, 1]")
 
     spec = SystemSpec(speeds, source, couplings, omega)
@@ -301,7 +327,7 @@ def _matrix_flag(text: str) -> np.ndarray:
         value = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"--matrix: {exc}") from exc
-    mat = _numbers(value, "--matrix", 2)
+    mat = np.array(_numbers(value, "--matrix", 2))
     if not np.all(np.isfinite(mat)):
         _fail("--matrix", f"expected a nonempty 2-D array of finite numbers, got {text}")
     return mat

@@ -58,6 +58,16 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+# the breakpoints of every constant profile and source, shared: read-only
+_UNIT = _readonly([0.0, 1.0])
+
+
+def _runs_from_0_to_1(x: list) -> bool:
+    """The breakpoint check of both piecewise constructors, on a list of
+    floats: x[0] is 0, x[-1] is 1 and no step is <= 0."""
+    return x[0] == 0.0 and x[-1] == 1.0 and not any(b - a <= 0.0 for a, b in zip(x, x[1:]))
+
+
 class PositionTag(Enum):
     """Where an interval sits inside [0, 1]."""
 
@@ -111,11 +121,13 @@ class SpeedProfile:
 
     @staticmethod
     def constant(values) -> "SpeedProfile":
-        v = _readonly(values)
+        v = np.array(values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("constant profile needs a 1-d list of at least 2 speeds")
-        return SpeedProfile("constant", _readonly(np.stack([v, v], axis=1)),
-                            _readonly([0.0, 1.0]))
+        # each speed twice, as the rows of the one-segment table
+        table = v.repeat(2).reshape(-1, 2)
+        table.flags.writeable = False
+        return SpeedProfile("constant", table, _UNIT)
 
     @staticmethod
     def piecewise_linear(breakpoints, values) -> "SpeedProfile":
@@ -123,7 +135,7 @@ class SpeedProfile:
         v = _readonly(values)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("breakpoints must be a 1-d list with at least 2 entries")
-        if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0):
+        if not _runs_from_0_to_1(x.tolist()):
             raise ValueError("breakpoints must increase strictly from 0 to 1")
         if v.ndim != 2 or v.shape[1] != x.size or v.shape[0] < 2:
             raise ValueError("values must have shape (n, len(breakpoints))")
@@ -184,10 +196,10 @@ class SourceTerm:
 
     @staticmethod
     def constant(matrix) -> "SourceTerm":
-        m = _readonly(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        mats = _readonly([matrix])
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("source matrix must be square")
-        return SourceTerm(m.reshape((1,) + m.shape), _readonly([0.0, 1.0]))
+        return SourceTerm(mats, _UNIT)
 
     @staticmethod
     def zero(n: int) -> "SourceTerm":
@@ -197,7 +209,7 @@ class SourceTerm:
     def piecewise_constant(breakpoints, matrices) -> "SourceTerm":
         x = _readonly(breakpoints)
         mats = _readonly(matrices)
-        if x.ndim != 1 or x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0):
+        if x.ndim != 1 or not _runs_from_0_to_1(x.tolist()):
             raise ValueError("breakpoints must increase strictly from 0 to 1")
         if mats.ndim != 3 or mats.shape[0] != x.size - 1 or mats.shape[1] != mats.shape[2]:
             raise ValueError("need one square matrix per breakpoint cell")
@@ -232,8 +244,10 @@ class CouplingSpec:
     q1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", np.atleast_2d(_readonly(self.q0)))
-        object.__setattr__(self, "q1", np.atleast_2d(_readonly(self.q1)))
+        for name in ("q0", "q1"):
+            q = _readonly(getattr(self, name))
+            # a number or a vector as one row, as np.atleast_2d makes it
+            object.__setattr__(self, name, q if q.ndim > 1 else q.reshape(1, -1))
 
     @cached_property
     def q0_form(self) -> CanonicalDecomposition:

@@ -60,7 +60,9 @@ def _segment_crossing(v0: float, v1: float, x0: float, x1: float,
 
 def travel_time(spec: SystemSpec, k: int, interval) -> float:
     """Crossing time of `interval` by the k-th characteristic:
-    integral over the interval of 1 / |lambda_k|."""
+    integral over the interval of 1 / |lambda_k|.  A time that overflows
+    (not a finite float) raises ``OverflowError``: no infinite time or NaN
+    is returned."""
     if not 0 <= k < spec.n:
         raise ValueError(f"component index {k} out of range")
     iv = _as_interval(interval)
@@ -75,6 +77,9 @@ def travel_time(spec: SystemSpec, k: int, interval) -> float:
         d = x1 if x1 < hi else hi
         if c < d:
             total += _segment_crossing(v0, v1, x0, x1, c, d)
+    if not math.isfinite(total):
+        raise OverflowError(f"the crossing time of component {k} over ({lo}, {hi}) "
+                            "is not a finite float")
     return total
 
 

@@ -99,6 +99,22 @@ PIECEWISE_SIX = {
     "Q0": [[0.2, -1.4, 0.1], [1.6, 0.3, -0.2], [0.1, 0.2, 1.2]],
     "Q1": [[-0.1, 0.25, 1.3], [1.1, 0.0, 0.2], [0.2, -1.5, 0.1]],
     "omega": [[0.1, 0.22], [0.4, 0.55], [0.72, 0.9]], "grid": {"cells": 200}}
+# the reader's branches that the formula configs skip: components on
+# different breakpoints (merged, then resampled by np.interp, except the one
+# already on the merged grid), a constant among piecewise speeds, JSON
+# integers and a piecewise-constant source
+READER_BRANCHES = {
+    "n": 4, "m": 2,
+    "speeds": [{"type": "constant", "value": -3},
+               {"type": "piecewise_linear", "x": [0, 0.4, 1], "v": [-2, -1.6, -1.9]},
+               {"type": "piecewise_linear", "x": [0, 0.25, 0.7, 1], "v": [1, 2, 1, 2]},
+               {"type": "piecewise_linear", "x": [0, 0.25, 0.4, 0.7, 1],
+                "v": [3, 2.5, 2.75, 3.5, 3]}],
+    "M": {"type": "piecewise_constant", "x": [0, 0.5, 1],
+          "matrices": [[[0, 1, 0, 0], [0, 0, -1, 0], [0.5, 0, 0, 0], [0, 0, 0, 2]],
+                       [[0.25, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0], [0, 0, 3, 0]]]},
+    "Q0": [[1, 0.5], [-2, 1]], "Q1": [[0, 1], [1.5, -1]],
+    "omega": [[0.1, 0.2], [0.55, 1]], "grid": {"cells": 200, "cfl": 1}}
 
 
 # valid JSON, but too large for a float
@@ -689,16 +705,21 @@ class TestFlagValidation:
     # just below x = 1 the speed's linear interpolant rounds to 0, on a
     # sloped segment (0.5 falling to 5e-205) and on one flatter than
     # CONSTANT_SLOPE_TOL: the crossing time of the complement component
-    # there divides by zero, a numerical failure
-    @pytest.mark.parametrize("x,v", [([0.0, 0.329509, 1.0], [0.5, 0.5, 5e-205]),
-                                     ([0.0, 1.0], [1e-15, 1e-32])], ids=["sloped", "flat"])
-    def test_speed_rounding_to_zero_exits_1(self, tmp_path, capsys, x, v):
-        speed = {"type": "piecewise_linear", "x": x, "v": v}
+    # there divides by zero, a numerical failure; a positive subnormal
+    # constant speed makes every crossing time overflow to infinity, refused
+    # as one too
+    @pytest.mark.parametrize("speed", [
+        {"type": "piecewise_linear", "x": [0.0, 0.329509, 1.0], "v": [0.5, 0.5, 5e-205]},
+        {"type": "piecewise_linear", "x": [0.0, 1.0], "v": [1e-15, 1e-32]},
+        {"type": "constant", "value": 5e-324},
+    ], ids=["sloped", "flat", "denormal-constant"])
+    def test_speed_rounding_to_zero_exits_1(self, tmp_path, capsys, speed):
         path = config_variant(tmp_path, "zero.json", omega=[[0.2, 0.9999999999999999]],
                               speeds=[EXAMPLE1["speeds"][0], speed])
-        assert main(["mintime", "--config", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR: ") and err.count("\n") == 1
+        for command in (["mintime"], ["omegahat", "--eps", "0.1"]):
+            assert main(command[:1] + ["--config", path] + command[1:]) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("overrides,command,field", [
         ({"omega": [["0.25", "0.75"]]}, ["mintime"], "omega"),
@@ -938,7 +959,8 @@ class TestDeterminism:
     # sha256 of the stdout of `mintime` and `omegahat --eps 0.05` on the
     # piecewise configs: travel times summed over several speed segments, and
     # omega's intervals shrunk after two (four components) and one (six)
-    # halvings of the margin
+    # halvings of the margin; `canon` prints the longdouble L and U of each
+    # coupling as the reader hands it over
     @pytest.mark.parametrize("config,command,digest", [
         (PIECEWISE_FOUR, ["mintime"],
          "5b8b0dc15a2f6dd020be8e6dafc7e400ca684ad0d5e31a00a10fbd649df3fdfb"),
@@ -948,7 +970,21 @@ class TestDeterminism:
          "86bf9cc5cd80c501ff1782f2b4f0cfe8e862615fad52dc7124f6ab5b931dae9c"),
         (PIECEWISE_SIX, ["omegahat", "--eps", "0.05"],
          "20e01f698169c5241f90ccdd6f3265f8d570a070366d01574a0434710a4e5437"),
-    ], ids=["four-mintime", "four-omegahat", "six-mintime", "six-omegahat"])
+        (PIECEWISE_FOUR, ["canon", "--which", "Q0"],
+         "546ee1c70028c014976cd274cb8d6232b54722ee8d3dea440fa075de655ab25d"),
+        (PIECEWISE_FOUR, ["canon", "--which", "Q1"],
+         "f0cb1c62ae829427a7fb8c413c6f2be1dc6f10ef19b08f22d80e05794cb5ea60"),
+        (PIECEWISE_SIX, ["canon", "--which", "Q0"],
+         "28bf77a1de93943e0db0edd878d1014d30667f22e0c7fdbe9f481d5aa501dcb1"),
+        (PIECEWISE_SIX, ["canon", "--which", "Q1"],
+         "ae6107cb1976928b4aae262ae2333939114d72fb21f0ed2f26ffd6a0367ea319"),
+        (READER_BRANCHES, ["mintime"],
+         "cd3e523cc58c5a0055e793ebfefc7c4600fcc1c3a8fbbd5087fe83ba4f17d8d5"),
+        (READER_BRANCHES, ["omegahat", "--eps", "0.05"],
+         "2b32e3ddd1a22f2308188b3330c2e0e5153bd82916c0b211615623464e7ee9bd"),
+    ], ids=["four-mintime", "four-omegahat", "six-mintime", "six-omegahat",
+            "four-canon-Q0", "four-canon-Q1", "six-canon-Q0", "six-canon-Q1",
+            "reader-mintime", "reader-omegahat"])
     def test_piecewise_formulas_golden_bytes(self, tmp_path, config, command, digest):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
