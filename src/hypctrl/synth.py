@@ -28,7 +28,8 @@ midpoint, and from there on meets its stored partner, where the control is
 formed in place.  The control is supported in omega, needs y_out and y_in
 only where xi' != 0, and is the buffer's first n_steps states; its peak
 memory is checked before the first march, and its re-simulation verifies
-the synthesis.
+the synthesis.  ``assemble_internal_control`` is the one construction: a
+covering omega (``synthesize_full_domain``) has no component, and u = u_in.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import numpy as np
 from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
                     SystemSpec)
 from .pde import (BoundaryControls, ControlField, Grid, PositionTag, StateField,
-                  _backward_segment, _check_bytes, _evolve, _forward_segment, _march,
-                  _Marcher, _record_states, _resolve_steps, _speeds_at, sample_state)
+                  _backward_segment, _check_bytes, _check_horizon, _evolve, _forward_segment,
+                  _march, _Marcher, _record_states, _resolve_steps, _speeds_at, sample_state)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -233,30 +234,18 @@ def _peak_bytes(spec, grid, n_steps, n_glued, comps) -> int:
 
 def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
                            grid: Grid, cfl: float = 0.9) -> SynthesisReport:
-    """Steer y0 to y1 when the control acts on the whole domain.
+    """Steer y0 to y1 when the closure of omega covers [0, 1]: the
+    synthesis of ``assemble_internal_control`` with no complement component.
 
-    Needs invertible couplings and a finite T > 0 (else ``ConfigError``);
-    works for every such horizon.  The achieved error is the L2 distance of
-    the re-simulated final state from the target.
+    Needs a finite T > 0 (else ``ConfigError``) and invertible couplings
+    (else ``RankError``); works for every such horizon.  The achieved error
+    is the L2 distance of the re-simulated final state from the target.
     """
-    return _full_domain(spec, y0_fn, y1_fn, T, grid,
-                        *_resolve_steps(spec, grid, T, cfl, positive=True))
-
-
-def _full_domain(spec, y0_fn, y1_fn, T, grid, dt, n_steps) -> SynthesisReport:
-    """``synthesize_full_domain`` on its grid's resolved n_steps steps of dt."""
+    _check_horizon(T, positive=True)
     if spec.omega.complement_components():
         raise ValueError("full-domain synthesis needs the closure of omega "
                          "to cover [0, 1]")
-    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, 0, ()))
-    y0f = sample_state(y0_fn, grid, spec.n)
-    y1f = sample_state(y1_fn, grid, spec.n)
-    forward = _forward_segment(spec, grid, dt)
-    u_vals, _ = _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, [])
-    control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
-    final = _evolve(_Marcher(forward), y0f, n_steps, dt, trajectory=False,
-                    forcing=control.values).final
-    return SynthesisReport(control, _l2(final.values - y1f.values, grid.dx), final)
+    return assemble_internal_control(spec, y0_fn, y1_fn, T, grid, cfl)
 
 
 def _hum_component(spec, interval: Interval, grid: Grid, dt: float, n_steps: int):
@@ -454,64 +443,65 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
     with the space cut-off.
     Almost the whole margin above the minimal time is granted to the
     components as extra control time, keeping the shrink margins (and hence
-    the cut-off transition zones) as wide as possible.  Delegates to
-    ``synthesize_full_domain`` when the closure of omega covers [0, 1].
+    the cut-off transition zones) as wide as possible.  When the closure of
+    omega covers [0, 1] (``synthesize_full_domain``) there is no component:
+    no refined region, HUM or space cut-off, and the control is the blend's.
     The horizon must be finite and positive (else ``ConfigError``).
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
     base = minimal_control_time(spec)
     if not base.finite:
         raise RankError(base.reason)
-    if base.covers_all:
-        return _full_domain(spec, y0_fn, y1_fn, T, grid, dt, n_steps)
-
-    tau_max = base.value
-    if not T > tau_max + 2.0 * dt:
-        raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
-                                  f"time {tau_max:g} (plus the two-step margin)")
-
-    # leave a horizon margin for the component steering, spend the rest
-    margin = max(4.0 * dt, 0.05 * (T - tau_max))
-    slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
-    refined_region, _ = shrink_region(spec, tau_max + slack)
-    cutoff = SpaceCutoff.between(refined_region, spec.omega)
-    comps = []
-    for interval in refined_region.complement_components():
-        grid_i = Grid(interval.lo, interval.hi, max(8, math.ceil(interval.length * grid.n_cells)))
-        comps.append(_hum_component(spec, interval, grid_i, *_resolve_steps(spec, grid_i, T, cfl)))
-    # xi' Lambda (y_out - y_in) vanishes where xi' = 0, outside these cells
-    xi_dot = cutoff.derivative(grid.centers)
-    cells = np.flatnonzero(xi_dot)
-    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, cells.size, comps))
-    xq = grid.centers[cells]
-    data, insides = [], []
-    for comp in comps:
-        inside = (xq > comp.interval.lo) & (xq < comp.interval.hi)
-        # HUM samples only the component cells that bracket these points
-        j = _bracket(comp.grid.centers, xq[inside])
-        pairs = np.zeros(comp.grid.n_cells, dtype=bool)
-        pairs[j] = pairs[j + 1] = True
-        data.append((y0_fn(comp.grid.centers), y1_fn(comp.grid.centers), np.flatnonzero(pairs)))
-        insides.append(inside)
-    y_out = np.zeros((n_steps, spec.n, cells.size))
-    hums = _hum_row(spec, comps, data)
-    for comp, inside, hum in zip(comps, insides, hums):
-        y_out[:, :, inside] = _resample(hum.samples, hum.times, comp.grid.centers[comp.cells],
-                                        np.arange(n_steps) * dt, xq[inside])
-    residuals = [hum.residual for hum in hums]
-    # y_out holds what the glue needs of their samples; the loop's names
-    # would keep the last component's alive
-    del hums, comps, data, comp, hum
+    refined_region, comps, cells, residuals = None, [], [], ()
+    if not base.covers_all:
+        tau_max = base.value
+        if not T > tau_max + 2.0 * dt:
+            raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
+                                      f"time {tau_max:g} (plus the two-step margin)")
+        # leave a horizon margin for the component steering, spend the rest
+        margin = max(4.0 * dt, 0.05 * (T - tau_max))
+        slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
+        refined_region, _ = shrink_region(spec, tau_max + slack)
+        cutoff = SpaceCutoff.between(refined_region, spec.omega)
+        for iv in refined_region.complement_components():
+            grid_i = Grid(iv.lo, iv.hi, max(8, math.ceil(iv.length * grid.n_cells)))
+            comps.append(_hum_component(spec, iv, grid_i, *_resolve_steps(spec, grid_i, T, cfl)))
+        # xi' Lambda (y_out - y_in) vanishes where xi' = 0, outside these cells
+        xi_dot = cutoff.derivative(grid.centers)
+        cells = np.flatnonzero(xi_dot)
+    _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, len(cells), comps))
+    if not base.covers_all:
+        xq = grid.centers[cells]
+        data, insides = [], []
+        for comp in comps:
+            inside = (xq > comp.interval.lo) & (xq < comp.interval.hi)
+            # HUM samples only the component cells that bracket these points
+            j = _bracket(comp.grid.centers, xq[inside])
+            pairs = np.zeros(comp.grid.n_cells, dtype=bool)
+            pairs[j] = pairs[j + 1] = True
+            data.append((y0_fn(comp.grid.centers), y1_fn(comp.grid.centers), np.flatnonzero(pairs)))
+            insides.append(inside)
+        y_out = np.zeros((n_steps, spec.n, cells.size))
+        hums = _hum_row(spec, comps, data)
+        for comp, inside, hum in zip(comps, insides, hums):
+            y_out[:, :, inside] = _resample(hum.samples, hum.times, comp.grid.centers[comp.cells],
+                                            np.arange(n_steps) * dt, xq[inside])
+        residuals = tuple(hum.residual for hum in hums)
+        # y_out holds what the glue needs of their samples; the loop's names
+        # would keep the last component's alive
+        del hums, comps, data, comp, hum
 
     y0f = sample_state(y0_fn, grid, spec.n)
     y1f = sample_state(y1_fn, grid, spec.n)
     forward = _forward_segment(spec, grid, dt)
     u_vals, y_in = _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells)
-    u_vals *= 1.0 - cutoff.value(grid.centers)
-    u_vals[:, :, cells] += xi_dot[cells] * _speeds_at(spec, grid)[:, cells] * (y_out - y_in[:-1])
+    if not base.covers_all:
+        u_vals *= 1.0 - cutoff.value(grid.centers)
+        u_vals[:, :, cells] += (xi_dot[cells] * _speeds_at(spec, grid)[:, cells]
+                                * (y_out - y_in[:-1]))
     control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))
     # the re-simulation marches the job's forward segment again
     final = _evolve(_Marcher(forward), y0f, n_steps, dt, trajectory=False,
                     forcing=control.values).final
     return SynthesisReport(control, _l2(final.values - y1f.values, grid.dx), final,
-                           tuple(residuals), refined_region)
+                           residuals, refined_region)

@@ -62,7 +62,9 @@ def travel_time(spec: SystemSpec, k: int, interval) -> float:
     """Crossing time of `interval` by the k-th characteristic:
     integral over the interval of 1 / |lambda_k|.  A time that overflows
     (not a finite float) raises ``OverflowError``: no infinite time or NaN
-    is returned."""
+    is returned.  A speed that rounds to zero inside a segment raises
+    ``ZeroDivisionError`` naming the component, the interval and the
+    segment."""
     if not 0 <= k < spec.n:
         raise ValueError(f"component index {k} out of range")
     iv = _as_interval(interval)
@@ -72,11 +74,16 @@ def travel_time(spec: SystemSpec, k: int, interval) -> float:
     xs, vs = spec.speeds.segments(k)
     xs, vs = xs.tolist(), vs.tolist()
     total = 0.0
-    for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
-        c = x0 if x0 > lo else lo
-        d = x1 if x1 < hi else hi
-        if c < d:
-            total += _segment_crossing(v0, v1, x0, x1, c, d)
+    try:
+        for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+            c = x0 if x0 > lo else lo
+            d = x1 if x1 < hi else hi
+            if c < d:
+                total += _segment_crossing(v0, v1, x0, x1, c, d)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"the crossing time of component {k} over ({lo}, {hi}) "
+                                f"divides by a speed that rounds to zero on its segment "
+                                f"({x0}, {x1})") from None
     if not math.isfinite(total):
         raise OverflowError(f"the crossing time of component {k} over ({lo}, {hi}) "
                             "is not a finite float")

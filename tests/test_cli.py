@@ -720,6 +720,8 @@ class TestFlagValidation:
             assert main(command[:1] + ["--config", path] + command[1:]) == 1, command
             err = capsys.readouterr().err
             assert err.startswith("ERROR: ") and err.count("\n") == 1, err
+            # the line names the cause: the second component's crossing time
+            assert "component 1 " in err, err
 
     @pytest.mark.parametrize("overrides,command,field", [
         ({"omega": [["0.25", "0.75"]]}, ["mintime"], "omega"),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypctrl.model import ControlDomain, Interval, PositionTag
+from hypctrl.model import ConfigError, ControlDomain, Interval, PositionTag, RankError
 from hypctrl.pde import (ControlField, Grid, _speeds_at, cfl_dt, sample_state,
                          solve_backward, solve_forward, state_function)
 from hypctrl.synth import (BelowThresholdError, SpaceCutoff, TimeCutoff,
@@ -348,9 +348,34 @@ class TestResample:
 
 class TestAssembleInternalControl:
     def test_delegates_on_covering_region(self, spec_full_domain):
-        rep = assemble_internal_control(spec_full_domain, Y0_SIN, Y_ZERO, 0.3,
-                                        Grid(0.0, 1.0, 64))
-        assert rep.omega_hat is None
+        # both entry points run the one construction, with no component:
+        # omega (0, 1), a two-piece covering omega, and a one-step horizon
+        grid, y1 = Grid(0.0, 1.0, 64), _fourier(2, 3)
+        two_piece = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.0, 0.5), (0.5, 1.0)])
+        for spec, T in [(spec_full_domain, 0.3), (two_piece, 0.3), (spec_full_domain, 0.001)]:
+            rep = assemble_internal_control(spec, Y0_SIN, y1, T, grid)
+            full = synthesize_full_domain(spec, Y0_SIN, y1, T, grid)
+            assert rep.hum_residuals == full.hum_residuals == ()
+            assert rep.omega_hat is None and full.omega_hat is None
+            assert rep.control.values.tobytes() == full.control.values.tobytes()
+            assert rep.final_state.values.tobytes() == full.final_state.values.tobytes()
+            assert rep.achieved_error == full.achieved_error
+        assert rep.control.n_steps == 1
+
+    def test_full_domain_error_order(self, spec_2x2, spec_full_domain):
+        # the horizon first, then the covering omega, then the couplings
+        grid = Grid(0.0, 1.0, 32)
+        for T in (np.nan, 0.0):
+            for spec in (spec_full_domain, spec_2x2):
+                with pytest.raises(ConfigError, match="horizon"):
+                    synthesize_full_domain(spec, Y0_SIN, Y_ZERO, T, grid)
+        with pytest.raises(ValueError, match="full-domain") as info:
+            synthesize_full_domain(spec_2x2, Y0_SIN, Y_ZERO, 0.3, grid)
+        assert not isinstance(info.value, ConfigError)
+        singular = make_spec([-1.0, 1.0], [[0.0]], [[1.0]], [(0.0, 1.0)])
+        for synthesize in (synthesize_full_domain, assemble_internal_control):
+            with pytest.raises(RankError, match="coupling matrices must be invertible"):
+                synthesize(singular, Y0_SIN, Y_ZERO, 0.3, grid)
 
     def test_zero_data_zero_control(self, spec_2x2):
         rep = assemble_internal_control(spec_2x2, Y_ZERO, Y_ZERO, 0.6,
@@ -670,11 +695,14 @@ class TestSynthesisMemoryGuard:
             tracemalloc.stop()
         return predicted[-1], peak, error
 
-    @pytest.mark.parametrize("full", [False, True], ids=["glued", "full-domain"])
-    def test_refused_before_allocating(self, monkeypatch, spec_2x2, spec_full_domain, full):
+    @pytest.mark.parametrize("synthesize,full", [
+        (assemble_internal_control, False), (synthesize_full_domain, True),
+        (assemble_internal_control, True),
+    ], ids=["glued", "full-domain", "full-domain-delegated"])
+    def test_refused_before_allocating(self, monkeypatch, spec_2x2, spec_full_domain,
+                                       synthesize, full):
         import hypctrl.pde as pde
         spec, T = (spec_full_domain, 0.4) if full else (spec_2x2, 0.6)
-        synthesize = synthesize_full_domain if full else assemble_internal_control
         predicted, peak, error = self._traced(monkeypatch, synthesize, spec, T)
         assert error is None and abs(predicted - peak) <= 0.25 * peak
         monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", predicted - 1)
