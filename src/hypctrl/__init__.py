@@ -7,7 +7,7 @@ from .model import (BelowThresholdError, ConfigError, ControlDomain,
                     SpeedProfile, SystemSpec)
 from .obsv import (GramianSweepResult, NecessitySweep, NecessityWitness,
                    detect_threshold, kernel_vector, necessity_sweep,
-                   necessity_witness, observability_gramian, sigma_min_sweep)
+                   necessity_witness, sigma_min_sweep)
 from .pde import (BoundaryControls, ControlField, EvolutionResult, Grid,
                   StateField, cfl_dt, characteristics_oracle,
                   sample_state, solve_adjoint, solve_backward,
@@ -38,7 +38,7 @@ __all__ = [
     "characteristic_time", "characteristics_oracle", "detect_threshold",
     "hum_boundary_control", "kernel_vector", "linear_bound_constant",
     "minimal_control_time", "necessity_sweep", "necessity_witness",
-    "observability_gramian", "refine_control_region", "reversed_coupling",
+    "refine_control_region", "reversed_coupling",
     "sample_state", "sigma_min_sweep", "solve_adjoint", "solve_backward",
     "solve_boundary_forward", "solve_forward", "state_function",
     "synthesize_full_domain", "travel_time",

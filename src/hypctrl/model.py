@@ -219,11 +219,6 @@ class SourceTerm:
     def n(self) -> int:
         return self.matrices.shape[1]
 
-    def value(self, x: float) -> np.ndarray:
-        i = int(np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                        0, self.matrices.shape[0] - 1))
-        return self.matrices[i]
-
     def at_points(self, xs) -> np.ndarray:
         """M at each position, shape (len(xs), n, n)."""
         xs = np.asarray(xs, dtype=float)

@@ -44,6 +44,9 @@ from .pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _check_by
                   _check_horizon, _check_work, _march, _resolve_steps, _slopes_at)
 from .times import characteristic_position, characteristic_time, travel_time
 
+# ``detect_threshold``'s cut: sigma_min below this share of the last horizon's
+THRESHOLD_REL = 1e-3
+
 
 @dataclass(frozen=True)
 class GramianSweepResult:
@@ -54,25 +57,23 @@ class GramianSweepResult:
     snapped_times: tuple[float, ...]
 
 
-def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, horizons: int = 1,
-                  dense: bool = False):
+def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, horizons: int = 1):
     """The record of a recurrence of ``last`` steps of ``dt``, its resolved
     grid, read at up to ``horizons`` distinct steps: one-step operator
-    (rows, vals) and block partition, refused on its nstate^2 buffers and
-    its per-horizon results before the probes, then with 3 copies of the
-    largest gathered block stack, then on the recurrence's work and on the
-    reads of its horizons (a finiteness check, and an eigensolve or a
+    (rows, vals) and block partition, refused on its three nstate^2 buffers
+    and its per-horizon results before the probes, then with 3 copies of
+    the largest gathered block stack, then on the recurrence's work and on
+    the reads of its horizons (a finiteness check, and an eigensolve or a
     diagonal read per block, each)."""
     nstate, distinct = spec.n * grid.n_cells, min(horizons, last)
     # a horizon's result holds about 220 B of tuples and floats
     what = f"Gramian sweep of {distinct} horizons over {nstate}^2 values"
-    size = 8 * (3 + dense) * nstate ** 2 + 220 * distinct
+    size = 8 * 3 * nstate ** 2 + 220 * distinct
     _check_bytes(what, size)
     rows, vals = _one_step_operator(spec, grid, dt)
     blocks = _block_partition(rows, vals)
-    if not dense:
-        _check_bytes(what, size + 24 * max(
-            (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0))
+    _check_bytes(what, size + 24 * max(
+        (idx.size * idx.shape[1] for idx in blocks if idx.shape[1] > 1), default=0))
     _check_work(f"Gramian recurrence of {last - 1} steps of {2 * rows.shape[0]} gathers "
                 f"over {nstate}^2 values", (last - 1) * 2 * rows.shape[0] * nstate ** 2)
     _check_work(f"Gramian reads of {distinct} horizons over {nstate}^2 values", distinct * (
@@ -81,13 +82,12 @@ def _gramian_plan(spec: SystemSpec, grid: Grid, dt: float, last: int, horizons: 
 
 
 def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid, stops, plan):
-    """Yield ``(k, gram, blocks)`` for the window [T - k dt, T] of each k of
-    the ascending ``stops``, the last of them the last step of ``plan``:
-    ``gram`` is the running buffer, not symmetrized and overwritten by the
-    next step, and ``blocks`` the partition of ``_block_partition``, which
-    keeps every window block-diagonal.  ``plan`` is the caller's
-    ``_gramian_plan``: the one resolution of dt and steps that its guard
-    checked drives the recurrence.
+    """Yield ``(k, gram)`` for the window [T - k dt, T] of each k of the
+    ascending ``stops``, the last of them the last step of ``plan``: ``gram``
+    is the running buffer, not symmetrized and overwritten by the next step.
+    ``plan`` is the caller's ``_gramian_plan``: the one resolution of dt and
+    steps that its guard checked drives the recurrence, and its ``blocks``
+    partition keeps every window block-diagonal.
 
     The windows are nested and obey the backward Stein recurrence
 
@@ -98,7 +98,7 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid, stops, 
     costs K row gathers and K column gathers, K the most nonzeros in a
     column of A, so a step is O(K * nstate^2) on three nstate^2 buffers.
     """
-    rows, vals, blocks, last = plan.rows, plan.vals, plan.blocks, plan.last
+    rows, vals, last = plan.rows, plan.vals, plan.last
     nstate = rows.shape[1]
     diag = np.flatnonzero(np.tile(omega.contains_points(grid.centers), spec.n)) * (nstate + 1)
     w = plan.dt * grid.dx
@@ -111,7 +111,7 @@ def _gramian_windows(spec: SystemSpec, omega: ControlDomain, grid: Grid, stops, 
         if (k % NAN_CHECK_EVERY == 0 or k == stops[i]) and not np.isfinite(gram).all():
             raise RuntimeError(f"Gramian lost finiteness at step {k}")
         if k == stops[i]:
-            yield k, gram, blocks
+            yield k, gram
             i += 1
         if k == last:
             break
@@ -221,21 +221,6 @@ def _gather(x: np.ndarray, rows: np.ndarray, vals: np.ndarray, axis: int,
         out += part
 
 
-def observability_gramian(spec: SystemSpec, T: float, omega: ControlDomain,
-                          grid: Grid, cfl: float = 1.0) -> np.ndarray:
-    """Assemble the Gramian of the window [0, T] by the recurrence of
-    ``_gramian_windows``.
-
-    The form sums dt * dx * |z|^2 over the cells of omega and the time steps
-    of [0, T), anchored at the final time; the result is symmetrized.  The
-    default Courant factor is 1, not the solvers' 0.9 (see the module note).
-    """
-    plan = _gramian_plan(spec, grid, *_resolve_steps(spec, grid, T, cfl, positive=True),
-                         dense=True)
-    for _, gram, _ in _gramian_windows(spec, omega, grid, [plan.last], plan):
-        return 0.5 * (gram + gram.T)
-
-
 def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
                     cfl: float = 1.0, plan=None) -> GramianSweepResult:
     """Smallest Gramian eigenvalue (dx-weighted) for each horizon in t_list.
@@ -263,11 +248,11 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
 
     plan = plan or _gramian_plan(spec, grid, *_resolve_steps(spec, grid, float(ts[-1]), cfl),
                                  ts.size)
-    dt = plan.dt
+    dt, blocks = plan.dt, plan.blocks
     steps = np.maximum(1.0, np.rint(ts / dt))
     stops, where = np.unique(steps, return_inverse=True)
     sigma = np.empty(stops.size)
-    for i, (_, gram, blocks) in enumerate(_gramian_windows(spec, omega, grid, stops, plan)):
+    for i, (_, gram) in enumerate(_gramian_windows(spec, omega, grid, stops, plan)):
         # 1x1 blocks (the first stack, if any) are their own eigenvalues
         lows = [gram.diagonal()[idx[:, 0]].min() for idx in blocks if idx.shape[1] == 1]
         lows += [np.linalg.eigvalsh(0.5 * (sub + sub.transpose(0, 2, 1)))[:, 0].min()
@@ -278,8 +263,9 @@ def sigma_min_sweep(spec: SystemSpec, t_list, omega: ControlDomain, grid: Grid,
                               tuple((steps * dt).tolist()))
 
 
-def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | None:
-    """Largest horizon whose sigma_min is below rel times the final one.
+def detect_threshold(sweep: GramianSweepResult) -> float | None:
+    """Largest horizon whose sigma_min is below ``THRESHOLD_REL`` times the
+    final one.
 
     Discretization smears the controllability jump; a relative criterion is
     robust across grids.  None when even the first horizon is observable, or
@@ -289,7 +275,7 @@ def detect_threshold(sweep: GramianSweepResult, rel: float = 1e-3) -> float | No
     ref = sweep.points[-1][1]
     if ref <= 1e-12:
         return None
-    below = [t for t, s in sweep.points if s < rel * ref]
+    below = [t for t, s in sweep.points if s < THRESHOLD_REL * ref]
     return max(below) if below else None
 
 
@@ -402,8 +388,11 @@ class NecessitySweep:
 
 def necessity_sweep(spec: SystemSpec, nu_list, T: float, grid: Grid,
                     cfl: float = 1.0) -> NecessitySweep:
-    """Ratios for a list of exponents; the blow-up factor max/min certifies
-    that no observability constant can exist."""
+    """Ratios for a nonempty list of exponents (else ``ConfigError``); the
+    blow-up factor max/min certifies that no observability constant can
+    exist."""
     points = tuple((int(nu), necessity_witness(spec, int(nu), T, grid, cfl).ratio)
                    for nu in nu_list)
+    if not points:
+        raise ConfigError("exponents must be a nonempty list")
     return NecessitySweep(points)

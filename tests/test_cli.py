@@ -232,8 +232,8 @@ class TestParseConfig:
                "matrices": [[[0.0, 0.1], [0.0, 0.0]],
                             [[0.0, 0.0], [0.2, 0.0]]]})
         cfg = parse_config(path)
-        assert cfg.spec.source.value(0.25)[0, 1] == 0.1
-        assert cfg.spec.source.value(0.75)[1, 0] == 0.2
+        assert cfg.spec.source.at_points([0.25])[0][0, 1] == 0.1
+        assert cfg.spec.source.at_points([0.75])[0][1, 0] == 0.2
 
     def test_piecewise_speeds_merge_breakpoints(self, tmp_path):
         path = config_variant(

@@ -9,10 +9,9 @@ from hypctrl.cli import EXIT_CODES
 from hypctrl.model import ConfigError, SourceTerm, SpeedProfile
 from hypctrl.obsv import (_block_partition, _gramian_plan, _gramian_windows,
                           _one_step_operator, detect_threshold, kernel_vector,
-                          necessity_sweep, necessity_witness, observability_gramian,
-                          sigma_min_sweep)
+                          necessity_sweep, necessity_witness, sigma_min_sweep)
 from hypctrl.pde import (NAN_CHECK_EVERY, Grid, StateField, _adjoint_marcher, _march,
-                         cfl_dt, solve_adjoint)
+                         _resolve_steps, cfl_dt, solve_adjoint)
 from hypctrl.times import (CASE_LEFT, CASE_RIGHT, CASE_TWO_SIDED,
                            minimal_control_time)
 from conftest import make_spec, near_singular
@@ -28,17 +27,16 @@ class TestGramian:
     def test_small_horizon_vanishes(self, spec_2x2):
         grid = Grid(0.0, 1.0, 32)
         T = 0.01
-        g = observability_gramian(spec_2x2, T, spec_2x2.omega, grid)
-        dt = cfl_dt(spec_2x2, grid, 1.0, T)
+        dt, n_steps = _resolve_steps(spec_2x2, grid, T, 1.0, positive=True)
+        g = recurrence_gramians(spec_2x2, grid, dt, {n_steps})[n_steps]
         assert np.max(np.abs(g)) <= T * grid.dx + 1e-15
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
     def test_matches_single_adjoint_solve(self, spec_2x2):
         grid = Grid(0.0, 1.0, 32)
         T = 0.7
-        g = observability_gramian(spec_2x2, T, spec_2x2.omega, grid, cfl=0.9)
-        dt = cfl_dt(spec_2x2, grid, 0.9, T)
-        n_steps = round(T / dt)
+        dt, n_steps = _resolve_steps(spec_2x2, grid, T, 0.9, positive=True)
+        g = recurrence_gramians(spec_2x2, grid, dt, {n_steps})[n_steps]
         k, i = 1, 10
         z1 = np.zeros((2, 32))
         z1[k, i] = 1.0
@@ -52,18 +50,18 @@ class TestGramian:
         sigmas = []
         for n_cells in (32, 64):
             grid = Grid(0.0, 1.0, n_cells)
-            g = observability_gramian(spec_full_domain, 2.0,
-                                      spec_full_domain.omega, grid)
+            dt, n_steps = _resolve_steps(spec_full_domain, grid, 2.0, 1.0, positive=True)
+            g = recurrence_gramians(spec_full_domain, grid, dt, {n_steps})[n_steps]
             sigmas.append(np.linalg.eigvalsh(g)[0] / grid.dx)
         assert min(sigmas) > 0.5
         assert abs(sigmas[0] - sigmas[1]) <= 0.2 * max(sigmas)
 
     def test_memory_guard(self, spec_2x2):
-        # 8000^2 doubles are four times 512 MB: refused before the probes
+        # 8000^2 doubles are three times 512 MB: refused before the probes
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="bytes, above the limit of"):
-                observability_gramian(spec_2x2, 0.5, spec_2x2.omega, Grid(0.0, 1.0, 4000))
+                sigma_min_sweep(spec_2x2, [0.5], spec_2x2.omega, Grid(0.0, 1.0, 4000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -73,8 +71,7 @@ class TestGramian:
 @pytest.mark.parametrize("cells,horizons,layout", [
     (200, [0.3, 0.5, 0.7], [(400, 1)]),
     (300, [0.2, 0.3], [(1, 600)]),
-    (200, [0.7], None),
-], ids=["singletons", "one-block", "observability-gramian"])
+], ids=["singletons", "one-block"])
 def test_gramian_bytes_match_traced_peak(spec_2x2, monkeypatch, cells, horizons, layout):
     # the bytes the recurrence is refused on against its traced peak: a
     # sweep at Courant 1 keeps 1x1 blocks; at 300 cells cfl_dt lands a hair
@@ -83,10 +80,9 @@ def test_gramian_bytes_match_traced_peak(spec_2x2, monkeypatch, cells, horizons,
     # copy is added to the traced memory at the call
     import hypctrl.obsv as obsv
     grid = Grid(0.0, 1.0, cells)
-    if layout is not None:
-        dt = cfl_dt(spec_2x2, grid, 1.0, horizons[-1])
-        blocks = _block_partition(*_one_step_operator(spec_2x2, grid, dt))
-        assert [idx.shape for idx in blocks] == layout
+    dt = cfl_dt(spec_2x2, grid, 1.0, horizons[-1])
+    blocks = _block_partition(*_one_step_operator(spec_2x2, grid, dt))
+    assert [idx.shape for idx in blocks] == layout
     predicted, solves = [], []
     check, eigvalsh = obsv._check_bytes, np.linalg.eigvalsh
     monkeypatch.setattr(obsv, "_check_bytes",
@@ -95,10 +91,7 @@ def test_gramian_bytes_match_traced_peak(spec_2x2, monkeypatch, cells, horizons,
         tracemalloc.get_traced_memory()[0] + 8 * a.shape[-1] ** 2) or eigvalsh(a))
     tracemalloc.start()
     try:
-        if layout is None:
-            observability_gramian(spec_2x2, horizons[0], spec_2x2.omega, grid)
-        else:
-            sigma_min_sweep(spec_2x2, horizons, spec_2x2.omega, grid)
+        sigma_min_sweep(spec_2x2, horizons, spec_2x2.omega, grid)
         peak = max([tracemalloc.get_traced_memory()[1]] + solves)
     finally:
         tracemalloc.stop()
@@ -132,7 +125,7 @@ def forward_gramians(spec, grid, dt, stops):
 
 def recurrence_gramians(spec, grid, dt, stops):
     out = {}
-    for k, gram, _ in _gramian_windows(spec, spec.omega, grid, sorted(stops),
+    for k, gram in _gramian_windows(spec, spec.omega, grid, sorted(stops),
                                        _gramian_plan(spec, grid, dt, max(stops))):
         out[k] = 0.5 * (gram + gram.T)
     return out
@@ -220,10 +213,14 @@ def identity_batch_operator(spec, grid, dt):
 
 def single_horizon_sigmas(spec, grid, t_list, cfl):
     """sigma_min of each horizon from its own one-horizon sweep, and from
-    ``eigvalsh`` of the dense Gramian of ``observability_gramian``."""
+    ``eigvalsh`` of the whole Gramian of ``recurrence_gramians`` at the
+    horizon's one step."""
     swept = [sigma_min_sweep(spec, [t], spec.omega, grid, cfl).points[0][1] for t in t_list]
-    dense = [np.linalg.eigvalsh(observability_gramian(spec, t, spec.omega, grid, cfl))[0]
-             / grid.dx for t in t_list]
+    dense = []
+    for t in t_list:
+        dt, n_steps = _resolve_steps(spec, grid, t, cfl, positive=True)
+        g = recurrence_gramians(spec, grid, dt, {n_steps})[n_steps]
+        dense.append(np.linalg.eigvalsh(g)[0] / grid.dx)
     return swept, dense
 
 
@@ -312,7 +309,8 @@ class TestSigmaMinSweep:
     def test_last_window_is_the_gramian(self, spec_2x2):
         grid = Grid(0.0, 1.0, 32)
         sweep = sigma_min_sweep(spec_2x2, [0.3, 0.7], spec_2x2.omega, grid)
-        g = observability_gramian(spec_2x2, 0.7, spec_2x2.omega, grid)
+        dt, n_steps = _resolve_steps(spec_2x2, grid, 0.7, 1.0, positive=True)
+        g = recurrence_gramians(spec_2x2, grid, dt, {n_steps})[n_steps]
         assert sweep.points[-1][1] == np.linalg.eigvalsh(g)[0] / grid.dx
 
     def test_threshold_contrast_and_monotonicity(self, spec_2x2):
@@ -572,6 +570,11 @@ class TestNecessity:
                          source=SourceTerm.constant([[0.0, 0.5], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="source"):
             necessity_witness(spec, 1, 2.0, Grid(0.0, 1.0, 64))
+
+    def test_empty_exponent_list_rejected(self, spec_rank_deficient):
+        # a configuration error, exit 2, as an empty horizon list is
+        with pytest.raises(ConfigError, match="nonempty"):
+            necessity_sweep(spec_rank_deficient, [], 2.0, Grid(0.0, 1.0, 64))
 
     def test_sweep_monotone_with_blowup(self, spec_rank_deficient):
         grid = Grid(0.0, 1.0, 400)

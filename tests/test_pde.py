@@ -10,7 +10,7 @@ from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
                          cfl_dt, characteristics_oracle, sample_state,
                          solve_adjoint, solve_backward, solve_boundary_forward,
                          solve_forward, state_function)
-from hypctrl.obsv import necessity_witness, observability_gramian, sigma_min_sweep
+from hypctrl.obsv import necessity_witness, sigma_min_sweep
 from hypctrl.synth import (assemble_internal_control, hum_boundary_control,
                            synthesize_full_domain)
 from hypctrl.times import refine_control_region
@@ -73,7 +73,6 @@ def _entry_point(name: str, spec, full, bad):
     calls = {
         "solve_forward": lambda: solve_forward(
             spec, StateField(np.zeros((2, 32)), grid), None, bad),
-        "observability_gramian": lambda: observability_gramian(spec, bad, spec.omega, grid),
         "sigma_min_sweep": lambda: sigma_min_sweep(spec, bad, spec.omega, grid),
         "necessity_witness": lambda: necessity_witness(spec, 1, bad, grid),
         "synthesize_full_domain": lambda: synthesize_full_domain(full, zero, zero, bad, grid),
@@ -89,11 +88,11 @@ def _entry_point(name: str, spec, full, bad):
 
 @pytest.mark.parametrize("name,bad", [
     ("solve_forward", np.nan), ("solve_forward", np.inf), ("solve_forward", -1.0),
-    ("observability_gramian", 0.0), ("observability_gramian", np.nan),
-    ("sigma_min_sweep", []), ("sigma_min_sweep", [np.nan]),
-    ("sigma_min_sweep", [0.3, np.inf]), ("sigma_min_sweep", [0.5, 0.3]),
     # spec_2x2 has a full-rank Q0: the horizon is decided before the rank
     ("necessity_witness", np.nan), ("necessity_witness", -1.0),
+    # the list rows are named by position: sigma_min_sweep-bad5 .. bad8
+    ("sigma_min_sweep", []), ("sigma_min_sweep", [np.nan]),
+    ("sigma_min_sweep", [0.3, np.inf]), ("sigma_min_sweep", [0.5, 0.3]),
     ("synthesize_full_domain", 0.0),
     ("assemble_internal_control", 0.0), ("assemble_internal_control", np.nan),
     ("assemble_internal_control", np.inf),
