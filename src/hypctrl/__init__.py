@@ -3,7 +3,7 @@ for 1D linear hyperbolic balance laws with internal controls."""
 
 from .canon import CanonicalDecomposition, canonical_form, reversed_coupling
 from .model import (BelowThresholdError, ConfigError, ControlDomain,
-                    CouplingSpec, Interval, PositionTag, RankError, SourceTerm,
+                    CouplingSpec, Interval, RankError, SourceTerm,
                     SpeedProfile, SystemSpec)
 from .obsv import (GramianSweepResult, NecessitySweep, NecessityWitness,
                    detect_threshold, kernel_vector, necessity_sweep,
@@ -29,7 +29,7 @@ __all__ = [
     "CanonicalDecomposition", "ConfigError", "ControlDomain", "ControlField",
     "CouplingSpec", "EvolutionResult", "GramianSweepResult", "Grid",
     "HumResult", "Interval", "MinimalTimeResult", "NecessitySweep",
-    "NecessityWitness", "PositionTag", "RankError", "RefinedRegion",
+    "NecessityWitness", "RankError", "RefinedRegion",
     "SourceTerm", "SpaceCutoff", "SpeedProfile", "StateField",
     "SynthesisReport", "SystemSpec", "TimeCutoff", "TimeTerm",
     "assemble_internal_control", "boundary_control_time",

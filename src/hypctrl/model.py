@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -64,17 +63,8 @@ _UNIT = _readonly([0.0, 1.0])
 
 def _runs_from_0_to_1(x: list) -> bool:
     """The breakpoint check of both piecewise constructors, on a list of
-    floats: x[0] is 0, x[-1] is 1 and no step is <= 0."""
-    return x[0] == 0.0 and x[-1] == 1.0 and not any(b - a <= 0.0 for a, b in zip(x, x[1:]))
-
-
-class PositionTag(Enum):
-    """Where an interval sits inside [0, 1]."""
-
-    TOUCHES_LEFT = "touches_left"
-    TOUCHES_RIGHT = "touches_right"
-    INTERIOR = "interior"
-    FULL = "full"
+    floats: x[0] is 0, x[-1] is 1 and every step is > 0 (a NaN fails)."""
+    return x[0] == 0.0 and x[-1] == 1.0 and all(b - a > 0.0 for a, b in zip(x, x[1:]))
 
 
 @dataclass(frozen=True)
@@ -91,18 +81,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def tag(self) -> PositionTag:
-        at0 = self.lo == 0.0
-        at1 = self.hi == 1.0
-        if at0 and at1:
-            return PositionTag.FULL
-        if at0:
-            return PositionTag.TOUCHES_LEFT
-        if at1:
-            return PositionTag.TOUCHES_RIGHT
-        return PositionTag.INTERIOR
 
 
 @dataclass(frozen=True)
@@ -305,7 +283,7 @@ class ControlDomain:
         return out
 
     def complement_components(self) -> list[Interval]:
-        """Connected components of (0,1) minus the closure, with position tags.
+        """Connected components of (0,1) minus the closure.
 
         Empty exactly when the closure covers [0, 1].
         """

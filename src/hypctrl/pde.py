@@ -70,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ConfigError, Interval, PositionTag, RankError, SpeedProfile, SystemSpec
+from .model import ConfigError, RankError, SpeedProfile, SystemSpec
 
 NAN_CHECK_EVERY = 64
 TRAJECTORY_BYTES_LIMIT = 1 << 30
@@ -470,13 +470,18 @@ def _evolve(marcher: _Marcher, state: StateField, n_steps: int, dt: float,
 def _resolve_steps(spec, grid, T, cfl, control: ControlField | None = None,
                    positive: bool = False):
     """The one (dt, n_steps) rule of a march over [0, T], after checking T
-    and the bytes of one state: the control's own step when one is given,
-    else ``cfl_dt`` and the whole steps of T."""
+    and the bytes of one state: the control's own step when one is given
+    (on the state grid and zero outside omega), else ``cfl_dt`` and the
+    whole steps of T."""
     _check_horizon(T, positive)
     _check_state(spec.n, grid)
     if control is not None:
         if control.grid != grid:
             raise ValueError("control grid does not match the state grid")
+        # the model applies 1_omega u, so a control nonzero off omega is an error
+        outside = control.mask & ~spec.omega.contains_points(grid.centers)
+        if outside.any() and control.values[:, :, outside].any():
+            raise ConfigError("the control must vanish outside omega")
         dt, n_steps = control.dt, control.n_steps
         if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
             raise ConfigError(f"control series spans {n_steps} steps of {dt:.6g} = "
@@ -497,15 +502,13 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
     return _forward(spec, y0, u, T, cfl)
 
 
-def _forward_segment(spec: SystemSpec, grid: Grid, dt: float,
-                     tag: PositionTag = PositionTag.FULL, bc_lo=None, bc_hi=None):
-    """The forward system's segment on ``grid``, an interval placed in
-    (0, 1) by ``tag``: the couplings Q0 and Q1 at the ends of (0, 1) it
-    touches, and the boundary writers ``bc_lo`` and ``bc_hi`` at its other
-    ends (None: no writer, zero boundary data)."""
-    if tag in (PositionTag.FULL, PositionTag.TOUCHES_LEFT):
+def _forward_segment(spec: SystemSpec, grid: Grid, dt: float, bc_lo=None, bc_hi=None):
+    """The forward system's segment on ``grid``: the couplings Q0 and Q1 at
+    the ends of (0, 1) the grid reaches, and the boundary writers ``bc_lo``
+    and ``bc_hi`` at its other ends (None: no writer, zero boundary data)."""
+    if grid.lo == 0.0:
         bc_lo = _coupling_bc(spec.couplings.q0)
-    if tag in (PositionTag.FULL, PositionTag.TOUCHES_RIGHT):
+    if grid.hi == 1.0:
         bc_hi = _coupling_bc(spec.couplings.q1)
     return _segment(_speeds_at(spec, grid), dt, grid.dx, bc_lo, bc_hi,
                     spec.source.at_points(grid.centers))
@@ -559,20 +562,19 @@ class BoundaryControls:
     ``left`` feeds the positive components at the left end (shape
     (n_steps, p)), ``right`` the negative components at the right end
     (shape (n_steps, m)).  Which of the two is required depends on the
-    position of the interval.
+    ends of (0, 1) the grid reaches.
     """
 
     left: np.ndarray | None = None
     right: np.ndarray | None = None
 
 
-def _subinterval_bcs(spec: SystemSpec, tag: PositionTag,
-                     controls: BoundaryControls, n_steps: int):
-    """(bc_lo, bc_hi) on a complement component of the refined region: the
-    Dirichlet series of ``controls`` at the control ends, shaped (n_steps, p)
-    on the left and (n_steps, m) on the right, and None at an end of (0, 1),
-    where ``_forward_segment`` puts the coupling."""
-    if tag is PositionTag.FULL:
+def _subinterval_bcs(spec: SystemSpec, grid: Grid, controls: BoundaryControls, n_steps: int):
+    """(bc_lo, bc_hi) on a complement component of the refined region, the
+    span of ``grid``: the Dirichlet series of ``controls`` at the control
+    ends, shaped (n_steps, p) on the left and (n_steps, m) on the right, and
+    None at an end of (0, 1), where ``_forward_segment`` puts the coupling."""
+    if grid.lo == 0.0 and grid.hi == 1.0:
         raise ValueError("use solve_forward for the full domain")
 
     def dirichlet(series, length, name):
@@ -584,27 +586,25 @@ def _subinterval_bcs(spec: SystemSpec, tag: PositionTag,
                              f"{(n_steps, length)}, got {ser.shape}")
         return _dirichlet_bc(ser[:, :, None])
 
-    bc_lo = (None if tag is PositionTag.TOUCHES_LEFT
-             else dirichlet(controls.left, spec.p, "left-end"))
-    bc_hi = (None if tag is PositionTag.TOUCHES_RIGHT
-             else dirichlet(controls.right, spec.m, "right-end"))
+    bc_lo = None if grid.lo == 0.0 else dirichlet(controls.left, spec.p, "left-end")
+    bc_hi = None if grid.hi == 1.0 else dirichlet(controls.right, spec.m, "right-end")
     return bc_lo, bc_hi
 
 
-def solve_boundary_forward(spec: SystemSpec, interval: Interval, y0: StateField,
-                           controls: BoundaryControls, T: float,
-                           cfl: float = 0.9) -> EvolutionResult:
+def solve_boundary_forward(spec: SystemSpec, y0: StateField, controls: BoundaryControls,
+                           T: float, cfl: float = 0.9) -> EvolutionResult:
     """March the system restricted to a component of the complement of the
-    refined control region, with Dirichlet data on its control ends.
+    refined control region, with Dirichlet data on its control ends.  The
+    component is the span of ``y0.grid``.
 
-    Interval touching the left boundary: coupling Q0 stays at x=0 and the
-    control drives the negative components at the right end; touching the
-    right boundary: mirrored; interior: controls on both ends.
+    A component reaching x=0: coupling Q0 stays there and the control
+    drives the negative components at the right end; reaching x=1:
+    mirrored; interior: controls on both ends.
     """
     grid = y0.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
-    marcher = _Marcher(_forward_segment(spec, grid, dt, interval.tag,
-                                        *_subinterval_bcs(spec, interval.tag, controls, n_steps)))
+    marcher = _Marcher(_forward_segment(spec, grid, dt,
+                                        *_subinterval_bcs(spec, grid, controls, n_steps)))
     return _evolve(marcher, y0, n_steps, dt)
 
 

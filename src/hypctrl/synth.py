@@ -40,9 +40,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import (BelowThresholdError, ControlDomain, Interval, RankError,
-                    SystemSpec)
-from .pde import (BoundaryControls, ControlField, Grid, PositionTag, StateField,
+from .model import BelowThresholdError, ControlDomain, RankError, SystemSpec
+from .pde import (BoundaryControls, ControlField, Grid, StateField,
                   _backward_segment, _check_bytes, _check_horizon, _evolve, _forward_segment,
                   _march, _Marcher, _record_states, _resolve_steps, _speeds_at, sample_state)
 from .times import minimal_control_time, shrink_region
@@ -248,17 +247,16 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
     return assemble_internal_control(spec, y0_fn, y1_fn, T, grid, cfl)
 
 
-def _hum_component(spec, interval: Interval, grid: Grid, dt: float, n_steps: int):
-    """A complement component's record before its HUM allocates: interval,
-    grid, its grid's resolved (dt, n_steps), and (left, all) control
-    channels, each control end's inflow components; ``_hum_bytes`` sizes
-    from it and ``_hum_row`` fills it."""
-    if interval.tag is PositionTag.FULL:
+def _hum_component(spec, grid: Grid, dt: float, n_steps: int):
+    """A complement component's record before its HUM allocates: its grid,
+    whose span is the component, the grid's resolved (dt, n_steps), and
+    (left, all) control channels, each control end's inflow components;
+    ``_hum_bytes`` sizes from it and ``_hum_row`` fills it."""
+    if grid.lo == 0.0 and grid.hi == 1.0:
         raise ValueError("use solve_forward for the full domain")
-    n_left = 0 if interval.tag is PositionTag.TOUCHES_LEFT else spec.p
-    n_ch = n_left + (0 if interval.tag is PositionTag.TOUCHES_RIGHT else spec.m)
-    return SimpleNamespace(interval=interval, grid=grid, dt=dt, n_steps=n_steps,
-                           n_left=n_left, n_ch=n_ch)
+    n_left = 0 if grid.lo == 0.0 else spec.p
+    n_ch = n_left + (0 if grid.hi == 1.0 else spec.m)
+    return SimpleNamespace(grid=grid, dt=dt, n_steps=n_steps, n_left=n_left, n_ch=n_ch)
 
 
 @dataclass(frozen=True)
@@ -273,11 +271,10 @@ class HumResult:
     times: np.ndarray
 
 
-def hum_boundary_control(spec: SystemSpec, interval: Interval,
-                         y0_vals: np.ndarray, y1_vals: np.ndarray,
-                         grid: Grid, T: float, cfl: float = 0.9,
-                         cells=()) -> HumResult:
-    """Boundary control steering y0 to y1 on one complement component.
+def hum_boundary_control(spec: SystemSpec, y0_vals: np.ndarray, y1_vals: np.ndarray,
+                         grid: Grid, T: float, cfl: float = 0.9, cells=()) -> HumResult:
+    """Boundary control steering y0 to y1 on one complement component, the
+    span of ``grid``.
 
     Minimizes |A U + b - y1|^2_L2 + alpha |U|^2_L2 over control series U,
     alpha = ``HUM_REGULARIZATION``, A the input-to-final-state map of the
@@ -312,7 +309,7 @@ def hum_boundary_control(spec: SystemSpec, interval: Interval,
     cells = np.asarray(cells, dtype=np.intp).reshape(-1)
     if cells.size and not 0 <= cells.min() <= cells.max() < grid.n_cells:
         raise ValueError(f"sampled cells must lie in 0..{grid.n_cells - 1}")
-    comp = _hum_component(spec, interval, grid, dt, n_steps)
+    comp = _hum_component(spec, grid, dt, n_steps)
     _check_bytes("HUM", _hum_bytes(spec, [comp]))
     return _hum_row(spec, [comp], [(y0_vals, y1_vals, cells)])[0]
 
@@ -328,8 +325,7 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
     Each record takes its columns and buffers, and is solved as on its own."""
     n, idx = spec.n, np.arange(spec.n)
     batch = 1 + max(comp.n_ch for comp in comps)
-    row = _Marcher(*(_forward_segment(spec, comp.grid, comp.dt, comp.interval.tag)
-                     for comp in comps))
+    row = _Marcher(*(_forward_segment(spec, comp.grid, comp.dt) for comp in comps))
     w0 = np.zeros((n, row.width, batch))
     for comp, (y0_vals, y1_vals, cells), (courant, *_), cols in zip(
             comps, data, row.segments, row.cols):
@@ -465,7 +461,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
         cutoff = SpaceCutoff.between(refined_region, spec.omega)
         for iv in refined_region.complement_components():
             grid_i = Grid(iv.lo, iv.hi, max(8, math.ceil(iv.length * grid.n_cells)))
-            comps.append(_hum_component(spec, iv, grid_i, *_resolve_steps(spec, grid_i, T, cfl)))
+            comps.append(_hum_component(spec, grid_i, *_resolve_steps(spec, grid_i, T, cfl)))
         # xi' Lambda (y_out - y_in) vanishes where xi' = 0, outside these cells
         xi_dot = cutoff.derivative(grid.centers)
         cells = np.flatnonzero(xi_dot)
@@ -474,7 +470,7 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
         xq = grid.centers[cells]
         data, insides = [], []
         for comp in comps:
-            inside = (xq > comp.interval.lo) & (xq < comp.interval.hi)
+            inside = (xq > comp.grid.lo) & (xq < comp.grid.hi)
             # HUM samples only the component cells that bracket these points
             j = _bracket(comp.grid.centers, xq[inside])
             pairs = np.zeros(comp.grid.n_cells, dtype=bool)

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConfigError, ControlDomain, Interval, PositionTag, RankError,
-                    SystemSpec)
+from .model import ConfigError, ControlDomain, Interval, RankError, SystemSpec
 
 # Below this slope magnitude a linear speed segment integrates as constant.
 CONSTANT_SLOPE_TOL = 1e-14
@@ -215,16 +214,15 @@ def boundary_time_interior(spec: SystemSpec, interval) -> BoundaryTimeResult:
 
 
 def boundary_control_time(spec: SystemSpec, interval) -> BoundaryTimeResult:
-    """Dispatch on the position of the component inside [0, 1]."""
+    """Dispatch on the ends of [0, 1] the component reaches."""
     iv = _as_interval(interval)
-    tag = iv.tag
-    if tag is PositionTag.TOUCHES_LEFT:
+    if iv.lo == 0.0 and iv.hi == 1.0:
+        raise ValueError("component covering the whole domain has no boundary-control time")
+    if iv.lo == 0.0:
         return boundary_time_left(spec, iv)
-    if tag is PositionTag.TOUCHES_RIGHT:
+    if iv.hi == 1.0:
         return boundary_time_right(spec, iv)
-    if tag is PositionTag.INTERIOR:
-        return boundary_time_interior(spec, iv)
-    raise ValueError("component covering the whole domain has no boundary-control time")
+    return boundary_time_interior(spec, iv)
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,8 @@ def test_criterion_6_internal_synthesis_threshold(spec_2x2):
         grid_i = Grid(0.0, 0.25, n_i)
         y0 = np.stack([np.sin(np.pi * grid_i.centers), np.zeros(n_i)])
         y1 = np.zeros((2, n_i))
-        floors[n_i] = hum_boundary_control(spec_2x2, Interval(0.0, 0.25),
-                                           y0, y1, grid_i, 0.4).residual
-        tops[n_i] = hum_boundary_control(spec_2x2, Interval(0.0, 0.25),
-                                         y0, y1, grid_i, 0.6).residual
+        floors[n_i] = hum_boundary_control(spec_2x2, y0, y1, grid_i, 0.4).residual
+        tops[n_i] = hum_boundary_control(spec_2x2, y0, y1, grid_i, 0.6).residual
     assert tops[400] <= 1e-3
     assert min(floors.values()) >= 0.05
     assert floors[400] >= 0.5 * floors[200]

@@ -749,10 +749,14 @@ class TestFlagValidation:
         ({"speeds": [{"type": "constant", "value": -1.0},
                      {"type": "piecewise_linear", "x": [0.2, 0.8], "v": [1.0, 2.0]}]},
          ["mintime"], "speeds[1].x"),
+        # json reads NaN; the source constructor's breakpoint check refuses it
+        ({"M": {"type": "piecewise_constant", "x": [0.0, float("nan"), 1.0],
+                "matrices": [[[0.0, 0.0], [0.0, 0.0]]] * 2}}, ["mintime"], "config"),
     ], ids=["omega-strings", "omega-booleans", "M-mixed", "Q0-string", "Q0-scalar",
             "Q1-boolean-vector", "Q1-vector", "piecewise-speed-mixed", "source-x-string",
             "constant-stray-keys", "piecewise-stray-value", "matrix-boolean",
-            "matrix-string", "piecewise-x-decreasing", "piecewise-x-partial"])
+            "matrix-string", "piecewise-x-decreasing", "piecewise-x-partial",
+            "source-x-nan"])
     def test_lax_input_exits_2_naming_the_field(self, tmp_path, capsys, overrides,
                                                 command, field):
         path = config_variant(tmp_path, "bad.json", **overrides)

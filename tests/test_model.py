@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hypctrl.model import (ConfigError, ControlDomain, Interval, PositionTag,
-                           SourceTerm, SpeedProfile)
+from hypctrl.model import ConfigError, ControlDomain, Interval, SourceTerm, SpeedProfile
 from conftest import make_spec
 
 
@@ -45,8 +44,6 @@ class TestComplementComponents:
     def test_single_interval(self):
         comps = ControlDomain.of((0.25, 0.75)).complement_components()
         assert [(c.lo, c.hi) for c in comps] == [(0.0, 0.25), (0.75, 1.0)]
-        assert [c.tag for c in comps] == [PositionTag.TOUCHES_LEFT,
-                                          PositionTag.TOUCHES_RIGHT]
 
     def test_touching_closures_merge(self):
         comps = ControlDomain.of((0.0, 0.5), (0.5, 1.0)).complement_components()
@@ -55,9 +52,6 @@ class TestComplementComponents:
     def test_two_interior_intervals(self):
         comps = ControlDomain.of((0.1, 0.2), (0.4, 0.5)).complement_components()
         assert [(c.lo, c.hi) for c in comps] == [(0.0, 0.1), (0.2, 0.4), (0.5, 1.0)]
-        assert [c.tag for c in comps] == [PositionTag.TOUCHES_LEFT,
-                                          PositionTag.INTERIOR,
-                                          PositionTag.TOUCHES_RIGHT]
 
     def test_components_partition_the_complement(self):
         rng = np.random.default_rng(7)
@@ -82,6 +76,16 @@ class TestComplementComponents:
             ControlDomain.of((0.1, 0.3), (0.2, 0.4))
         with pytest.raises(ValueError):
             ControlDomain(())
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: SpeedProfile.piecewise_linear(x, [[-1.0] * 3, [1.0] * 3]),
+    lambda x: SourceTerm.piecewise_constant(x, np.zeros((2, 2, 2))),
+], ids=["speed", "source"])
+def test_nan_breakpoint_rejected(build):
+    # a step b - a that is NaN is not > 0
+    with pytest.raises(ValueError, match="breakpoints must increase strictly from 0 to 1"):
+        build([0.0, np.nan, 1.0])
 
 
 class TestSpeedEval:
@@ -110,12 +114,6 @@ class TestSpeedEval:
 
 
 class TestInterval:
-    def test_tags(self):
-        assert Interval(0.0, 0.5).tag is PositionTag.TOUCHES_LEFT
-        assert Interval(0.5, 1.0).tag is PositionTag.TOUCHES_RIGHT
-        assert Interval(0.2, 0.8).tag is PositionTag.INTERIOR
-        assert Interval(0.0, 1.0).tag is PositionTag.FULL
-
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             Interval(0.5, 0.5)

@@ -5,7 +5,7 @@ import pytest
 
 import hypctrl.obsv as obsv
 import hypctrl.pde as pde
-from hypctrl.model import ConfigError, Interval, SourceTerm, SpeedProfile
+from hypctrl.model import ConfigError, SourceTerm, SpeedProfile
 from hypctrl.pde import (BoundaryControls, ControlField, Grid, StateField,
                          cfl_dt, characteristics_oracle, sample_state,
                          solve_adjoint, solve_backward, solve_boundary_forward,
@@ -66,6 +66,15 @@ class TestCflDt:
             solve_forward(spec_2x2, y0, u, horizon)
         assert solve_forward(spec_2x2, y0, u, 0.05).times.size == 6
 
+    def test_control_must_vanish_outside_omega(self, spec_2x2):
+        # the model is 1_omega u: a mask wider than omega is refused where
+        # the control is nonzero off omega
+        grid = Grid(0.0, 1.0, 64)
+        y0 = StateField(np.zeros((2, 64)), grid)
+        u = ControlField(np.ones((5, 2, 64)), grid, 0.01, np.ones(64, dtype=bool))
+        with pytest.raises(ConfigError, match="the control must vanish outside omega"):
+            solve_forward(spec_2x2, y0, u, 0.05)
+
 
 def _entry_point(name: str, spec, full, bad):
     """Call one library entry point with the bad horizon (or epsilon) ``bad``."""
@@ -79,8 +88,7 @@ def _entry_point(name: str, spec, full, bad):
         "assemble_internal_control": lambda: assemble_internal_control(
             spec, zero, zero, bad, grid),
         "hum_boundary_control": lambda: hum_boundary_control(
-            spec, Interval(0.0, 0.25), np.zeros((2, 8)), np.zeros((2, 8)),
-            Grid(0.0, 0.25, 8), bad),
+            spec, np.zeros((2, 8)), np.zeros((2, 8)), Grid(0.0, 0.25, 8), bad),
         "refine_control_region": lambda: refine_control_region(spec, bad),
     }
     return calls[name]()
@@ -250,9 +258,8 @@ class TestSolveBoundaryForward:
         y0 = StateField(np.zeros((2, 32)), grid)
         dt = cfl_dt(spec_2x2, grid, 0.9, 0.3)
         n_steps = round(0.3 / dt)
-        res = solve_boundary_forward(spec_2x2, Interval(0.0, 0.25), y0,
-                                     BoundaryControls(right=np.zeros((n_steps, 1))),
-                                     0.3)
+        res = solve_boundary_forward(spec_2x2, y0,
+                                     BoundaryControls(right=np.zeros((n_steps, 1))), 0.3)
         assert not res.trajectory.any()
 
     def test_left_interval_constant_control_exact(self, spec_2x2):
@@ -265,7 +272,7 @@ class TestSolveBoundaryForward:
         y0 = sample_state(g0, grid, 2)
         dt = cfl_dt(spec_2x2, grid, 1.0, T)
         n_steps = round(T / dt)
-        res = solve_boundary_forward(spec_2x2, Interval(0.0, a), y0,
+        res = solve_boundary_forward(spec_2x2, y0,
                                      BoundaryControls(right=np.full((n_steps, 1), c)),
                                      T, cfl=1.0)
         x = grid.centers
@@ -278,11 +285,18 @@ class TestSolveBoundaryForward:
         grid = Grid(0.0, 0.25, 32)
         y0 = StateField(np.zeros((2, 32)), grid)
         with pytest.raises(ValueError, match="missing"):
-            solve_boundary_forward(spec_2x2, Interval(0.0, 0.25), y0,
-                                   BoundaryControls(), 0.3)
+            solve_boundary_forward(spec_2x2, y0, BoundaryControls(), 0.3)
         with pytest.raises(ValueError, match="shape"):
-            solve_boundary_forward(spec_2x2, Interval(0.0, 0.25), y0,
-                                   BoundaryControls(right=np.zeros((3, 1))), 0.3)
+            solve_boundary_forward(spec_2x2, y0, BoundaryControls(right=np.zeros((3, 1))), 0.3)
+
+    def test_full_grid_refused(self, spec_2x2):
+        # the component is the span of the grid: (0, 1) is no component
+        grid = Grid(0.0, 1.0, 32)
+        zero = np.zeros((2, 32))
+        with pytest.raises(ValueError, match="use solve_forward for the full domain"):
+            solve_boundary_forward(spec_2x2, StateField(zero, grid), BoundaryControls(), 0.3)
+        with pytest.raises(ValueError, match="use solve_forward for the full domain"):
+            hum_boundary_control(spec_2x2, zero, zero, grid, 0.3)
 
 
 class TestSolveAdjoint:
@@ -797,8 +811,7 @@ class TestMarchingKernel:
                 (grid, lambda: solve_forward(spec_2x2, y0, None, 0.3)),
                 (grid, lambda: solve_backward(spec_2x2, y0, 0.3)),
                 (grid, lambda: solve_adjoint(spec_2x2, y0, 0.3)),
-                (sub, lambda: solve_boundary_forward(spec_2x2, Interval(0.0, 0.25), s0,
-                                                     right, 0.3))]:
+                (sub, lambda: solve_boundary_forward(spec_2x2, s0, right, 0.3))]:
             size = (steps[g] + 1) * 2 * 64 * 8
             monkeypatch.setattr(pde, "TRAJECTORY_BYTES_LIMIT", size)
             assert solve().trajectory.nbytes == size

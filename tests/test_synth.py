@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypctrl.model import ConfigError, ControlDomain, Interval, PositionTag, RankError
+from hypctrl.model import ConfigError, ControlDomain, Interval, RankError
 from hypctrl.pde import (ControlField, Grid, _speeds_at, cfl_dt, sample_state,
                          solve_backward, solve_forward, state_function)
 from hypctrl.synth import (BelowThresholdError, SpaceCutoff, TimeCutoff,
@@ -107,28 +107,25 @@ class TestHumBoundaryControl:
     def test_zero_data_zero_control(self, spec_2x2):
         grid = Grid(0.0, 0.25, 32)
         zero = np.zeros((2, 32))
-        hum = hum_boundary_control(spec_2x2, Interval(0.0, 0.25), zero, zero,
-                                   grid, 0.6)
+        hum = hum_boundary_control(spec_2x2, zero, zero, grid, 0.6)
         assert hum.residual == 0.0
         assert not hum.controls.right.any()
 
     def test_threshold_contrast(self, spec_2x2):
-        iv = Interval(0.0, 0.25)
         for n_i in (100, 200):
             grid = Grid(0.0, 0.25, n_i)
             y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(n_i)])
             y1 = np.zeros((2, n_i))
-            above = hum_boundary_control(spec_2x2, iv, y0, y1, grid, 0.6)
-            below = hum_boundary_control(spec_2x2, iv, y0, y1, grid, 0.4)
+            above = hum_boundary_control(spec_2x2, y0, y1, grid, 0.6)
+            below = hum_boundary_control(spec_2x2, y0, y1, grid, 0.4)
             assert above.residual <= 1e-8
             assert below.residual >= 0.05
 
     def test_interior_interval_both_ends(self, spec_2x2):
-        iv = Interval(0.3, 0.6)
         grid = Grid(0.3, 0.6, 60)
         y0 = np.stack([np.cos(grid.centers), np.sin(grid.centers)])
         y1 = np.stack([grid.centers, 1.0 - grid.centers])
-        hum = hum_boundary_control(spec_2x2, iv, y0, y1, grid, 0.5)
+        hum = hum_boundary_control(spec_2x2, y0, y1, grid, 0.5)
         assert hum.residual <= 1e-5
         assert hum.controls.left.shape[1] == 1
         assert hum.controls.right.shape[1] == 1
@@ -136,14 +133,12 @@ class TestHumBoundaryControl:
     def test_steering_verified_against_map(self, spec_2x2):
         # the returned series, replayed through the subinterval solver,
         # reproduces the reported residual (round trip through the solver)
-        iv = Interval(0.75, 1.0)
         grid = Grid(0.75, 1.0, 50)
         y0 = np.stack([np.sin(3 * grid.centers), np.cos(grid.centers)])
         y1 = np.zeros((2, 50))
-        hum = hum_boundary_control(spec_2x2, iv, y0, y1, grid, 0.6)
+        hum = hum_boundary_control(spec_2x2, y0, y1, grid, 0.6)
         from hypctrl.pde import StateField, solve_boundary_forward
-        res = solve_boundary_forward(spec_2x2, iv, StateField(y0, grid),
-                                     hum.controls, 0.6)
+        res = solve_boundary_forward(spec_2x2, StateField(y0, grid), hum.controls, 0.6)
         err = np.sqrt(grid.dx * np.sum((res.final.values - y1) ** 2))
         assert err == pytest.approx(hum.residual, rel=1e-10, abs=1e-14)
 
@@ -173,16 +168,16 @@ def _hum_case(iv, n, n_cells=24):
     return grid, y0, y1
 
 
-def _channels(spec, tag):
-    left = [] if tag is PositionTag.TOUCHES_LEFT else [("left", j) for j in range(spec.p)]
-    right = [] if tag is PositionTag.TOUCHES_RIGHT else [("right", i) for i in range(spec.m)]
+def _channels(spec, iv):
+    left = [] if iv.lo == 0.0 else [("left", j) for j in range(spec.p)]
+    right = [] if iv.hi == 1.0 else [("right", i) for i in range(spec.m)]
     return left + right
 
 
-def _unit_controls(spec, tag, channels, n_steps, row):
+def _unit_controls(spec, iv, channels, n_steps, row):
     from hypctrl.pde import BoundaryControls
-    left = None if tag is PositionTag.TOUCHES_LEFT else np.zeros((n_steps, spec.p))
-    right = None if tag is PositionTag.TOUCHES_RIGHT else np.zeros((n_steps, spec.m))
+    left = None if iv.lo == 0.0 else np.zeros((n_steps, spec.p))
+    right = None if iv.hi == 1.0 else np.zeros((n_steps, spec.m))
     if row is not None:
         end, comp = channels[row]
         (left if end == "left" else right)[0, comp] = 1.0
@@ -214,21 +209,20 @@ class TestHumStateSide:
             return w
 
         monkeypatch.setattr(synth, "_march", spy)
-        hum_boundary_control(spec, iv, y0, y1, grid, T)
+        hum_boundary_control(spec, y0, y1, grid, T)
         batch = np.stack(seen[0])       # (n_steps+1, n, N, channels+1)
         n_steps = batch.shape[0] - 1
-        channels = _channels(spec, iv.tag)
+        channels = _channels(spec, iv)
         assert batch.shape[-1] == len(channels) + 1
         for row in list(range(len(channels))) + [None]:
             start = np.zeros_like(y0) if row is not None else y0
             single = solve_boundary_forward(
-                spec, iv, StateField(start, grid),
-                _unit_controls(spec, iv.tag, channels, n_steps, row), T)
+                spec, StateField(start, grid), _unit_controls(spec, iv, channels, n_steps, row), T)
             # an impulse column starts one step on: its state j is the
             # single march's state j + 1, and its last state is not used
             want = single.trajectory if row is None else single.trajectory[1:]
             col = batch[:len(want), ..., row if row is not None else len(channels)]
-            if n == 2 or iv.tag is PositionTag.INTERIOR:
+            if n == 2 or 0.0 < iv.lo and iv.hi < 1.0:
                 assert np.array_equal(col, want)
             else:
                 # a coupling with several terms per ghost goes through
@@ -248,22 +242,22 @@ class TestHumStateSide:
         grid, y0, y1 = _hum_case(iv, n)
         dt = cfl_dt(spec, grid, 0.9, T)
         n_steps = round(T / dt)
-        channels = _channels(spec, iv.tag)
+        channels = _channels(spec, iv)
         nstate = spec.n * grid.n_cells
         cols = []
         for row in range(len(channels)):
             traj = solve_boundary_forward(
-                spec, iv, StateField(np.zeros_like(y0), grid),
-                _unit_controls(spec, iv.tag, channels, n_steps, row), T).trajectory
+                spec, StateField(np.zeros_like(y0), grid),
+                _unit_controls(spec, iv, channels, n_steps, row), T).trajectory
             cols.append(traj[n_steps - np.arange(n_steps)].reshape(n_steps, nstate).T)
         a_mat = np.hstack(cols)
-        free = solve_boundary_forward(spec, iv, StateField(y0, grid),
-                                      _unit_controls(spec, iv.tag, channels, n_steps, None), T)
+        free = solve_boundary_forward(spec, StateField(y0, grid),
+                                      _unit_controls(spec, iv, channels, n_steps, None), T)
         target = (y1 - free.final.values).reshape(nstate)
         normal = grid.dx * (a_mat.T @ a_mat) + HUM_REGULARIZATION * dt * np.eye(a_mat.shape[1])
         ref = np.linalg.solve(normal, grid.dx * (a_mat.T @ target)).reshape(len(channels), n_steps)
 
-        hum = hum_boundary_control(spec, iv, y0, y1, grid, T)
+        hum = hum_boundary_control(spec, y0, y1, grid, T)
         got = np.stack([(hum.controls.left if end == "left" else hum.controls.right)[:, comp]
                         for end, comp in channels])
         assert np.allclose(got, ref, rtol=1e-6, atol=1e-6 * np.max(np.abs(ref)))
@@ -284,8 +278,8 @@ class TestHumStateSide:
         for iv, T in HUM_CASES:
             grid, y0, y1 = _hum_case(iv, 4)
             calls.clear()
-            hum_boundary_control(spec, iv, y0, y1, grid, T, cells=[0, 5, 23])
-            n_ch = len(_channels(spec, iv.tag))
+            hum_boundary_control(spec, y0, y1, grid, T, cells=[0, 5, 23])
+            n_ch = len(_channels(spec, iv))
             assert calls == [(4, grid.n_cells, n_ch + 1)]
 
     @pytest.mark.parametrize("iv,T", HUM_CASES)
@@ -296,8 +290,8 @@ class TestHumStateSide:
         spec = _hum_spec(n)
         grid, y0, y1 = _hum_case(iv, n)
         cells = np.array([0, 1, 7, 8, 16, 22, 23])
-        hum = hum_boundary_control(spec, iv, y0, y1, grid, T, cells=cells)
-        replay = solve_boundary_forward(spec, iv, StateField(y0, grid), hum.controls, T)
+        hum = hum_boundary_control(spec, y0, y1, grid, T, cells=cells)
+        replay = solve_boundary_forward(spec, StateField(y0, grid), hum.controls, T)
         ref = replay.trajectory[:, :, cells]
         assert hum.samples.shape == ref.shape
         assert np.array_equal(hum.times, replay.times)
@@ -308,8 +302,7 @@ class TestHumStateSide:
         zero = np.zeros((2, 32))
         for cells in ([32], [-1]):
             with pytest.raises(ValueError, match="sampled cells"):
-                hum_boundary_control(spec_2x2, Interval(0.0, 0.25), zero, zero, grid, 0.6,
-                                     cells=cells)
+                hum_boundary_control(spec_2x2, zero, zero, grid, 0.6, cells=cells)
 
 
 class TestResample:
@@ -537,9 +530,8 @@ def _whole_array_glue(spec, y0_fn, y1_fn, T, grid, omega_hat, cfl=0.9):
         y_out = np.zeros_like(y_in)
         for comp in omega_hat.complement_components():
             grid_i = Grid(comp.lo, comp.hi, max(8, math.ceil(comp.length * grid.n_cells)))
-            hum = hum_boundary_control(spec, comp, y0_fn(grid_i.centers),
-                                       y1_fn(grid_i.centers), grid_i, T, cfl,
-                                       cells=np.arange(grid_i.n_cells))
+            hum = hum_boundary_control(spec, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
+                                       grid_i, T, cfl, cells=np.arange(grid_i.n_cells))
             residuals.append(hum.residual)
             inside = (grid.centers > comp.lo) & (grid.centers < comp.hi)
             y_out[:, :, inside] = _whole_state_resample(
@@ -720,13 +712,13 @@ def _three_interval_case():
 
 
 def _row_of(monkeypatch, spec, T, cells):
-    """The parts a synthesis hands its HUM row, (interval, grid, y0, y1,
-    sampled cells) each, its cfl, and what the row returned."""
+    """The parts a synthesis hands its HUM row, (grid, y0, y1, sampled
+    cells) each, its cfl, and what the row returned."""
     import hypctrl.synth as synth
     seen, cfl = [], 0.9
     real = synth._hum_row
     monkeypatch.setattr(synth, "_hum_row", lambda spec, comps, data: seen.append(
-        ([(comp.interval, comp.grid, *part) for comp, part in zip(comps, data)],
+        ([(comp.grid, *part) for comp, part in zip(comps, data)],
          real(spec, comps, data))) or seen[-1][1])
     assemble_internal_control(spec, _fourier(spec.n, 1), _fourier(spec.n, 2), T,
                               Grid(0.0, 1.0, cells), cfl)
@@ -739,8 +731,8 @@ def _records(spec, parts, T, cfl):
     """The HUM records of ``parts``, as a synthesis builds them."""
     import hypctrl.synth as synth
     from hypctrl.pde import _resolve_steps
-    return [synth._hum_component(spec, comp, grid_i, *_resolve_steps(spec, grid_i, T, cfl))
-            for comp, grid_i, *_ in parts]
+    return [synth._hum_component(spec, grid_i, *_resolve_steps(spec, grid_i, T, cfl))
+            for grid_i, *_ in parts]
 
 
 @pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240)])
@@ -753,15 +745,15 @@ def test_hum_bytes_match_direct_peak(monkeypatch, label, cells):
     spec, T, _ = _synth_case(label)
     parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
     assert len(parts) == 2
-    for comp, grid_i, y0, y1, sampled in parts:
+    for grid_i, y0, y1, sampled in parts:
         tracemalloc.start()
         try:
-            hum_boundary_control(spec, comp, y0, y1, grid_i, T, cfl, sampled)
+            hum_boundary_control(spec, y0, y1, grid_i, T, cfl, sampled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         copy = 8 * (spec.n * grid_i.n_cells) ** 2
-        predicted = synth._hum_bytes(spec, _records(spec, [(comp, grid_i)], T, cfl))
+        predicted = synth._hum_bytes(spec, _records(spec, [(grid_i,)], T, cfl))
         assert abs(predicted - (peak + copy)) <= 0.25 * (peak + copy)
 
 
@@ -785,7 +777,7 @@ def test_hum_row_bytes_match_traced_peak(monkeypatch, label, cells):
     monkeypatch.setattr(np.linalg, "solve", solve)
     tracemalloc.start()
     try:
-        synth._hum_row(spec, _records(spec, parts, T, cfl), [part[2:] for part in parts])
+        synth._hum_row(spec, _records(spec, parts, T, cfl), [part[1:] for part in parts])
         peak = max([tracemalloc.get_traced_memory()[1]] + solves)
     finally:
         tracemalloc.stop()
@@ -806,8 +798,8 @@ def test_row_equals_direct_hum(monkeypatch, label, cells):
     spec, T, _ = _three_interval_case() if label == "three" else _synth_case(label)
     parts, cfl, hums = _row_of(monkeypatch, spec, T, cells)
     assert len(parts) == (3 if label == "three" else 2)
-    for (comp, grid_i, y0, y1, sampled), hum in zip(parts, hums):
-        direct = hum_boundary_control(spec, comp, y0, y1, grid_i, T, cfl, sampled)
+    for (grid_i, y0, y1, sampled), hum in zip(parts, hums):
+        direct = hum_boundary_control(spec, y0, y1, grid_i, T, cfl, sampled)
         for got, want in [(hum.controls.left, direct.controls.left),
                           (hum.controls.right, direct.controls.right)]:
             assert (got is None and want is None) or got.tobytes() == want.tobytes()
@@ -823,14 +815,14 @@ def test_hum_row_solves_smallest_first_in_component_order(monkeypatch):
     import hypctrl.synth as synth
     spec, T, cells = _three_interval_case()
     parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
-    sizes = [spec.n * grid_i.n_cells for _, grid_i, *_ in parts]
+    sizes = [spec.n * grid_i.n_cells for grid_i, *_ in parts]
     assert sizes != sorted(sizes)
     solves, real_solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or real_solve(a, b))
-    row = synth._hum_row(spec, _records(spec, parts, T, cfl), [part[2:] for part in parts])
+    row = synth._hum_row(spec, _records(spec, parts, T, cfl), [part[1:] for part in parts])
     assert solves == sorted(sizes)
-    for (comp, grid_i, y0, y1, sampled), hum in zip(parts, row):
-        direct = hum_boundary_control(spec, comp, y0, y1, grid_i, T, cfl, sampled)
+    for (grid_i, y0, y1, sampled), hum in zip(parts, row):
+        direct = hum_boundary_control(spec, y0, y1, grid_i, T, cfl, sampled)
         assert hum.samples.tobytes() == direct.samples.tobytes()
         assert hum.residual == direct.residual
 
@@ -846,8 +838,7 @@ def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"HUM needs \d+ bytes, above the limit"):
-            hum_boundary_control(spec_2x2, Interval(0.0, 0.3), y0, np.zeros((2, 120)),
-                                 grid, 0.8)
+            hum_boundary_control(spec_2x2, y0, np.zeros((2, 120)), grid, 0.8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -889,8 +880,8 @@ def test_hum_visit_allocates_nothing_per_step(monkeypatch, spec_2x2, lo, hi):
     tracemalloc.start()
     try:
         with pytest.raises(Marched):
-            hum_boundary_control(spec_2x2, Interval(lo, hi), y0, np.zeros((2, 1000)),
-                                 grid, 0.016, cells=[3, 4, 500, 501])
+            hum_boundary_control(spec_2x2, y0, np.zeros((2, 1000)), grid, 0.016,
+                                 cells=[3, 4, 500, 501])
     finally:
         tracemalloc.stop()
     ((n, nx, batch), n_steps), = shapes
@@ -928,13 +919,12 @@ def test_hum_row_allocates_nothing_per_step(monkeypatch, spec_2x2):
     for lo, hi, n_cells in [(0.0, 0.25, 1000), (0.25, 0.5, 1000), (0.75, 1.0, 700)]:
         grid = Grid(lo, hi, n_cells)
         y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(n_cells)])
-        parts.append((Interval(lo, hi), grid, y0, np.zeros((2, n_cells)),
-                      np.array([3, 4, 500, 501])))
+        parts.append((grid, y0, np.zeros((2, n_cells)), np.array([3, 4, 500, 501])))
     tracemalloc.start()
     try:
         with pytest.raises(Marched):
             synth._hum_row(spec_2x2, _records(spec_2x2, parts, 0.016, 0.9),
-                           [part[2:] for part in parts])
+                           [part[1:] for part in parts])
     finally:
         tracemalloc.stop()
     ((n, nx, batch), n_steps), = shapes
@@ -957,8 +947,7 @@ def _full_domain_job(synthesize):
 def _hum_job():
     spec, grid = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.25, 0.75)]), Grid(0.0, 0.25, 32)
     y0 = np.stack([np.sin(np.pi * grid.centers), np.zeros(32)])
-    return lambda: hum_boundary_control(spec, Interval(0.0, 0.25), y0, np.zeros((2, 32)),
-                                        grid, 0.6, cells=[3, 4])
+    return lambda: hum_boundary_control(spec, y0, np.zeros((2, 32)), grid, 0.6, cells=[3, 4])
 
 
 def _gramian_job():
