@@ -391,6 +391,14 @@ def _check_state(n: int, grid: Grid):
     _check_bytes(f"a state of {n} x {grid.n_cells} values", 8 * n * grid.n_cells)
 
 
+def _check_full_domain(grid: Grid):
+    """Refuse a grid that is not (0, 1) to a full-domain solver, which puts
+    the couplings, or their inverses or reflections, at both of its ends."""
+    if grid.lo != 0.0 or grid.hi != 1.0:
+        raise ValueError(f"a full-domain solve needs the grid on (0, 1), "
+                         f"not ({grid.lo:g}, {grid.hi:g})")
+
+
 def _check_work(what: str, work: int):
     """Refuse, before allocating for it, work above ``MARCH_WORK_LIMIT``."""
     if work > MARCH_WORK_LIMIT:
@@ -497,7 +505,8 @@ def solve_forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
 
     Ghost values: y_+ at x=0 from Q0 applied to the y_- trace, y_- at x=1
     from Q1 applied to the y_+ trace.  The control, when given, fixes the
-    time step (its own dt) and is applied explicitly per step.
+    time step (its own dt) and is applied explicitly per step.  The grid
+    must span (0, 1) (else ``ValueError``).
     """
     return _forward(spec, y0, u, T, cfl)
 
@@ -517,6 +526,7 @@ def _forward_segment(spec: SystemSpec, grid: Grid, dt: float, bc_lo=None, bc_hi=
 def _forward(spec: SystemSpec, y0: StateField, u: ControlField | None,
              T: float, cfl: float, trajectory: bool = True) -> EvolutionResult:
     """``solve_forward``, storing the trajectory or only the final state."""
+    _check_full_domain(y0.grid)
     dt, n_steps = _resolve_steps(spec, y0.grid, T, cfl, u)
     return _evolve(_Marcher(_forward_segment(spec, y0.grid, dt)), y0, n_steps, dt, trajectory,
                    forcing=None if u is None else u.values)
@@ -529,8 +539,10 @@ def _backward_segment(spec: SystemSpec, grid: Grid, dt: float):
     the inverse of Q1 at its left end (x = 1) and of Q0 at its right end.
     Negation and a reversed difference are exact, so each step is bitwise
     the negated-speed step on the grid's own cells, and its sign families
-    are those of ``_forward_segment``: the two can share a row.  Singular
-    couplings raise ``RankError`` before anything is built."""
+    are those of ``_forward_segment``: the two can share a row.  A grid
+    that is not (0, 1) raises ``ValueError``, and singular couplings
+    ``RankError``, before anything is built."""
+    _check_full_domain(grid)
     if not spec.couplings.invertible:
         raise RankError("singular coupling matrix: Q0 and Q1 must be invertible")
     return _segment(_speeds_at(spec, grid)[:, ::-1], dt, grid.dx,
@@ -547,7 +559,8 @@ def solve_backward(spec: SystemSpec, y1: StateField, T: float,
     couplings invert: the inverse of Q1 feeds the positive components at
     x=1 and the inverse of Q0 the negative ones at x=0.  It is marched
     mirrored in space, as ``_backward_segment``.  The returned trajectory is
-    indexed by forward time (trajectory[-1] equals y1).
+    indexed by forward time (trajectory[-1] equals y1).  The grid must span
+    (0, 1) (else ``ValueError``).
     """
     grid = y1.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)
@@ -619,6 +632,9 @@ def adjoint_reflection(speeds: SpeedProfile, q, end: float) -> np.ndarray:
 
 
 def _adjoint_marcher(spec: SystemSpec, grid: Grid, dt: float) -> _Marcher:
+    """The adjoint system's marcher on the full-domain ``grid``, marched
+    backward in time."""
+    _check_full_domain(grid)
     msrc = spec.source.at_points(grid.centers)
     slopes = _slopes_at(spec, grid)
     # under s = T - t the adjoint equation becomes
@@ -641,7 +657,7 @@ def solve_adjoint(spec: SystemSpec, z1: StateField, T: float,
     with boundary reflections z_-(t,0) = R0^T z_+(t,0) and
     z_+(t,1) = R1^T z_-(t,1); when M = -Lambda' the right-hand side
     vanishes.  The trajectory is indexed by forward time (trajectory[-1]
-    equals z1).
+    equals z1).  The grid must span (0, 1) (else ``ValueError``).
     """
     grid = z1.grid
     dt, n_steps = _resolve_steps(spec, grid, T, cfl)

@@ -12,10 +12,14 @@ intervals compactly inside omega) splits (0, 1) into complement components;
 each component carries its own boundary-controlled solution reaching y1
 (HUM: regularized least squares on the discrete input-to-state map, solved
 on the state side after one batched march of all the components side by
-side, whose impulse responses also give the controlled solution at the few
-cells the glue reads, by superposition), and a C^1 space cut-off xi (0 on the refined region, 1
-outside an intermediate enlargement omega_1) glues the component solutions
-y_out to the full-domain solution y_in:
+side, one normal system per group of state components that the couplings
+and the source never link, equal-size ones stacked into one LU solve and
+each product formed on rows scaled by an exact power of two, so that only
+products of two entries below about 2^-1016 are subnormal; the impulse
+responses also give the controlled solution at the few cells the glue
+reads, by superposition), and a C^1 space cut-off xi (0 on the refined
+region, 1 outside an intermediate enlargement omega_1) glues the
+component solutions y_out to the full-domain solution y_in:
 
     y = xi y_out + (1 - xi) y_in,
     u = xi'(x) Lambda(x) (y_out - y_in) + (1 - xi) u_in.
@@ -205,19 +209,23 @@ def _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells):
 def _hum_bytes(spec, comps) -> int:
     """Peak bytes of HUM on the records ``comps`` of ``_hum_component``: in
     the row's march the a_t of every component and the row's chunk record,
-    then the a_t still held, each until its solve, and at a solve, smallest
-    first, its normal matrix and LAPACK's working copy of that matrix, which
-    numpy allocates outside its tracked memory."""
+    then the a_t still held, each until its solve, and at each stack of a
+    solve, components smallest first, a block's copy of its rows and
+    columns of a_t, the stack of normal matrices and LAPACK's working copy
+    of that stack, which numpy allocates outside its tracked memory."""
     n = spec.n
-    sizes = sorted((2 * (n * comp.grid.n_cells) ** 2,
-                    n * comp.grid.n_cells * comp.n_ch * comp.n_steps) for comp in comps)
-    held = sum(a_t for _, a_t in sizes)
+    held = sum(n * comp.grid.n_cells * comp.n_ch * comp.n_steps for comp in comps)
     states = _record_states(max(comp.n_steps for comp in comps))
     width = sum(comp.grid.n_cells + 2 for comp in comps) - 2
     peak = held + states * n * width * (1 + max(comp.n_ch for comp in comps))
-    for normal, a_t in sizes:
-        peak = max(peak, held + normal)
-        held -= a_t
+    for comp in sorted(comps, key=lambda comp: comp.grid.n_cells):
+        n_cells = comp.grid.n_cells
+        for stack in _stacks(comp):
+            size = len(stack[0][1]) * n_cells
+            copy = max(0 if _covers(n, comp, block) else len(block[0]) * comp.n_steps * size
+                       for block in stack)
+            peak = max(peak, held + copy + 2 * len(stack) * size ** 2)
+        held -= n * n_cells * comp.n_ch * comp.n_steps
     return 8 * peak
 
 
@@ -249,14 +257,81 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
 
 def _hum_component(spec, grid: Grid, dt: float, n_steps: int):
     """A complement component's record before its HUM allocates: its grid,
-    whose span is the component, the grid's resolved (dt, n_steps), and
-    (left, all) control channels, each control end's inflow components;
-    ``_hum_bytes`` sizes from it and ``_hum_row`` fills it."""
+    whose span is the component, the grid's resolved (dt, n_steps), (left,
+    all) control channels, each control end's inflow components, and
+    ``blocks``, one (channels, components) per group of state components
+    that a channel enters and that the system never couples to another:
+    components k and l are linked where M[k, l] or M[l, k] is nonzero at a
+    cell of the grid, or Q0 (Q1) links them at an end of (0, 1) the grid
+    reaches.  The c-th left channel enters component m + c, the c-th right
+    one component c.  A group that no channel enters is left out: its
+    columns of a_t are zero.  The march keeps the groups exactly apart (a
+    zero coupling adds exact zeros), so each block's normal system is the
+    dense one's own restriction.  ``_hum_bytes`` sizes from the record and
+    ``_hum_row`` fills it."""
     if grid.lo == 0.0 and grid.hi == 1.0:
         raise ValueError("use solve_forward for the full domain")
+    n, m = spec.n, spec.m
     n_left = 0 if grid.lo == 0.0 else spec.p
-    n_ch = n_left + (0 if grid.hi == 1.0 else spec.m)
-    return SimpleNamespace(grid=grid, dt=dt, n_steps=n_steps, n_left=n_left, n_ch=n_ch)
+    n_ch = n_left + (0 if grid.hi == 1.0 else m)
+    link = spec.source.at_points(grid.centers).any(axis=0)
+    if grid.lo == 0.0:
+        link[m:, :m] |= spec.couplings.q0 != 0.0
+    if grid.hi == 1.0:
+        link[:m, m:] |= spec.couplings.q1 != 0.0
+    link |= link.T | np.eye(n, dtype=bool)
+    # after i squarings, the pairs joined by a path of at most 2^i links
+    for _ in range(n.bit_length()):
+        link = link @ link
+    groups = {}
+    for c, k in enumerate([m + c for c in range(n_left)] + list(range(n_ch - n_left))):
+        groups.setdefault(tuple(np.flatnonzero(link[k]).tolist()), []).append(c)
+    return SimpleNamespace(grid=grid, dt=dt, n_steps=n_steps, n_left=n_left, n_ch=n_ch,
+                           blocks=tuple((tuple(chs), comps) for comps, chs in groups.items()))
+
+
+def _stacks(comp) -> list:
+    """The record's blocks in stacks of equal size, smallest first: the
+    normal systems of one ``np.linalg.solve`` call each."""
+    sizes = sorted({len(comps) for _, comps in comp.blocks})
+    return [[block for block in comp.blocks if len(block[1]) == k] for k in sizes]
+
+
+def _covers(n: int, comp, block) -> bool:
+    """Whether ``block`` holds every row and column of the record's a_t, n
+    state components wide."""
+    return len(block[0]) == comp.n_ch and len(block[1]) == n
+
+
+def _normal(a: np.ndarray, scale: float, out: np.ndarray) -> int:
+    """out = scale a^T a, formed on ``a`` scaled in place by 2^k, the
+    largest power of two that keeps rows max|a|^2 4^k finite and scale 4^-k
+    normal (k is about 505 for max|a| <= 1), and scaled back after it: a
+    product is then subnormal only where both of its entries are below
+    2^-(511 + k).  Both scalings are exact (a subnormal entry has no more
+    bits than its scaled value holds), no entry is dropped, and 4^-k folds
+    into ``scale``.  Returns k."""
+    top = max(a.max(), -a.min())
+    k = max(0, min(1023 - len(a).bit_length() - 2 * math.frexp(top)[1],
+                   1021 + math.frexp(scale)[1]) // 2)
+    a *= math.ldexp(1.0, k)
+    np.matmul(a.T, a, out=out)
+    a *= math.ldexp(1.0, -k)
+    out *= math.ldexp(scale, -2 * k)
+    return k
+
+
+def _block_of(a_t: np.ndarray, comp, block, n: int) -> np.ndarray:
+    """A copy of the rows of ``block``'s channels and the columns of its
+    components of the record's a_t."""
+    channels, comps = block
+    n_cells = comp.grid.n_cells
+    out = np.empty((len(channels), comp.n_steps, len(comps), n_cells))
+    rows = a_t.reshape(comp.n_ch, comp.n_steps, n, n_cells)
+    for dest, c in zip(out, channels):
+        # "clip" since the components are in range: "raise" would buffer ``out``
+        np.take(rows[c], comps, axis=1, mode="clip", out=dest)
+    return out.reshape(-1, len(comps) * n_cells)
 
 
 @dataclass(frozen=True)
@@ -287,10 +362,18 @@ def hum_boundary_control(spec: SystemSpec, y0_vals: np.ndarray, y1_vals: np.ndar
     instead of channels n_steps: U = A^T x with (dx A A^T + alpha dt I) x =
     dx (y1 - b), which is the same minimizer by the push-through identity.
     Its eigenvalues span some eight decades down to the floor alpha dt,
-    where Krylov iterations stagnate, so one dense LU solve (partial
-    pivoting, backward stable on a symmetric positive definite matrix) gets
-    the exact minimizer.  The peak memory is checked before the batched
-    march.
+    where Krylov iterations stagnate, so dense LU solves (partial pivoting,
+    backward stable on a symmetric positive definite matrix) get the exact
+    minimizer.  The system is block-diagonal: a channel's impulse responses
+    stay, as exact zeros, out of the state components that the couplings
+    and the source never link to the one it enters, so each block of the
+    record's ``blocks`` (``_hum_component``) is solved alone from its rows
+    and columns of A^T, and the blocks of one size in one
+    ``np.linalg.solve`` call; a dense system is the one block, read from
+    A^T in place.  Each normal product runs on its rows scaled by 2^k
+    (``_normal``), which keeps it out of subnormal arithmetic but for the
+    products of two entries below about 2^-1016; both scalings are exact.  The peak memory is checked before the
+    batched march.
 
     The controlled solution is not marched again.  By linearity its state
     after j steps is the free one plus sum_c sum_{k<j} U[k, c] R_c(j - k),
@@ -322,7 +405,8 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
     component and the free column last.  Every impulse starts one step on:
     a unit ghost on channel c during step 0 leaves its Courant magnitude,
     exactly, in the cell it enters, so the control ends bind no writer.
-    Each record takes its columns and buffers, and is solved as on its own."""
+    Each record takes its columns and buffers, and is solved as on its own,
+    a stack of equal-size blocks per solve."""
     n, idx = spec.n, np.arange(spec.n)
     batch = 1 + max(comp.n_ch for comp in comps)
     row = _Marcher(*(_forward_segment(spec, comp.grid, comp.dt) for comp in comps))
@@ -368,17 +452,28 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
 
     def solved(comp) -> HumResult:
         # one component's solve; its locals, and its a_t, go before the next
-        n_steps, n_left, n_ch, nstate = comp.n_steps, comp.n_left, comp.n_ch, n * comp.grid.n_cells
+        n_steps, n_left, n_ch, n_cells = comp.n_steps, comp.n_left, comp.n_ch, comp.grid.n_cells
+        nstate = n * n_cells
         a_t, comp.a_t = comp.a_t.reshape(n_ch * n_steps, nstate), None
         free = comp.free.reshape(nstate)
         y1_flat = np.asarray(comp.y1, dtype=float).reshape(nstate)
 
         dx = comp.grid.dx
-        gram = a_t.T @ a_t
-        gram *= dx
-        gram[np.diag_indices_from(gram)] += HUM_REGULARIZATION * comp.dt
-        vec = a_t @ np.linalg.solve(gram, dx * (y1_flat - free))
-        del gram
+        rhs = dx * (y1_flat - free)
+        # zero on the states no channel enters, whose columns of a_t are zero
+        x = np.zeros(nstate)
+        for stack in _stacks(comp):
+            states = np.array([(np.array(group)[:, None] * n_cells + np.arange(n_cells)).reshape(-1)
+                               for _, group in stack])
+            gram = np.empty(states.shape + states.shape[-1:])
+            for i, block in enumerate(stack):
+                _normal(a_t if _covers(n, comp, block) else _block_of(a_t, comp, block, n),
+                        dx, gram[i])
+            diag = np.arange(states.shape[1])
+            gram[:, diag, diag] += HUM_REGULARIZATION * comp.dt
+            x[states] = np.linalg.solve(gram, rhs[states][:, :, None])[:, :, 0]
+            del gram
+        vec = a_t @ x
         residual = _l2(free + vec @ a_t - y1_flat, dx)
         # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
         sampled = (idx[:, None] * comp.grid.n_cells + comp.cells).reshape(-1)

@@ -114,6 +114,28 @@ def test_bad_horizon_raises_config_error(spec_2x2, spec_full_domain, name, bad):
         _entry_point(name, spec_2x2, spec_full_domain, bad)
 
 
+@pytest.mark.parametrize("name", ["solve_forward", "solve_backward", "solve_adjoint",
+                                  "sigma_min_sweep", "necessity_witness"])
+def test_full_domain_solvers_refuse_a_partial_grid(spec_2x2, name):
+    # the full-domain solvers put the couplings (or their inverses or
+    # reflections) at the grid's ends: on (0.2, 0.8) with y0 = 1 over 0.3,
+    # solve_forward kept a final sum of 40 and solve_backward and
+    # solve_adjoint 80, three different problems; each is refused
+    grid = Grid(0.2, 0.8, 40)
+    ones = StateField(np.ones((2, 40)), grid)
+    # a zero Q0 and source, as necessity_witness needs
+    deficient = make_spec([-1.0, 1.0], [[0.0]], [[1.0]], [(0.0, 1.0)])
+    calls = {
+        "solve_forward": lambda: solve_forward(spec_2x2, ones, None, 0.3),
+        "solve_backward": lambda: solve_backward(spec_2x2, ones, 0.3),
+        "solve_adjoint": lambda: solve_adjoint(spec_2x2, ones, 0.3),
+        "sigma_min_sweep": lambda: sigma_min_sweep(spec_2x2, [0.3], spec_2x2.omega, grid),
+        "necessity_witness": lambda: necessity_witness(deficient, 1, 2.0, grid),
+    }
+    with pytest.raises(ValueError, match=r"needs the grid on \(0, 1\), not \(0\.2, 0\.8\)"):
+        calls[name]()
+
+
 class TestSolveForward:
     def test_exact_translation_zero_inflow(self):
         # zero couplings mean zero inflow: a bump just translates

@@ -811,20 +811,146 @@ def test_row_equals_direct_hum(monkeypatch, label, cells):
 def test_hum_row_solves_smallest_first_in_component_order(monkeypatch):
     # the three-interval case's components have 30, 80 and 50 cells: the row
     # solves their normal systems smallest first, while every a_t is held,
-    # and returns each component's result at its own place
+    # and returns each component's result at its own place; a call solves
+    # k s states for a stack of k blocks of s states (the interior
+    # component's two blocks of 50 cells are one stack)
     import hypctrl.synth as synth
     spec, T, cells = _three_interval_case()
     parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
     sizes = [spec.n * grid_i.n_cells for grid_i, *_ in parts]
     assert sizes != sorted(sizes)
     solves, real_solve = [], np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or real_solve(a, b))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(math.prod(a.shape[:-1])) or real_solve(a, b))
     row = synth._hum_row(spec, _records(spec, parts, T, cfl), [part[1:] for part in parts])
     assert solves == sorted(sizes)
     for (grid_i, y0, y1, sampled), hum in zip(parts, row):
         direct = hum_boundary_control(spec, y0, y1, grid_i, T, cfl, sampled)
         assert hum.samples.tobytes() == direct.samples.tobytes()
         assert hum.residual == direct.residual
+
+
+class TestHumBlocks:
+    """HUM's normal systems, one block per group of state components that
+    the system never couples, and their products on exactly scaled rows."""
+
+    @pytest.mark.parametrize("label,blocks", [
+        ("a", [(((0,), (0, 1)),)] * 2),
+        # Q0 = Q1 = I pairs lambda = -2 with 1 and -1 with 3 at both ends
+        ("b", [(((0,), (0, 2)), ((1,), (1, 3)))] * 2),
+        # the source links the two components everywhere
+        ("c", [(((0,), (0, 1)),)] * 2),
+        # the interior component reaches no coupling, and its left channel
+        # enters component 1, its right one component 0
+        ("three", [(((0,), (0, 1)),), (((0,), (1,)), ((1,), (0,))), (((0,), (0, 1)),)]),
+    ])
+    def test_blocks_of_each_component(self, monkeypatch, label, blocks):
+        spec, T, cells = _three_interval_case() if label == "three" else _synth_case(label)
+        parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
+        assert [comp.blocks for comp in _records(spec, parts, T, cfl)] == blocks
+
+    def test_source_links_only_where_it_is_nonzero(self):
+        # M couples the two components on (0, 0.5) only, and the couplings
+        # are zero, so only the source can link them
+        import hypctrl.synth as synth
+        from hypctrl.model import SourceTerm
+        src = SourceTerm.piecewise_constant([0.0, 0.5, 1.0], [[[0.0, 0.4], [0.0, 0.0]],
+                                                             [[0.0, 0.0], [0.0, 0.0]]])
+        spec = make_spec([-1.0, 1.0], [[0.0]], [[0.0]], [(0.0, 0.1)], source=src)
+        inside = synth._hum_component(spec, Grid(0.1, 0.4, 12), 0.01, 10)
+        outside = synth._hum_component(spec, Grid(0.6, 0.9, 12), 0.01, 10)
+        assert inside.blocks == (((0, 1), (0, 1)),)
+        assert outside.blocks == (((0,), (1,)), ((1,), (0,)))
+
+    @staticmethod
+    def _dense(monkeypatch, n):
+        """Make HUM solve each component of n state components in one dense
+        block, its normal matrix dx a_t^T a_t formed unscaled."""
+        import hypctrl.synth as synth
+        monkeypatch.setattr(synth, "_stacks", lambda comp: [[(tuple(range(comp.n_ch)),
+                                                               tuple(range(n)))]])
+        monkeypatch.setattr(synth, "_normal",
+                            lambda a, scale, out: np.multiply(a.T @ a, scale, out=out))
+
+    @pytest.mark.parametrize("label,component", [("b", 0), ("b", 1), ("a", 0), ("c", 0),
+                                                 ("c", 1), ("three", 1)])
+    def test_block_solve_against_dense_solve(self, monkeypatch, label, component):
+        # case b's components and the interior one of three intervals solve
+        # two blocks, which move the controls only at the roundoff of their
+        # conditioned solve; a one-block component is the dense solve, bit
+        # for bit, since its scaled product is exact
+        spec, T, cells = _three_interval_case() if label == "three" else _synth_case(label)
+        parts, cfl, _ = _row_of(monkeypatch, spec, T, cells)
+        grid_i, y0, y1, sampled = parts[component]
+        blocks = hum_boundary_control(spec, y0, y1, grid_i, T, cfl, sampled)
+        self._dense(monkeypatch, spec.n)
+        dense = hum_boundary_control(spec, y0, y1, grid_i, T, cfl, sampled)
+        pairs = [(got, want) for got, want in [(blocks.controls.left, dense.controls.left),
+                                               (blocks.controls.right, dense.controls.right)]
+                 if want is not None]
+        if label in ("b", "three"):
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+            assert blocks.residual == pytest.approx(dense.residual, rel=1e-9)
+        else:
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes()
+            assert blocks.residual == dense.residual
+            assert blocks.samples.tobytes() == dense.samples.tobytes()
+
+    def test_scaled_product_of_growing_responses(self):
+        # reflections of gain 8 at both ends grow the states past 1e30, whose
+        # squares a fixed 2^505 would overflow: the exponent drops below that
+        # of the same states scaled to at most 1, nothing overflows, and the
+        # product and the states are unchanged
+        import hypctrl.synth as synth
+        spec = make_spec([-1.0, 1.0], [[8.0]], [[8.0]], [(0.0, 1.0)])
+        grid = Grid(0.0, 1.0, 40)
+        traj = solve_forward(spec, sample_state(Y0_SIN, grid, 2), None, 40.0).trajectory
+        a = traj.reshape(len(traj), -1)
+        assert np.abs(a).max() > 1e30
+        unit = a / 2.0 ** math.frexp(np.abs(a).max())[1]
+        ks = []
+        for states in (a, unit):
+            kept = states.copy()
+            want = states.T @ states
+            want *= grid.dx
+            got = np.empty_like(want)
+            ks.append(synth._normal(states, grid.dx, got))
+            assert states.tobytes() == kept.tobytes()
+            assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+        assert 0 < ks[0] < ks[1] - 100
+
+    def test_peak_memory_of_block_solve_within_hum_bytes(self, monkeypatch):
+        # case b's decoupled 4x4 on a 16-cell component over T = 5: each of
+        # its two blocks copies its 889 x 32 rows and columns of a_t (about
+        # 227 KB), against a 65 KB dense normal term.  The prediction covers
+        # the traced peak, with LAPACK's untraced copy of the stack added at
+        # the solve, and would not without the block's copy
+        import hypctrl.synth as synth
+        from hypctrl.pde import _resolve_steps
+        spec = _synth_case("b")[0]
+        grid = Grid(0.0, 0.3, 16)
+        y0, y1 = _fourier(4, 1)(grid.centers), np.zeros((4, 16))
+        hum_boundary_control(spec, y0[:, :8], y1[:, :8], Grid(0.0, 0.3, 8), 0.2)
+        comp = synth._hum_component(spec, grid, *_resolve_steps(spec, grid, 5.0, 0.9))
+        assert comp.blocks == (((0,), (0, 2)), ((1,), (1, 3)))
+        copy = 8 * comp.n_steps * 2 * 16
+        solves, real_solve = [], np.linalg.solve
+
+        def solve(a, b):
+            solves.append(tracemalloc.get_traced_memory()[0] + a.nbytes)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        tracemalloc.start()
+        try:
+            hum_boundary_control(spec, y0, y1, grid, 5.0)
+            peak = max([tracemalloc.get_traced_memory()[1]] + solves)
+        finally:
+            tracemalloc.stop()
+        predicted = synth._hum_bytes(spec, [comp])
+        assert copy > 220_000 and len(solves) == 1
+        assert predicted - copy < peak <= predicted
 
 
 def test_direct_hum_refused_before_allocating(monkeypatch, spec_2x2):
