@@ -18,7 +18,7 @@ table and gain once into its two step closures.  Every march is built the
 one way, ``_Marcher(*segments)``, from segments made by ``_segment`` (cells,
 Courant row, dt, source and boundary writers): one padded row holds them
 side by side, two pad cells apart, and the same calls step them all at once
-(a one-segment row is the plain march).  A march of more than
+on their one dt (a one-segment row is the plain march).  A march of more than
 ``MARCH_WORK_LIMIT`` state values times steps is refused before anything is
 allocated.
 
@@ -52,9 +52,10 @@ This module decides every horizon: each entry point that takes one, here and
 in ``obsv`` and ``synth``, first checks it (finite and nonnegative, or
 positive, else ``ConfigError``) and grids it with ``_resolve_steps``, the
 one (dt, n_steps) rule, which checks with ``_check_horizon``.  A job
-resolves each of its grids once, before its guard, and that one resolution
-sizes the guard and drives every march on the grid (a synthesis's HUM row,
-glue row and re-simulation, a Gramian sweep's recurrence).
+resolves its one grid once, before its guard, and that one resolution sizes
+the guard and drives every march (a synthesis's HUM row, whose complement
+components are runs of the job's cells with the job's dt, its glue row and
+its re-simulation; a Gramian sweep's recurrence).
 
 With constant speeds of equal magnitude and unit Courant number the scheme
 transports exactly, reflections included; ``characteristics_oracle`` provides
@@ -250,14 +251,15 @@ class _Marcher:
     """One explicit upwind step of  dw/ds + sigma(x) dw/dx = S(x) w + f,
     from one padded buffer of a march to the other, on flat views of the
     buffers, for the segments of ``_segment`` laid side by side, left to
-    right, in one padded row: each has its own cells, Courant row, dt,
-    source and boundary writers, the segments share their sign families,
-    and two pad cells separate neighbours.  ``_Marcher(*segments)`` is the
-    one constructor (a one-segment row is the plain march); the row's
-    interior, ``width`` cells wide, holds each segment's cells at its
-    columns ``cols[i]`` (offset by the earlier segments' cells plus two
-    each), with zeros between them.  ``bind`` makes a march's two buffers
-    and its two steps.
+    right, in one padded row: each has its own cells, Courant row, source
+    and boundary writers, the segments share one dt (else ``ValueError``)
+    and their sign families, and two pad cells separate neighbours (a HUM
+    row's segments are runs of the job's cells, with the job's dt).
+    ``_Marcher(*segments)`` is the one constructor (a one-segment row is the
+    plain march); the row's interior, ``width`` cells wide, holds each
+    segment's cells at its columns ``cols[i]`` (offset by the earlier
+    segments' cells plus two each), with zeros between them.  ``bind`` makes
+    a march's two buffers and its two steps.
 
     Boundary conditions bind as ``bc(outflow, out)`` to a segment's outgoing
     trace (n_out, B) and inflow ghosts (n_in, B) and return the writer
@@ -291,9 +293,9 @@ class _Marcher:
         self.cols = tuple(slice(end - courant.shape[1] - 2, end - 2)
                           for end, (courant, *_) in zip(ends, segments))
         self.width = ends[-1] - 2
-        # a number, or in a row of unequal steps one dt per padded column
-        dts = np.concatenate([np.full(courant.shape[1] + 2, dt) for courant, dt, *_ in segments])
-        self.dt = float(dts[0]) if np.all(dts == dts[0]) else dts
+        self.dt = segments[0][1]
+        if any(dt != self.dt for _, dt, *_ in segments):
+            raise ValueError("the segments of a row must share one dt")
         # a source enters as  w += dt * S w  with S sampled per cell, kept as
         # S[i, j, x] over the padded columns, zero in the pad columns
         self.source = None
@@ -319,9 +321,6 @@ class _Marcher:
             table[neg, cols.start + 1:cols.stop + 1] = courant[neg, :, None]
         gain = np.zeros(table.shape) if forcing or self.source is not None else None
         dt = self.dt
-        if np.ndim(dt):
-            # one dt per slot: the same product per entry as a segment's own
-            dt = np.broadcast_to(dt[:, None], table.shape).reshape(-1)
         diff, bufs = np.empty(table.size - batch), (np.zeros(table.shape), np.zeros(table.shape))
         bufs[0][:, 1:-1] = w
         table, source = table.reshape(-1)[:-batch], self.source

@@ -9,17 +9,18 @@ C^1 time cut-off eta (eta(0)=1, eta(T)=0):
 
 For a general control region the refined subregion (a finite union of
 intervals compactly inside omega) splits (0, 1) into complement components;
-each component carries its own boundary-controlled solution reaching y1
-(HUM: regularized least squares on the discrete input-to-state map, solved
-on the state side after one batched march of all the components side by
-side, one normal system per group of state components that the couplings
-and the source never link, equal-size ones stacked into one LU solve and
-each product formed on rows scaled by an exact power of two, so that only
-products of two entries below about 2^-1016 are subnormal; the impulse
-responses also give the controlled solution at the few cells the glue
-reads, by superposition), and a C^1 space cut-off xi (0 on the refined
-region, 1 outside an intermediate enlargement omega_1) glues the
-component solutions y_out to the full-domain solution y_in:
+each component, the run of the job's cells whose centres lie in it, marched
+with the job's dt and steps, carries its own boundary-controlled solution
+reaching y1 (HUM: regularized least squares on the discrete input-to-state
+map, solved on the state side after one batched march of all the components
+side by side, one normal system per group of state components that the
+couplings and the source never link, equal-size ones stacked into one LU
+solve and each product formed on rows scaled by an exact power of two, so
+that only products of two entries below about 2^-1016 are subnormal; the
+impulse responses also give the controlled solution at the glue's own cells
+and steps, by superposition), and a C^1 space cut-off xi (0 on the refined
+region, 1 outside an intermediate enlargement omega_1) glues the component
+solutions y_out to the full-domain solution y_in:
 
     y = xi y_out + (1 - xi) y_in,
     u = xi'(x) Lambda(x) (y_out - y_in) + (1 - xi) u_in.
@@ -46,8 +47,9 @@ import numpy as np
 
 from .model import BelowThresholdError, ControlDomain, RankError, SystemSpec
 from .pde import (BoundaryControls, ControlField, Grid, StateField,
-                  _backward_segment, _check_bytes, _check_horizon, _evolve, _forward_segment,
-                  _march, _Marcher, _record_states, _resolve_steps, _speeds_at, sample_state)
+                  _backward_segment, _check_bytes, _check_full_domain, _check_horizon, _evolve,
+                  _forward_segment, _march, _Marcher, _record_states, _resolve_steps,
+                  _speeds_at, sample_state)
 from .times import minimal_control_time, shrink_region
 
 HUM_REGULARIZATION = 1e-8
@@ -213,19 +215,18 @@ def _hum_bytes(spec, comps) -> int:
     solve, components smallest first, a block's copy of its rows and
     columns of a_t, the stack of normal matrices and LAPACK's working copy
     of that stack, which numpy allocates outside its tracked memory."""
-    n = spec.n
-    held = sum(n * comp.grid.n_cells * comp.n_ch * comp.n_steps for comp in comps)
-    states = _record_states(max(comp.n_steps for comp in comps))
+    n, n_steps = spec.n, comps[0].n_steps
+    held = n * n_steps * sum(comp.grid.n_cells * comp.n_ch for comp in comps)
     width = sum(comp.grid.n_cells + 2 for comp in comps) - 2
-    peak = held + states * n * width * (1 + max(comp.n_ch for comp in comps))
+    peak = held + _record_states(n_steps) * n * width * (1 + max(comp.n_ch for comp in comps))
     for comp in sorted(comps, key=lambda comp: comp.grid.n_cells):
         n_cells = comp.grid.n_cells
         for stack in _stacks(comp):
             size = len(stack[0][1]) * n_cells
-            copy = max(0 if _covers(n, comp, block) else len(block[0]) * comp.n_steps * size
+            copy = max(0 if _covers(n, comp, block) else len(block[0]) * n_steps * size
                        for block in stack)
             peak = max(peak, held + copy + 2 * len(stack) * size ** 2)
-        held -= n * n_cells * comp.n_ch * comp.n_steps
+        held -= n * n_steps * n_cells * comp.n_ch
     return 8 * peak
 
 
@@ -257,7 +258,8 @@ def synthesize_full_domain(spec: SystemSpec, y0_fn, y1_fn, T: float,
 
 def _hum_component(spec, grid: Grid, dt: float, n_steps: int):
     """A complement component's record before its HUM allocates: its grid,
-    whose span is the component, the grid's resolved (dt, n_steps), (left,
+    whose span is the component (in a synthesis a run of the job's cells),
+    the (dt, n_steps) it is marched with (in a synthesis the job's), (left,
     all) control channels, each control end's inflow components, and
     ``blocks``, one (channels, components) per group of state components
     that a channel enters and that the system never couples to another:
@@ -372,8 +374,8 @@ def hum_boundary_control(spec: SystemSpec, y0_vals: np.ndarray, y1_vals: np.ndar
     ``np.linalg.solve`` call; a dense system is the one block, read from
     A^T in place.  Each normal product runs on its rows scaled by 2^k
     (``_normal``), which keeps it out of subnormal arithmetic but for the
-    products of two entries below about 2^-1016; both scalings are exact.  The peak memory is checked before the
-    batched march.
+    products of two entries below about 2^-1016; both scalings are exact.
+    The peak memory is checked before the batched march.
 
     The controlled solution is not marched again.  By linearity its state
     after j steps is the free one plus sum_c sum_{k<j} U[k, c] R_c(j - k),
@@ -386,34 +388,43 @@ def hum_boundary_control(spec: SystemSpec, y0_vals: np.ndarray, y1_vals: np.ndar
     time (with some margin); below it the residual stays bounded away from
     zero under refinement, which is itself the threshold-sharpness
     diagnostic, so short horizons run normally and simply report a large
-    residual; the horizon itself must be finite and positive.
+    residual; the horizon itself must be finite and positive, and
+    ``y0_vals`` and ``y1_vals`` finite (n, N) arrays (else ``ValueError``
+    naming the argument, before anything is marched).
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
+    data = [np.asarray(vals, dtype=float) for vals in (y0_vals, y1_vals)]
+    for name, vals in zip(("y0_vals", "y1_vals"), data):
+        if vals.shape != (spec.n, grid.n_cells) or not np.isfinite(vals).all():
+            raise ValueError(f"{name} must be a finite array of shape "
+                             f"{(spec.n, grid.n_cells)}, got shape {vals.shape}")
     cells = np.asarray(cells, dtype=np.intp).reshape(-1)
     if cells.size and not 0 <= cells.min() <= cells.max() < grid.n_cells:
         raise ValueError(f"sampled cells must lie in 0..{grid.n_cells - 1}")
     comp = _hum_component(spec, grid, dt, n_steps)
     _check_bytes("HUM", _hum_bytes(spec, [comp]))
-    return _hum_row(spec, [comp], [(y0_vals, y1_vals, cells)])[0]
+    return _hum_row(spec, [comp], [(*data, cells)])[0]
 
 
 def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
     """``hum_boundary_control`` on each record of ``comps``, its (y0_vals,
     y1_vals, cells) in ``data``, from one march of a row of one forward
-    segment per component, each on its record's dt.  The row runs the
-    longest step count; its batch holds a column per channel of the widest
-    component and the free column last.  Every impulse starts one step on:
-    a unit ghost on channel c during step 0 leaves its Courant magnitude,
-    exactly, in the cell it enters, so the control ends bind no writer.
-    Each record takes its columns and buffers, and is solved as on its own,
-    a stack of equal-size blocks per solve."""
+    segment per component, all with the records' one (dt, n_steps): in a
+    synthesis the job's, its components runs of its cells and ``cells`` the
+    glue cells among them.  The row's batch holds a column per channel of
+    the widest component and the free column last.  Every impulse starts
+    one step on: a unit ghost on channel c during step 0 leaves its Courant
+    magnitude, exactly, in the cell it enters, so the control ends bind no
+    writer.  Each record takes its columns and buffers, and is solved as on
+    its own, a stack of equal-size blocks per solve."""
     n, idx = spec.n, np.arange(spec.n)
+    dt, n_steps = comps[0].dt, comps[0].n_steps
     batch = 1 + max(comp.n_ch for comp in comps)
     row = _Marcher(*(_forward_segment(spec, comp.grid, comp.dt) for comp in comps))
     w0 = np.zeros((n, row.width, batch))
     for comp, (y0_vals, y1_vals, cells), (courant, *_), cols in zip(
             comps, data, row.segments, row.cols):
-        n_left, n_ch, n_steps, grid = comp.n_left, comp.n_ch, comp.n_steps, comp.grid
+        n_left, n_ch, grid = comp.n_left, comp.n_ch, comp.grid
         own = w0[:, cols]
         own[:, :, -1] = y0_vals
         # channel c enters the positive family's c-th row at the left end,
@@ -433,30 +444,26 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
     def on_chunk(j0, states):
         j1 = j0 + len(states)
         flat = states.reshape(j1 - j0, -1)
+        # state j holds the responses j + 1 steps old, for a_t[:, n_steps - 1 - j]
+        k = min(j1, n_steps) - j0
         for comp in comps:
-            cols = comp.cols
-            # the free column's states 0..n_steps
-            k = min(j1, comp.n_steps + 1) - j0
-            if k > 0:
-                # "clip" since the cells are checked: "raise" would buffer ``out``
-                flat[:k].take(comp.take, axis=1, mode="clip",
-                              out=comp.samples[j0:j0 + k].reshape(k, -1))
-            if j0 <= comp.n_steps < j1:
-                comp.free[...] = states[comp.n_steps - j0, :, cols, -1]
-            # state j holds the responses j + 1 steps old, for a_t[:, n_steps - 1 - j]
-            k = min(j1, comp.n_steps) - j0
-            if k > 0:
-                slots = comp.a_t.reshape(comp.n_ch, comp.n_steps, n, comp.grid.n_cells)
-                slots[:, comp.n_steps - j0 - k:comp.n_steps - j0] = \
-                    states[:k, :, cols, :comp.n_ch][::-1].transpose(3, 0, 1, 2)
+            # the free column's states j0..j1-1; "clip" since the cells are
+            # checked: "raise" would buffer ``out``
+            flat.take(comp.take, axis=1, mode="clip",
+                      out=comp.samples[j0:j1].reshape(j1 - j0, -1))
+            if j1 > n_steps:
+                comp.free[...] = states[-1, :, comp.cols, -1]
+            slots = comp.a_t.reshape(comp.n_ch, n_steps, n, comp.grid.n_cells)
+            slots[:, n_steps - j0 - k:n_steps - j0] = \
+                states[:k, :, comp.cols, :comp.n_ch][::-1].transpose(3, 0, 1, 2)
 
     def solved(comp) -> HumResult:
         # one component's solve; its locals, and its a_t, go before the next
-        n_steps, n_left, n_ch, n_cells = comp.n_steps, comp.n_left, comp.n_ch, comp.grid.n_cells
+        n_left, n_ch, n_cells = comp.n_left, comp.n_ch, comp.grid.n_cells
         nstate = n * n_cells
         a_t, comp.a_t = comp.a_t.reshape(n_ch * n_steps, nstate), None
         free = comp.free.reshape(nstate)
-        y1_flat = np.asarray(comp.y1, dtype=float).reshape(nstate)
+        y1_flat = comp.y1.reshape(nstate)
 
         dx = comp.grid.dx
         rhs = dx * (y1_flat - free)
@@ -470,13 +477,13 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
                 _normal(a_t if _covers(n, comp, block) else _block_of(a_t, comp, block, n),
                         dx, gram[i])
             diag = np.arange(states.shape[1])
-            gram[:, diag, diag] += HUM_REGULARIZATION * comp.dt
+            gram[:, diag, diag] += HUM_REGULARIZATION * dt
             x[states] = np.linalg.solve(gram, rhs[states][:, :, None])[:, :, 0]
             del gram
         vec = a_t @ x
         residual = _l2(free + vec @ a_t - y1_flat, dx)
         # R_c(s) = a_t[c, n_steps - s] at the sampled states, for s = 1..n_steps
-        sampled = (idx[:, None] * comp.grid.n_cells + comp.cells).reshape(-1)
+        sampled = (idx[:, None] * n_cells + comp.cells).reshape(-1)
         responses = a_t.reshape(n_ch, n_steps, nstate)[:, ::-1, sampled]
         del a_t
 
@@ -490,35 +497,14 @@ def _hum_row(spec: SystemSpec, comps, data) -> list[HumResult]:
 
         controls = BoundaryControls(u.T[:, :n_left] if n_left else None,
                                     u.T[:, n_left:] if n_ch > n_left else None)
-        return HumResult(controls, residual, comp.samples, np.arange(n_steps + 1) * comp.dt)
+        return HumResult(controls, residual, comp.samples, np.arange(n_steps + 1) * dt)
 
-    _march(row, w0, max(comp.n_steps for comp in comps), on_chunk=on_chunk)
+    _march(row, w0, n_steps, on_chunk=on_chunk)
     # the smallest normal matrix first, while every a_t is still held
     hums = [None] * len(comps)
     for i in sorted(range(len(comps)), key=lambda i: comps[i].grid.n_cells):
         hums[i] = solved(comps[i])
     return hums
-
-
-def _bracket(xp: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Index j of the pair xp[j], xp[j + 1] that interpolates at each of
-    ``xq``, clamped to the first and the last pair."""
-    return np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
-
-
-def _resample(traj: np.ndarray, traj_times: np.ndarray, xp: np.ndarray,
-              times: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a component trajectory (levels, n, len(xp)) at
-    global times and points, clamped at the edges of both grids."""
-    last = traj.shape[0] - 1
-    s = np.clip(times / (traj_times[1] - traj_times[0]), 0.0, float(last))
-    s0 = s.astype(np.intp)
-    w = (s - s0)[:, None, None]
-    j = _bracket(xp, xq)
-    theta = np.clip((xq - xp[j]) / (xp[j + 1] - xp[j]), 0.0, 1.0)
-    lo, hi = ((1.0 - w) * col[s0] + w * col[np.minimum(s0 + 1, last)]
-              for col in (traj[:, :, j], traj[:, :, j + 1]))
-    return lo + theta * (hi - lo)
 
 
 def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
@@ -528,66 +514,66 @@ def assemble_internal_control(spec: SystemSpec, y0_fn, y1_fn, T: float,
 
     Construction: shrink omega to a compactly contained finite union whose
     complement components are all controllable within T, steer each
-    component by boundary least squares (y_out; all of them from one march
-    of a row that lays them side by side, each with its own grid and dt),
-    steer the whole domain by the forward/backward blend (y_in), and glue
-    with the space cut-off.
+    component by boundary least squares (y_out), steer the whole domain by
+    the forward/backward blend (y_in), and glue with the space cut-off.
+    A component is the run of the job's cells whose centres lie in it, of
+    any length, with the job's (dt, n_steps), so HUM (one row march of them
+    all) samples y_out at the glue cells and steps themselves; one with no
+    cell holds no glue cell and is not steered.  y0 and y1 are sampled
+    once, on the job's grid, before any march.
     Almost the whole margin above the minimal time is granted to the
     components as extra control time, keeping the shrink margins (and hence
     the cut-off transition zones) as wide as possible.  When the closure of
     omega covers [0, 1] (``synthesize_full_domain``) there is no component:
     no refined region, HUM or space cut-off, and the control is the blend's.
-    The horizon must be finite and positive (else ``ConfigError``).
+    The horizon must be finite and positive (else ``ConfigError``), and the
+    grid on (0, 1) (else ``ValueError``).
     """
     dt, n_steps = _resolve_steps(spec, grid, T, cfl, positive=True)
+    _check_full_domain(grid)
     base = minimal_control_time(spec)
     if not base.finite:
         raise RankError(base.reason)
-    refined_region, comps, cells, residuals = None, [], [], ()
+    tau_max = base.value
+    if not (base.covers_all or T > tau_max + 2.0 * dt):
+        raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
+                                  f"time {tau_max:g} (plus the two-step margin)")
+    y0f, y1f = (sample_state(fn, grid, spec.n) for fn in (y0_fn, y1_fn))
+    refined_region, comps, data, cells, residuals = None, [], [], [], ()
     if not base.covers_all:
-        tau_max = base.value
-        if not T > tau_max + 2.0 * dt:
-            raise BelowThresholdError(f"horizon {T:g} is not above the minimal control "
-                                      f"time {tau_max:g} (plus the two-step margin)")
         # leave a horizon margin for the component steering, spend the rest
         margin = max(4.0 * dt, 0.05 * (T - tau_max))
         slack = max(T - tau_max - margin, 0.5 * (T - tau_max))
         refined_region, _ = shrink_region(spec, tau_max + slack)
         cutoff = SpaceCutoff.between(refined_region, spec.omega)
-        for iv in refined_region.complement_components():
-            grid_i = Grid(iv.lo, iv.hi, max(8, math.ceil(iv.length * grid.n_cells)))
-            comps.append(_hum_component(spec, grid_i, *_resolve_steps(spec, grid_i, T, cfl)))
         # xi' Lambda (y_out - y_in) vanishes where xi' = 0, outside these cells
         xi_dot = cutoff.derivative(grid.centers)
         cells = np.flatnonzero(xi_dot)
+        for iv in refined_region.complement_components():
+            k0 = int(np.searchsorted(grid.centers, iv.lo, side="right"))
+            k1 = int(np.searchsorted(grid.centers, iv.hi))
+            if k1 > k0:
+                # the run as the component's grid: the job's dx and centres,
+                # bitwise, under a ``Grid``'s 8 cells if need be
+                run = SimpleNamespace(lo=k0 / grid.n_cells, hi=k1 / grid.n_cells, n_cells=k1 - k0,
+                                      dx=grid.dx, centers=grid.centers[k0:k1])
+                comps.append(_hum_component(spec, run, dt, n_steps))
+                lo, hi = np.searchsorted(cells, (k0, k1))
+                data.append((y0f.values[:, k0:k1], y1f.values[:, k0:k1], cells[lo:hi] - k0))
     _check_bytes("synthesis", _peak_bytes(spec, grid, n_steps, len(cells), comps))
-    if not base.covers_all:
-        xq = grid.centers[cells]
-        data, insides = [], []
-        for comp in comps:
-            inside = (xq > comp.grid.lo) & (xq < comp.grid.hi)
-            # HUM samples only the component cells that bracket these points
-            j = _bracket(comp.grid.centers, xq[inside])
-            pairs = np.zeros(comp.grid.n_cells, dtype=bool)
-            pairs[j] = pairs[j + 1] = True
-            data.append((y0_fn(comp.grid.centers), y1_fn(comp.grid.centers), np.flatnonzero(pairs)))
-            insides.append(inside)
-        y_out = np.zeros((n_steps, spec.n, cells.size))
+    if comps:
         hums = _hum_row(spec, comps, data)
-        for comp, inside, hum in zip(comps, insides, hums):
-            y_out[:, :, inside] = _resample(hum.samples, hum.times, comp.grid.centers[comp.cells],
-                                            np.arange(n_steps) * dt, xq[inside])
         residuals = tuple(hum.residual for hum in hums)
-        # y_out holds what the glue needs of their samples; the loop's names
-        # would keep the last component's alive
-        del hums, comps, data, comp, hum
+        # each glue cell lies in the component of its transition, both left
+        # to right; y_out then holds what the glue needs of the samples
+        y_out = np.concatenate([hum.samples[:-1] for hum in hums], axis=2)
+        del hums, comps, data
 
-    y0f = sample_state(y0_fn, grid, spec.n)
-    y1f = sample_state(y1_fn, grid, spec.n)
     forward = _forward_segment(spec, grid, dt)
     u_vals, y_in = _glue_full_domain(spec, forward, y0f, y1f, T, dt, n_steps, cells)
     if not base.covers_all:
         u_vals *= 1.0 - cutoff.value(grid.centers)
+    if residuals:
         u_vals[:, :, cells] += (xi_dot[cells] * _speeds_at(spec, grid)[:, cells]
                                 * (y_out - y_in[:-1]))
     control = ControlField._adopt(u_vals, grid, dt, spec.omega.contains_points(grid.centers))

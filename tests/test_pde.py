@@ -617,13 +617,15 @@ class TestMarchingKernel:
          (53, 75, "dirichlet", "coupling", True)],
     ], ids=["one", "two", "three"])
     def test_row_hands_over_separate_marches(self, segments):
-        # segments side by side in one row, each with its own cells, dx, dt,
-        # step count, source or none, and ends (a coupling, a Dirichlet
-        # series or zero data with no writer), against a march of each
-        # segment alone: the row runs the most steps, and each segment's
+        # segments side by side in one row on one dt, each with its own
+        # cells, dx, step count, source or none, and ends (a coupling, a
+        # Dirichlet series or zero data with no writer), against a march of
+        # each segment alone: the row runs the most steps, and each segment's
         # states up to its own count are byte for byte its own march's, both
         # in the row's record and in a whole-row buffer of every state
         batch, n_max = 3, max(seg[1] for seg in segments)
+        # Courant 0.95 on the finest segment
+        dt = 0.95 * 0.3 / max(seg[0] for seg in segments) / 0.9
 
         def segment(seed, nx, ends, source, zero_series=False):
             rng = np.random.default_rng(seed)
@@ -640,7 +642,7 @@ class TestMarchingKernel:
                     bcs.append(pde._dirichlet_bc(np.zeros((n_max, n_in, batch)))
                                if zero_series else None)
             return (pde._Marcher(pde._segment(
-                        sigma, 0.95 * dx / 0.9, dx, *bcs,
+                        sigma, dt, dx, *bcs,
                         rng.standard_normal((nx, 3, 3)) if source else None)),
                     rng.standard_normal((3, nx, batch)))
 
@@ -653,7 +655,7 @@ class TestMarchingKernel:
         parts = [segment(seed, nx, ends, source)
                  for seed, (nx, _, *ends, source) in enumerate(segments)]
         row = pde._Marcher(*(seg for marcher, _ in parts for seg in marcher.segments))
-        assert len({marcher.dt for marcher, _ in parts}) == len(parts)
+        assert row.dt == dt and len({nx for nx, *_ in segments}) == len(segments)
         w0 = np.zeros((3, row.width, batch))
         at = 0
         for _, w in parts:
@@ -682,6 +684,13 @@ class TestMarchingKernel:
                 for got, want in zip(states(zeros, w, n_steps), alone):
                     assert got.tobytes() == want.tobytes()
             at += nx + 2
+
+    def test_row_refuses_unequal_dt(self):
+        # a row steps every segment with one dt
+        sigma = np.ones((2, 8))
+        with pytest.raises(ValueError, match="share one dt"):
+            pde._Marcher(pde._segment(sigma, 0.1, 0.125, None, None),
+                         pde._segment(sigma, 0.05, 0.125, None, None))
 
     def test_nonfinite_state_reported_at_the_chunk_end(self):
         # finiteness is checked once per chunk, before its hand-over: a state

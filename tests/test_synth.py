@@ -3,6 +3,7 @@ import io
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,38 @@ class TestHumBoundaryControl:
         err = np.sqrt(grid.dx * np.sum((res.final.values - y1) ** 2))
         assert err == pytest.approx(hum.residual, rel=1e-10, abs=1e-14)
 
+    @pytest.mark.parametrize("name,bad", [
+        ("y1_vals", lambda y0, y1: (y0, y1[:, :59])),
+        ("y0_vals", lambda y0, y1: (np.where(np.arange(60) == 7, np.nan, y0), y1)),
+        ("y0_vals", lambda y0, y1: (y0[:1], y1)),
+        ("y1_vals", lambda y0, y1: (y0, y1 + np.inf)),
+    ], ids=["short-y1", "nan-y0", "one-component-y0", "inf-y1"])
+    def test_bad_states_refused_before_marching(self, monkeypatch, spec_2x2, name, bad):
+        # one ValueError naming the argument, before any march
+        marches = _count_marches(monkeypatch)
+        grid = Grid(0.3, 0.6, 60)
+        y0 = np.stack([np.cos(grid.centers), np.sin(grid.centers)])
+        with pytest.raises(ValueError, match=f"^{name} must be a finite array of shape "
+                                             r"\(2, 60\), got shape"):
+            hum_boundary_control(spec_2x2, *bad(y0, np.zeros((2, 60))), grid, 0.5)
+        assert marches == []
+
+
+def _count_marches(monkeypatch) -> list:
+    """The list that every ``_march`` call, from ``pde`` or ``synth``,
+    appends its state's shape to."""
+    import hypctrl.pde as pde
+    import hypctrl.synth as synth
+    calls, real = [], pde._march
+
+    def counted(marcher, w0, *args, **kwargs):
+        calls.append(w0.shape)
+        return real(marcher, w0, *args, **kwargs)
+
+    for module in (pde, synth):
+        monkeypatch.setattr(module, "_march", counted)
+    return calls
+
 
 def _hum_spec(n):
     # a nonzero source and, for n = 4, non-diagonal couplings, so the
@@ -263,17 +296,7 @@ class TestHumStateSide:
         assert np.allclose(got, ref, rtol=1e-6, atol=1e-6 * np.max(np.abs(ref)))
 
     def test_one_march_per_component(self, monkeypatch):
-        import hypctrl.pde as pde
-        import hypctrl.synth as synth
-        calls = []
-        real_march = pde._march
-
-        def counting(*args, **kwargs):
-            calls.append(args[1].shape)
-            return real_march(*args, **kwargs)
-
-        monkeypatch.setattr(pde, "_march", counting)
-        monkeypatch.setattr(synth, "_march", counting)
+        calls = _count_marches(monkeypatch)
         spec = _hum_spec(4)
         for iv, T in HUM_CASES:
             grid, y0, y1 = _hum_case(iv, 4)
@@ -303,40 +326,6 @@ class TestHumStateSide:
         for cells in ([32], [-1]):
             with pytest.raises(ValueError, match="sampled cells"):
                 hum_boundary_control(spec_2x2, zero, zero, grid, 0.6, cells=cells)
-
-
-class TestResample:
-    @staticmethod
-    def _loop_reference(traj, traj_times, grid_i, times, xq):
-        # the per-time-level np.interp loop the array resample replaced
-        out = np.empty((times.size, traj.shape[1], xq.size))
-        dt_i = traj_times[1] - traj_times[0]
-        for j, t in enumerate(times):
-            s = min(max(t / dt_i, 0.0), traj_times.size - 1.0)
-            s0 = int(s)
-            w = s - s0
-            state = traj[s0] if w == 0.0 else (1.0 - w) * traj[s0] + w * traj[s0 + 1]
-            out[j] = np.stack([np.interp(xq, grid_i.centers, state[k])
-                               for k in range(state.shape[0])])
-        return out
-
-    @pytest.mark.parametrize("lo,hi,n_i,dt_i,levels", [
-        (0.0, 0.31, 40, 0.0071, 90), (0.62, 1.0, 37, 0.0093, 70),
-        (0.3, 0.55, 33, 0.0050, 121)])
-    def test_matches_per_step_interp(self, lo, hi, n_i, dt_i, levels):
-        from hypctrl.synth import _resample
-        rng = np.random.default_rng(7)
-        grid_i = Grid(lo, hi, n_i)
-        traj = rng.standard_normal((levels, 3, n_i))
-        traj_times = np.arange(levels) * dt_i
-        grid = Grid(0.0, 1.0, 128)
-        xq = grid.centers[(grid.centers > lo) & (grid.centers < hi)]
-        # global times run past the component's last level, so the time
-        # clamp is exercised as well as the space clamp at both edges
-        times = np.arange(int(levels * 1.1)) * dt_i * 0.97
-        got = _resample(traj, traj_times, grid_i.centers, times, xq)
-        ref = self._loop_reference(traj, traj_times, grid_i, times, xq)
-        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 class TestAssembleInternalControl:
@@ -498,19 +487,6 @@ class TestAssembleInternalControl:
         assert errs[1] < errs[0] and errs[1] <= 0.05
 
 
-def _whole_state_resample(traj, traj_times, xp, times, xq):
-    # the resample as it was: every grid column interpolated in time first
-    last = traj.shape[0] - 1
-    s = np.clip(times / (traj_times[1] - traj_times[0]), 0.0, float(last))
-    s0 = s.astype(np.intp)
-    w = (s - s0)[:, None, None]
-    state = (1.0 - w) * traj[s0] + w * traj[np.minimum(s0 + 1, last)]
-    j = np.clip(np.searchsorted(xp, xq, side="right") - 1, 0, xp.size - 2)
-    theta = np.clip((xq - xp[j]) / (xp[j + 1] - xp[j]), 0.0, 1.0)
-    lo, hi = state[:, :, j], state[:, :, j + 1]
-    return lo + theta * (hi - lo)
-
-
 def _whole_array_glue(spec, y0_fn, y1_fn, T, grid, omega_hat, cfl=0.9):
     """The glue as whole-array algebra over (n_steps+1, n, N): forward and
     backward trajectories, y_in and y_out everywhere, then one expression
@@ -529,13 +505,17 @@ def _whole_array_glue(spec, y0_fn, y1_fn, T, grid, omega_hat, cfl=0.9):
         y_in = eta * fwd.trajectory + (1.0 - eta) * bwd.trajectory
         y_out = np.zeros_like(y_in)
         for comp in omega_hat.complement_components():
-            grid_i = Grid(comp.lo, comp.hi, max(8, math.ceil(comp.length * grid.n_cells)))
-            hum = hum_boundary_control(spec, y0_fn(grid_i.centers), y1_fn(grid_i.centers),
-                                       grid_i, T, cfl, cells=np.arange(grid_i.n_cells))
+            # the job's cells whose centres lie in the component, on the
+            # job's dx, centres and steps, sampled at every cell
+            inside = np.flatnonzero((grid.centers > comp.lo) & (grid.centers < comp.hi))
+            k0, k1 = inside[0], inside[-1] + 1
+            run = SimpleNamespace(lo=k0 / grid.n_cells, hi=k1 / grid.n_cells, n_cells=k1 - k0,
+                                  dx=grid.dx, centers=grid.centers[inside])
+            hum = hum_boundary_control(spec, y0f.values[:, inside], y1f.values[:, inside],
+                                       run, T, cfl, cells=np.arange(run.n_cells))
             residuals.append(hum.residual)
-            inside = (grid.centers > comp.lo) & (grid.centers < comp.hi)
-            y_out[:, :, inside] = _whole_state_resample(
-                hum.samples, hum.times, grid_i.centers, fwd.times, grid.centers[inside])
+            assert np.array_equal(hum.times, fwd.times)
+            y_out[:, :, inside] = hum.samples
         cutoff = SpaceCutoff.between(omega_hat, spec.omega)
         xi, xi_dot = cutoff.value(grid.centers), cutoff.derivative(grid.centers)
         lam = _speeds_at(spec, grid)
@@ -728,11 +708,13 @@ def _row_of(monkeypatch, spec, T, cells):
 
 
 def _records(spec, parts, T, cfl):
-    """The HUM records of ``parts``, as a synthesis builds them."""
+    """The HUM records of ``parts``, as a synthesis builds them: one (dt,
+    n_steps), resolved on the finest of their grids (in a synthesis they
+    all have the job's dx, and this is the job's resolution)."""
     import hypctrl.synth as synth
     from hypctrl.pde import _resolve_steps
-    return [synth._hum_component(spec, grid_i, *_resolve_steps(spec, grid_i, T, cfl))
-            for grid_i, *_ in parts]
+    steps = _resolve_steps(spec, min((part[0] for part in parts), key=lambda g: g.dx), T, cfl)
+    return [synth._hum_component(spec, grid_i, *steps) for grid_i, *_ in parts]
 
 
 @pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240)])
@@ -793,8 +775,8 @@ def test_hum_row_bytes_match_traced_peak(monkeypatch, label, cells):
 def test_row_equals_direct_hum(monkeypatch, label, cells):
     # every component of a synthesis, steered in one row, against a direct
     # call on that component alone: controls, residual and samples bit for
-    # bit (the small case c has unequal dt and step counts and a source;
-    # the three-interval case has unequal channel counts)
+    # bit (case c has a source; the three-interval case has unequal channel
+    # counts)
     spec, T, _ = _three_interval_case() if label == "three" else _synth_case(label)
     parts, cfl, hums = _row_of(monkeypatch, spec, T, cells)
     assert len(parts) == (3 if label == "three" else 2)
@@ -1017,8 +999,9 @@ def test_hum_visit_allocates_nothing_per_step(monkeypatch, spec_2x2, lo, hi):
 
 
 def test_hum_row_allocates_nothing_per_step(monkeypatch, spec_2x2):
-    # a row of three components with 1, 2 and 1 channels and unequal step
-    # counts, under the window and bound of the one-component test above
+    # a row of three components with 1, 2 and 1 channels and unequal cell
+    # widths on one dt, under the window and bound of the one-component
+    # test above
     import hypctrl.pde as pde
     import hypctrl.synth as synth
 
@@ -1059,6 +1042,106 @@ def test_hum_row_allocates_nothing_per_step(monkeypatch, spec_2x2):
     assert marks["peak"] - marks["start"] < padded // 8
 
 
+def _narrow_case():
+    # the example config with omega = (0, 0.2) u (0.8, 1) on 150 cells at T
+    # 0.85: its left component is 7.5 cells wide and holds 7 of them
+    return make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.0, 0.2), (0.8, 1.0)]), 0.85, 150
+
+
+@pytest.mark.parametrize("label,cells", [("a", 400), ("b", 240), ("c", 240), ("three", 200),
+                                         ("narrow", 150)])
+def test_components_are_runs_of_the_job_cells(monkeypatch, label, cells):
+    # every record a synthesis hands its HUM row is the run of the job's
+    # cells whose centres lie in its component, on the job's dx and centres
+    # and with the job's (dt, n_steps); it samples exactly the glue cells
+    # (xi' != 0) among them, and each glue cell is sampled once; y0 and y1
+    # are the job's samples on the run
+    import hypctrl.synth as synth
+    from hypctrl.pde import _resolve_steps
+    spec, T, _ = {"three": _three_interval_case, "narrow": _narrow_case}.get(
+        label, lambda: _synth_case(label))()
+    seen, real = [], synth._hum_row
+    monkeypatch.setattr(synth, "_hum_row", lambda spec, comps, data: seen.append(
+        (comps, data)) or real(spec, comps, data))
+    grid = Grid(0.0, 1.0, cells)
+    y0, y1 = _fourier(spec.n, 1), _fourier(spec.n, 2)
+    rep = assemble_internal_control(spec, y0, y1, T, grid)
+    (comps, data), = seen
+    dt, n_steps = _resolve_steps(spec, grid, T, 0.9)
+    glue = np.flatnonzero(SpaceCutoff.between(rep.omega_hat, spec.omega).derivative(grid.centers))
+    components = rep.omega_hat.complement_components()
+    assert len(comps) == len(data) == len(components) == len(rep.hum_residuals)
+    sampled = []
+    for comp, (y0_vals, y1_vals, at), iv in zip(comps, data, components):
+        run = np.flatnonzero((grid.centers > iv.lo) & (grid.centers < iv.hi))
+        assert (comp.dt, comp.n_steps, comp.grid.dx) == (dt, n_steps, grid.dx)
+        assert comp.grid.n_cells == run.size == run[-1] + 1 - run[0]
+        assert comp.grid.centers.tobytes() == grid.centers[run].tobytes()
+        assert (comp.grid.lo == 0.0, comp.grid.hi == 1.0) == (iv.lo == 0.0, iv.hi == 1.0)
+        assert np.array_equal(run[at], glue[(glue >= run[0]) & (glue <= run[-1])])
+        assert y0_vals.tobytes() == y0(grid.centers)[:, run].tobytes()
+        assert y1_vals.tobytes() == y1(grid.centers)[:, run].tobytes()
+        sampled.extend(run[at])
+    assert np.array_equal(sampled, glue)
+    sizes = [comp.grid.n_cells for comp in comps]
+    if label == "a":
+        # the refined ends fall on cell centres 112 and 287 of 400
+        assert sizes == [112, 112] and n_steps == 267
+    if label == "narrow":
+        assert min(sizes) == 7
+        outside = ~spec.omega.contains_points(grid.centers)
+        assert not rep.control.values[:, :, outside].any()
+        assert rep.achieved_error <= 0.05
+
+
+def test_component_without_cells_is_not_steered():
+    # on 8 cells at T 1.5 the end components of omega = (0, 0.2) u (0.8, 1)
+    # are (0, 0.05) and (0.95, 1), which hold no cell centre and so no glue
+    # cell: only the interior component is steered
+    spec = _narrow_case()[0]
+    grid = Grid(0.0, 1.0, 8)
+    rep = assemble_internal_control(spec, Y0_SIN, Y_ZERO, 1.5, grid)
+    ends = [(iv.lo, iv.hi) for iv in rep.omega_hat.complement_components()][::2]
+    assert np.allclose(ends, [(0.0, 0.05), (0.95, 1.0)], rtol=0, atol=1e-15)
+    assert len(rep.hum_residuals) == 1
+    outside = ~spec.omega.contains_points(grid.centers)
+    assert not rep.control.values[:, :, outside].any()
+    assert np.isfinite(rep.achieved_error)
+
+
+@pytest.mark.parametrize("covering", [False, True], ids=["glued", "full-domain"])
+def test_partial_grid_refused_before_anything_runs(monkeypatch, covering):
+    # a grid that is not (0, 1): refused before y0 or y1 is sampled and
+    # before any march
+    spec = make_spec([-1.0, 1.0], [[1.0]], [[1.0]], [(0.0, 1.0)]) if covering \
+        else _synth_case("b")[0]
+    marches, sampled = _count_marches(monkeypatch), []
+
+    def y(x):
+        sampled.append(x)
+        return _fourier(spec.n, 1)(x)
+
+    synthesize = synthesize_full_domain if covering else assemble_internal_control
+    with pytest.raises(ValueError, match=r"grid on \(0, 1\), not \(0.2, 0.8\)"):
+        synthesize(spec, y, y, 0.6, Grid(0.2, 0.8, 240))
+    assert marches == [] and sampled == []
+
+
+@pytest.mark.parametrize("which", ["y0", "y1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_state_refused_before_marching(monkeypatch, which, bad):
+    # y0 and y1 are sampled once on the job's grid, before the HUM row: a
+    # non-finite value is refused before the first march
+    spec, T, cells = _synth_case("b")
+    marches = _count_marches(monkeypatch)
+    good = _fourier(spec.n, 1)
+    broken = lambda x: good(x) + np.where(np.asarray(x) > 0.5, bad, 0.0)
+    y0, y1 = (broken, good) if which == "y0" else (good, broken)
+    with pytest.raises(ValueError, match="state values must be finite"):
+        assemble_internal_control(spec, y0, y1, T, Grid(0.0, 1.0, cells))
+    assert marches == []
+
+
 def _synthesis_job(label):
     spec, T, cells = _three_interval_case() if label == "three" else _synth_case(label)
     return lambda: assemble_internal_control(spec, _fourier(spec.n, 1), _fourier(spec.n, 2),
@@ -1087,17 +1170,17 @@ def _gramian_job():
     return job
 
 
-@pytest.mark.parametrize("job,grids", [
-    (_synthesis_job("a"), 3), (_synthesis_job("b"), 3), (_synthesis_job("c"), 3),
-    (_synthesis_job("three"), 4), (_full_domain_job(synthesize_full_domain), 1),
-    (_full_domain_job(assemble_internal_control), 1), (_hum_job(), 1), (_gramian_job(), 1),
+@pytest.mark.parametrize("job", [
+    _synthesis_job("a"), _synthesis_job("b"), _synthesis_job("c"), _synthesis_job("three"),
+    _full_domain_job(synthesize_full_domain), _full_domain_job(assemble_internal_control),
+    _hum_job(), _gramian_job(),
 ], ids=["synth-a", "synth-b", "synth-c", "synth-three", "full-domain",
         "full-domain-delegated", "hum", "cli-gramian"])
-def test_one_step_resolution_per_grid(monkeypatch, job, grids):
-    # every job resolves each of its grids' (dt, n_steps) once, before its
+def test_one_step_resolution_per_grid(monkeypatch, job):
+    # every job resolves its one grid's (dt, n_steps) once, before its
     # guard, and hands the numbers to its marches and its re-simulation: a
-    # synthesis resolves its full grid and one grid per complement
-    # component, the other jobs their one grid
+    # synthesis's complement components are runs of its cells, marched with
+    # its (dt, n_steps)
     import hypctrl.cli as cli
     import hypctrl.obsv as obsv
     import hypctrl.pde as pde
@@ -1111,4 +1194,4 @@ def test_one_step_resolution_per_grid(monkeypatch, job, grids):
     for module in (pde, synth, obsv, cli):
         monkeypatch.setattr(module, "_resolve_steps", counted)
     job()
-    assert len(seen) == len(set(seen)) == grids
+    assert len(seen) == 1
